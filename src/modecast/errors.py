@@ -69,6 +69,10 @@ class ParseError(DataError):
         self.reason = reason
 
 
+class CorruptModel(DataError, ValueError):
+    """A saved forecaster directory or checkpoint file is not in a readable format."""
+
+
 class ShapeMismatch(ModecastError):
     """Array arguments have inconsistent shapes."""
 
@@ -83,6 +87,10 @@ class NumericalError(ModecastError):
 
 class SingularRegression(NumericalError):
     """Regressor matrix is rank deficient."""
+
+
+class InvalidLags(ConfigError, ValueError):
+    """A diagnostic regression was asked for fewer than one lag."""
 
 
 class StaleCache(ModecastError):

@@ -29,6 +29,7 @@ from scipy import optimize, signal, stats
 
 from .errors import (
     DegenerateSeries,
+    InvalidLags,
     InvalidParams,
     SingularRegression,
     TooShort,
@@ -50,6 +51,18 @@ class GarchSpec:
             raise InvalidParams(f"need k >= 0, l >= 0, k + l >= 1, got k={self.k}, l={self.l}")
 
 
+def _constraint_violation(alpha0: float, alphas: np.ndarray, betas: np.ndarray) -> str | None:
+    """Why the coefficients lie outside the stationarity region, or None if they do not."""
+    if not (alpha0 > 0):
+        return f"alpha0 must be > 0, got {alpha0}"
+    if (alphas < 0).any() or (betas < 0).any():
+        return "lag coefficients must be >= 0"
+    s = float(alphas.sum() + betas.sum())
+    if not (0.0 < s <= 1.0):
+        return f"coefficient sum must be in (0, 1], got {s}"
+    return None
+
+
 @dataclass(frozen=True)
 class GarchParams:
     """Recursion coefficients constrained to the stationarity region."""
@@ -61,13 +74,9 @@ class GarchParams:
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float).reshape(-1))
         object.__setattr__(self, "betas", np.asarray(self.betas, dtype=float).reshape(-1))
-        if not (self.alpha0 > 0):
-            raise InvalidParams(f"alpha0 must be > 0, got {self.alpha0}")
-        if (self.alphas < 0).any() or (self.betas < 0).any():
-            raise InvalidParams("lag coefficients must be >= 0")
-        s = self.persistence
-        if not (0.0 < s <= 1.0):
-            raise InvalidParams(f"coefficient sum must be in (0, 1], got {s}")
+        problem = _constraint_violation(self.alpha0, self.alphas, self.betas)
+        if problem is not None:
+            raise InvalidParams(problem)
 
     @property
     def k(self) -> int:
@@ -122,6 +131,63 @@ class FitOptions:
     allow_differencing: bool = True
 
 
+_NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
+
+
+class _Shocks:
+    """One residual series prepared for repeated runs of the variance recursion.
+
+    Holds the squared shocks, the pre-sample seed (the sample variance of the
+    residuals) and the squared shocks behind m = max(k, l, 1) seed slots, for
+    the recursion at order (k, l).
+    """
+
+    __slots__ = ("a2", "seed", "a2x", "m")
+
+    def __init__(self, residuals, k: int, l: int):
+        a = np.asarray(residuals, dtype=float).reshape(-1)
+        if a.size < 1:
+            raise TooShort("need at least one residual")
+        if not np.isfinite(a).all():
+            raise InvalidParams("residuals contain non-finite values")
+        self.a2 = a * a
+        self.seed = float(np.var(a))
+        self.m = max(k, l, 1)
+        self.a2x = np.concatenate([np.full(self.m, self.seed), self.a2])
+
+    def sigma2(self, alpha0: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """The variance path over every shock; the coefficients are of order (k, l)."""
+        m = self.m
+        n = self.a2.size
+        if alphas.size > 0:
+            base = alpha0 + np.convolve(self.a2x, alphas)[m - 1:m - 1 + n]
+        else:
+            base = np.full(n, alpha0)
+        if betas.size == 0:
+            return base
+        # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
+        denom = np.concatenate([[1.0], -betas])
+        s2, _ = signal.lfilter([1.0], denom, base, zi=_filter_state(denom, self.seed))
+        return s2
+
+    def log_likelihood(self, s2: np.ndarray) -> float:
+        """Gaussian log-likelihood of the shocks under the variance path `s2`."""
+        return float(np.sum(_NEG_HALF_LOG_2PI - 0.5 * np.log(s2) - self.a2 / (2.0 * s2)))
+
+
+def _filter_state(denom: np.ndarray, seed: float) -> np.ndarray:
+    """`lfilter` state for pre-sample outputs all equal to `seed`.
+
+    The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
+    written out without its argument handling.
+    """
+    l = denom.size - 1
+    zi = np.zeros(l)
+    for j in range(l):
+        zi[j] -= (denom[j + 1:] * seed).sum()
+    return zi
+
+
 def sigma2_path(params: GarchParams, residuals) -> np.ndarray:
     """Run the variance recursion over `residuals`.
 
@@ -129,34 +195,14 @@ def sigma2_path(params: GarchParams, residuals) -> np.ndarray:
     variance of the residuals, so the first output value is fully determined
     by the coefficients and that seed.
     """
-    a = np.asarray(residuals, dtype=float).reshape(-1)
-    n = a.size
-    if n < 1:
-        raise TooShort("need at least one residual")
-    if not np.isfinite(a).all():
-        raise InvalidParams("residuals contain non-finite values")
-    k, l = params.k, params.l
-    seed = float(np.var(a))
-    m = max(k, l, 1)
-    a2x = np.concatenate([np.full(m, seed), a * a])
-    base = np.full(n, params.alpha0)
-    if k > 0:
-        conv = np.convolve(a2x, params.alphas)
-        base = base + conv[m - 1:m - 1 + n]
-    if l == 0:
-        return base
-    # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-    denom = np.concatenate([[1.0], -params.betas])
-    zi = signal.lfiltic([1.0], denom, y=np.full(l, seed))
-    s2, _ = signal.lfilter([1.0], denom, base, zi=zi)
-    return s2
+    shocks = _Shocks(residuals, params.k, params.l)
+    return shocks.sigma2(params.alpha0, params.alphas, params.betas)
 
 
 def log_likelihood(params: GarchParams, residuals) -> float:
     """Gaussian log-likelihood sum_t [-ln(2*pi)/2 - ln(s2_t)/2 - a_t^2/(2*s2_t)]."""
-    a = np.asarray(residuals, dtype=float).reshape(-1)
-    s2 = sigma2_path(params, a)
-    return float(np.sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(s2) - (a * a) / (2.0 * s2)))
+    shocks = _Shocks(residuals, params.k, params.l)
+    return shocks.log_likelihood(shocks.sigma2(params.alpha0, params.alphas, params.betas))
 
 
 def forecast_sigma2(fit: GarchFit) -> float:
@@ -215,14 +261,41 @@ def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
 # Maximum-likelihood fit
 # ---------------------------------------------------------------------------
 
-def _theta_to_params(theta: np.ndarray, spec: GarchSpec) -> GarchParams:
+def _theta_to_coeffs(theta: np.ndarray, spec: GarchSpec) -> tuple[float, np.ndarray, np.ndarray]:
+    """(alpha0, alphas, betas) of a search point; OverflowError for theta[1] below about -709."""
     alpha0 = math.exp(min(theta[0], 50.0))
     total = 1.0 / (1.0 + math.exp(-theta[1]))
     w = theta[2:] - theta[2:].max()
     p = np.exp(w)
     p /= p.sum()
     coeffs = total * p
-    return GarchParams(alpha0=alpha0, alphas=coeffs[:spec.k], betas=coeffs[spec.k:])
+    return alpha0, coeffs[:spec.k], coeffs[spec.k:]
+
+
+def _theta_to_params(theta: np.ndarray, spec: GarchSpec) -> GarchParams:
+    return GarchParams(*_theta_to_coeffs(theta, spec))
+
+
+def _likelihood_objective(a_norm: np.ndarray, spec: GarchSpec):
+    """The search objective: theta -> negative log-likelihood of `a_norm`.
+
+    Equals -log_likelihood(_theta_to_params(theta, spec), a_norm) bit for bit,
+    and 1e300 wherever that raises (coefficients outside the constraint set,
+    an overflowing transform, a floating-point trap).  The residual-dependent
+    work is done once here, not once per call.
+    """
+    shocks = _Shocks(a_norm, spec.k, spec.l)
+
+    def objective(theta: np.ndarray) -> float:
+        try:
+            alpha0, alphas, betas = _theta_to_coeffs(theta, spec)
+            if _constraint_violation(alpha0, alphas, betas) is not None:
+                return 1e300
+            return -shocks.log_likelihood(shocks.sigma2(alpha0, alphas, betas))
+        except (FloatingPointError, OverflowError):
+            return 1e300
+
+    return objective
 
 
 def _params_to_theta(alpha0: float, coeffs: np.ndarray) -> np.ndarray:
@@ -302,12 +375,7 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     else:
         max_iter = 200 * dim if dim <= 8 else 500 * dim
 
-    def objective(theta: np.ndarray) -> float:
-        try:
-            return -log_likelihood(_theta_to_params(theta, spec), a_norm)
-        except (InvalidParams, FloatingPointError, OverflowError):
-            return 1e300
-
+    objective = _likelihood_objective(a_norm, spec)
     best_ll = -math.inf
     best_theta = None
     converged = False
@@ -376,7 +444,7 @@ def adf_test(series: TimeSeries | np.ndarray, lags: int) -> tuple[float, bool]:
     """
     y = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float).reshape(-1)
     if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
+        raise InvalidLags(f"lags must be >= 1, got {lags}")
     n = y.size
     if n < lags + 10:
         raise TooShort(f"need at least {lags + 10} observations for {lags} lags, got {n}")
@@ -410,7 +478,7 @@ def arch_lm_test(series: TimeSeries | np.ndarray, lags: int = 12) -> tuple[float
     """
     y = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float).reshape(-1)
     if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
+        raise InvalidLags(f"lags must be >= 1, got {lags}")
     n = y.size
     if n < lags + 10:
         raise TooShort(f"need at least {lags + 10} observations for {lags} lags, got {n}")

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .errors import EmptyDataset, ShapeMismatch, StaleCache
+from .errors import CorruptModel, EmptyDataset, ShapeMismatch, StaleCache
 
 
 class CellKind(Enum):
@@ -78,10 +78,8 @@ class RecurrentNetwork:
 
 
 def _sigmoid(x):
-    out = special.expit(x)
-    # closed bounds: IEEE saturation legitimately reaches 0.0 / 1.0
-    assert np.all((out >= 0.0) & (out <= 1.0))
-    return out
+    # closed bounds by construction: IEEE saturation reaches 0.0 / 1.0
+    return special.expit(x)
 
 
 def _layer_shapes(kind: CellKind, hidden: int, d_in: int) -> dict[str, tuple[int, ...]]:
@@ -565,7 +563,7 @@ def load_checkpoint(path) -> RecurrentNetwork:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
-        raise ValueError(f"not a {_CHECKPOINT_MAGIC!r} file: {path}")
+        raise CorruptModel(f"not a {_CHECKPOINT_MAGIC!r} file: {path}")
     fields = dict(item.split("=", 1) for item in lines[1].split())
     config = NetworkConfig(
         cell=CellKind(fields["cell"]), layers=int(fields["layers"]),
@@ -577,7 +575,7 @@ def load_checkpoint(path) -> RecurrentNetwork:
     while pos < len(lines) and lines[pos] != "end":
         tag, name, rows, cols = lines[pos].split()
         if tag != "param":
-            raise ValueError(f"malformed checkpoint line: {lines[pos]!r}")
+            raise CorruptModel(f"malformed checkpoint line: {lines[pos]!r}")
         rows, cols = int(rows), int(cols)
         mat = np.array([[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)])
         flat[name] = mat

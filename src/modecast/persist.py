@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import garch, neural, vmd
+from .errors import CorruptModel
 from .pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
 from .series import MinMaxScaler, SplitSpec
 
@@ -119,9 +120,12 @@ def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
 
 def load_forecaster(model_dir) -> EnsembleForecaster:
     root = Path(model_dir)
-    manifest = json.loads((root / "forecaster.json").read_text(encoding="utf-8"))
-    if manifest.get("format") != "modecast-forecaster v1":
-        raise ValueError(f"unrecognized forecaster directory: {root}")
+    try:
+        manifest = json.loads((root / "forecaster.json").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorruptModel(f"unreadable forecaster.json in {root}: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "modecast-forecaster v1":
+        raise CorruptModel(f"unrecognized forecaster directory: {root}")
     cfg = _config_from_dict(manifest["config"])
     mode_values = np.array(manifest["mode_values"])
     modes = None

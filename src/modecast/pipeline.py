@@ -194,27 +194,54 @@ def _mode_seed(base_seed: int, mode_index: int) -> int:
     return base_seed * 1000 + mode_index
 
 
-def _train_volatility(mode_train: np.ndarray, variant: Variant, cfg: PipelineConfig):
-    """Return (vol_train array, garch fit or None, vol_kind) for one mode."""
+def _train_size(n: int, cfg: PipelineConfig) -> int:
+    n_train = int(np.floor(cfg.split.train_fraction * n))
+    if n_train <= cfg.seq_len or n_train >= n:
+        raise TooShort(f"train size {n_train} incompatible with seq_len {cfg.seq_len} and length {n}")
+    return n_train
+
+
+def _fit_mode_garch(mode_values: np.ndarray, train_size: int,
+                    cfg: PipelineConfig) -> tuple[garch_mod.GarchFit, ...]:
+    """One volatility fit per mode, on the mode's leading `train_size` slots."""
+    return tuple(garch_mod.fit(mode_values[idx, :train_size], cfg.garch, cfg.garch_options)
+                 for idx in range(mode_values.shape[0]))
+
+
+def _train_volatility(mode_train: np.ndarray, variant: Variant,
+                      fit: garch_mod.GarchFit | None) -> tuple[np.ndarray, str]:
+    """Return (vol_train array, vol_kind) for one mode; `fit` serves VMD-GARCH."""
     if variant is Variant.DIRECT:
-        return mode_train.copy(), None, "value"
+        return mode_train.copy(), "value"
     if variant is Variant.VMD:
-        return np.zeros_like(mode_train), None, "zeros"
-    fit = garch_mod.fit(mode_train, cfg.garch, cfg.garch_options)
-    vol = np.sqrt(fit.sigma2_path)
+        return np.zeros_like(mode_train), "zeros"
     kind = "rolling" if fit.used_rolling_fallback else "garch"
-    return vol, fit, kind
+    return np.sqrt(fit.sigma2_path), kind
 
 
 def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
-                     cell: neural.CellKind, cfg: PipelineConfig) -> tuple[ModeModel, ...]:
+                     cell: neural.CellKind, cfg: PipelineConfig,
+                     garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
+                     ) -> tuple[ModeModel, ...]:
     """Fit scalers, volatility and one network per mode from the leading
-    `train_size` slots only; mode test segments are never read here."""
+    `train_size` slots only; mode test segments are never read here.
+
+    The VMD-GARCH variant takes its volatility from `garch_fits` when given
+    (one fit per mode, made by `_fit_mode_garch` on the same slots) and fits
+    it here otherwise.
+    """
+    k = mode_values.shape[0]
+    if variant is Variant.VMD_GARCH:
+        if garch_fits is None:
+            garch_fits = _fit_mode_garch(mode_values, train_size, cfg)
+        elif len(garch_fits) != k:
+            raise LengthMismatch(f"{len(garch_fits)} volatility fits for {k} modes")
     models = []
-    for idx in range(mode_values.shape[0]):
+    for idx in range(k):
         mode_train = mode_values[idx, :train_size]
         scaler = fit_scaler(mode_train)
-        vol_train, g_fit, vol_kind = _train_volatility(mode_train, variant, cfg)
+        g_fit = garch_fits[idx] if variant is Variant.VMD_GARCH else None
+        vol_train, vol_kind = _train_volatility(mode_train, variant, g_fit)
         if vol_kind == "value":
             vol_scaler: MinMaxScaler | None = scaler
         elif vol_kind == "zeros" or vol_train.max() <= 0.0:
@@ -236,24 +263,25 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
 
 
 def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
-                   cfg: PipelineConfig, modes: vmd.ModeSet | None = None) -> EnsembleForecaster:
+                   cfg: PipelineConfig, modes: vmd.ModeSet | None = None,
+                   garch_fits: tuple[garch_mod.GarchFit, ...] | None = None) -> EnsembleForecaster:
     """Build the full per-mode model bundle for one (variant, cell) pair.
 
-    `modes` may carry a precomputed decomposition of `series` (the comparison
-    matrix reuses one decomposition across variants and cells).
+    `modes` may carry a precomputed decomposition of `series` and `garch_fits`
+    precomputed volatility fits of its modes' training segments, one per mode,
+    read by the VMD-GARCH variant only (the comparison matrix reuses both
+    across variants and cells).
     """
     validate(series)
     n = len(series)
-    n_train = int(np.floor(cfg.split.train_fraction * n))
-    if n_train <= cfg.seq_len or n_train >= n:
-        raise TooShort(f"train size {n_train} incompatible with seq_len {cfg.seq_len} and length {n}")
+    n_train = _train_size(n, cfg)
     if variant is Variant.DIRECT:
         mode_set = None
         mode_values = series.values[None, :].copy()
     else:
         mode_set = modes if modes is not None else vmd.vmd_decompose(series, cfg.vmd)
         mode_values = mode_set.modes
-    models = _fit_mode_models(mode_values, n_train, variant, cell, cfg)
+    models = _fit_mode_models(mode_values, n_train, variant, cell, cfg, garch_fits)
     return EnsembleForecaster(variant=variant, cell=cell, config=cfg, modes=mode_set,
                               mode_values=mode_values, mode_models=models, train_size=n_train)
 
@@ -368,20 +396,24 @@ def compare_models(series: TimeSeries, steps_list: list[int],
                    cells: list[neural.CellKind], cfg: PipelineConfig) -> list[ComparisonRow]:
     """Run the 3 variants x len(cells) matrix at every horizon in steps_list.
 
-    All models share one decomposition and identical per-mode seeds, so rows
-    differ only by what the variant itself changes.  A rolling forecast is a
-    prefix of any longer one, so each model runs once at max(steps_list).
+    All models share one decomposition, one volatility fit per mode (a fit
+    depends only on the mode's training segment and the model order, so every
+    VMD-GARCH cell reuses it) and identical per-mode seeds, so rows differ
+    only by what the variant itself changes.  A rolling forecast is a prefix
+    of any longer one, so each model runs once at max(steps_list).
     """
     if not steps_list:
         raise LengthMismatch("steps_list must be nonempty")
     validate(series)
     max_steps = max(steps_list)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
+    garch_fits = _fit_mode_garch(mode_set.modes, _train_size(len(series), cfg), cfg)
     rows: list[ComparisonRow] = []
     for cell in cells:
         for variant in (Variant.DIRECT, Variant.VMD, Variant.VMD_GARCH):
             fc = fit_forecaster(series, variant, cell, cfg,
-                                modes=None if variant is Variant.DIRECT else mode_set)
+                                modes=None if variant is Variant.DIRECT else mode_set,
+                                garch_fits=garch_fits)
             result = rolling_forecast(fc, series, max_steps)
             label = f"{variant.label_prefix}{cell.name}"
             for h in steps_list:

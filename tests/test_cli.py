@@ -170,6 +170,30 @@ def test_unknown_config_key_exit_1(tmp_path, series_csv, capsys):
                  "--out-dir", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("damage", ["format", "json", "checkpoint"])
+def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_file, capsys,
+                                                damage):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
+    manifest = model_dir / "forecaster.json"
+    if damage == "format":
+        payload = json.loads(manifest.read_text())
+        payload["format"] = "modecast-forecaster v0"
+        manifest.write_text(json.dumps(payload))
+    elif damage == "json":
+        manifest.write_text(manifest.read_text()[:200])
+    else:
+        (model_dir / "net_mode_1.txt").write_text("not a checkpoint\n")
+    capsys.readouterr()
+    code = main(["forecast", "--input", str(series_csv), "--config", str(config_file),
+                 "--model-dir", str(model_dir), "--steps", "6",
+                 "--out-dir", str(tmp_path / "fc")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_missing_input_exit_2(tmp_path, config_file, capsys):
     assert main(["decompose", "--input", str(tmp_path / "absent.csv"),
                  "--config", str(config_file), "--out-dir", str(tmp_path / "y")]) == 2

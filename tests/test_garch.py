@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import signal, stats
 
-from modecast.errors import DegenerateSeries, InvalidParams, TooShort
+from modecast.errors import DegenerateSeries, InvalidLags, InvalidParams, TooShort
 from modecast.garch import (
     FitOptions,
     GarchParams,
@@ -22,6 +22,9 @@ from modecast.garch import (
     sigma2_path,
     simulate,
     step_sigma2,
+    _filter_state,
+    _likelihood_objective,
+    _theta_to_params,
 )
 from modecast.series import TimeSeries
 
@@ -101,6 +104,79 @@ def test_log_likelihood_matches_bruteforce_loop():
     expected2 = sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(s2) - a * a / (2.0 * s2)
                     for a, s2 in zip(doubled, path2))
     assert log_likelihood(params, doubled) == pytest.approx(expected2, rel=1e-12)
+
+
+def _reference_sigma2_path(params, residuals):
+    """The recursion as first written, with the filter state from `signal.lfiltic`."""
+    a = np.asarray(residuals, dtype=float)
+    n, k, l = a.size, params.k, params.l
+    seed = float(np.var(a))
+    m = max(k, l, 1)
+    a2x = np.concatenate([np.full(m, seed), a * a])
+    base = np.full(n, params.alpha0)
+    if k > 0:
+        base = base + np.convolve(a2x, params.alphas)[m - 1:m - 1 + n]
+    if l == 0:
+        return base
+    denom = np.concatenate([[1.0], -params.betas])
+    zi = signal.lfiltic([1.0], denom, y=np.full(l, seed))
+    return signal.lfilter([1.0], denom, base, zi=zi)[0]
+
+
+ORDERS = [(1, 1), (2, 2), (10, 10), (3, 0), (0, 2)]
+
+
+@pytest.mark.parametrize("k,l", ORDERS)
+def test_sigma2_path_matches_lfiltic_reference_exactly(k, l):
+    rng = np.random.default_rng(10 * k + l)
+    residuals = rng.standard_normal(150) * rng.uniform(0.1, 10.0)
+    for _ in range(50):
+        coeffs = rng.dirichlet(np.ones(k + l)) * rng.uniform(0.05, 1.0)
+        params = GarchParams(rng.uniform(1e-3, 2.0), coeffs[:k], coeffs[k:])
+        assert np.array_equal(sigma2_path(params, residuals),
+                              _reference_sigma2_path(params, residuals))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 10])
+def test_filter_state_matches_lfiltic_exactly(l):
+    rng = np.random.default_rng(l)
+    for _ in range(200):
+        denom = np.concatenate([[1.0], -rng.dirichlet(np.ones(l)) * rng.uniform(0.0, 1.0)])
+        seed = float(rng.uniform(1e-3, 1e3))
+        expected = signal.lfiltic([1.0], denom, y=np.full(l, seed))
+        assert np.array_equal(_filter_state(denom, seed), expected)
+
+
+@pytest.mark.parametrize("k,l", ORDERS)
+def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
+    spec = GarchSpec(k, l)
+    rng = np.random.default_rng(100 + 10 * k + l)
+    a = rng.standard_normal(240)
+    a = a / np.std(a)
+    objective = _likelihood_objective(a, spec)
+    dim = 2 + k + l
+    thetas = list(rng.normal(0.0, 3.0, size=(1000, dim)))
+    edges = {
+        "alpha0 underflows": (0, -1000.0),
+        "exp overflows": (1, -1000.0),
+        # smallest sigmoid the transform reaches: subnormal, never exactly 0
+        "sigmoid near 0": (1, -709.7),
+        "sigmoid rounds to 1": (1, 40.0),
+        "alpha0 clamped": (0, 60.0),
+    }
+    for index, value in edges.values():
+        for theta in rng.normal(0.0, 3.0, size=(20, dim)):
+            theta[index] = value
+            thetas.append(theta)
+    rejected = 0
+    for theta in thetas:
+        try:
+            expected = -log_likelihood(_theta_to_params(theta, spec), a)
+        except (InvalidParams, OverflowError):
+            expected = 1e300
+        assert objective(theta) == expected
+        rejected += expected == 1e300
+    assert rejected >= 40  # both always-invalid edge groups reached the 1e300 branch
 
 
 def test_log_likelihood_rejects_nan():
@@ -277,6 +353,13 @@ def test_arch_lm_clean_on_iid_noise():
 def test_arch_lm_rejects_zero_lags():
     with pytest.raises(ValueError):
         arch_lm_test(np.arange(100.0), 0)
+
+
+def test_lag_count_errors_are_typed():
+    for diagnostic in (adf_test, arch_lm_test):
+        with pytest.raises(InvalidLags):
+            diagnostic(np.arange(100.0), 0)
+    assert issubclass(InvalidLags, ValueError)
 
 
 def test_chi2_critical_value_constant():

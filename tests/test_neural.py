@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from modecast.errors import EmptyDataset, ShapeMismatch, StaleCache
+from scipy import special
+
+from modecast.errors import CorruptModel, EmptyDataset, ShapeMismatch, StaleCache
 from modecast.neural import (
     CellKind,
     NetworkConfig,
@@ -28,6 +30,7 @@ from modecast.neural import (
     train,
     _flatten_grads,
     _rebuild,
+    _sigmoid,
 )
 
 
@@ -38,6 +41,12 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 # Cells
 # ---------------------------------------------------------------------------
+
+def test_sigmoid_is_expit_and_saturates():
+    x = np.linspace(-60.0, 60.0, 2001).reshape(3, -1)
+    assert np.array_equal(_sigmoid(x), special.expit(x))
+    assert _sigmoid(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+
 
 def test_rnn_cell_zero_weights():
     p = {"W_hh": np.zeros((3, 3)), "W_xh": np.zeros((3, 2)), "b_h": np.zeros(3)}
@@ -442,3 +451,15 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_malformed_parameter_line_is_typed(tmp_path):
+    cfg = NetworkConfig(cell=CellKind.RNN, layers=1, hidden=3, input_features=2, seed=1)
+    path = tmp_path / "net.txt"
+    save_checkpoint(init_network(cfg), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace("param", "parm", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptModel, match="malformed checkpoint line"):
+        load_checkpoint(path)
+    assert issubclass(CorruptModel, ValueError)

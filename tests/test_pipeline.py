@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import small_config, wavy_series
 from modecast.errors import HorizonTooLong, LengthMismatch, TooShort, ZeroActual
+from modecast import pipeline
 from modecast.neural import CellKind, flatten_parameters
 from modecast.pipeline import (
     Variant,
@@ -274,6 +275,38 @@ def test_compare_models_matrix_shape():
     labels = {r.model for r in rows}
     assert labels == {"RNN", "VMD-RNN", "VMD-GARCH-RNN", "GRU", "VMD-GRU", "VMD-GARCH-GRU"}
     assert all(r.report.predictions.size == r.horizon for r in rows)
+
+
+def test_compare_models_fits_each_mode_garch_once(monkeypatch):
+    series = wavy_series()
+    cfg = small_config(n_modes=3, epochs=1)
+    cells = [CellKind.RNN, CellKind.GRU]
+    calls = []
+    original = pipeline.garch_mod.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.garch_mod, "fit", counting_fit)
+    rows = compare_models(series, [4, 8], cells, cfg)
+    monkeypatch.undo()
+    assert len(calls) == cfg.vmd.n_modes
+    for cell in cells:
+        fc = fit_forecaster(series, Variant.VMD_GARCH, cell, cfg)
+        alone = rolling_forecast(fc, series, 8)
+        (row,) = [r for r in rows
+                  if r.cell is cell and r.variant is Variant.VMD_GARCH and r.horizon == 8]
+        assert np.array_equal(row.report.predictions, alone.predictions)
+
+
+def test_fit_forecaster_rejects_fit_count_mismatch():
+    cfg = small_config(n_modes=2)
+    series = wavy_series()
+    fc = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
+    with pytest.raises(LengthMismatch):
+        fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg, modes=fc.modes,
+                       garch_fits=(fc.mode_models[0].garch,))
 
 
 def test_compare_models_requires_horizons():
