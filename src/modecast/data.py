@@ -19,8 +19,6 @@ import time
 from datetime import date
 from pathlib import Path
 
-import requests
-
 from .errors import HttpStatusError, NetworkError, ParseError, TooShort
 from .series import TimeSeries, validate
 
@@ -107,16 +105,23 @@ def fetch_series(series_id: str, endpoint_url: str, cache_dir=None,
     if target.exists() and time.time() - target.stat().st_mtime < max_age_seconds:
         log.info("cache hit for %s at %s", series_id, target)
         return target
+    # imported here: the HTTP client costs ~15 ms at import, and no other
+    # operation needs it
+    from urllib import error, request
+
     url = f"{endpoint_url}?id={series_id}"
     try:
-        response = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        with request.urlopen(url, timeout=timeout) as response:
+            status = response.status
+            body = response.read()
+    except error.HTTPError as exc:
+        raise HttpStatusError(exc.code, url) from exc
+    except OSError as exc:  # URLError, refused connections and timeouts
         raise NetworkError(
             f"could not reach {url}: {exc}; pass a cached file or check connectivity"
         ) from exc
-    if response.status_code != 200:
-        raise HttpStatusError(response.status_code, url)
-    body = response.content
+    if status != 200:
+        raise HttpStatusError(status, url)
     parse_csv_text(body.decode("utf-8"), name_hint=series_id)  # reject malformed payloads
     target.write_bytes(body)
     log.info("fetched %s (%d bytes) to %s", series_id, len(body), target)

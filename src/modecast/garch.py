@@ -37,6 +37,7 @@ from .errors import (
 from .series import TimeSeries
 
 ADF_CRITICAL_5PCT = -2.86  # asymptotic, constant-only regression
+ROLLING_WINDOW = 12  # slots in the fallback's trailing variance window
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ class GarchFit:
 
     `used_differencing` marks volatility extracted from the first-differenced
     series (taken when the level series fails the unit-root rejection);
-    `used_rolling_fallback` marks a rolling-std substitute path after an
-    optimizer failure.  `sigma2_path` always has the length of `residuals`.
+    `used_rolling_fallback` marks the trailing rolling-variance path
+    (`rolling_sigma2`) substituted after an optimizer failure.  `sigma2_path`
+    always has the length of `residuals`.
     """
 
     params: GarchParams
@@ -320,16 +322,40 @@ def _start_points(spec: GarchSpec) -> list[np.ndarray]:
     return starts
 
 
-def _rolling_sigma2(a: np.ndarray, window: int = 12) -> np.ndarray:
-    """Centered rolling variance with a positivity floor; fit fallback."""
-    n = a.size
-    half = window // 2
-    out = np.empty(n)
-    for t in range(n):
-        seg = a[max(0, t - half):min(n, t + half + 1)]
-        out[t] = float(np.var(seg))
-    floor = max(1e-12, 1e-4 * float(np.var(a)))
+def rolling_floor(residuals) -> float:
+    """Positivity floor of the rolling-variance fallback, set by the training residuals."""
+    return max(1e-12, 1e-4 * float(np.var(residuals)))
+
+
+def rolling_sigma2(shocks, floor: float) -> np.ndarray:
+    """Trailing rolling variance with a positivity floor; the fit's fallback path.
+
+    Slot t holds the variance of shocks[t - ROLLING_WINDOW + 1 .. t] (the
+    shocks so far near the start), so it reads no slot after t: extending
+    `shocks` leaves every earlier slot unchanged.
+    """
+    a = np.asarray(shocks, dtype=float).reshape(-1)
+    out = np.empty(a.size)
+    for t in range(a.size):
+        out[t] = np.var(a[max(0, t - ROLLING_WINDOW + 1):t + 1])
     return np.maximum(out, floor)
+
+
+def extend_sigma2(fit: GarchFit, shocks) -> np.ndarray:
+    """The fit's variance path continued over `shocks` that follow its residuals.
+
+    The recursion advances one slot at a time by `step_sigma2` over the
+    shocks before that slot; a rolling-fallback fit extends its trailing
+    window instead.  The leading slots equal `fit.sigma2_path`.
+    """
+    a = np.concatenate([fit.residuals, np.asarray(shocks, dtype=float).reshape(-1)])
+    if fit.used_rolling_fallback:
+        return rolling_sigma2(a, rolling_floor(fit.residuals))
+    n = fit.residuals.size
+    s2 = np.concatenate([fit.sigma2_path, np.empty(a.size - n)])
+    for t in range(n, a.size):
+        s2[t] = step_sigma2(fit.params, a[:t], s2[:t])
+    return s2
 
 
 def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
@@ -338,8 +364,9 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
 
     If the demeaned series does not reject a unit root at 5%, volatility is
     extracted from the first-differenced series instead (path length is
-    re-aligned by repeating its first value).  If no restart converges, a
-    centered rolling-std path is substituted.  Deterministic for fixed options.
+    re-aligned by repeating its first value).  If no restart converges, the
+    trailing rolling-variance path (`rolling_sigma2`) is substituted.
+    Deterministic for fixed options.
     """
     x = residual_source.values if isinstance(residual_source, TimeSeries) else \
         np.asarray(residual_source, dtype=float).reshape(-1)
@@ -408,17 +435,15 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     params = replace(params_norm, alpha0=params_norm.alpha0 * scale * scale)
     s2 = sigma2_path(params, a)
     ll = log_likelihood(params, a)
-    used_rolling = False
-    if not converged:
-        s2 = _rolling_sigma2(a)
-        used_rolling = True
     if used_differencing:
         s2 = np.concatenate([[s2[0]], s2])  # re-align with the level series length
         a = np.concatenate([[a[0]], a])
+    if not converged:
+        s2 = rolling_sigma2(a, rolling_floor(a))
     return GarchFit(
         params=params, sigma2_path=s2, residuals=a, log_likelihood=ll, mean=mean,
         converged=converged, used_differencing=used_differencing,
-        used_rolling_fallback=used_rolling,
+        used_rolling_fallback=not converged,
     )
 
 

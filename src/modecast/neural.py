@@ -283,6 +283,19 @@ def forward(net: RecurrentNetwork, sequence, training: bool = False,
     return float(cache.predictions[0]), cache
 
 
+def predict(net: RecurrentNetwork, sequences) -> np.ndarray:
+    """Inference over a (N, seq_len, input_features) batch; returns (N,) predictions.
+
+    Row i equals `forward(net, sequences[i])` up to rounding: the batched
+    matrix products may sum in another order, and a row's result can depend
+    on the batch it runs in.  Reruns on the same batch are bit-identical.
+    """
+    batch = np.asarray(sequences, dtype=float)
+    if batch.ndim != 3:
+        raise ShapeMismatch(f"expected a 3-d batch of sequences, got shape {batch.shape}")
+    return _forward_batch(net, batch, training=False, rng=None).predictions
+
+
 def mse_loss(pred: float, target: float) -> float:
     return float((pred - target) ** 2)
 
@@ -564,6 +577,15 @@ def load_checkpoint(path) -> RecurrentNetwork:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
         raise CorruptModel(f"not a {_CHECKPOINT_MAGIC!r} file: {path}")
+    try:
+        return _parse_checkpoint(lines)
+    except CorruptModel:
+        raise
+    except (IndexError, KeyError, ValueError, ShapeMismatch) as exc:  # truncated or missing entries
+        raise CorruptModel(f"incomplete checkpoint {path}: {exc!r}") from exc
+
+
+def _parse_checkpoint(lines: list[str]) -> RecurrentNetwork:
     fields = dict(item.split("=", 1) for item in lines[1].split())
     config = NetworkConfig(
         cell=CellKind(fields["cell"]), layers=int(fields["layers"]),
@@ -572,7 +594,7 @@ def load_checkpoint(path) -> RecurrentNetwork:
     )
     flat: dict[str, np.ndarray] = {}
     pos = 2
-    while pos < len(lines) and lines[pos] != "end":
+    while lines[pos] != "end":
         tag, name, rows, cols = lines[pos].split()
         if tag != "param":
             raise CorruptModel(f"malformed checkpoint line: {lines[pos]!r}")

@@ -126,6 +126,15 @@ def load_forecaster(model_dir) -> EnsembleForecaster:
         raise CorruptModel(f"unreadable forecaster.json in {root}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "modecast-forecaster v1":
         raise CorruptModel(f"unrecognized forecaster directory: {root}")
+    try:
+        return _forecaster_from_manifest(manifest, root)
+    except CorruptModel:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # missing or mistyped entries
+        raise CorruptModel(f"incomplete forecaster.json in {root}: {exc!r}") from exc
+
+
+def _forecaster_from_manifest(manifest: dict, root: Path) -> EnsembleForecaster:
     cfg = _config_from_dict(manifest["config"])
     mode_values = np.array(manifest["mode_values"])
     modes = None

@@ -9,9 +9,14 @@ Protocol notes baked in here rather than in the submodules:
   and is why the leakage canary in the tests perturbs mode test segments, not
   the raw input.
 * Every scaler, volatility fit and network is trained on the leading split
-  only.  During the rolling forecast the realized mode values are appended to
-  the prediction windows after each step; networks are not retrained unless
-  `retrain_every` is set.
+  only.  The rolling forecast predicts each held-out slot from a window of
+  realized mode values and a volatility channel advanced over realized
+  shocks; networks are not retrained unless `retrain_every` is set.
+* Since every window of the rolling forecast is known in advance, each
+  mode's network runs once over all of them (once per retraining segment).
+  Batched matrix products may round a row differently from a one-window
+  pass or from a batch of another size, so forecasts of different lengths
+  agree on their common steps up to rounding; reruns are bit-identical.
 * The volatility channel carries the conditional standard deviation (square
   root of the fitted variance path), min-max scaled like the value channel.
   The one-network-code-path baselines keep the tensor shape: the direct
@@ -28,6 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import garch as garch_mod
 from . import neural, vmd
@@ -179,9 +185,8 @@ def build_windows(mode_scaled, vol_scaled, seq_len: int) -> WindowedDataset:
         raise TooShort(f"need more than seq_len={seq_len} points, got {m.size}")
     n = m.size - seq_len
     inputs = np.empty((n, seq_len, 2))
-    for i in range(n):
-        inputs[i, :, 0] = m[i:i + seq_len]
-        inputs[i, :, 1] = v[i:i + seq_len]
+    inputs[:, :, 0] = sliding_window_view(m, seq_len)[:n]
+    inputs[:, :, 1] = sliding_window_view(v, seq_len)[:n]
     return WindowedDataset(inputs=inputs, targets=m[seq_len:].copy(), seq_len=seq_len)
 
 
@@ -219,6 +224,16 @@ def _train_volatility(mode_train: np.ndarray, variant: Variant,
     return np.sqrt(fit.sigma2_path), kind
 
 
+def _train_network(windows: WindowedDataset, cell: neural.CellKind, cfg: PipelineConfig,
+                   mode_index: int) -> neural.RecurrentNetwork:
+    """One mode's network, seeded by the mode so every variant starts alike."""
+    seed = _mode_seed(cfg.train.seed, mode_index)
+    net_cfg = replace(cfg.network, cell=cell, input_features=2, seed=seed)
+    net, _ = neural.train(windows.inputs, windows.targets, net_cfg,
+                          replace(cfg.train, seed=seed))
+    return net
+
+
 def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
                      cell: neural.CellKind, cfg: PipelineConfig,
                      garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
@@ -253,10 +268,7 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
             vol_scaler = MinMaxScaler(lo=0.0, hi=scaler.hi - scaler.lo)
         scaled_vol = vol_scaler.apply(vol_train) if vol_scaler is not None else np.zeros(train_size)
         windows = build_windows(scaler.apply(mode_train), scaled_vol, cfg.seq_len)
-        seed = _mode_seed(cfg.train.seed, idx + 1)
-        net_cfg = replace(cfg.network, cell=cell, input_features=2, seed=seed)
-        net, _ = neural.train(windows.inputs, windows.targets, net_cfg,
-                              replace(cfg.train, seed=seed))
+        net = _train_network(windows, cell, cfg, idx + 1)
         models.append(ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler,
                                 garch=g_fit, network=net, vol_kind=vol_kind))
     return tuple(models)
@@ -290,68 +302,36 @@ def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
 # Rolling one-step-ahead forecast
 # ---------------------------------------------------------------------------
 
-class _ModeState:
-    """Mutable per-mode window state advanced one slot at a time."""
-
-    def __init__(self, model: ModeModel, mode_series: np.ndarray, train_size: int):
-        self.model = model
-        self.raw = list(mode_series[:train_size])
-        self.scaled_values = list(model.scaler.apply(np.asarray(self.raw)))
+def _forecast_channels(model: ModeModel, mode_series: np.ndarray, train_size: int,
+                       steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled value and volatility channels over the training slots and `steps`
+    held-out slots, the held-out ones filled from realized mode values only."""
+    values = model.scaler.apply(mode_series[:train_size + steps])
+    if model.vol_kind == "value":
+        return values, values
+    if model.vol_kind in ("garch", "rolling") and model.vol_scaler is not None:
         fit = model.garch
-        if model.vol_kind in ("garch", "rolling") and fit is not None:
-            self.a = list(fit.residuals)
-            self.s2 = list(fit.sigma2_path)
-            vol = np.sqrt(fit.sigma2_path)
-            self.scaled_vol = list(model.vol_scaler.apply(vol)) if model.vol_scaler is not None \
-                else [0.0] * train_size
-        elif model.vol_kind == "value":
-            self.scaled_vol = list(self.scaled_values)
-        else:
-            self.scaled_vol = [0.0] * train_size
-
-    def window(self, seq_len: int) -> np.ndarray:
-        w = np.empty((seq_len, 2))
-        w[:, 0] = self.scaled_values[-seq_len:]
-        w[:, 1] = self.scaled_vol[-seq_len:]
-        return w
-
-    def append_actual(self, value: float) -> None:
-        model = self.model
-        self.raw.append(value)
-        self.scaled_values.append(float(model.scaler.apply(value)))
-        fit = model.garch
-        if model.vol_kind == "garch" and fit is not None:
-            s2_next = garch_mod.step_sigma2(fit.params, np.asarray(self.a), np.asarray(self.s2))
-            if fit.used_differencing:
-                shock = (self.raw[-1] - self.raw[-2]) - fit.mean
-            else:
-                shock = value - fit.mean
-            self.a.append(shock)
-            self.s2.append(s2_next)
-            vol = math.sqrt(s2_next)
-            self.scaled_vol.append(float(model.vol_scaler.apply(vol))
-                                   if model.vol_scaler is not None else 0.0)
-        elif model.vol_kind == "rolling" and fit is not None:
-            window = np.asarray(self.raw[-12:], dtype=float)
-            var = float(np.var(window - window.mean()))
-            vol = math.sqrt(max(var, 1e-12))
-            self.scaled_vol.append(float(model.vol_scaler.apply(vol))
-                                   if model.vol_scaler is not None else 0.0)
-        elif model.vol_kind == "value":
-            self.scaled_vol.append(self.scaled_values[-1])
-        else:
-            self.scaled_vol.append(0.0)
+        held = mode_series[train_size:train_size + steps]
+        if fit.used_differencing:
+            held = held - mode_series[train_size - 1:train_size + steps - 1]
+        s2 = garch_mod.extend_sigma2(fit, held - fit.mean)
+        return values, model.vol_scaler.apply(np.sqrt(s2))
+    return values, np.zeros(train_size + steps)
 
 
 def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                      steps: int) -> ForecastResult:
     """One-step-ahead rolling forecast with actual-value appending.
 
-    At each step every mode network predicts the next scaled value from its
-    latest window, the inverse-scaled predictions are summed, and only then
-    is the realized mode value (plus the advanced volatility slot) appended
-    to the windows.  Networks are retrained every `retrain_every` steps when
-    that setting is positive.
+    Step s predicts held-out slot s from the window that ends at the slot
+    before it; the inverse-scaled per-mode predictions are summed.  Windows
+    hold realized mode values and a volatility channel advanced over
+    realized shocks, so all of them are known in advance and each mode's
+    network runs once over the whole batch.  With `retrain_every` = r > 0
+    the networks are retrained on every slot seen so far after each r steps,
+    and each segment of r steps takes the first r rows of one batched run
+    over all remaining windows, so the first segment equals the run without
+    retraining exactly.
     """
     cfg = forecaster.config
     n = len(series)
@@ -367,24 +347,26 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     if steps == 0:
         return ForecastResult(predictions=predictions, actuals=actuals, per_mode=per_mode)
 
-    states = [_ModeState(m, forecaster.mode_values[i], forecaster.train_size)
-              for i, m in enumerate(forecaster.mode_models)]
+    t0 = forecaster.train_size
+    first = t0 - cfg.seq_len  # first slot of the first window
+    channels = [_forecast_channels(m, forecaster.mode_values[i], t0, steps)
+                for i, m in enumerate(forecaster.mode_models)]
+    windows = [build_windows(values[first:], vol[first:], cfg.seq_len).inputs
+               for values, vol in channels]
     networks = [m.network for m in forecaster.mode_models]
+    segment = cfg.retrain_every if cfg.retrain_every > 0 else steps
+    for start in range(0, steps, segment):
+        if start > 0:
+            networks = [_train_network(build_windows(values[:t0 + start], vol[:t0 + start],
+                                                     cfg.seq_len),
+                                       forecaster.cell, cfg, i + 1)
+                        for i, (values, vol) in enumerate(channels)]
+        stop = min(start + segment, steps)
+        for i, model in enumerate(forecaster.mode_models):
+            pred_scaled = neural.predict(networks[i], windows[i][start:])
+            per_mode[start:stop, i] = model.scaler.invert(pred_scaled[:stop - start])
     for s in range(steps):
-        for i, state in enumerate(states):
-            pred_scaled, _ = neural.forward(networks[i], state.window(cfg.seq_len), training=False)
-            per_mode[s, i] = float(state.model.scaler.invert(pred_scaled))
         predictions[s] = aggregate(per_mode[s])
-        for i, state in enumerate(states):
-            state.append_actual(float(forecaster.mode_values[i, forecaster.train_size + s]))
-        if cfg.retrain_every > 0 and (s + 1) % cfg.retrain_every == 0 and s + 1 < steps:
-            for i, state in enumerate(states):
-                windows = build_windows(np.asarray(state.scaled_values),
-                                        np.asarray(state.scaled_vol), cfg.seq_len)
-                seed = _mode_seed(cfg.train.seed, i + 1)
-                net_cfg = replace(cfg.network, cell=forecaster.cell, input_features=2, seed=seed)
-                networks[i], _ = neural.train(windows.inputs, windows.targets, net_cfg,
-                                              replace(cfg.train, seed=seed))
     return ForecastResult(predictions=predictions, actuals=actuals, per_mode=per_mode)
 
 
@@ -399,8 +381,10 @@ def compare_models(series: TimeSeries, steps_list: list[int],
     All models share one decomposition, one volatility fit per mode (a fit
     depends only on the mode's training segment and the model order, so every
     VMD-GARCH cell reuses it) and identical per-mode seeds, so rows differ
-    only by what the variant itself changes.  A rolling forecast is a prefix
-    of any longer one, so each model runs once at max(steps_list).
+    only by what the variant itself changes.  Each model runs one rolling
+    forecast at max(steps_list), and shorter horizons score its prefix; that
+    prefix equals a separate shorter forecast up to rounding only, since a
+    batched network pass can round a row differently at another batch size.
     """
     if not steps_list:
         raise LengthMismatch("steps_list must be nonempty")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from modecast.charts import line_chart, panel_chart
+from modecast.errors import CorruptModel
 from modecast.neural import CellKind, flatten_parameters
 from modecast.persist import load_forecaster, save_forecaster
 from modecast.pipeline import Variant, fit_forecaster, rolling_forecast
@@ -74,3 +76,23 @@ def test_forecaster_load_rejects_foreign_dir(tmp_path):
     (tmp_path / "forecaster.json").write_text('{"format": "something else"}')
     with pytest.raises(ValueError):
         load_forecaster(tmp_path)
+
+
+def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
+    fc = fit_forecaster(wavy_series(), Variant.VMD_GARCH, CellKind.RNN, small_config(epochs=1))
+    save_forecaster(fc, tmp_path / "model")
+    manifest = tmp_path / "model" / "forecaster.json"
+    full = json.loads(manifest.read_text())
+    entry = full["mode_models"][0]
+    holders = [full, full["config"], full["config"]["network"], full["modes"], entry,
+               entry["scaler"], entry["garch"]]
+    for holder in holders:
+        for key in [k for k in holder if k != "format"]:
+            value = holder.pop(key)
+            manifest.write_text(json.dumps(full))
+            with pytest.raises(CorruptModel, match="incomplete forecaster.json"):
+                load_forecaster(tmp_path / "model")
+            holder[key] = value
+    manifest.write_text(json.dumps({"format": "modecast-forecaster v1"}))
+    with pytest.raises(CorruptModel):
+        load_forecaster(tmp_path / "model")

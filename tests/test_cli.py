@@ -170,7 +170,7 @@ def test_unknown_config_key_exit_1(tmp_path, series_csv, capsys):
                  "--out-dir", str(tmp_path / "x")]) == 1
 
 
-@pytest.mark.parametrize("damage", ["format", "json", "checkpoint"])
+@pytest.mark.parametrize("damage", ["format", "json", "checkpoint", "keys", "truncated"])
 def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_file, capsys,
                                                 damage):
     model_dir = tmp_path / "model"
@@ -183,6 +183,11 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
         manifest.write_text(json.dumps(payload))
     elif damage == "json":
         manifest.write_text(manifest.read_text()[:200])
+    elif damage == "keys":
+        manifest.write_text(json.dumps({"format": "modecast-forecaster v1"}))
+    elif damage == "truncated":
+        checkpoint = model_dir / "net_mode_1.txt"
+        checkpoint.write_text(checkpoint.read_text()[:300])
     else:
         (model_dir / "net_mode_1.txt").write_text("not a checkpoint\n")
     capsys.readouterr()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import socket
+import urllib.error
 from datetime import date
 from pathlib import Path
 
@@ -126,25 +128,23 @@ def test_fetch_cache_hit_skips_network(tmp_path, caplog):
 def test_fetch_writes_response_bytes(tmp_path, monkeypatch):
     body = b"date,value\n2020-01-01,1.25\n2020-02-01,2.5\n"
 
-    class FakeResponse:
-        status_code = 200
-        content = body
+    class FakeResponse(io.BytesIO):
+        status = 200
 
-    def fake_get(url, timeout):
+    def fake_urlopen(url, timeout):
         assert url.endswith("?id=SER")
-        return FakeResponse()
+        return FakeResponse(body)
 
-    monkeypatch.setattr("modecast.data.requests.get", fake_get)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     out = fetch_series("SER", "http://example.invalid/csv", cache_dir=tmp_path)
     assert out.read_bytes() == body
 
 
 def test_fetch_http_error(tmp_path, monkeypatch):
-    class FakeResponse:
-        status_code = 404
-        content = b""
+    def fake_urlopen(url, timeout):
+        raise urllib.error.HTTPError(url, 404, "Not Found", None, None)
 
-    monkeypatch.setattr("modecast.data.requests.get", lambda url, timeout: FakeResponse())
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     from modecast.errors import HttpStatusError
 
     with pytest.raises(HttpStatusError) as err:

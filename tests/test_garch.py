@@ -16,9 +16,12 @@ from modecast.garch import (
     adf_test,
     arch_lm_test,
     diagnose,
+    extend_sigma2,
     fit,
     forecast_sigma2,
     log_likelihood,
+    rolling_floor,
+    rolling_sigma2,
     sigma2_path,
     simulate,
     step_sigma2,
@@ -202,6 +205,49 @@ def test_forecast_positive_for_any_valid_fit():
     sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8)
     fitted = fit(sim, GarchSpec(1, 1), FitOptions(allow_differencing=False))
     assert forecast_sigma2(fitted) > 0.0
+
+
+def test_extend_sigma2_continues_the_recursion():
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8).values
+    fitted = fit(sim[:250], GarchSpec(1, 1), FitOptions(allow_differencing=False))
+    ext = extend_sigma2(fitted, sim[250:] - fitted.mean)
+    assert ext.size == 300
+    assert np.array_equal(ext[:250], fitted.sigma2_path)
+    assert ext[250] == forecast_sigma2(fitted)
+    a = np.concatenate([fitted.residuals, sim[250:] - fitted.mean])
+    for t in range(250, 300):
+        assert ext[t] == step_sigma2(fitted.params, a[:t], ext[:t])
+
+
+# ---------------------------------------------------------------------------
+# Rolling-variance fallback
+# ---------------------------------------------------------------------------
+
+def test_rolling_sigma2_reads_only_past_and_present_slots():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(60)
+    floor = rolling_floor(a)
+    path = rolling_sigma2(a, floor)
+    for t in range(a.size):
+        changed = a.copy()
+        changed[t + 1:] += 100.0 * rng.standard_normal(a.size - t - 1)
+        assert np.array_equal(rolling_sigma2(changed, floor)[:t + 1], path[:t + 1])
+    assert path[20] == max(np.var(a[9:21]), floor)
+    assert path[0] == floor  # a single shock has zero variance
+
+
+def test_fit_fallback_is_trailing_and_extends_exactly():
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8).values
+    fitted = fit(sim[:250], GarchSpec(1, 1), FitOptions(max_iter=1))
+    assert fitted.used_rolling_fallback and not fitted.converged
+    floor = rolling_floor(fitted.residuals)
+    assert np.array_equal(fitted.sigma2_path, rolling_sigma2(fitted.residuals, floor))
+    ext = extend_sigma2(fitted, sim[250:] - fitted.mean)
+    assert np.array_equal(ext[:250], fitted.sigma2_path)
+    a = np.concatenate([fitted.residuals, sim[250:] - fitted.mean])
+    assert ext[260] == max(np.var(a[249:261]), floor)
+    flat = extend_sigma2(fitted, np.full(20, 50.0))  # zero-variance windows take the floor
+    assert flat[-1] == floor
 
 
 # ---------------------------------------------------------------------------

@@ -463,3 +463,20 @@ def test_checkpoint_malformed_parameter_line_is_typed(tmp_path):
     with pytest.raises(CorruptModel, match="malformed checkpoint line"):
         load_checkpoint(path)
     assert issubclass(CorruptModel, ValueError)
+
+
+def test_truncated_checkpoint_is_typed(tmp_path):
+    cfg = NetworkConfig(cell=CellKind.GRU, layers=2, hidden=2, input_features=2, seed=3)
+    path = tmp_path / "net.txt"
+    save_checkpoint(init_network(cfg), path)
+    text = path.read_text()
+    cut_path = tmp_path / "cut.txt"
+    for cut in range(len(text) - 1):  # every cut that loses part of the final "end"
+        cut_path.write_text(text[:cut])
+        with pytest.raises(CorruptModel):
+            load_checkpoint(cut_path)
+    lines = text.splitlines()
+    for bad in (lines[1].replace("hidden=2 ", ""), lines[1].replace("cell=gru", "cell=cnn")):
+        cut_path.write_text("\n".join([lines[0], bad] + lines[2:]) + "\n")
+        with pytest.raises(CorruptModel):
+            load_checkpoint(cut_path)
