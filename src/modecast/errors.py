@@ -60,6 +60,10 @@ class HorizonTooLong(DataError):
     """Requested forecast horizon exceeds the held-out span."""
 
 
+class SeriesMismatch(DataError):
+    """A forecaster is asked to forecast a series other than the one it was fitted on."""
+
+
 class ParseError(DataError):
     """Malformed input file; carries the 1-based line number."""
 

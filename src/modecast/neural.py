@@ -15,6 +15,31 @@ through time produces exact gradients for every parameter (checked against
 central finite differences in the test suite), and training runs seeded
 mini-batch Adam with global-norm gradient clipping.
 
+Layout.  A layer with G gates of H units over D inputs keeps its gate
+weights stacked in one (G*H, H+D) matrix, whose columns [:H] act on h_prev
+and [H:] on x, plus one bias of G*H entries:
+
+    plain  (G=1): [W_hh | W_xh], bias b_h
+    gated  (G=3): rows [W_z; W_r; W], no bias
+    memory (G=4): rows [W_f; W_i; W_o; W_c], bias [b_f; b_i; b_o; b_c]
+
+Every layer and the head live in one flat parameter vector.  The stacked
+matrices and the per-gate names of `layer_params` (`W_f`, `b_i`, `W_hh`, ...)
+are views into it, so checkpoints and `flatten_parameters` see per-gate
+arrays while Adam and clipping work on the one vector.
+
+Activations are stored time-major and unit-major, (L, units, B): a step's
+slice is contiguous, and so is each gate's block of rows within it.  The
+forward pass computes the input projection W[:, H:] @ x + b of all L steps
+in one call before the time loop; each step then adds W[:, :H] @ h_prev and
+applies one sigmoid over the stacked sigmoid gates.  One step function per
+kind serves the batched forward pass and the public
+`rnn_cell`/`gru_cell`/`lstm_cell`, and its stored activations are all that
+backpropagation reads.  Backpropagation carries only the recurrent gradient
+through the time loop and writes each step's pre-activation gradients into
+one (L, G*H, B) buffer; the weight, bias and input gradients then take one
+product or sum each after the loop.
+
 All functions are pure: `adam_step` and `train` return new parameter
 containers and never mutate their inputs, so fixed seeds give bit-identical
 results across runs.
@@ -24,7 +49,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -44,6 +69,9 @@ _PARAM_KEYS = {
     CellKind.GRU: ("W_z", "W_r", "W"),
     CellKind.LSTM: ("W_f", "b_f", "W_i", "b_i", "W_c", "b_c", "W_o", "b_o"),
 }
+
+_GATES = {CellKind.RNN: 1, CellKind.GRU: 3, CellKind.LSTM: 4}
+_LSTM_ROWS = ("f", "i", "o", "c")  # sigmoid gates first, so one expit covers them
 
 
 @dataclass(frozen=True)
@@ -73,13 +101,16 @@ class OutputHead:
 @dataclass(frozen=True)
 class RecurrentNetwork:
     config: NetworkConfig
-    layer_params: tuple[dict[str, np.ndarray], ...]
+    layer_params: tuple[dict[str, np.ndarray], ...]  # per-gate views into `flat`
     head: OutputHead
+    flat: np.ndarray = field(repr=False)  # every parameter, layer by layer, then the head
+    stacked: tuple[tuple[np.ndarray, np.ndarray | None], ...] = field(repr=False)
+    # per layer: the (G*H, H+D) gate matrix and its bias (None for the gated cell)
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # closed bounds by construction: IEEE saturation reaches 0.0 / 1.0
-    return special.expit(x)
+    return special.expit(x, out=out)
 
 
 def _layer_shapes(kind: CellKind, hidden: int, d_in: int) -> dict[str, tuple[int, ...]]:
@@ -101,84 +132,183 @@ def parameter_count(config: NetworkConfig) -> int:
     return total + config.hidden + 1
 
 
+def _layer_views(kind: CellKind, vec: np.ndarray, start: int, h: int, d: int):
+    """(gate matrix, bias, per-gate views, end) of the layer stored at vec[start:end]."""
+    rows = _GATES[kind] * h
+    end = start + rows * (h + d)
+    w = vec[start:end].reshape(rows, h + d)
+    if kind is CellKind.GRU:
+        return w, None, {"W_z": w[:h], "W_r": w[h:2 * h], "W": w[2 * h:]}, end
+    b = vec[end:end + rows]
+    end += rows
+    if kind is CellKind.RNN:
+        return w, b, {"W_hh": w[:, :h], "W_xh": w[:, h:], "b_h": b}, end
+    named = {}
+    for key in _PARAM_KEYS[kind]:
+        row = _LSTM_ROWS.index(key[-1])
+        named[key] = (w if key[0] == "W" else b)[row * h:(row + 1) * h]
+    return w, b, named, end
+
+
+def _network(config: NetworkConfig, vec: np.ndarray) -> RecurrentNetwork:
+    """The network whose parameters are the flat vector `vec` (not copied)."""
+    stacked, layers = [], []
+    start = 0
+    for layer in range(config.layers):
+        d_in = config.input_features if layer == 0 else config.hidden
+        w, b, named, start = _layer_views(config.cell, vec, start, config.hidden, d_in)
+        stacked.append((w, b))
+        layers.append(named)
+    head = OutputHead(w_hy=vec[start:start + config.hidden], b_y=float(vec[-1]))
+    return RecurrentNetwork(config=config, layer_params=tuple(layers), head=head,
+                            flat=vec, stacked=tuple(stacked))
+
+
 def init_network(config: NetworkConfig) -> RecurrentNetwork:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
 
     fan_in is the column count of each matrix; biases use the fan_in of the
-    gate they belong to.
+    gate they belong to.  Draws run per named parameter in `_PARAM_KEYS`
+    order, layer by layer, then the head.
     """
     rng = np.random.default_rng(config.seed)
-    layers = []
-    for layer in range(config.layers):
+    vec = np.empty(parameter_count(config))
+    for layer, params in enumerate(_network(config, vec).layer_params):
         d_in = config.input_features if layer == 0 else config.hidden
-        shapes = _layer_shapes(config.cell, config.hidden, d_in)
-        params: dict[str, np.ndarray] = {}
-        for key, shape in shapes.items():
+        for key, shape in _layer_shapes(config.cell, config.hidden, d_in).items():
             fan_in = shape[-1] if len(shape) > 1 else config.hidden + d_in
             bound = 1.0 / math.sqrt(fan_in)
-            params[key] = rng.uniform(-bound, bound, size=shape)
-        layers.append(params)
+            params[key][...] = rng.uniform(-bound, bound, size=shape)
     bound = 1.0 / math.sqrt(config.hidden)
-    head = OutputHead(
-        w_hy=rng.uniform(-bound, bound, size=config.hidden),
-        b_y=float(rng.uniform(-bound, bound)),
-    )
-    return RecurrentNetwork(config=config, layer_params=tuple(layers), head=head)
+    vec[-1 - config.hidden:-1] = rng.uniform(-bound, bound, size=config.hidden)
+    vec[-1] = float(rng.uniform(-bound, bound))
+    return _network(config, vec)
+
+
+# ---------------------------------------------------------------------------
+# One step per cell kind.  States are unit-major, (H, B), so every gate's
+# block of a step is a contiguous row range.  A step reads its input
+# projection `xp` (G*H, B) and the previous state, writes the gate
+# activations to `act` (G*H, B) and the new state to `h_out` (and `c_out`).
+# `w_h` is what `_recurrent_weights` returns.
+# ---------------------------------------------------------------------------
+
+def _rnn_step(xp, h, c, w_h, act, h_out, c_out):
+    np.matmul(w_h, h, out=h_out)
+    h_out += xp
+    np.tanh(h_out, out=h_out)  # `act` is `h_out`: the activation is the state
+
+
+def _gru_step(xp, h, c, w_h, act, h_out, c_out):
+    n = h.shape[0]
+    w_zr, w_cand = w_h
+    zr, hc = act[:2 * n], act[2 * n:]
+    np.matmul(w_zr, h, out=zr)
+    zr += xp[:2 * n]
+    _sigmoid(zr, out=zr)
+    z, r = act[:n], act[n:2 * n]
+    np.matmul(w_cand, r * h, out=hc)
+    hc += xp[2 * n:]
+    np.tanh(hc, out=hc)
+    np.add((1.0 - z) * h, z * hc, out=h_out)
+
+
+def _lstm_step(xp, h, c, w_h, act, h_out, c_out):
+    n = h.shape[0]
+    np.matmul(w_h, h, out=act)
+    act += xp
+    _sigmoid(act[:3 * n], out=act[:3 * n])
+    np.tanh(act[3 * n:], out=act[3 * n:])
+    np.add(act[:n] * c, act[n:2 * n] * act[3 * n:], out=c_out)
+    np.multiply(act[2 * n:3 * n], np.tanh(c_out), out=h_out)
+
+
+_STEPS = {CellKind.RNN: _rnn_step, CellKind.GRU: _gru_step, CellKind.LSTM: _lstm_step}
+
+
+def _recurrent_weights(kind: CellKind, w: np.ndarray, n: int):
+    """The recurrent block W[:, :H], contiguous, as `_STEPS[kind]` reads it."""
+    if kind is CellKind.GRU:
+        return np.ascontiguousarray(w[:2 * n, :n]), np.ascontiguousarray(w[2 * n:, :n])
+    return np.ascontiguousarray(w[:, :n])
+
+
+def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
+               h0: np.ndarray, c0: np.ndarray):
+    """One layer over a (L, D, B) input sequence from state (h0, c0), each (H, B).
+
+    Returns (hidden (L, H, B), gate activations (L, G*H, B), memory cells
+    (L, H, B) or None); for the plain cell the activations are the hidden.
+    """
+    steps, _, batch = x.shape
+    n = h0.shape[0]
+    xp = w[:, n:] @ x  # every step's input projection in one call
+    if b is not None:
+        xp += b[:, None]
+    hs = np.empty((steps, n, batch))
+    act = hs if kind is CellKind.RNN else np.empty((steps, w.shape[0], batch))
+    cs = np.empty((steps, n, batch)) if kind is CellKind.LSTM else None
+    step, w_h = _STEPS[kind], _recurrent_weights(kind, w, n)
+    h, c = h0, c0
+    for t in range(steps):
+        c_out = None if cs is None else cs[t]
+        step(xp[t], h, c, w_h, act[t], hs[t], c_out)
+        h, c = hs[t], c_out
+    return hs, act, cs
 
 
 # ---------------------------------------------------------------------------
 # Cells (accept a single state vector (H,) or a batch (B, H))
 # ---------------------------------------------------------------------------
 
-def _check_cell_shapes(params: dict, h_prev: np.ndarray, x: np.ndarray, kind: CellKind):
-    any_w = params[next(iter(params))]
-    h = any_w.shape[0]
-    if h_prev.shape[-1] != h:
-        raise ShapeMismatch(f"hidden state has {h_prev.shape[-1]} units, weights expect {h}")
+def _stack_cell(kind: CellKind, params: dict[str, np.ndarray]):
+    """Per-gate parameters in the stacked (matrix, bias) layout."""
     if kind is CellKind.RNN:
-        d = params["W_xh"].shape[1]
-    else:
-        d = any_w.shape[1] - h
-    if x.shape[-1] != d:
-        raise ShapeMismatch(f"input has {x.shape[-1]} features, weights expect {d}")
+        return np.concatenate([params["W_hh"], params["W_xh"]], axis=1), params["b_h"]
+    if kind is CellKind.GRU:
+        return np.concatenate([params["W_z"], params["W_r"], params["W"]]), None
+    return (np.concatenate([params[f"W_{g}"] for g in _LSTM_ROWS]),
+            np.concatenate([params[f"b_{g}"] for g in _LSTM_ROWS]))
+
+
+def _unit_major(a: np.ndarray) -> np.ndarray:
+    """(H,) or (B, H) as a contiguous (H, B) block."""
+    return np.ascontiguousarray(np.atleast_2d(a).T)
+
+
+def _cell(kind: CellKind, params: dict[str, np.ndarray], h_prev, c_prev, x):
+    """One step of `_run_layer` from (h_prev, c_prev); returns (h, c)."""
+    h_prev = np.asarray(h_prev, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w, b = _stack_cell(kind, params)
+    n = w.shape[0] // _GATES[kind]
+    if h_prev.shape[-1] != n:
+        raise ShapeMismatch(f"hidden state has {h_prev.shape[-1]} units, weights expect {n}")
+    if x.shape[-1] != w.shape[1] - n:
+        raise ShapeMismatch(f"input has {x.shape[-1]} features, weights expect {w.shape[1] - n}")
+    if h_prev.shape != x.shape[:-1] + (n,):
+        raise ShapeMismatch(f"hidden state {h_prev.shape} and input {x.shape} differ in batch")
+    c_prev = np.zeros_like(h_prev) if c_prev is None else np.asarray(c_prev, dtype=float)
+    if c_prev.shape != h_prev.shape:
+        raise ShapeMismatch(f"cell state shape {c_prev.shape} != hidden shape {h_prev.shape}")
+    hs, _, cs = _run_layer(kind, w, b, _unit_major(x)[None], _unit_major(h_prev),
+                           _unit_major(c_prev))
+    return hs[0].T.reshape(h_prev.shape), None if cs is None else cs[0].T.reshape(h_prev.shape)
 
 
 def rnn_cell(params: dict[str, np.ndarray], h_prev, x) -> np.ndarray:
     """h = tanh(W_hh @ h_prev + W_xh @ x + b_h)."""
-    h_prev = np.asarray(h_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_cell_shapes(params, h_prev, x, CellKind.RNN)
-    return np.tanh(h_prev @ params["W_hh"].T + x @ params["W_xh"].T + params["b_h"])
+    return _cell(CellKind.RNN, params, h_prev, None, x)[0]
 
 
 def gru_cell(params: dict[str, np.ndarray], h_prev, x) -> np.ndarray:
     """Update/reset-gated state blend; see module docstring for the equations."""
-    h_prev = np.asarray(h_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_cell_shapes(params, h_prev, x, CellKind.GRU)
-    u = np.concatenate([h_prev, x], axis=-1)
-    z = _sigmoid(u @ params["W_z"].T)
-    r = _sigmoid(u @ params["W_r"].T)
-    v = np.concatenate([r * h_prev, x], axis=-1)
-    h_cand = np.tanh(v @ params["W"].T)
-    return (1.0 - z) * h_prev + z * h_cand
+    return _cell(CellKind.GRU, params, h_prev, None, x)[0]
 
 
 def lstm_cell(params: dict[str, np.ndarray], h_prev, c_prev, x) -> tuple[np.ndarray, np.ndarray]:
     """Forget/input/output-gated memory cell; returns (h, c)."""
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_cell_shapes(params, h_prev, x, CellKind.LSTM)
-    if c_prev.shape != h_prev.shape:
-        raise ShapeMismatch(f"cell state shape {c_prev.shape} != hidden shape {h_prev.shape}")
-    u = np.concatenate([h_prev, x], axis=-1)
-    f = _sigmoid(u @ params["W_f"].T + params["b_f"])
-    i = _sigmoid(u @ params["W_i"].T + params["b_i"])
-    o = _sigmoid(u @ params["W_o"].T + params["b_o"])
-    c_cand = np.tanh(u @ params["W_c"].T + params["b_c"])
-    c = f * c_prev + i * c_cand
-    return o * np.tanh(c), c
+    return _cell(CellKind.LSTM, params, h_prev, c_prev, x)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +317,17 @@ def lstm_cell(params: dict[str, np.ndarray], h_prev, c_prev, x) -> tuple[np.ndar
 
 @dataclass
 class ForwardCache:
-    """Activations retained for backpropagation; tied to one parameter set."""
+    """Activations retained for backpropagation; tied to one parameter set.
+    Sequences are time-major and unit-major: (L, units, B)."""
 
     params_id: int
-    inputs: list[np.ndarray]          # per layer: (B, L, D_layer) consumed input
-    hidden: list[np.ndarray]          # per layer: (B, L, H) pre-dropout hidden
-    gates: list[dict[str, np.ndarray]]
-    masks: list[np.ndarray]           # per layer: (B, L, H) inverted-dropout masks
-    dropped_last: np.ndarray          # (B, H) head input
-    predictions: np.ndarray           # (B,)
+    inputs: list[np.ndarray]            # per layer: (L, D_layer, B) consumed input
+    hidden: list[np.ndarray]            # per layer: (L, H, B) pre-dropout hidden
+    gates: list[np.ndarray]             # per layer: (L, G*H, B) gate activations
+    cells: list[np.ndarray | None]      # per layer: (L, H, B) memory cells (LSTM only)
+    masks: list[np.ndarray | None]      # per layer: (L, H, B) inverted-dropout masks
+    dropped_last: np.ndarray            # (H, B) head input
+    predictions: np.ndarray             # (B,)
 
 
 def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
@@ -206,65 +338,32 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
         raise ShapeMismatch(f"sequence has {feat} features, network expects {cfg.input_features}")
     if seq_len < 1:
         raise ShapeMismatch("sequence must have at least one time step")
-    kind = cfg.cell
-    h_dim = cfg.hidden
-    inputs, hidden, gates, masks = [], [], [], []
-    current = batch
-    for layer in range(cfg.layers):
-        params = net.layer_params[layer]
+    dropout = training and cfg.dropout_rate > 0.0
+    if dropout and rng is None:
+        raise ShapeMismatch("training forward pass needs a dropout generator")
+    inputs, hidden, gates, cells, masks = [], [], [], [], []
+    current = np.ascontiguousarray(batch.transpose(1, 2, 0))
+    zeros = np.zeros((cfg.hidden, b))
+    for w, bias in net.stacked:
         inputs.append(current)
-        h = np.zeros((b, h_dim))
-        c = np.zeros((b, h_dim))
-        h_seq = np.empty((b, seq_len, h_dim))
-        layer_gates: dict[str, np.ndarray] = {
-            key: np.empty((b, seq_len, h_dim))
-            for key in (("z", "r", "hc") if kind is CellKind.GRU else
-                        ("f", "i", "o", "cc", "c") if kind is CellKind.LSTM else ())
-        }
-        for t in range(seq_len):
-            x_t = current[:, t, :]
-            if kind is CellKind.RNN:
-                h = np.tanh(h @ params["W_hh"].T + x_t @ params["W_xh"].T + params["b_h"])
-            elif kind is CellKind.GRU:
-                u = np.concatenate([h, x_t], axis=1)
-                z = _sigmoid(u @ params["W_z"].T)
-                r = _sigmoid(u @ params["W_r"].T)
-                v = np.concatenate([r * h, x_t], axis=1)
-                hc = np.tanh(v @ params["W"].T)
-                layer_gates["z"][:, t] = z
-                layer_gates["r"][:, t] = r
-                layer_gates["hc"][:, t] = hc
-                h = (1.0 - z) * h + z * hc
-            else:
-                u = np.concatenate([h, x_t], axis=1)
-                f = _sigmoid(u @ params["W_f"].T + params["b_f"])
-                i = _sigmoid(u @ params["W_i"].T + params["b_i"])
-                o = _sigmoid(u @ params["W_o"].T + params["b_o"])
-                cc = np.tanh(u @ params["W_c"].T + params["b_c"])
-                c = f * c + i * cc
-                layer_gates["f"][:, t] = f
-                layer_gates["i"][:, t] = i
-                layer_gates["o"][:, t] = o
-                layer_gates["cc"][:, t] = cc
-                layer_gates["c"][:, t] = c
-                h = o * np.tanh(c)
-            h_seq[:, t] = h
-        hidden.append(h_seq)
-        gates.append(layer_gates)
-        if training and cfg.dropout_rate > 0.0:
-            if rng is None:
-                raise ShapeMismatch("training forward pass needs a dropout generator")
+        hs, act, cs = _run_layer(cfg.cell, w, bias, current, zeros, zeros)
+        hidden.append(hs)
+        gates.append(act)
+        cells.append(cs)
+        mask = None
+        current = hs
+        if dropout:
             keep = 1.0 - cfg.dropout_rate
-            mask = (rng.random((b, seq_len, h_dim)) < keep) / keep
-        else:
-            mask = np.ones((b, seq_len, h_dim))
+            # drawn as (B, L, H), so seeded streams keep their masks
+            drawn = (rng.random((b, seq_len, cfg.hidden)) < keep) / keep
+            mask = np.ascontiguousarray(drawn.transpose(1, 2, 0))
+            current = hs * mask
         masks.append(mask)
-        current = h_seq * mask
-    dropped_last = current[:, -1, :]
-    preds = dropped_last @ net.head.w_hy + net.head.b_y
+    dropped_last = current[-1]
+    preds = net.head.w_hy @ dropped_last + net.head.b_y
     return ForwardCache(
-        params_id=id(net.layer_params), inputs=inputs, hidden=hidden,
-        gates=gates, masks=masks, dropped_last=dropped_last, predictions=preds,
+        params_id=id(net.flat), inputs=inputs, hidden=hidden, gates=gates, cells=cells,
+        masks=masks, dropped_last=dropped_last, predictions=preds,
     )
 
 
@@ -304,22 +403,89 @@ def mse_loss_grad(pred: float, target: float) -> float:
     return float(2.0 * (pred - target))
 
 
-def _zero_grads(net: RecurrentNetwork) -> tuple[list[dict[str, np.ndarray]], np.ndarray, float]:
-    layer_grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in net.layer_params]
-    return layer_grads, np.zeros_like(net.head.w_hy), 0.0
+# ---------------------------------------------------------------------------
+# Backpropagation through time, one loop per cell kind.  Each takes the
+# gradient on the layer's hidden sequence and returns the pre-activation
+# gradients (L, G*H, B) in the stacked gate order; `h_prev` is (L, H, B) and
+# `w_h` the recurrent block W[:, :H].  The returned buffer first holds, per
+# gate, the factor from the gate's pre-activation to dh (or to dc, or to
+# d(r * h_prev)) at every step; the loop scales step t's factors in place.
+# ---------------------------------------------------------------------------
+
+def _rnn_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+    w_ht = np.ascontiguousarray(w_h.T)
+    d_act = np.multiply(hs, hs)
+    np.subtract(1.0, d_act, out=d_act)
+    dh_next = np.zeros_like(hs[0])
+    for t in range(hs.shape[0] - 1, -1, -1):
+        d_act[t] *= d_hidden[t] + dh_next
+        dh_next = w_ht @ d_act[t]
+    return d_act
 
 
-def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad):
+def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+    n = hs.shape[1]
+    z, r, hc = act[:, :n], act[:, n:2 * n], act[:, 2 * n:]
+    d_act = np.empty_like(act)
+    np.multiply(hc - h_prev, z * (1.0 - z), out=d_act[:, :n])
+    np.multiply(h_prev, r * (1.0 - r), out=d_act[:, n:2 * n])
+    np.multiply(z, 1.0 - hc * hc, out=d_act[:, 2 * n:])
+    carry = 1.0 - z
+    w_zr_t, w_cand_t = np.ascontiguousarray(w_h[:2 * n].T), np.ascontiguousarray(w_h[2 * n:].T)
+    dh_next = np.zeros_like(hs[0])
+    for t in range(hs.shape[0] - 1, -1, -1):
+        dh = d_hidden[t] + dh_next
+        da = d_act[t]
+        da[2 * n:] *= dh
+        d_rh = w_cand_t @ da[2 * n:]
+        da[:n] *= dh
+        da[n:2 * n] *= d_rh
+        dh_next = dh * carry[t] + d_rh * r[t] + w_zr_t @ da[:2 * n]
+    return d_act
+
+
+def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+    n = hs.shape[1]
+    f, i, o, cc = (act[:, k * n:(k + 1) * n] for k in range(4))
+    d_act = np.empty_like(act)
+    d_act[0, :n] = 0.0  # the first step's previous cell state is zero
+    np.multiply(cs[:-1], f[1:] * (1.0 - f[1:]), out=d_act[1:, :n])
+    np.multiply(cc, i * (1.0 - i), out=d_act[:, n:2 * n])
+    g_c = np.tanh(cs)
+    np.multiply(g_c, o * (1.0 - o), out=d_act[:, 2 * n:3 * n])
+    np.multiply(i, 1.0 - cc * cc, out=d_act[:, 3 * n:])
+    g_c *= g_c  # from dh to dc: o * (1 - tanh(c)^2)
+    np.subtract(1.0, g_c, out=g_c)
+    g_c *= o
+    w_ht = np.ascontiguousarray(w_h.T)
+    dh_next = np.zeros_like(hs[0])
+    dc_next = np.zeros_like(hs[0])
+    for t in range(hs.shape[0] - 1, -1, -1):
+        dh = d_hidden[t] + dh_next
+        d_c = dc_next + dh * g_c[t]
+        da = d_act[t]
+        gates_fi = da[:2 * n].reshape(2, n, -1)  # forget and input gates
+        gates_fi *= d_c
+        da[2 * n:3 * n] *= dh
+        da[3 * n:] *= d_c
+        dc_next = d_c * f[t]
+        dh_next = w_ht @ da
+    return d_act
+
+
+_BPTT = {CellKind.RNN: _rnn_bptt, CellKind.GRU: _gru_bptt, CellKind.LSTM: _lstm_bptt}
+
+
+def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarray:
     """Full backpropagation through time from d(loss)/d(prediction).
 
-    Returns gradients in the same structure as the network parameters:
-    (per-layer dicts, head dict).  Dropout masks from the forward pass are
-    reused, so the gradient matches the exact forward computation.
+    Returns the gradient as one flat vector in the layout of `net.flat`;
+    `_flatten_grads` names its parts.  Dropout masks from the forward pass
+    are reused, so the gradient matches the exact forward computation.
     """
-    if cache.params_id != id(net.layer_params):
+    if cache.params_id != id(net.flat):
         raise StaleCache("cache was built for a different parameter set")
     cfg = net.config
-    kind = cfg.cell
     d_pred = np.atleast_1d(np.asarray(loss_grad, dtype=float))
     b = cache.predictions.shape[0]
     if d_pred.size == 1 and b > 1:
@@ -327,92 +493,45 @@ def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad):
     if d_pred.size != b:
         raise ShapeMismatch(f"loss gradient has {d_pred.size} entries for batch of {b}")
 
-    layer_grads, g_why, g_by = _zero_grads(net)
-    g_why += cache.dropped_last.T @ d_pred
-    g_by += float(d_pred.sum())
-
-    seq_len = cache.inputs[0].shape[1]
-    h_dim = cfg.hidden
+    grads = np.zeros_like(net.flat)
+    n = cfg.hidden
+    grads[-1 - n:-1] = cache.dropped_last @ d_pred
+    grads[-1] = float(d_pred.sum())
+    seq_len = cache.hidden[0].shape[0]
     # gradient w.r.t. each layer's dropped output sequence
-    d_out = np.zeros((b, seq_len, h_dim))
-    d_out[:, -1, :] = d_pred[:, None] * net.head.w_hy[None, :]
+    d_out = np.zeros((seq_len, n, b))
+    d_out[-1] = net.head.w_hy[:, None] * d_pred[None, :]
 
+    grad_layers = _network(cfg, grads).stacked
     for layer in range(cfg.layers - 1, -1, -1):
-        params = net.layer_params[layer]
-        grads = layer_grads[layer]
-        x_seq = cache.inputs[layer]
-        h_seq = cache.hidden[layer]
-        gate = cache.gates[layer]
-        d_hidden = d_out * cache.masks[layer]  # through inverted dropout
-        d_x = np.zeros_like(x_seq)
-        dh_next = np.zeros((b, h_dim))
-        dc_next = np.zeros((b, h_dim))
-        for t in range(seq_len - 1, -1, -1):
-            dh = d_hidden[:, t] + dh_next
-            h_prev = h_seq[:, t - 1] if t > 0 else np.zeros((b, h_dim))
-            x_t = x_seq[:, t]
-            if kind is CellKind.RNN:
-                h = h_seq[:, t]
-                d_pre = dh * (1.0 - h * h)
-                grads["W_hh"] += d_pre.T @ h_prev
-                grads["W_xh"] += d_pre.T @ x_t
-                grads["b_h"] += d_pre.sum(axis=0)
-                dh_next = d_pre @ params["W_hh"]
-                d_x[:, t] = d_pre @ params["W_xh"]
-            elif kind is CellKind.GRU:
-                z, r, hc = gate["z"][:, t], gate["r"][:, t], gate["hc"][:, t]
-                u = np.concatenate([h_prev, x_t], axis=1)
-                v = np.concatenate([r * h_prev, x_t], axis=1)
-                d_z = dh * (hc - h_prev)
-                d_hc = dh * z
-                d_hprev = dh * (1.0 - z)
-                d_av = d_hc * (1.0 - hc * hc)
-                grads["W"] += d_av.T @ v
-                d_v = d_av @ params["W"]
-                d_rh = d_v[:, :h_dim]
-                d_r = d_rh * h_prev
-                d_hprev = d_hprev + d_rh * r
-                d_az = d_z * z * (1.0 - z)
-                d_ar = d_r * r * (1.0 - r)
-                grads["W_z"] += d_az.T @ u
-                grads["W_r"] += d_ar.T @ u
-                d_u = d_az @ params["W_z"] + d_ar @ params["W_r"]
-                dh_next = d_hprev + d_u[:, :h_dim]
-                d_x[:, t] = d_v[:, h_dim:] + d_u[:, h_dim:]
-            else:
-                f, i, o = gate["f"][:, t], gate["i"][:, t], gate["o"][:, t]
-                cc, c = gate["cc"][:, t], gate["c"][:, t]
-                c_prev = gate["c"][:, t - 1] if t > 0 else np.zeros((b, h_dim))
-                u = np.concatenate([h_prev, x_t], axis=1)
-                tanh_c = np.tanh(c)
-                d_o = dh * tanh_c
-                d_c = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-                d_f = d_c * c_prev
-                d_i = d_c * cc
-                d_cc = d_c * i
-                dc_next = d_c * f
-                d_af = d_f * f * (1.0 - f)
-                d_ai = d_i * i * (1.0 - i)
-                d_ao = d_o * o * (1.0 - o)
-                d_ac = d_cc * (1.0 - cc * cc)
-                grads["W_f"] += d_af.T @ u
-                grads["b_f"] += d_af.sum(axis=0)
-                grads["W_i"] += d_ai.T @ u
-                grads["b_i"] += d_ai.sum(axis=0)
-                grads["W_o"] += d_ao.T @ u
-                grads["b_o"] += d_ao.sum(axis=0)
-                grads["W_c"] += d_ac.T @ u
-                grads["b_c"] += d_ac.sum(axis=0)
-                d_u = (d_af @ params["W_f"] + d_ai @ params["W_i"]
-                       + d_ao @ params["W_o"] + d_ac @ params["W_c"])
-                dh_next = d_u[:, :h_dim]
-                d_x[:, t] = d_u[:, h_dim:]
-        d_out = d_x  # becomes the gradient on the dropped output of the layer below
-    return layer_grads, {"w_hy": g_why, "b_y": g_by}
+        w, _ = net.stacked[layer]
+        g_w, g_b = grad_layers[layer]
+        hs, act, mask = cache.hidden[layer], cache.gates[layer], cache.masks[layer]
+        if mask is not None:
+            d_out *= mask  # through inverted dropout
+        # [h_prev, x] of every step, laid out (H+D, L, B) for the products below
+        u = np.empty((w.shape[1], seq_len, b))
+        u[:n, 0] = 0.0
+        u[:n, 1:] = hs[:-1].transpose(1, 0, 2)
+        u[n:] = cache.inputs[layer].transpose(1, 0, 2)
+        h_prev = u[:n].transpose(1, 0, 2)
+        d_act = _BPTT[cfg.cell](d_out, hs, act, cache.cells[layer], h_prev, w[:, :n])
+        if layer:
+            d_out = w[:, n:].T @ d_act  # gradient on the dropped output of the layer below
+        if cfg.cell is CellKind.GRU:  # the candidate reads [r * h_prev, x]
+            rh = act[:, n:2 * n] * h_prev
+        # weight and bias gradients after the loop, one product each over all steps
+        d_act = d_act.transpose(1, 0, 2).reshape(w.shape[0], -1)
+        g_w[...] = d_act @ u.reshape(w.shape[1], -1).T
+        if cfg.cell is CellKind.GRU:
+            g_w[2 * n:, :n] = d_act[2 * n:] @ rh.transpose(1, 0, 2).reshape(n, -1).T
+        if g_b is not None:
+            g_b[...] = d_act.sum(axis=1)
+    return grads
 
 
 # ---------------------------------------------------------------------------
-# Flat parameter views, Adam, training loop
+# Named parameter views, Adam, training loop
 # ---------------------------------------------------------------------------
 
 def flatten_parameters(net: RecurrentNetwork) -> dict[str, np.ndarray]:
@@ -422,33 +541,37 @@ def flatten_parameters(net: RecurrentNetwork) -> dict[str, np.ndarray]:
         for key, value in params.items():
             flat[f"L{layer}.{key}"] = value
     flat["head.w_hy"] = net.head.w_hy
-    flat["head.b_y"] = np.asarray(net.head.b_y)
+    flat["head.b_y"] = net.flat[-1:].reshape(())
     return flat
+
+
+def _flatten_grads(net: RecurrentNetwork, grads: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of a flat gradient vector, named like `flatten_parameters`."""
+    return flatten_parameters(_network(net.config, np.asarray(grads)))
+
+
+def _pack(net: RecurrentNetwork, named: dict[str, np.ndarray]) -> np.ndarray:
+    """A name -> array dict shaped like `flatten_parameters(net)`, as one flat vector."""
+    vec = np.empty_like(net.flat)
+    views = _flatten_grads(net, vec)
+    if set(views) != set(named):
+        raise ShapeMismatch("parameter names do not match the network")
+    for key, view in views.items():
+        value = np.asarray(named[key], dtype=float)
+        if value.shape != view.shape:
+            raise ShapeMismatch(f"entry for {key} has shape {value.shape}, expected {view.shape}")
+        view[...] = value
+    return vec
 
 
 def _rebuild(net: RecurrentNetwork, flat: dict[str, np.ndarray]) -> RecurrentNetwork:
-    layers = []
-    for layer, params in enumerate(net.layer_params):
-        layers.append({key: flat[f"L{layer}.{key}"] for key in params})
-    head = OutputHead(w_hy=flat["head.w_hy"], b_y=float(flat["head.b_y"]))
-    return RecurrentNetwork(config=net.config, layer_params=tuple(layers), head=head)
-
-
-def _flatten_grads(net: RecurrentNetwork, grads) -> dict[str, np.ndarray]:
-    layer_grads, head_grads = grads
-    flat: dict[str, np.ndarray] = {}
-    for layer, params in enumerate(layer_grads):
-        for key, value in params.items():
-            flat[f"L{layer}.{key}"] = value
-    flat["head.w_hy"] = head_grads["w_hy"]
-    flat["head.b_y"] = np.asarray(head_grads["b_y"])
-    return flat
+    return _network(net.config, _pack(net, flat))
 
 
 @dataclass(frozen=True)
 class AdamState:
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: np.ndarray   # flat, in the layout of `RecurrentNetwork.flat`
+    second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -457,47 +580,44 @@ class AdamState:
 
 
 def init_adam(net: RecurrentNetwork, lr: float = 1e-3) -> AdamState:
-    flat = flatten_parameters(net)
-    return AdamState(
-        first_moment={k: np.zeros_like(v) for k, v in flat.items()},
-        second_moment={k: np.zeros_like(v) for k, v in flat.items()},
-        lr=lr,
-    )
+    return AdamState(first_moment=np.zeros_like(net.flat),
+                     second_moment=np.zeros_like(net.flat), lr=lr)
 
 
 def adam_step(net: RecurrentNetwork, grads, state: AdamState) -> tuple[RecurrentNetwork, AdamState]:
-    """Bias-corrected Adam update; returns (new network, new state)."""
-    flat_p = flatten_parameters(net)
-    flat_g = grads if isinstance(grads, dict) else _flatten_grads(net, grads)
-    if set(flat_p) != set(flat_g):
-        raise ShapeMismatch("gradient structure does not match parameters")
+    """Bias-corrected Adam update; returns (new network, new state).
+
+    `grads` is a flat gradient vector (as `backward` returns) or a
+    name -> array dict keyed like `flatten_parameters`.
+    """
+    if isinstance(grads, dict):
+        g = _pack(net, grads)
+    else:
+        g = np.asarray(grads, dtype=float)
+        if g.shape != net.flat.shape:
+            raise ShapeMismatch(f"gradient has shape {g.shape}, expected {net.flat.shape}")
     t = state.step_count + 1
-    new_p, new_m, new_v = {}, {}, {}
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for key, p in flat_p.items():
-        g = flat_g[key]
-        if np.shape(g) != np.shape(p):
-            raise ShapeMismatch(f"gradient for {key} has shape {np.shape(g)}, expected {np.shape(p)}")
-        m = state.beta1 * state.first_moment[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.second_moment[key] + (1.0 - state.beta2) * g * g
-        step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        new_p[key] = p - step
-        new_m[key] = m
-        new_v[key] = v
-    new_net = _rebuild(net, new_p)
-    new_state = AdamState(first_moment=new_m, second_moment=new_v, step_count=t,
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    new_state = AdamState(first_moment=m, second_moment=v, step_count=t,
                           lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_net, new_state
+    return _network(net.config, net.flat - step), new_state
 
 
-def clip_gradients(flat_grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Global-norm clipping; returns the (possibly scaled) gradient dict."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in flat_grads.values()))
+def clip_gradients(grads, max_norm: float):
+    """Global-norm clipping of a flat gradient vector or a name -> array dict;
+    returns the (possibly scaled) gradients in the same form."""
+    parts = grads.values() if isinstance(grads, dict) else (grads,)
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in parts))
     if total <= max_norm or total == 0.0:
-        return flat_grads
+        return grads
     scale = max_norm / total
-    return {k: g * scale for k, g in flat_grads.items()}
+    if isinstance(grads, dict):
+        return {k: g * scale for k, g in grads.items()}
+    return grads * scale
 
 
 @dataclass(frozen=True)
@@ -540,9 +660,8 @@ def train(inputs, targets, config: NetworkConfig,
             err = cache.predictions - y[sel]
             epoch_sq_err += float((err * err).sum())
             d_pred = 2.0 * err / sel.size
-            grads = backward(net, cache, d_pred)
-            flat = clip_gradients(_flatten_grads(net, grads), train_cfg.clip_norm)
-            net, state = adam_step(net, flat, state)
+            grads = clip_gradients(backward(net, cache, d_pred), train_cfg.clip_norm)
+            net, state = adam_step(net, grads, state)
         history.append(epoch_sq_err / n)
     return net, history
 
@@ -602,7 +721,7 @@ def _parse_checkpoint(lines: list[str]) -> RecurrentNetwork:
         mat = np.array([[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)])
         flat[name] = mat
         pos += 1 + rows
-    template = init_network(config)
+    template = _network(config, np.zeros(parameter_count(config)))
     shaped = {}
     for name, arr in flatten_parameters(template).items():
         shaped[name] = flat[name].reshape(np.shape(arr)) if np.shape(arr) else float(flat[name][0, 0])

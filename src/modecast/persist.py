@@ -6,6 +6,7 @@ every array bit-for-bit and a reloaded forecaster forecasts identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -67,17 +68,26 @@ def _config_to_dict(cfg: PipelineConfig) -> dict:
     }
 
 
+def _settings(cls, d: dict):
+    """`cls(**d)`, where `d` must name every field: a missing entry must not
+    load silently as the field's default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    if set(d) != names:
+        raise KeyError(f"{cls.__name__} entries {sorted(set(d) ^ names)}")
+    return cls(**d)
+
+
 def _config_from_dict(d: dict) -> PipelineConfig:
     return PipelineConfig(
-        vmd=vmd.VmdConfig(**d["vmd"]),
-        garch=garch.GarchSpec(**d["garch"]),
-        garch_options=garch.FitOptions(**d["garch_options"]),
+        vmd=_settings(vmd.VmdConfig, d["vmd"]),
+        garch=_settings(garch.GarchSpec, d["garch"]),
+        garch_options=_settings(garch.FitOptions, d["garch_options"]),
         network=neural.NetworkConfig(cell=neural.CellKind(d["network"]["cell"]),
                                      layers=d["network"]["layers"], hidden=d["network"]["hidden"],
                                      input_features=d["network"]["input_features"],
                                      dropout_rate=d["network"]["dropout_rate"],
                                      seed=d["network"]["seed"]),
-        train=neural.TrainConfig(**d["train"]),
+        train=_settings(neural.TrainConfig, d["train"]),
         split=SplitSpec(train_fraction=d["split_fraction"]),
         seq_len=d["seq_len"],
         retrain_every=d["retrain_every"],

@@ -40,6 +40,7 @@ from . import neural, vmd
 from .errors import (
     HorizonTooLong,
     LengthMismatch,
+    SeriesMismatch,
     TooShort,
     ZeroActual,
 )
@@ -331,7 +332,8 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     the networks are retrained on every slot seen so far after each r steps,
     and each segment of r steps takes the first r rows of one batched run
     over all remaining windows, so the first segment equals the run without
-    retraining exactly.
+    retraining exactly.  Raises `SeriesMismatch` when the first
+    train_size + steps values of `series` are not those of the fitted series.
     """
     cfg = forecaster.config
     n = len(series)
@@ -341,6 +343,19 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     if steps > n - forecaster.train_size:
         raise HorizonTooLong(
             f"{steps} steps requested but only {n - forecaster.train_size} held-out points exist")
+    # the windows come from the fitted modes, so `series` must be the fitted
+    # series; for the decomposition, compare the residual it defines
+    # (input - sum of modes), which that difference reproduces bit for bit
+    used = forecaster.train_size + steps
+    head = series.values[:used]
+    if forecaster.modes is None:
+        same = np.array_equal(head, forecaster.mode_values[0, :used])
+    else:
+        fitted = forecaster.modes
+        same = np.array_equal(head - fitted.modes.sum(axis=0)[:used], fitted.residual[:used])
+    if not same:
+        raise SeriesMismatch(f"the first {used} values differ from the series the "
+                             f"forecaster was fitted on")
     per_mode = np.empty((steps, k))
     predictions = np.empty(steps)
     actuals = series.values[forecaster.train_size:forecaster.train_size + steps].copy()

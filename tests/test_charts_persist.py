@@ -84,7 +84,9 @@ def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
     manifest = tmp_path / "model" / "forecaster.json"
     full = json.loads(manifest.read_text())
     entry = full["mode_models"][0]
-    holders = [full, full["config"], full["config"]["network"], full["modes"], entry,
+    config = full["config"]
+    holders = [full, config, config["network"], config["vmd"], config["garch"],
+               config["garch_options"], config["train"], full["modes"], entry,
                entry["scaler"], entry["garch"]]
     for holder in holders:
         for key in [k for k in holder if k != "format"]:

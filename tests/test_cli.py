@@ -94,6 +94,32 @@ def test_train_then_forecast_from_model_dir(tmp_path, series_csv, config_file):
     assert len(lines) == 7
 
 
+def test_forecast_from_model_dir_rejects_another_series(tmp_path, series_csv, config_file,
+                                                       capsys):
+    from datetime import date
+
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
+    common = ["--config", str(config_file), "--steps", "6"]
+    assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
+                 "--out-dir", str(tmp_path / "saved"), *common]) == 0
+    assert main(["forecast", "--input", str(series_csv), "--variant", "vmd-garch",
+                 "--out-dir", str(tmp_path / "fresh"), *common]) == 0
+    saved = (tmp_path / "saved" / "predictions.csv").read_text()
+    assert saved == (tmp_path / "fresh" / "predictions.csv").read_text()
+
+    other = wavy_series(n=220, seed=1)
+    stamps = tuple(date(2000 + i // 12, i % 12 + 1, 1) for i in range(len(other)))
+    other_csv = write_csv(type(other)(other.values, timestamps=stamps, name="other"),
+                          tmp_path / "other.csv")
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(other_csv), "--model-dir", str(model_dir),
+                 "--out-dir", str(tmp_path / "other"), *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_forecast_per_mode_columns_sum_to_predicted(tmp_path, series_csv, config_file):
     out = tmp_path / "fc2"
     assert main(["forecast", "--input", str(series_csv), "--config", str(config_file),

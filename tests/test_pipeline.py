@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config, wavy_series
-from modecast.errors import HorizonTooLong, LengthMismatch, TooShort, ZeroActual
+from modecast.errors import HorizonTooLong, LengthMismatch, SeriesMismatch, TooShort, ZeroActual
 from modecast import pipeline
 from modecast.neural import CellKind, flatten_parameters
 from modecast.pipeline import (
@@ -184,6 +184,26 @@ def test_rolling_horizon_too_long():
     fc = fit_forecaster(series, Variant.DIRECT, CellKind.RNN, small_config())
     with pytest.raises(HorizonTooLong):
         rolling_forecast(fc, series, len(series))
+
+
+# offset -23: the series crosses zero, and modes.sum(0) + residual misses the
+# input at a few slots, so the check must go through the residual itself
+@pytest.mark.parametrize("offset", [0.0, -23.0])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_rolling_rejects_another_series(variant, offset):
+    series = TimeSeries(wavy_series().values + offset)
+    fc = fit_forecaster(series, variant, CellKind.RNN, small_config(epochs=1))
+    steps = 6
+    used = fc.train_size + steps
+    for slot in (0, fc.train_size - 1, used - 1):
+        values = series.values.copy()
+        values[slot] += 1e-9
+        with pytest.raises(SeriesMismatch):
+            rolling_forecast(fc, TimeSeries(values), steps)
+    values = series.values.copy()
+    values[used] += 1.0  # past the forecast: never read
+    same = rolling_forecast(fc, TimeSeries(values), steps)
+    assert np.array_equal(same.predictions, rolling_forecast(fc, series, steps).predictions)
 
 
 def test_rolling_sum_is_bit_exact():
