@@ -2,11 +2,11 @@
 """Layer-level timing of the recurrent engine: one forward step and one
 backpropagation-through-time step per cell kind.
 
-    python3 scripts/bench_layers.py [--seq-len 25] [--repeats 300]
+    python3 scripts/bench_layers.py
 
 For each cell kind at batch x hidden 32x16 and 32x64, it times a training
 forward pass (`neural._forward_batch`, dropout 0.2) and its `neural.backward`
-over one layer of --seq-len steps, and prints the median time of each
+over one layer of SEQ_LEN steps, REPEATS times, and prints the median time of each
 divided by the step count.  Only `init_network`, `_forward_batch` and
 `backward` are used, so the script runs against older versions of the
 engine too.  BLAS runs on one thread, fixed before numpy loads, and the
@@ -15,7 +15,6 @@ process is pinned to one CPU.
 
 from __future__ import annotations
 
-import argparse
 import os
 import statistics
 import sys
@@ -23,13 +22,11 @@ import time
 from pathlib import Path
 
 SIZES = ((32, 16), (32, 64))  # (batch, hidden)
+SEQ_LEN = 25
+REPEATS = 300
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seq-len", type=int, default=25)
-    p.add_argument("--repeats", type=int, default=300)
-    args = p.parse_args(argv)
+def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -44,11 +41,11 @@ def main(argv=None) -> int:
             cfg = neural.NetworkConfig(cell=kind, layers=1, hidden=hidden, input_features=2,
                                        dropout_rate=0.2, seed=0)
             net = neural.init_network(cfg)
-            data = np.random.default_rng(1).standard_normal((batch, args.seq_len, 2))
+            data = np.random.default_rng(1).standard_normal((batch, SEQ_LEN, 2))
             d_pred = np.random.default_rng(2).standard_normal(batch)
             rng = np.random.default_rng(3)
             fwd, bwd = [], []
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 cache = neural._forward_batch(net, data, True, rng)
                 t1 = time.perf_counter()
@@ -56,7 +53,7 @@ def main(argv=None) -> int:
                 t2 = time.perf_counter()
                 fwd.append(t1 - t0)
                 bwd.append(t2 - t1)
-            per_step = 1e6 / args.seq_len
+            per_step = 1e6 / SEQ_LEN
             print(f"{kind.value:<5} {f'{batch}x{hidden}':>14} "
                   f"{statistics.median(fwd) * per_step:16.2f} "
                   f"{statistics.median(bwd) * per_step:13.2f}")

@@ -286,11 +286,15 @@ def _cell(kind: CellKind, params: dict[str, np.ndarray], h_prev, c_prev, x):
         raise ShapeMismatch(f"hidden state has {h_prev.shape[-1]} units, weights expect {n}")
     if x.shape[-1] != w.shape[1] - n:
         raise ShapeMismatch(f"input has {x.shape[-1]} features, weights expect {w.shape[1] - n}")
-    if h_prev.shape != x.shape[:-1] + (n,):
-        raise ShapeMismatch(f"hidden state {h_prev.shape} and input {x.shape} differ in batch")
     c_prev = np.zeros_like(h_prev) if c_prev is None else np.asarray(c_prev, dtype=float)
     if c_prev.shape != h_prev.shape:
         raise ShapeMismatch(f"cell state shape {c_prev.shape} != hidden shape {h_prev.shape}")
+    try:  # a single state serves a batch of inputs, and a single input a batch of states
+        lead = np.broadcast_shapes(h_prev.shape[:-1], x.shape[:-1])
+    except ValueError:
+        raise ShapeMismatch(f"hidden state {h_prev.shape} and input {x.shape} differ in batch") from None
+    h_prev, c_prev = (np.broadcast_to(a, lead + (n,)) for a in (h_prev, c_prev))
+    x = np.broadcast_to(x, lead + x.shape[-1:])
     hs, _, cs = _run_layer(kind, w, b, _unit_major(x)[None], _unit_major(h_prev),
                            _unit_major(c_prev))
     return hs[0].T.reshape(h_prev.shape), None if cs is None else cs[0].T.reshape(h_prev.shape)

@@ -185,8 +185,11 @@ class ModeSet:
 
     modes: (K, T) array, rows sorted by ascending center frequency.
     omegas: (K,) center frequencies in cycles/sample, each in [0, 0.5].
-    residual: input - sum(modes), stored exactly so that
-        modes.sum(axis=0) + residual reproduces the input bit-for-bit.
+    residual: input - modes.sum(axis=0), stored exactly as computed, so
+        recomputing that difference from the input reproduces it bit for
+        bit. modes.sum(axis=0) + residual returns the input only up to
+        rounding: where the subtraction rounds (series that cross zero), it
+        misses by an ulp.
     """
 
     modes: np.ndarray

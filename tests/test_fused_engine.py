@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from modecast import neural
+from modecast.errors import ShapeMismatch
 from modecast.neural import (
     CellKind,
     NetworkConfig,
@@ -227,6 +228,28 @@ def test_public_cells_equal_one_step_of_the_batched_forward(kind, layers, dropou
             assert np.array_equal(h, hs[t])
         if batch == 1 and kind is CellKind.GRU:  # a single state vector takes the same path
             assert np.array_equal(gru_cell(params, hs[0][0], x[1][0]), hs[1][0])
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+def test_public_cells_broadcast_a_single_state_over_a_batch(kind):
+    net, _ = _case(kind, 1, 0.0, 1)
+    params = net.layer_params[0]
+    rng = np.random.default_rng(5)
+    h, x = rng.standard_normal(HIDDEN), rng.standard_normal((4, 2))
+    if kind is CellKind.LSTM:
+        c = rng.standard_normal(HIDDEN)
+        got = lstm_cell(params, h, c, x)
+        want = lstm_cell(params, np.tile(h, (4, 1)), np.tile(c, (4, 1)), x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[0].shape == (4, HIDDEN)
+        return
+    cell = rnn_cell if kind is CellKind.RNN else gru_cell
+    got = cell(params, h, x)
+    assert got.shape == (4, HIDDEN)
+    assert np.array_equal(got, cell(params, np.tile(h, (4, 1)), x))
+    assert np.array_equal(cell(params, got, x[0]), cell(params, got, np.tile(x[0], (4, 1))))
+    with pytest.raises(ShapeMismatch):
+        cell(params, np.zeros((3, HIDDEN)), x)
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
