@@ -129,6 +129,7 @@ def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
         "omegas": mode_set.omegas.tolist(),
         "iterations": mode_set.iterations,
         "final_delta": mode_set.final_delta,
+        "converged": mode_set.converged,
         "residual": mode_set.residual.tolist(),
     }
     (out_dir / "modes_meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
@@ -145,7 +146,7 @@ def _cmd_decompose(args) -> int:
     path = _write_modes_csv(mode_set, out_dir)
     _write_manifest(out_dir, cfg, args)
     print(f"wrote {path} ({mode_set.n_modes} modes, {mode_set.iterations} iterations, "
-          f"final delta {mode_set.final_delta:.3e})")
+          f"final delta {mode_set.final_delta:.3e}, converged={mode_set.converged})")
     return 0
 
 

@@ -74,7 +74,7 @@ class ParseError(DataError):
 
 
 class CorruptModel(DataError, ValueError):
-    """A saved forecaster directory or checkpoint file is not in a readable format."""
+    """A saved forecaster directory is incomplete, inconsistent or not in the current format."""
 
 
 class ShapeMismatch(ModecastError):

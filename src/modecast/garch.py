@@ -99,8 +99,9 @@ class GarchFit:
     `used_differencing` marks volatility extracted from the first-differenced
     series (taken when the level series fails the unit-root rejection);
     `used_rolling_fallback` marks the trailing rolling-variance path
-    (`rolling_sigma2`) substituted after an optimizer failure.  `sigma2_path`
-    always has the length of `residuals`.
+    (`rolling_sigma2`) substituted after an optimizer failure, and
+    `log_likelihood` is then the Gaussian likelihood of `residuals` under that
+    path.  `sigma2_path` always has the length of `residuals`.
     """
 
     params: GarchParams
@@ -365,7 +366,8 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     If the demeaned series does not reject a unit root at 5%, volatility is
     extracted from the first-differenced series instead (path length is
     re-aligned by repeating its first value).  If no restart converges, the
-    trailing rolling-variance path (`rolling_sigma2`) is substituted.
+    trailing rolling-variance path (`rolling_sigma2`) is substituted, and
+    `log_likelihood` is that of the returned residuals under it.
     Deterministic for fixed options.
     """
     x = residual_source.values if isinstance(residual_source, TimeSeries) else \
@@ -438,8 +440,9 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     if used_differencing:
         s2 = np.concatenate([[s2[0]], s2])  # re-align with the level series length
         a = np.concatenate([[a[0]], a])
-    if not converged:
+    if not converged:  # the fallback path replaces the search's, and so does its likelihood
         s2 = rolling_sigma2(a, rolling_floor(a))
+        ll = _Shocks(a, 0, 0).log_likelihood(s2)
     return GarchFit(
         params=params, sigma2_path=s2, residuals=a, log_likelihood=ll, mean=mean,
         converged=converged, used_differencing=used_differencing,

@@ -25,8 +25,8 @@ and [H:] on x, plus one bias of G*H entries:
 
 Every layer and the head live in one flat parameter vector.  The stacked
 matrices and the per-gate names of `layer_params` (`W_f`, `b_i`, `W_hh`, ...)
-are views into it, so checkpoints and `flatten_parameters` see per-gate
-arrays while Adam and clipping work on the one vector.
+are views into it, so `flatten_parameters` sees per-gate arrays while Adam
+and clipping work on the one vector, and a saved network is that vector.
 
 Activations are stored time-major and unit-major, (L, units, B): a step's
 slice is contiguous, and so is each gate's block of rows within it.  The
@@ -47,7 +47,6 @@ results across runs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,7 +54,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .errors import CorruptModel, EmptyDataset, ShapeMismatch, StaleCache
+from .errors import EmptyDataset, ShapeMismatch, StaleCache
 
 
 class CellKind(Enum):
@@ -611,17 +610,13 @@ def adam_step(net: RecurrentNetwork, grads, state: AdamState) -> tuple[Recurrent
     return _network(net.config, net.flat - step), new_state
 
 
-def clip_gradients(grads, max_norm: float):
-    """Global-norm clipping of a flat gradient vector or a name -> array dict;
-    returns the (possibly scaled) gradients in the same form."""
-    parts = grads.values() if isinstance(grads, dict) else (grads,)
-    total = math.sqrt(sum(float(np.vdot(g, g)) for g in parts))
+def clip_gradients(grads: np.ndarray, max_norm: float) -> np.ndarray:
+    """Global-norm clipping of a flat gradient vector; returns it scaled
+    down to `max_norm`, or unchanged when its norm is within it."""
+    total = math.sqrt(float(np.vdot(grads, grads)))
     if total <= max_norm or total == 0.0:
         return grads
-    scale = max_norm / total
-    if isinstance(grads, dict):
-        return {k: g * scale for k, g in grads.items()}
-    return grads * scale
+    return grads * (max_norm / total)
 
 
 @dataclass(frozen=True)
@@ -668,66 +663,3 @@ def train(inputs, targets, config: NetworkConfig,
             net, state = adam_step(net, grads, state)
         history.append(epoch_sq_err / n)
     return net, history
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: text, versioned, shape header + row-major values
-# ---------------------------------------------------------------------------
-
-_CHECKPOINT_MAGIC = "modecast-checkpoint v1"
-
-
-def save_checkpoint(net: RecurrentNetwork, path) -> None:
-    """Write a versioned text checkpoint; %.17g round-trips float64 exactly."""
-    cfg = net.config
-    buf = io.StringIO()
-    buf.write(_CHECKPOINT_MAGIC + "\n")
-    buf.write(f"cell={cfg.cell.value} layers={cfg.layers} hidden={cfg.hidden} "
-              f"input_features={cfg.input_features} dropout_rate={cfg.dropout_rate!r} "
-              f"seed={cfg.seed}\n")
-    for name, arr in flatten_parameters(net).items():
-        mat = np.atleast_2d(np.asarray(arr, dtype=float))
-        buf.write(f"param {name} {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    buf.write("end\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_checkpoint(path) -> RecurrentNetwork:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CHECKPOINT_MAGIC:
-        raise CorruptModel(f"not a {_CHECKPOINT_MAGIC!r} file: {path}")
-    try:
-        return _parse_checkpoint(lines)
-    except CorruptModel:
-        raise
-    except (IndexError, KeyError, ValueError, ShapeMismatch) as exc:  # truncated or missing entries
-        raise CorruptModel(f"incomplete checkpoint {path}: {exc!r}") from exc
-
-
-def _parse_checkpoint(lines: list[str]) -> RecurrentNetwork:
-    fields = dict(item.split("=", 1) for item in lines[1].split())
-    config = NetworkConfig(
-        cell=CellKind(fields["cell"]), layers=int(fields["layers"]),
-        hidden=int(fields["hidden"]), input_features=int(fields["input_features"]),
-        dropout_rate=float(fields["dropout_rate"]), seed=int(fields["seed"]),
-    )
-    flat: dict[str, np.ndarray] = {}
-    pos = 2
-    while lines[pos] != "end":
-        tag, name, rows, cols = lines[pos].split()
-        if tag != "param":
-            raise CorruptModel(f"malformed checkpoint line: {lines[pos]!r}")
-        rows, cols = int(rows), int(cols)
-        mat = np.array([[float(v) for v in lines[pos + 1 + r].split()] for r in range(rows)])
-        flat[name] = mat
-        pos += 1 + rows
-    template = _network(config, np.zeros(parameter_count(config)))
-    shaped = {}
-    for name, arr in flatten_parameters(template).items():
-        shaped[name] = flat[name].reshape(np.shape(arr)) if np.shape(arr) else float(flat[name][0, 0])
-        shaped[name] = np.asarray(shaped[name])
-    return _rebuild(template, shaped)

@@ -1,71 +1,48 @@
-"""Save/load a fitted forecaster as a directory of JSON + checkpoint files.
+"""Save/load a fitted forecaster as a directory of two files.
 
-Floats go through JSON as shortest-round-trip decimals, so a reload restores
-every array bit-for-bit and a reloaded forecaster forecasts identically.
+`forecaster.json` is the header: the format tag, settings and scalars.
+`arrays.npz` is one uncompressed `np.savez` archive of float64 arrays:
+`mode_values`, `omegas`, `residual`, and per mode `mode_<n>.flat` (the
+network's parameter vector) and the GARCH `alphas`, `betas`, `sigma2_path`
+and `residuals`.  The arrays are written first and the header last, so a
+directory whose header exists has its arrays.  A reload restores every value
+bit for bit, so a reloaded forecaster forecasts identically.
+
+A model directory is outside input: the archive is read with
+`allow_pickle=False`, and any missing, extra, truncated, foreign, mistyped or
+misshapen entry raises `CorruptModel`.  The v1 layout (JSON arrays plus one
+text checkpoint per network) is not read; `modecast train` rewrites it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from . import garch, neural, vmd
-from .errors import CorruptModel
+from .errors import CorruptModel, ModecastError
 from .pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
 from .series import MinMaxScaler, SplitSpec
 
-
-def _garch_fit_to_dict(fit: garch.GarchFit) -> dict:
-    return {
-        "alpha0": fit.params.alpha0,
-        "alphas": fit.params.alphas.tolist(),
-        "betas": fit.params.betas.tolist(),
-        "sigma2_path": fit.sigma2_path.tolist(),
-        "residuals": fit.residuals.tolist(),
-        "log_likelihood": fit.log_likelihood,
-        "mean": fit.mean,
-        "converged": fit.converged,
-        "used_differencing": fit.used_differencing,
-        "used_rolling_fallback": fit.used_rolling_fallback,
-    }
+FORMAT = "modecast-forecaster v2"
+HEADER = "forecaster.json"
+ARRAYS = "arrays.npz"
+_GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
+_GARCH_SCALARS = ("mean", "log_likelihood", "converged", "used_differencing",
+                  "used_rolling_fallback")
+_MODE_SET_SCALARS = ("iterations", "final_delta", "converged")
 
 
-def _garch_fit_from_dict(d: dict) -> garch.GarchFit:
-    return garch.GarchFit(
-        params=garch.GarchParams(d["alpha0"], np.array(d["alphas"]), np.array(d["betas"])),
-        sigma2_path=np.array(d["sigma2_path"]),
-        residuals=np.array(d["residuals"]),
-        log_likelihood=d["log_likelihood"],
-        mean=d["mean"],
-        converged=d["converged"],
-        used_differencing=d["used_differencing"],
-        used_rolling_fallback=d["used_rolling_fallback"],
-    )
-
-
-def _config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "vmd": {"n_modes": cfg.vmd.n_modes, "alpha": cfg.vmd.alpha, "tau": cfg.vmd.tau,
-                "tol": cfg.vmd.tol, "max_iter": cfg.vmd.max_iter,
-                "init_omega": cfg.vmd.init_omega, "seed": cfg.vmd.seed,
-                "mirror": cfg.vmd.mirror, "dc_mode": cfg.vmd.dc_mode},
-        "garch": {"k": cfg.garch.k, "l": cfg.garch.l},
-        "garch_options": {"max_iter": cfg.garch_options.max_iter,
-                          "xatol": cfg.garch_options.xatol, "fatol": cfg.garch_options.fatol,
-                          "adf_lags": cfg.garch_options.adf_lags,
-                          "allow_differencing": cfg.garch_options.allow_differencing},
-        "network": {"cell": cfg.network.cell.value, "layers": cfg.network.layers,
-                    "hidden": cfg.network.hidden, "input_features": cfg.network.input_features,
-                    "dropout_rate": cfg.network.dropout_rate, "seed": cfg.network.seed},
-        "train": {"epochs": cfg.train.epochs, "batch_size": cfg.train.batch_size,
-                  "lr": cfg.train.lr, "seed": cfg.train.seed, "clip_norm": cfg.train.clip_norm},
-        "split_fraction": cfg.split.train_fraction,
-        "seq_len": cfg.seq_len,
-        "retrain_every": cfg.retrain_every,
-    }
+def _fields(obj, names=None) -> dict | None:
+    """The named attributes of `obj` (default: every dataclass field); None stays None."""
+    if obj is None:
+        return None
+    return {n: getattr(obj, n) for n in names or (f.name for f in dataclasses.fields(obj))}
 
 
 def _settings(cls, d: dict):
@@ -77,16 +54,33 @@ def _settings(cls, d: dict):
     return cls(**d)
 
 
+def _network_to_dict(cfg: neural.NetworkConfig) -> dict:
+    return {**_fields(cfg), "cell": cfg.cell.value}
+
+
+def _network_from_dict(d: dict) -> neural.NetworkConfig:
+    return _settings(neural.NetworkConfig, {**d, "cell": neural.CellKind(d["cell"])})
+
+
+def _config_to_dict(cfg: PipelineConfig) -> dict:
+    return {
+        "vmd": _fields(cfg.vmd),
+        "garch": _fields(cfg.garch),
+        "garch_options": _fields(cfg.garch_options),
+        "network": _network_to_dict(cfg.network),
+        "train": _fields(cfg.train),
+        "split_fraction": cfg.split.train_fraction,
+        "seq_len": cfg.seq_len,
+        "retrain_every": cfg.retrain_every,
+    }
+
+
 def _config_from_dict(d: dict) -> PipelineConfig:
     return PipelineConfig(
         vmd=_settings(vmd.VmdConfig, d["vmd"]),
         garch=_settings(garch.GarchSpec, d["garch"]),
         garch_options=_settings(garch.FitOptions, d["garch_options"]),
-        network=neural.NetworkConfig(cell=neural.CellKind(d["network"]["cell"]),
-                                     layers=d["network"]["layers"], hidden=d["network"]["hidden"],
-                                     input_features=d["network"]["input_features"],
-                                     dropout_rate=d["network"]["dropout_rate"],
-                                     seed=d["network"]["seed"]),
+        network=_network_from_dict(d["network"]),
         train=_settings(neural.TrainConfig, d["train"]),
         split=SplitSpec(train_fraction=d["split_fraction"]),
         seq_len=d["seq_len"],
@@ -97,82 +91,138 @@ def _config_from_dict(d: dict) -> PipelineConfig:
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": "modecast-forecaster v1",
+    arrays = {"mode_values": forecaster.mode_values}
+    modes = forecaster.modes
+    if modes is not None:
+        arrays.update(omegas=modes.omegas, residual=modes.residual)
+    entries = []
+    for n, model in enumerate(forecaster.mode_models, start=1):
+        arrays[f"mode_{n}.flat"] = model.network.flat
+        fit = model.garch
+        if fit is not None:
+            values = (fit.params.alphas, fit.params.betas, fit.sigma2_path, fit.residuals)
+            arrays.update({f"mode_{n}.{k}": v for k, v in zip(_GARCH_ARRAYS, values)})
+        entries.append({
+            "mode_index": model.mode_index,
+            "scaler": _fields(model.scaler),
+            "vol_scaler": _fields(model.vol_scaler),
+            "vol_kind": model.vol_kind,
+            "network": _network_to_dict(model.network.config),
+            "garch": None if fit is None else {"alpha0": fit.params.alpha0,
+                                               **_fields(fit, _GARCH_SCALARS)},
+        })
+    header = {
+        "format": FORMAT,
         "variant": forecaster.variant.value,
         "cell": forecaster.cell.value,
         "train_size": forecaster.train_size,
         "config": _config_to_dict(forecaster.config),
-        "mode_values": forecaster.mode_values.tolist(),
-        "modes": None if forecaster.modes is None else {
-            "omegas": forecaster.modes.omegas.tolist(),
-            "residual": forecaster.modes.residual.tolist(),
-            "iterations": forecaster.modes.iterations,
-            "final_delta": forecaster.modes.final_delta,
-        },
-        "mode_models": [],
+        "modes": _fields(modes, _MODE_SET_SCALARS),
+        "mode_models": entries,
     }
-    for model in forecaster.mode_models:
-        entry = {
-            "mode_index": model.mode_index,
-            "scaler": {"lo": model.scaler.lo, "hi": model.scaler.hi},
-            "vol_scaler": None if model.vol_scaler is None
-                          else {"lo": model.vol_scaler.lo, "hi": model.vol_scaler.hi},
-            "vol_kind": model.vol_kind,
-            "garch": None if model.garch is None else _garch_fit_to_dict(model.garch),
-            "checkpoint": f"net_mode_{model.mode_index}.txt",
-        }
-        neural.save_checkpoint(model.network, out / entry["checkpoint"])
-        manifest["mode_models"].append(entry)
-    (out / "forecaster.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    with open(out / ARRAYS, "wb") as fh:
+        np.savez(fh, **arrays)
+    (out / HEADER).write_text(json.dumps(header, indent=1), encoding="utf-8")
     return out
 
 
 def load_forecaster(model_dir) -> EnsembleForecaster:
     root = Path(model_dir)
     try:
-        manifest = json.loads((root / "forecaster.json").read_text(encoding="utf-8"))
+        header = json.loads((root / HEADER).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise CorruptModel(f"unreadable forecaster.json in {root}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "modecast-forecaster v1":
+        raise CorruptModel(f"unreadable {HEADER} in {root}: {exc}") from exc
+    tag = header.get("format") if isinstance(header, dict) else None
+    if tag == "modecast-forecaster v1":
+        raise CorruptModel(f"{root} holds a v1 forecaster, which is no longer read; "
+                           "re-run `modecast train` to write it again")
+    if tag != FORMAT:
         raise CorruptModel(f"unrecognized forecaster directory: {root}")
+    arrays = _read_arrays(root / ARRAYS)
     try:
-        return _forecaster_from_manifest(manifest, root)
+        return _forecaster_from(header, arrays)
     except CorruptModel:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:  # missing or mistyped entries
-        raise CorruptModel(f"incomplete forecaster.json in {root}: {exc!r}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, ModecastError) as exc:
+        raise CorruptModel(f"incomplete {HEADER} in {root}: {exc!r}") from exc
 
 
-def _forecaster_from_manifest(manifest: dict, root: Path) -> EnsembleForecaster:
-    cfg = _config_from_dict(manifest["config"])
-    mode_values = np.array(manifest["mode_values"])
+def _read_arrays(path: Path) -> dict[str, np.ndarray]:
+    """Every array of the archive; nothing is unpickled.
+
+    The file is opened here, not by `np.load`, which leaves its own handle
+    open when the archive's directory is unreadable."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        # TypeError: a bare .npy file loads as one array, not as an archive
+        raise CorruptModel(f"unreadable {path}: {exc!r}") from exc
+
+
+def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """`arrays[name]`, which must be float64 of `shape` (-1 matches any length)."""
+    a = arrays[name]
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == len(shape)
+            and all(want in (-1, got) for want, got in zip(shape, a.shape))):
+        raise CorruptModel(f"{ARRAYS}: {name} is not a float64 array of shape {shape}")
+    return a
+
+
+def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleForecaster:
+    cfg = _config_from_dict(header["config"])
+    entries = header["mode_models"]
+    meta = header["modes"]
+    expected = {"mode_values"} | (set() if meta is None else {"omegas", "residual"})
+    for n, entry in enumerate(entries, start=1):
+        expected.add(f"mode_{n}.flat")
+        if entry["garch"] is not None:
+            expected.update(f"mode_{n}.{name}" for name in _GARCH_ARRAYS)
+    if set(arrays) != expected:
+        raise CorruptModel(f"{ARRAYS}: missing {sorted(expected - set(arrays))}, "
+                           f"unexpected {sorted(set(arrays) - expected)}")
+
+    mode_values = _array(arrays, "mode_values", (len(entries), -1))
+    t_len = mode_values.shape[1]
     modes = None
-    if manifest["modes"] is not None:
-        modes = vmd.ModeSet(
-            modes=mode_values,
-            omegas=np.array(manifest["modes"]["omegas"]),
-            residual=np.array(manifest["modes"]["residual"]),
-            iterations=manifest["modes"]["iterations"],
-            final_delta=manifest["modes"]["final_delta"],
-        )
+    if meta is not None:
+        modes = vmd.ModeSet(modes=mode_values,
+                            omegas=_array(arrays, "omegas", (len(entries),)),
+                            residual=_array(arrays, "residual", (t_len,)),
+                            **{k: meta[k] for k in _MODE_SET_SCALARS})
     models = []
-    for entry in manifest["mode_models"]:
-        vol_scaler = entry["vol_scaler"]
+    for n, entry in enumerate(entries, start=1):
+        net_cfg = _network_from_dict(entry["network"])
+        flat = _array(arrays, f"mode_{n}.flat", (neural.parameter_count(net_cfg),))
         models.append(ModeModel(
             mode_index=entry["mode_index"],
-            scaler=MinMaxScaler(**entry["scaler"]),
-            vol_scaler=None if vol_scaler is None else MinMaxScaler(**vol_scaler),
-            garch=None if entry["garch"] is None else _garch_fit_from_dict(entry["garch"]),
-            network=neural.load_checkpoint(root / entry["checkpoint"]),
+            scaler=_settings(MinMaxScaler, entry["scaler"]),
+            vol_scaler=None if entry["vol_scaler"] is None
+                       else _settings(MinMaxScaler, entry["vol_scaler"]),
+            garch=None if entry["garch"] is None else _garch_from(entry["garch"], arrays, n,
+                                                                  cfg.garch),
+            network=neural._network(net_cfg, flat),
             vol_kind=entry["vol_kind"],
         ))
     return EnsembleForecaster(
-        variant=Variant(manifest["variant"]),
-        cell=neural.CellKind(manifest["cell"]),
+        variant=Variant(header["variant"]),
+        cell=neural.CellKind(header["cell"]),
         config=cfg,
         modes=modes,
         mode_values=mode_values,
         mode_models=tuple(models),
-        train_size=manifest["train_size"],
+        train_size=header["train_size"],
+    )
+
+
+def _garch_from(d: dict, arrays: dict[str, np.ndarray], n: int,
+                spec: garch.GarchSpec) -> garch.GarchFit:
+    sigma2 = _array(arrays, f"mode_{n}.sigma2_path", (-1,))
+    params = garch.GarchParams(d["alpha0"], _array(arrays, f"mode_{n}.alphas", (spec.k,)),
+                               _array(arrays, f"mode_{n}.betas", (spec.l,)))
+    return garch.GarchFit(
+        params=params,
+        sigma2_path=sigma2,
+        residuals=_array(arrays, f"mode_{n}.residuals", sigma2.shape),
+        **{k: d[k] for k in _GARCH_SCALARS},
     )

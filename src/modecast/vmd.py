@@ -190,6 +190,8 @@ class ModeSet:
         bit. modes.sum(axis=0) + residual returns the input only up to
         rounding: where the subtraction rounds (series that cross zero), it
         misses by an ulp.
+    converged: True when the sweep stopped on `tol`, False when it ran out
+        of `max_iter` sweeps.
     """
 
     modes: np.ndarray
@@ -197,6 +199,7 @@ class ModeSet:
     residual: np.ndarray
     iterations: int
     final_delta: float
+    converged: bool
 
     @property
     def n_modes(self) -> int:
@@ -220,7 +223,8 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     """Decompose `signal` into config.n_modes band-limited modes.
 
     Failure to reach `tol` within `max_iter` sweeps is not an error; the
-    result is returned with the last convergence measure in `final_delta`.
+    result is returned with `converged` False and the last convergence
+    measure in `final_delta`.
     """
     x = signal.values if isinstance(signal, TimeSeries) else np.asarray(signal, dtype=float)
     x = x.reshape(-1)
@@ -292,6 +296,7 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
         residual=residual,
         iterations=iterations,
         final_delta=delta,
+        converged=delta < config.tol,
     )
 
 

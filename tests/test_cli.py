@@ -210,12 +210,12 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
     elif damage == "json":
         manifest.write_text(manifest.read_text()[:200])
     elif damage == "keys":
-        manifest.write_text(json.dumps({"format": "modecast-forecaster v1"}))
+        manifest.write_text(json.dumps({"format": "modecast-forecaster v2"}))
     elif damage == "truncated":
-        checkpoint = model_dir / "net_mode_1.txt"
-        checkpoint.write_text(checkpoint.read_text()[:300])
+        arrays = model_dir / "arrays.npz"
+        arrays.write_bytes(arrays.read_bytes()[:300])
     else:
-        (model_dir / "net_mode_1.txt").write_text("not a checkpoint\n")
+        (model_dir / "arrays.npz").write_text("not an archive\n")
     capsys.readouterr()
     code = main(["forecast", "--input", str(series_csv), "--config", str(config_file),
                  "--model-dir", str(model_dir), "--steps", "6",
@@ -253,15 +253,18 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
     assert main(["plot", "--predictions", "x.csv", "--out", "y.svg"]) == 3
 
 
-def test_decompose_ten_modes_on_index_fixture(tmp_path):
+def test_decompose_ten_modes_on_index_fixture(tmp_path, capsys):
     fixture = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
     out = tmp_path / "dec10"
     code = main(["decompose", "--input", str(fixture), "--modes", "10",
                  "--out-dir", str(out)])
     assert code == 0
+    summary = capsys.readouterr().out
+    assert "500 iterations" in summary and "converged=False" in summary
     header = (out / "modes.csv").read_text().splitlines()[0]
     assert header == ",".join(f"mode_{i}" for i in range(1, 11))
     meta = json.loads((out / "modes_meta.json").read_text())
+    assert meta["iterations"] == 500 and meta["converged"] is False
     omegas = meta["omegas"]
     assert len(omegas) == 10
     assert omegas == sorted(omegas)

@@ -17,6 +17,10 @@ import pytest
 
 from modecast import neural
 from modecast.errors import ShapeMismatch
+from modecast.persist import load_forecaster, save_forecaster
+from modecast.pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
+from modecast.series import MinMaxScaler
+from modecast.vmd import VmdConfig
 from modecast.neural import (
     CellKind,
     NetworkConfig,
@@ -28,11 +32,9 @@ from modecast.neural import (
     flatten_parameters,
     gru_cell,
     init_network,
-    load_checkpoint,
     lstm_cell,
     predict,
     rnn_cell,
-    save_checkpoint,
     train,
 )
 
@@ -269,8 +271,15 @@ def test_reloaded_network_predicts_bit_identically(kind, tmp_path):
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((40, SEQ_LEN, 2)), rng.standard_normal(40)
     net, _ = train(x, y, cfg, TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=5))
-    save_checkpoint(net, tmp_path / "net.txt")
-    loaded = load_checkpoint(tmp_path / "net.txt")
+    model = ModeModel(mode_index=1, scaler=MinMaxScaler(lo=0.0, hi=1.0), vol_scaler=None,
+                      garch=None, network=net, vol_kind="zeros")
+    forecaster = EnsembleForecaster(
+        variant=Variant.DIRECT, cell=kind, config=PipelineConfig(vmd=VmdConfig(n_modes=1)),
+        modes=None, mode_values=rng.standard_normal((1, 60)), mode_models=(model,),
+        train_size=48)
+    save_forecaster(forecaster, tmp_path / "model")
+    loaded = load_forecaster(tmp_path / "model").mode_models[0].network
+    assert loaded.config == cfg
     assert np.array_equal(loaded.flat, net.flat)
     for batch in (x[:1], x):
         assert np.array_equal(predict(loaded, batch), predict(net, batch))

@@ -250,6 +250,20 @@ def test_fit_fallback_is_trailing_and_extends_exactly():
     assert flat[-1] == floor
 
 
+@pytest.mark.parametrize("differencing", [False, True])
+def test_fit_fallback_reports_the_likelihood_of_its_path(differencing):
+    # levels: a stationary simulation; differenced: its random walk, which
+    # fails the unit-root rejection
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 250, seed=8).values
+    series = np.cumsum(sim) if differencing else sim
+    fitted = fit(series, GarchSpec(1, 1), FitOptions(max_iter=1))
+    assert fitted.used_rolling_fallback and fitted.used_differencing is differencing
+    a, s2 = fitted.residuals, fitted.sigma2_path
+    assert a.size == s2.size == series.size
+    want = math.fsum(-0.5 * math.log(2 * math.pi * v) - x * x / (2 * v) for x, v in zip(a, s2))
+    assert fitted.log_likelihood == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from scipy import special
 
-from modecast.errors import CorruptModel, EmptyDataset, ShapeMismatch, StaleCache
+from modecast.errors import EmptyDataset, ShapeMismatch, StaleCache
 from modecast.neural import (
     CellKind,
     NetworkConfig,
@@ -20,13 +20,11 @@ from modecast.neural import (
     gru_cell,
     init_adam,
     init_network,
-    load_checkpoint,
     lstm_cell,
     mse_loss,
     mse_loss_grad,
     parameter_count,
     rnn_cell,
-    save_checkpoint,
     train,
     _flatten_grads,
     _rebuild,
@@ -376,11 +374,10 @@ def test_adam_shape_mismatch_rejected():
 
 
 def test_clip_gradients_global_norm():
-    grads = {"a": np.array([3.0, 4.0])}  # norm 5
-    clipped = clip_gradients(grads, 1.0)
-    assert np.allclose(clipped["a"], [0.6, 0.8])
-    untouched = clip_gradients({"a": np.array([0.3, 0.4])}, 1.0)
-    assert np.array_equal(untouched["a"], [0.3, 0.4])
+    clipped = clip_gradients(np.array([3.0, 4.0]), 1.0)  # norm 5
+    assert np.allclose(clipped, [0.6, 0.8])
+    untouched = clip_gradients(np.array([0.3, 0.4]), 1.0)
+    assert np.array_equal(untouched, [0.3, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -427,56 +424,3 @@ def test_train_rejects_empty_dataset():
         train(np.zeros((0, 5, 2)), np.zeros(0),
               NetworkConfig(cell=CellKind.RNN, layers=1, hidden=2, input_features=2))
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_exact(tmp_path):
-    cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=5, input_features=2,
-                        dropout_rate=0.2, seed=17)
-    net = init_network(cfg)
-    path = tmp_path / "net.txt"
-    save_checkpoint(net, path)
-    loaded = load_checkpoint(path)
-    assert loaded.config == cfg
-    a, b = flatten_parameters(net), flatten_parameters(loaded)
-    assert all(np.array_equal(a[k], b[k]) for k in a)
-    seq = np.random.default_rng(3).standard_normal((6, 2))
-    assert forward(net, seq)[0] == forward(loaded, seq)[0]
-
-
-def test_checkpoint_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_malformed_parameter_line_is_typed(tmp_path):
-    cfg = NetworkConfig(cell=CellKind.RNN, layers=1, hidden=3, input_features=2, seed=1)
-    path = tmp_path / "net.txt"
-    save_checkpoint(init_network(cfg), path)
-    lines = path.read_text().splitlines()
-    lines[2] = lines[2].replace("param", "parm", 1)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptModel, match="malformed checkpoint line"):
-        load_checkpoint(path)
-    assert issubclass(CorruptModel, ValueError)
-
-
-def test_truncated_checkpoint_is_typed(tmp_path):
-    cfg = NetworkConfig(cell=CellKind.GRU, layers=2, hidden=2, input_features=2, seed=3)
-    path = tmp_path / "net.txt"
-    save_checkpoint(init_network(cfg), path)
-    text = path.read_text()
-    cut_path = tmp_path / "cut.txt"
-    for cut in range(len(text) - 1):  # every cut that loses part of the final "end"
-        cut_path.write_text(text[:cut])
-        with pytest.raises(CorruptModel):
-            load_checkpoint(cut_path)
-    lines = text.splitlines()
-    for bad in (lines[1].replace("hidden=2 ", ""), lines[1].replace("cell=gru", "cell=cnn")):
-        cut_path.write_text("\n".join([lines[0], bad] + lines[2:]) + "\n")
-        with pytest.raises(CorruptModel):
-            load_checkpoint(cut_path)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modecast.data import load_csv
 from modecast.errors import TooShort
 from modecast.series import TimeSeries
 from modecast.vmd import (
@@ -140,6 +143,17 @@ def test_final_delta_below_tol_when_converged():
     ms = vmd_decompose(np.cos(2 * np.pi * 0.1 * t), cfg)
     assert ms.iterations < cfg.max_iter
     assert ms.final_delta <= cfg.tol
+    assert ms.converged is True
+
+
+def test_reference_settings_do_not_converge_on_cpi_fixture():
+    # K=10, tol 1e-7: the sweep runs out of max_iter, and the mode set says so
+    fixture = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
+    cfg = VmdConfig(n_modes=10, alpha=2000.0, tol=1e-7)
+    ms = vmd_decompose(load_csv(fixture), cfg)
+    assert ms.converged is False
+    assert ms.iterations == cfg.max_iter
+    assert ms.final_delta >= cfg.tol
 
 
 def test_bit_deterministic_across_runs():
@@ -196,13 +210,13 @@ def test_unmirrored_odd_length_signal():
 
 def test_reconstruct_sums_modes():
     ms = ModeSet(modes=np.array([[1.0, 1.0], [2.0, 3.0]]), omegas=np.array([0.1, 0.2]),
-                 residual=np.zeros(2), iterations=1, final_delta=0.0)
+                 residual=np.zeros(2), iterations=1, final_delta=0.0, converged=True)
     assert np.array_equal(reconstruct(ms).values, [3.0, 4.0])
 
 
 def test_reconstruct_single_mode_identity():
     ms = ModeSet(modes=np.array([[1.5, -2.0, 0.25]]), omegas=np.array([0.1]),
-                 residual=np.zeros(3), iterations=1, final_delta=0.0)
+                 residual=np.zeros(3), iterations=1, final_delta=0.0, converged=True)
     assert np.array_equal(reconstruct(ms).values, [1.5, -2.0, 0.25])
 
 
