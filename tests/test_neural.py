@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from scipy import special
 
+from modecast import persist
 from modecast.errors import EmptyDataset, ShapeMismatch, StaleCache
 from modecast.neural import (
     CellKind,
@@ -27,6 +29,7 @@ from modecast.neural import (
     rnn_cell,
     train,
     _flatten_grads,
+    _network,
     _rebuild,
     _sigmoid,
 )
@@ -424,3 +427,26 @@ def test_train_rejects_empty_dataset():
         train(np.zeros((0, 5, 2)), np.zeros(0),
               NetworkConfig(cell=CellKind.RNN, layers=1, hidden=2, input_features=2))
 
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+def test_checkpoint_round_trip_exact(tmp_path):
+    # a network is saved as its config entry in forecaster.json plus its
+    # parameter vector in arrays.npz; both must come back bit for bit
+    cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=5, input_features=2,
+                        dropout_rate=0.2, seed=17)
+    net = init_network(cfg)
+    path = tmp_path / "net.npz"
+    np.savez(path, flat=net.flat)
+    header = json.loads(json.dumps(persist._network_to_dict(cfg)))
+    with np.load(path, allow_pickle=False) as npz:
+        loaded_cfg = persist._network_from_dict(header)
+        loaded = _network(loaded_cfg, persist._array(dict(npz), "flat",
+                                                     (parameter_count(loaded_cfg),)))
+    assert loaded.config == cfg
+    a, b = flatten_parameters(net), flatten_parameters(loaded)
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+    seq = np.random.default_rng(3).standard_normal((6, 2))
+    assert forward(net, seq)[0] == forward(loaded, seq)[0]
