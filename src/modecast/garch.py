@@ -13,6 +13,21 @@ always lands in (0, 1).  Residuals are normalized to unit sample variance
 before the search and alpha0 is scaled back afterwards, which makes the fit
 scale-equivariant to rounding error.
 
+One evaluator, `_Shocks`, serves the search and the public `sigma2_path` and
+`log_likelihood`.  It is built once per residual series and order: the
+squared shocks, the seed, the seeded squared shocks, the convolution's slice
+bounds, the filter's numerator and denominator, its state, the coefficient
+buffer and two length-n work buffers.  Each search call then maps theta to
+the coefficients into the buffer, tests alpha0 > 0 and 0 < sum <= 1 (the
+transform cannot make a lag coefficient negative), convolves the seeded
+squared shocks with the ARCH weights and adds alpha0 in place, writes the
+denominator [1, -betas] and the filter state in place, runs `signal.lfilter`,
+and evaluates the likelihood one ufunc at a time into the work buffers.
+Every step is the arithmetic of the plain expressions (`_theta_to_coeffs`,
+`_filter_state`, the likelihood sum) in the same order, so the search sees
+the same float at every point; only allocations and argument handling are
+saved.
+
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
 for conditional heteroskedasticity (T * R^2 of squared values on their own
@@ -99,9 +114,9 @@ class GarchFit:
     `used_differencing` marks volatility extracted from the first-differenced
     series (taken when the level series fails the unit-root rejection);
     `used_rolling_fallback` marks the trailing rolling-variance path
-    (`rolling_sigma2`) substituted after an optimizer failure, and
-    `log_likelihood` is then the Gaussian likelihood of `residuals` under that
-    path.  `sigma2_path` always has the length of `residuals`.
+    (`rolling_sigma2`) substituted after an optimizer failure.
+    `log_likelihood` is always the Gaussian likelihood of `residuals` under
+    `sigma2_path`, and `sigma2_path` always has the length of `residuals`.
     """
 
     params: GarchParams
@@ -135,17 +150,22 @@ class FitOptions:
 
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
+# `x.sum()` and `x.max()` of a 1-d array, without the method's Python wrapper
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 class _Shocks:
     """One residual series prepared for repeated runs of the variance recursion.
 
     Holds the squared shocks, the pre-sample seed (the sample variance of the
-    residuals) and the squared shocks behind m = max(k, l, 1) seed slots, for
-    the recursion at order (k, l).
+    residuals), the squared shocks behind m = max(k, l, 1) seed slots, and the
+    buffers that the recursion and the likelihood at order (k, l) write into,
+    so a call allocates little beyond what `np.convolve` and `lfilter` return.
     """
 
-    __slots__ = ("a2", "seed", "a2x", "m")
+    __slots__ = ("a2", "seed", "a2x", "_lo", "_hi", "_num", "_denom", "_zi", "_coeffs",
+                 "_alphas", "_betas", "_work", "_work2")
 
     def __init__(self, residuals, k: int, l: int):
         a = np.asarray(residuals, dtype=float).reshape(-1)
@@ -153,41 +173,86 @@ class _Shocks:
             raise TooShort("need at least one residual")
         if not np.isfinite(a).all():
             raise InvalidParams("residuals contain non-finite values")
+        n = a.size
         self.a2 = a * a
         self.seed = float(np.var(a))
-        self.m = max(k, l, 1)
-        self.a2x = np.concatenate([np.full(self.m, self.seed), self.a2])
+        m = max(k, l, 1)
+        self.a2x = np.concatenate([np.full(m, self.seed), self.a2])
+        self._lo, self._hi = m - 1, m - 1 + n  # the convolution's slots 0..n-1
+        self._num = np.ones(1)
+        self._denom = np.ones(l + 1)  # [1, -betas]
+        self._zi = np.empty(l)
+        self._coeffs = np.empty(k + l)
+        self._alphas, self._betas = self._coeffs[:k], self._coeffs[k:]
+        self._work = np.empty(n)
+        self._work2 = np.empty(n)
 
     def sigma2(self, alpha0: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """The variance path over every shock; the coefficients are of order (k, l)."""
-        m = self.m
-        n = self.a2.size
+        """The variance path over every shock, a new array; the coefficients are of order (k, l)."""
         if alphas.size > 0:
-            base = alpha0 + np.convolve(self.a2x, alphas)[m - 1:m - 1 + n]
+            base = np.convolve(self.a2x, alphas)[self._lo:self._hi]
+            base += alpha0
         else:
-            base = np.full(n, alpha0)
+            base = np.full(self.a2.size, alpha0)
         if betas.size == 0:
             return base
         # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-        denom = np.concatenate([[1.0], -betas])
-        s2, _ = signal.lfilter([1.0], denom, base, zi=_filter_state(denom, self.seed))
-        return s2
+        denom = self._denom
+        np.negative(betas, out=denom[1:])
+        zi = _filter_state(denom, self.seed, self._zi)
+        return signal.lfilter(self._num, denom, base, zi=zi)[0]
 
     def log_likelihood(self, s2: np.ndarray) -> float:
-        """Gaussian log-likelihood of the shocks under the variance path `s2`."""
-        return float(np.sum(_NEG_HALF_LOG_2PI - 0.5 * np.log(s2) - self.a2 / (2.0 * s2)))
+        """Gaussian log-likelihood of the shocks under the variance path `s2`.
+
+        The terms of  -ln(2*pi)/2 - ln(s2)/2 - a^2/(2*s2), one ufunc at a time
+        in the expression's own order, written into the two work buffers.
+        """
+        w, w2 = self._work, self._work2
+        np.log(s2, out=w)
+        np.multiply(0.5, w, out=w)
+        np.subtract(_NEG_HALF_LOG_2PI, w, out=w)
+        np.multiply(2.0, s2, out=w2)
+        np.divide(self.a2, w2, out=w2)
+        np.subtract(w, w2, out=w)
+        return float(_sum(w))
+
+    def objective(self, theta: np.ndarray) -> float:
+        """The search objective: -log_likelihood at the coefficients of `theta`.
+
+        The transform is `_theta_to_coeffs`'s, written into a buffer; 1e300
+        wherever the coefficients leave the constraint set or the transform
+        overflows.  The lag coefficients are sigmoid x softmax, never
+        negative, so only alpha0 and their sum are tested.
+        """
+        try:
+            alpha0 = math.exp(min(theta[0], 50.0))
+            total = 1.0 / (1.0 + math.exp(-theta[1]))
+            coeffs = self._coeffs
+            logits = theta[2:]
+            np.subtract(logits, _max(logits), out=coeffs)
+            np.exp(coeffs, out=coeffs)
+            coeffs /= _sum(coeffs)
+            np.multiply(total, coeffs, out=coeffs)
+            alphas, betas = self._alphas, self._betas
+            s = float(_sum(alphas) + _sum(betas))
+            if not (alpha0 > 0 and 0.0 < s <= 1.0):
+                return 1e300
+            return -self.log_likelihood(self.sigma2(alpha0, alphas, betas))
+        except (FloatingPointError, OverflowError):
+            return 1e300
 
 
-def _filter_state(denom: np.ndarray, seed: float) -> np.ndarray:
-    """`lfilter` state for pre-sample outputs all equal to `seed`.
+def _filter_state(denom: np.ndarray, seed: float, out: np.ndarray | None = None) -> np.ndarray:
+    """`lfilter` state for pre-sample outputs all equal to `seed`, in `out` if given.
 
     The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
     written out without its argument handling.
     """
-    l = denom.size - 1
-    zi = np.zeros(l)
-    for j in range(l):
-        zi[j] -= (denom[j + 1:] * seed).sum()
+    scaled = denom * seed
+    zi = np.empty(denom.size - 1) if out is None else out
+    for j in range(zi.size):
+        zi[j] = 0.0 - _sum(scaled[j + 1:])
     return zi
 
 
@@ -285,20 +350,9 @@ def _likelihood_objective(a_norm: np.ndarray, spec: GarchSpec):
     Equals -log_likelihood(_theta_to_params(theta, spec), a_norm) bit for bit,
     and 1e300 wherever that raises (coefficients outside the constraint set,
     an overflowing transform, a floating-point trap).  The residual-dependent
-    work is done once here, not once per call.
+    work and every buffer are set up once here, not once per call.
     """
-    shocks = _Shocks(a_norm, spec.k, spec.l)
-
-    def objective(theta: np.ndarray) -> float:
-        try:
-            alpha0, alphas, betas = _theta_to_coeffs(theta, spec)
-            if _constraint_violation(alpha0, alphas, betas) is not None:
-                return 1e300
-            return -shocks.log_likelihood(shocks.sigma2(alpha0, alphas, betas))
-        except (FloatingPointError, OverflowError):
-            return 1e300
-
-    return objective
+    return _Shocks(a_norm, spec.k, spec.l).objective
 
 
 def _params_to_theta(alpha0: float, coeffs: np.ndarray) -> np.ndarray:
@@ -366,8 +420,8 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     If the demeaned series does not reject a unit root at 5%, volatility is
     extracted from the first-differenced series instead (path length is
     re-aligned by repeating its first value).  If no restart converges, the
-    trailing rolling-variance path (`rolling_sigma2`) is substituted, and
-    `log_likelihood` is that of the returned residuals under it.
+    trailing rolling-variance path (`rolling_sigma2`) is substituted.
+    `log_likelihood` is that of the returned residuals under the returned path.
     Deterministic for fixed options.
     """
     x = residual_source.values if isinstance(residual_source, TimeSeries) else \
@@ -436,13 +490,13 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
         params_norm = flat_norm
     params = replace(params_norm, alpha0=params_norm.alpha0 * scale * scale)
     s2 = sigma2_path(params, a)
-    ll = log_likelihood(params, a)
     if used_differencing:
         s2 = np.concatenate([[s2[0]], s2])  # re-align with the level series length
         a = np.concatenate([[a[0]], a])
-    if not converged:  # the fallback path replaces the search's, and so does its likelihood
+    if not converged:  # the fallback path replaces the search's
         s2 = rolling_sigma2(a, rolling_floor(a))
-        ll = _Shocks(a, 0, 0).log_likelihood(s2)
+    # the likelihood of the returned residuals under the returned path
+    ll = _Shocks(a, 0, 0).log_likelihood(s2)
     return GarchFit(
         params=params, sigma2_path=s2, residuals=a, log_likelihood=ll, mean=mean,
         converged=converged, used_differencing=used_differencing,

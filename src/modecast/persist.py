@@ -11,13 +11,15 @@ bit for bit, so a reloaded forecaster forecasts identically.
 A model directory is outside input: the archive is read with
 `allow_pickle=False`, and any missing, extra, truncated, foreign, mistyped or
 misshapen entry raises `CorruptModel`.  The v1 layout (JSON arrays plus one
-text checkpoint per network) is not read; `modecast train` rewrites it.
+text checkpoint `net_mode_<n>.txt` per network) is not read; saving into a v1
+directory rewrites it and deletes those checkpoints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import zipfile
 import zlib
 from pathlib import Path
@@ -30,6 +32,8 @@ from .pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
 from .series import MinMaxScaler, SplitSpec
 
 FORMAT = "modecast-forecaster v2"
+V1_FORMAT = "modecast-forecaster v1"
+V1_CHECKPOINT = re.compile(r"net_mode_\d+\.txt")
 HEADER = "forecaster.json"
 ARRAYS = "arrays.npz"
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
@@ -88,9 +92,26 @@ def _config_from_dict(d: dict) -> PipelineConfig:
     )
 
 
+def _remove_v1_checkpoints(out: Path) -> None:
+    """Delete the `net_mode_<n>.txt` checkpoints of a v1 model saved in `out`.
+
+    Only a readable v1 header marks them as that model's; every other file,
+    and every file of a directory without one, is left alone."""
+    try:
+        header = json.loads((out / HEADER).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return
+    if not (isinstance(header, dict) and header.get("format") == V1_FORMAT):
+        return
+    for path in out.iterdir():
+        if V1_CHECKPOINT.fullmatch(path.name) and path.is_file():
+            path.unlink()
+
+
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_v1_checkpoints(out)
     arrays = {"mode_values": forecaster.mode_values}
     modes = forecaster.modes
     if modes is not None:
@@ -133,7 +154,7 @@ def load_forecaster(model_dir) -> EnsembleForecaster:
     except json.JSONDecodeError as exc:
         raise CorruptModel(f"unreadable {HEADER} in {root}: {exc}") from exc
     tag = header.get("format") if isinstance(header, dict) else None
-    if tag == "modecast-forecaster v1":
+    if tag == V1_FORMAT:
         raise CorruptModel(f"{root} holds a v1 forecaster, which is no longer read; "
                            "re-run `modecast train` to write it again")
     if tag != FORMAT:

@@ -132,6 +132,34 @@ def test_forecaster_load_rejects_v1_dir(tmp_path):
         load_forecaster(model_dir)
 
 
+def test_resave_over_v1_dir_removes_its_checkpoints_only(tmp_path):
+    fc, model_dir = _saved(tmp_path)
+    header = model_dir / "forecaster.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()),
+                                  "format": "modecast-forecaster v1"}))
+    others = ["net_mode_1.txt.bak", "net_mode_x.txt", "notes.txt"]
+    for name in ["net_mode_1.txt", "net_mode_2.txt", "net_mode_12.txt"] + others:
+        (model_dir / name).write_text("checkpoint\n")
+    save_forecaster(fc, model_dir)
+    assert sorted(p.name for p in model_dir.iterdir()) == sorted(
+        ["arrays.npz", "forecaster.json"] + others)
+    _assert_identical(fc, load_forecaster(model_dir))
+
+
+@pytest.mark.parametrize("header", ['{"format": "modecast-forecaster v2"}',
+                                    '{"format": "something else"}', "not json", None])
+def test_resave_leaves_checkpoint_names_alone_without_a_v1_header(tmp_path, header):
+    fc = fit_forecaster(wavy_series(), Variant.VMD, CellKind.RNN, small_config(epochs=1))
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    if header is not None:
+        (model_dir / "forecaster.json").write_text(header)
+    (model_dir / "net_mode_1.txt").write_text("checkpoint\n")
+    save_forecaster(fc, model_dir)
+    assert sorted(p.name for p in model_dir.iterdir()) == [
+        "arrays.npz", "forecaster.json", "net_mode_1.txt"]
+
+
 def test_forecaster_load_rejects_foreign_arrays_file(tmp_path):
     _, model_dir = _saved(tmp_path)
     arrays = model_dir / "arrays.npz"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal, stats
 
+from modecast import garch
 from modecast.errors import DegenerateSeries, InvalidLags, InvalidParams, TooShort
 from modecast.garch import (
     FitOptions,
@@ -25,8 +26,10 @@ from modecast.garch import (
     sigma2_path,
     simulate,
     step_sigma2,
+    _constraint_violation,
     _filter_state,
     _likelihood_objective,
+    _theta_to_coeffs,
     _theta_to_params,
 )
 from modecast.series import TimeSeries
@@ -182,6 +185,77 @@ def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
     assert rejected >= 40  # both always-invalid edge groups reached the 1e300 branch
 
 
+def _reference_objective(a_norm, spec):
+    """The search objective as written before the buffered evaluator: plain
+    expressions, fresh arrays, every constraint tested."""
+    a = np.asarray(a_norm, dtype=float)
+    n, a2, seed = a.size, a * a, float(np.var(a))
+    m = max(spec.k, spec.l, 1)
+    a2x = np.concatenate([np.full(m, seed), a2])
+
+    def objective(theta):
+        try:
+            alpha0, alphas, betas = _theta_to_coeffs(theta, spec)
+            if _constraint_violation(alpha0, alphas, betas) is not None:
+                return 1e300
+            if alphas.size > 0:
+                s2 = alpha0 + np.convolve(a2x, alphas)[m - 1:m - 1 + n]
+            else:
+                s2 = np.full(n, alpha0)
+            if betas.size > 0:
+                denom = np.concatenate([[1.0], -betas])
+                s2, _ = signal.lfilter([1.0], denom, s2, zi=_filter_state(denom, seed))
+            return -float(np.sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(s2)
+                                 - a2 / (2.0 * s2)))
+        except (FloatingPointError, OverflowError):
+            return 1e300
+
+    return objective
+
+
+SEARCH_ITERS = {(10, 10): 600}  # a capped search keeps the (10,10) case short
+
+
+def _recorded_fit(monkeypatch, make_objective, series, spec):
+    """`fit` with its objective built by `make_objective`, the normalized
+    residuals it searched over, and every point it visited."""
+    searched, visited = [], []
+
+    def recording(a_norm, spec_):
+        searched.append(a_norm)
+        objective = make_objective(a_norm, spec_)
+
+        def record(theta):
+            visited.append(theta.copy())
+            return objective(theta)
+
+        return record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(garch, "_likelihood_objective", recording)
+        fitted = fit(series, spec, FitOptions(max_iter=SEARCH_ITERS.get((spec.k, spec.l))))
+    return fitted, searched[0], visited
+
+
+@pytest.mark.parametrize("k,l", ORDERS)
+def test_evaluator_equals_reference_at_every_searched_point(monkeypatch, k, l):
+    spec = GarchSpec(k, l)
+    series = simulate(GarchParams(0.2, [0.15], [0.6]), 120, seed=20 + k + l).values
+    fitted, a_norm, visited = _recorded_fit(monkeypatch, _likelihood_objective, series, spec)
+    evaluator, reference = _likelihood_objective(a_norm, spec), _reference_objective(a_norm, spec)
+    for theta in visited:
+        assert evaluator(theta) == reference(theta)
+    # the same search, point for point, and the same fit
+    fitted_ref, _, visited_ref = _recorded_fit(monkeypatch, _reference_objective, series, spec)
+    assert len(visited_ref) == len(visited) > 500
+    assert all(np.array_equal(x, y) for x, y in zip(visited, visited_ref))
+    assert fitted.params.alpha0 == fitted_ref.params.alpha0
+    assert np.array_equal(fitted.params.alphas, fitted_ref.params.alphas)
+    assert np.array_equal(fitted.params.betas, fitted_ref.params.betas)
+    assert np.array_equal(fitted.sigma2_path, fitted_ref.sigma2_path)
+    assert fitted.log_likelihood == fitted_ref.log_likelihood
+
+
 def test_log_likelihood_rejects_nan():
     with pytest.raises(InvalidParams):
         log_likelihood(GarchParams(0.1, [0.2], [0.7]), [1.0, float("nan")])
@@ -262,6 +336,23 @@ def test_fit_fallback_reports_the_likelihood_of_its_path(differencing):
     assert a.size == s2.size == series.size
     want = math.fsum(-0.5 * math.log(2 * math.pi * v) - x * x / (2 * v) for x, v in zip(a, s2))
     assert fitted.log_likelihood == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("differencing", [False, True], ids=["plain", "differenced"])
+def test_fit_reports_the_likelihood_of_its_returned_path(differencing):
+    # the converged counterpart of the fallback test above, on the same series
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8).values
+    series = np.cumsum(sim) if differencing else sim
+    fitted = fit(series, GarchSpec(1, 1))
+    assert fitted.converged and fitted.used_differencing is differencing
+    a, s2 = fitted.residuals, fitted.sigma2_path
+    assert a.size == s2.size == series.size
+    want = math.fsum(-0.5 * math.log(2 * math.pi * v) - x * x / (2 * v) for x, v in zip(a, s2))
+    assert fitted.log_likelihood == pytest.approx(want, rel=1e-12)
+    if differencing:  # the search's own n-1 differenced shocks give -432.04
+        assert fitted.log_likelihood == pytest.approx(-434.31, abs=0.005)
+    else:  # bit-identical to the public function on the fitted residuals
+        assert fitted.log_likelihood == log_likelihood(fitted.params, a)
 
 
 # ---------------------------------------------------------------------------
