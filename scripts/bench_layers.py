@@ -15,9 +15,10 @@ engine too.
 For GARCH orders (1,1), (2,2) and (10,10) it takes one fixed segment: the
 training split (85%) of the fifth mode of the committed CPI fixture's K=10
 decomposition, demeaned and scaled to unit variance, as the fit's search
-sees it.  It times the search objective (`garch._likelihood_objective`) at
-OBJECTIVE_POINTS fixed search points, OBJECTIVE_REPEATS passes, and prints
-the median time per call, then times one `garch.fit` of the segment.  Only
+sees it.  It times the search objective (`garch._likelihood_objective`) in
+blocks of OBJECTIVE_POINTS calls at fixed search points, over OBJECTIVE_ROUNDS
+rounds that cycle through the orders, and prints the median block time per
+call, then times one `garch.fit` of the segment.  Only
 `_likelihood_objective` and `fit` are used, so this part too runs against
 older versions of the evaluator.
 
@@ -41,7 +42,7 @@ CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthe
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
 OBJECTIVE_POINTS = 200
-OBJECTIVE_REPEATS = 10
+OBJECTIVE_ROUNDS = 40
 
 
 def main() -> int:
@@ -82,20 +83,23 @@ def main() -> int:
     a = segment - segment.mean()
     a_norm = a / np.std(a)
     print(f"\n{'garch':<7} {'objective us/call':>17} {'fit s':>7}")
+    cases = []
     for k, l in GARCH_ORDERS:
-        spec = garch.GarchSpec(k, l)
-        objective = garch._likelihood_objective(a_norm, spec)
+        objective = garch._likelihood_objective(a_norm, garch.GarchSpec(k, l))
         thetas = np.random.default_rng(4).normal(0.0, 1.0, size=(OBJECTIVE_POINTS, 2 + k + l))
-        calls = []
-        for _ in range(OBJECTIVE_REPEATS):
+        cases.append((objective, list(thetas), []))
+    # rounds cycle through the orders, so each order's blocks span the whole run
+    for _ in range(OBJECTIVE_ROUNDS):
+        for objective, thetas, blocks in cases:
+            t0 = time.perf_counter()
             for theta in thetas:
-                t0 = time.perf_counter()
                 objective(theta)
-                calls.append(time.perf_counter() - t0)
+            blocks.append((time.perf_counter() - t0) / OBJECTIVE_POINTS)
+    for (k, l), (_, _, blocks) in zip(GARCH_ORDERS, cases):
         t0 = time.perf_counter()
-        garch.fit(segment, spec)
+        garch.fit(segment, garch.GarchSpec(k, l))
         fit_s = time.perf_counter() - t0
-        print(f"{f'({k},{l})':<7} {statistics.median(calls) * 1e6:17.1f} {fit_s:7.2f}")
+        print(f"{f'({k},{l})':<7} {statistics.median(blocks) * 1e6:17.1f} {fit_s:7.2f}")
     return 0
 
 

@@ -16,17 +16,16 @@ scale-equivariant to rounding error.
 One evaluator, `_Shocks`, serves the search and the public `sigma2_path` and
 `log_likelihood`.  It is built once per residual series and order: the
 squared shocks, the seed, the seeded squared shocks, the convolution's slice
-bounds, the filter's numerator and denominator, its state, the coefficient
-buffer and two length-n work buffers.  Each search call then maps theta to
-the coefficients into the buffer, tests alpha0 > 0 and 0 < sum <= 1 (the
-transform cannot make a lag coefficient negative), convolves the seeded
-squared shocks with the ARCH weights and adds alpha0 in place, writes the
-denominator [1, -betas] and the filter state in place, runs `signal.lfilter`,
-and evaluates the likelihood one ufunc at a time into the work buffers.
-Every step is the arithmetic of the plain expressions (`_theta_to_coeffs`,
-`_filter_state`, the likelihood sum) in the same order, so the search sees
-the same float at every point; only allocations and argument handling are
-saved.
+bounds, the filter's numerator and denominator, the coefficient buffer and
+two length-n work buffers.  Each search call then maps theta to the
+coefficients with `_theta_to_coeffs`, into the buffer, tests alpha0 > 0 and
+0 < sum <= 1 (the transform cannot make a lag coefficient negative),
+convolves the seeded squared shocks with the ARCH weights and adds alpha0 in
+place, writes the denominator [1, -betas] in place, runs `signal.lfilter`
+from the `_filter_state` of that denominator, and evaluates the likelihood
+one ufunc at a time into the work buffers.  Every step is the arithmetic of
+the plain expressions in the same order, so the search sees the same float
+at every point; only allocations and argument handling are saved.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
@@ -164,8 +163,8 @@ class _Shocks:
     so a call allocates little beyond what `np.convolve` and `lfilter` return.
     """
 
-    __slots__ = ("a2", "seed", "a2x", "_lo", "_hi", "_num", "_denom", "_zi", "_coeffs",
-                 "_alphas", "_betas", "_work", "_work2")
+    __slots__ = ("a2", "seed", "a2x", "_lo", "_hi", "_num", "_denom", "_k", "_coeffs",
+                 "_work", "_work2")
 
     def __init__(self, residuals, k: int, l: int):
         a = np.asarray(residuals, dtype=float).reshape(-1)
@@ -181,9 +180,8 @@ class _Shocks:
         self._lo, self._hi = m - 1, m - 1 + n  # the convolution's slots 0..n-1
         self._num = np.ones(1)
         self._denom = np.ones(l + 1)  # [1, -betas]
-        self._zi = np.empty(l)
+        self._k = k
         self._coeffs = np.empty(k + l)
-        self._alphas, self._betas = self._coeffs[:k], self._coeffs[k:]
         self._work = np.empty(n)
         self._work2 = np.empty(n)
 
@@ -199,7 +197,7 @@ class _Shocks:
         # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
         denom = self._denom
         np.negative(betas, out=denom[1:])
-        zi = _filter_state(denom, self.seed, self._zi)
+        zi = _filter_state(denom, self.seed)
         return signal.lfilter(self._num, denom, base, zi=zi)[0]
 
     def log_likelihood(self, s2: np.ndarray) -> float:
@@ -220,21 +218,13 @@ class _Shocks:
     def objective(self, theta: np.ndarray) -> float:
         """The search objective: -log_likelihood at the coefficients of `theta`.
 
-        The transform is `_theta_to_coeffs`'s, written into a buffer; 1e300
-        wherever the coefficients leave the constraint set or the transform
+        The coefficients are `_theta_to_coeffs`'s, written into a buffer;
+        1e300 wherever they leave the constraint set or the transform
         overflows.  The lag coefficients are sigmoid x softmax, never
         negative, so only alpha0 and their sum are tested.
         """
         try:
-            alpha0 = math.exp(min(theta[0], 50.0))
-            total = 1.0 / (1.0 + math.exp(-theta[1]))
-            coeffs = self._coeffs
-            logits = theta[2:]
-            np.subtract(logits, _max(logits), out=coeffs)
-            np.exp(coeffs, out=coeffs)
-            coeffs /= _sum(coeffs)
-            np.multiply(total, coeffs, out=coeffs)
-            alphas, betas = self._alphas, self._betas
+            alpha0, alphas, betas = _theta_to_coeffs(theta, self._k, self._coeffs)
             s = float(_sum(alphas) + _sum(betas))
             if not (alpha0 > 0 and 0.0 < s <= 1.0):
                 return 1e300
@@ -243,14 +233,14 @@ class _Shocks:
             return 1e300
 
 
-def _filter_state(denom: np.ndarray, seed: float, out: np.ndarray | None = None) -> np.ndarray:
-    """`lfilter` state for pre-sample outputs all equal to `seed`, in `out` if given.
+def _filter_state(denom: np.ndarray, seed: float) -> np.ndarray:
+    """`lfilter` state for pre-sample outputs all equal to `seed`.
 
     The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
     written out without its argument handling.
     """
     scaled = denom * seed
-    zi = np.empty(denom.size - 1) if out is None else out
+    zi = np.empty(denom.size - 1)
     for j in range(zi.size):
         zi[j] = 0.0 - _sum(scaled[j + 1:])
     return zi
@@ -329,19 +319,24 @@ def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
 # Maximum-likelihood fit
 # ---------------------------------------------------------------------------
 
-def _theta_to_coeffs(theta: np.ndarray, spec: GarchSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    """(alpha0, alphas, betas) of a search point; OverflowError for theta[1] below about -709."""
+def _theta_to_coeffs(theta: np.ndarray, k: int,
+                     out: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """(alpha0, alphas, betas) of a search point with k ARCH lags, the lag
+    coefficients written into `out` if given; OverflowError for theta[1]
+    below about -709."""
     alpha0 = math.exp(min(theta[0], 50.0))
     total = 1.0 / (1.0 + math.exp(-theta[1]))
-    w = theta[2:] - theta[2:].max()
-    p = np.exp(w)
-    p /= p.sum()
-    coeffs = total * p
-    return alpha0, coeffs[:spec.k], coeffs[spec.k:]
+    logits = theta[2:]
+    coeffs = np.empty(logits.size) if out is None else out
+    np.subtract(logits, _max(logits), out=coeffs)  # softmax, shifted by the max
+    np.exp(coeffs, out=coeffs)
+    coeffs /= _sum(coeffs)
+    np.multiply(total, coeffs, out=coeffs)
+    return alpha0, coeffs[:k], coeffs[k:]
 
 
 def _theta_to_params(theta: np.ndarray, spec: GarchSpec) -> GarchParams:
-    return GarchParams(*_theta_to_coeffs(theta, spec))
+    return GarchParams(*_theta_to_coeffs(theta, spec.k))
 
 
 def _likelihood_objective(a_norm: np.ndarray, spec: GarchSpec):

@@ -29,7 +29,6 @@ from modecast.garch import (
     _constraint_violation,
     _filter_state,
     _likelihood_objective,
-    _theta_to_coeffs,
     _theta_to_params,
 )
 from modecast.series import TimeSeries
@@ -195,7 +194,13 @@ def _reference_objective(a_norm, spec):
 
     def objective(theta):
         try:
-            alpha0, alphas, betas = _theta_to_coeffs(theta, spec)
+            alpha0 = math.exp(min(theta[0], 50.0))
+            total = 1.0 / (1.0 + math.exp(-theta[1]))
+            w = theta[2:] - theta[2:].max()
+            p = np.exp(w)
+            p /= p.sum()
+            coeffs = total * p
+            alphas, betas = coeffs[:spec.k], coeffs[spec.k:]
             if _constraint_violation(alpha0, alphas, betas) is not None:
                 return 1e300
             if alphas.size > 0:
