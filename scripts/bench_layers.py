@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
-backpropagation-through-time step per cell kind) and of the GARCH search
-(one likelihood evaluation and one full fit per order).
+backpropagation-through-time step per cell kind) and stage timing of the
+GARCH fit.
 
     python3 scripts/bench_layers.py
 
@@ -12,15 +12,13 @@ divided by the step count.  Only `init_network`, `_forward_batch` and
 `backward` are used, so the script runs against older versions of the
 engine too.
 
-For GARCH orders (1,1), (2,2) and (10,10) it takes one fixed segment: the
-training split (85%) of the fifth mode of the committed CPI fixture's K=10
-decomposition, demeaned and scaled to unit variance, as the fit's search
-sees it.  It times the search objective (`garch._likelihood_objective`) in
-blocks of OBJECTIVE_POINTS calls at fixed search points, over OBJECTIVE_ROUNDS
-rounds that cycle through the orders, and prints the median block time per
-call, then times one `garch.fit` of the segment.  Only
-`_likelihood_objective` and `fit` are used, so this part too runs against
-older versions of the evaluator.
+For GARCH it takes the training split (85%) of each mode of the committed
+CPI fixture's K=10 decomposition: the ten segments a comparison fits.  At
+(1,1) and (2,2) it fits the ten segments two ways, one `garch.fit` per
+segment and one `garch.fit_many` over all ten, interleaved in one process
+over GARCH_ROUNDS rounds (alternating which way goes first), so the host's
+speed phases fall on both alike; it prints the median of each way and their
+ratio.  Then it times one `garch.fit` of the fifth mode's segment at (10,10).
 
 BLAS runs on one thread, fixed before numpy loads, and the process is pinned
 to one CPU.
@@ -37,12 +35,11 @@ from pathlib import Path
 SIZES = ((32, 16), (32, 64))  # (batch, hidden)
 SEQ_LEN = 25
 REPEATS = 300
-GARCH_ORDERS = ((1, 1), (2, 2), (10, 10))
+GARCH_ORDERS = ((1, 1), (2, 2))
+GARCH_ROUNDS = 5
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
-OBJECTIVE_POINTS = 200
-OBJECTIVE_ROUNDS = 40
 
 
 def main() -> int:
@@ -79,27 +76,26 @@ def main() -> int:
 
     series = data.load_csv(CPI_FIXTURE)
     modes = vmd.vmd_decompose(series, vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7))
-    segment = modes.modes[CPI_MODE, :int(np.floor(0.85 * len(series)))]
-    a = segment - segment.mean()
-    a_norm = a / np.std(a)
-    print(f"\n{'garch':<7} {'objective us/call':>17} {'fit s':>7}")
-    cases = []
+    segments = list(modes.modes[:, :int(np.floor(0.85 * len(series)))])
+    ways = {
+        "fit": lambda spec: [garch.fit(segment, spec) for segment in segments],
+        "fit_many": lambda spec: garch.fit_many(segments, spec),
+    }
+    times = {(order, way): [] for order in GARCH_ORDERS for way in ways}
+    for r in range(GARCH_ROUNDS):
+        for order in GARCH_ORDERS:
+            for way in sorted(ways, reverse=r % 2 == 1):
+                t0 = time.perf_counter()
+                ways[way](garch.GarchSpec(*order))
+                times[order, way].append(time.perf_counter() - t0)
+    print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6}")
     for k, l in GARCH_ORDERS:
-        objective = garch._likelihood_objective(a_norm, garch.GarchSpec(k, l))
-        thetas = np.random.default_rng(4).normal(0.0, 1.0, size=(OBJECTIVE_POINTS, 2 + k + l))
-        cases.append((objective, list(thetas), []))
-    # rounds cycle through the orders, so each order's blocks span the whole run
-    for _ in range(OBJECTIVE_ROUNDS):
-        for objective, thetas, blocks in cases:
-            t0 = time.perf_counter()
-            for theta in thetas:
-                objective(theta)
-            blocks.append((time.perf_counter() - t0) / OBJECTIVE_POINTS)
-    for (k, l), (_, _, blocks) in zip(GARCH_ORDERS, cases):
-        t0 = time.perf_counter()
-        garch.fit(segment, garch.GarchSpec(k, l))
-        fit_s = time.perf_counter() - t0
-        print(f"{f'({k},{l})':<7} {statistics.median(blocks) * 1e6:17.1f} {fit_s:7.2f}")
+        one_by_one = statistics.median(times[(k, l), "fit"])
+        together = statistics.median(times[(k, l), "fit_many"])
+        print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} {together / one_by_one:6.2f}")
+    t0 = time.perf_counter()
+    garch.fit(segments[CPI_MODE], garch.GarchSpec(10, 10))
+    print(f"{'(10,10)':<7} one segment: {time.perf_counter() - t0:.2f} s")
     return 0
 
 

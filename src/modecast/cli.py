@@ -158,8 +158,8 @@ def _cmd_garch_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, pipe_cfg.vmd)
     _write_modes_csv(mode_set, out_dir)
-    for i in range(mode_set.n_modes):
-        fit = garch_mod.fit(mode_set.modes[i], pipe_cfg.garch, pipe_cfg.garch_options)
+    fits = garch_mod.fit_many(mode_set.modes, pipe_cfg.garch, pipe_cfg.garch_options)
+    for i, fit in enumerate(fits):
         payload = {
             "mode": i + 1,
             "alpha0": fit.params.alpha0,

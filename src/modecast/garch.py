@@ -13,19 +13,26 @@ always lands in (0, 1).  Residuals are normalized to unit sample variance
 before the search and alpha0 is scaled back afterwards, which makes the fit
 scale-equivariant to rounding error.
 
-One evaluator, `_Shocks`, serves the search and the public `sigma2_path` and
-`log_likelihood`.  It is built once per residual series and order: the
-squared shocks, the seed, the seeded squared shocks, the convolution's slice
-bounds, the filter's numerator and denominator, the coefficient buffer and
-two length-n work buffers.  Each search call then maps theta to the
-coefficients with `_theta_to_coeffs`, into the buffer, tests alpha0 > 0 and
-0 < sum <= 1 (the transform cannot make a lag coefficient negative),
-convolves the seeded squared shocks with the ARCH weights and adds alpha0 in
-place, writes the denominator [1, -betas] in place, runs `signal.lfilter`
-from the `_filter_state` of that denominator, and evaluates the likelihood
-one ufunc at a time into the work buffers.  Every step is the arithmetic of
-the plain expressions in the same order, so the search sees the same float
-at every point; only allocations and argument handling are saved.
+The search is scipy's Nelder-Mead, three restarts per series, run in
+lockstep: `_nelder_mead` transcribes scipy's `_minimize_neldermead` over
+arrays of simplices, so all the searches of a `fit_many` call (three per
+series) advance one iteration per round, and each round hands every pending
+point of every search to the evaluator in at most three batched calls.
+Each search visits the points scipy's would, in the same order, and ends
+where it would.  `fit` is `fit_many` of one series.
+
+One batched evaluator, `_Batch`, is the only variance recursion: it serves
+the search, `fit`'s final steps and the public `sigma2_path` and
+`log_likelihood`.  It holds the squared shocks and seeds of many series,
+zero-padded to the longest, and evaluates many rows at once, row r being one
+series under one set of coefficients.  Per row it runs only `math.exp`
+(alpha0 and the sigmoid) and `signal.lfilter` over the row's own length;
+the softmax, the filter states, the ARCH convolution (lags summed highest
+first, as `np.convolve` does) and the likelihood terms run over all rows at
+once, and each row's likelihood is summed by its own reduction.  Every step
+is the plain per-series arithmetic in the same order, so each row gets the
+float it would get alone; the per-row `lfilter` call is the evaluation cost
+left.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
@@ -39,7 +46,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, signal, stats
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import signal, stats
 
 from .errors import (
     DegenerateSeries,
@@ -149,101 +157,133 @@ class FitOptions:
 
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
-# `x.sum()` and `x.max()` of a 1-d array, without the method's Python wrapper
+_ONE = np.ones(1)  # the variance filter's numerator
+# `x.sum()`, `x.max()` and `x.min()`, without the method's Python wrapper
 _sum = np.add.reduce
 _max = np.maximum.reduce
+_min = np.minimum.reduce
 
 
-class _Shocks:
-    """One residual series prepared for repeated runs of the variance recursion.
+def _padded(arrays, fill: float) -> np.ndarray:
+    """1-d arrays as the rows of one matrix, each followed by `fill` up to the longest."""
+    out = np.full((len(arrays), max(a.size for a in arrays)), fill)
+    for row, a in zip(out, arrays):
+        row[:a.size] = a
+    return out
 
-    Holds the squared shocks, the pre-sample seed (the sample variance of the
-    residuals), the squared shocks behind m = max(k, l, 1) seed slots, and the
-    buffers that the recursion and the likelihood at order (k, l) write into,
-    so a call allocates little beyond what `np.convolve` and `lfilter` return.
+
+class _Batch:
+    """Residual series prepared for batched runs of the variance recursion at order (k, l).
+
+    Holds, per series, its length, the pre-sample seed (the sample variance
+    of the residuals), the squared shocks, and the squared shocks behind
+    m = max(k, l, 1) seed slots, zero-padded to the longest series.  Each
+    call evaluates many rows at once: row r runs series `rows[r]` with its
+    own coefficients, and gets the same floats it would get alone.
     """
 
-    __slots__ = ("a2", "seed", "a2x", "_lo", "_hi", "_num", "_denom", "_k", "_coeffs",
-                 "_work", "_work2")
+    __slots__ = ("k", "l", "lengths", "seeds", "a2", "a2x")
 
     def __init__(self, residuals, k: int, l: int):
-        a = np.asarray(residuals, dtype=float).reshape(-1)
-        if a.size < 1:
-            raise TooShort("need at least one residual")
-        if not np.isfinite(a).all():
-            raise InvalidParams("residuals contain non-finite values")
-        n = a.size
-        self.a2 = a * a
-        self.seed = float(np.var(a))
+        series = [np.asarray(a, dtype=float).reshape(-1) for a in residuals]
+        for a in series:
+            if a.size < 1:
+                raise TooShort("need at least one residual")
+            if not np.isfinite(a).all():
+                raise InvalidParams("residuals contain non-finite values")
+        self.k, self.l = k, l
+        self.lengths = np.array([a.size for a in series])
+        self.seeds = np.array([float(np.var(a)) for a in series])
+        self.a2 = _padded([a * a for a in series], 0.0)
         m = max(k, l, 1)
-        self.a2x = np.concatenate([np.full(m, self.seed), self.a2])
-        self._lo, self._hi = m - 1, m - 1 + n  # the convolution's slots 0..n-1
-        self._num = np.ones(1)
-        self._denom = np.ones(l + 1)  # [1, -betas]
-        self._k = k
-        self._coeffs = np.empty(k + l)
-        self._work = np.empty(n)
-        self._work2 = np.empty(n)
+        self.a2x = np.concatenate([np.repeat(self.seeds[:, None], m, axis=1), self.a2], axis=1)
 
-    def sigma2(self, alpha0: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """The variance path over every shock, a new array; the coefficients are of order (k, l)."""
-        if alphas.size > 0:
-            base = np.convolve(self.a2x, alphas)[self._lo:self._hi]
-            base += alpha0
+    def sigma2(self, rows: np.ndarray, alpha0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Variance paths of series `rows[r]` under alpha0[r] and the lag
+        coefficients coeffs[r] = [alphas, betas], one row each, every row
+        as wide as the longest series; slots past a series' length are padding.
+
+        The ARCH lags are summed highest first, over all rows at once, which
+        is `np.convolve`'s order (bit for bit up to 11 lags); the GARCH lags
+        run `signal.lfilter` row by row over the series' own length, from the
+        `_filter_state` of the row's denominator [1, -betas].
+        """
+        k, l = self.k, self.l
+        width = self.a2.shape[1]
+        if k > 0:
+            a2x = self.a2x[rows]
+            lo = max(k, l, 1) - 1  # a2x[lo + t - i] is slot t's lag-(i+1) square
+            base = coeffs[:, k - 1:k] * a2x[:, lo - k + 1:lo - k + 1 + width]
+            for i in range(k - 2, -1, -1):
+                base += coeffs[:, i:i + 1] * a2x[:, lo - i:lo - i + width]
+            base += alpha0[:, None]
         else:
-            base = np.full(self.a2.size, alpha0)
-        if betas.size == 0:
+            base = np.repeat(alpha0[:, None], width, axis=1)
+        if l == 0:
             return base
         # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-        denom = self._denom
-        np.negative(betas, out=denom[1:])
-        zi = _filter_state(denom, self.seed)
-        return signal.lfilter(self._num, denom, base, zi=zi)[0]
+        denom = np.empty((rows.size, l + 1))
+        denom[:, 0] = 1.0
+        np.negative(coeffs[:, k:], out=denom[:, 1:])
+        zi = _filter_state(denom, self.seeds[rows, None])
+        s2 = np.ones_like(base)
+        for r, n in enumerate(self.lengths[rows].tolist()):
+            s2[r, :n] = signal.lfilter(_ONE, denom[r], base[r, :n], zi=zi[r])[0]
+        return s2
 
-    def log_likelihood(self, s2: np.ndarray) -> float:
-        """Gaussian log-likelihood of the shocks under the variance path `s2`.
+    def log_likelihood(self, rows: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """Gaussian log-likelihood of series `rows[r]` under the path s2[r], one per row.
 
-        The terms of  -ln(2*pi)/2 - ln(s2)/2 - a^2/(2*s2), one ufunc at a time
-        in the expression's own order, written into the two work buffers.
+        `s2` is laid out as `sigma2` returns it, with positive padding.  The
+        terms -ln(2*pi)/2 - ln(s2)/2 - a^2/(2*s2) are computed one ufunc at a
+        time over all rows; then each row is summed over its own length by
+        its own reduction, as the series alone would be.
         """
-        w, w2 = self._work, self._work2
-        np.log(s2, out=w)
+        w = np.log(s2)
         np.multiply(0.5, w, out=w)
         np.subtract(_NEG_HALF_LOG_2PI, w, out=w)
-        np.multiply(2.0, s2, out=w2)
-        np.divide(self.a2, w2, out=w2)
+        w2 = np.multiply(2.0, s2)
+        np.divide(self.a2[rows], w2, out=w2)
         np.subtract(w, w2, out=w)
-        return float(_sum(w))
+        return np.array([_sum(w[r, :n]) for r, n in enumerate(self.lengths[rows].tolist())])
 
-    def objective(self, theta: np.ndarray) -> float:
-        """The search objective: -log_likelihood at the coefficients of `theta`.
+    def objective(self, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """The search objective of point thetas[r] over series rows[r], one per row.
 
-        The coefficients are `_theta_to_coeffs`'s, written into a buffer;
-        1e300 wherever they leave the constraint set or the transform
-        overflows.  The lag coefficients are sigmoid x softmax, never
-        negative, so only alpha0 and their sum are tested.
+        -log_likelihood at the coefficients of `_theta_to_coeffs`, and 1e300
+        wherever they leave the constraint set.  The lag coefficients are
+        sigmoid x softmax, never negative, so only alpha0 > 0 and
+        0 < sum <= 1 are tested; rejected rows are not run.
         """
-        try:
-            alpha0, alphas, betas = _theta_to_coeffs(theta, self._k, self._coeffs)
-            s = float(_sum(alphas) + _sum(betas))
-            if not (alpha0 > 0 and 0.0 < s <= 1.0):
-                return 1e300
-            return -self.log_likelihood(self.sigma2(alpha0, alphas, betas))
-        except (FloatingPointError, OverflowError):
-            return 1e300
+        alpha0, coeffs = _theta_to_coeffs(thetas)
+        total = _sum(coeffs[:, :self.k], axis=1) + _sum(coeffs[:, self.k:], axis=1)
+        valid = np.flatnonzero((alpha0 > 0) & (0.0 < total) & (total <= 1.0))
+        out = np.full(rows.size, 1e300)
+        if valid.size:
+            rows = rows[valid]
+            s2 = self.sigma2(rows, alpha0[valid], coeffs[valid])
+            out[valid] = -self.log_likelihood(rows, s2)
+        return out
 
 
-def _filter_state(denom: np.ndarray, seed: float) -> np.ndarray:
-    """`lfilter` state for pre-sample outputs all equal to `seed`.
+def _filter_state(denom: np.ndarray, seed) -> np.ndarray:
+    """`lfilter` state for pre-sample outputs all equal to `seed`, per row of
+    `denom` (with `seed` broadcast against it) or for one denominator.
 
     The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
-    written out without its argument handling.
+    written out without its argument handling, one state slot at a time.
     """
     scaled = denom * seed
-    zi = np.empty(denom.size - 1)
-    for j in range(zi.size):
-        zi[j] = 0.0 - _sum(scaled[j + 1:])
+    zi = np.empty(scaled.shape[:-1] + (scaled.shape[-1] - 1,))
+    for j in range(zi.shape[-1]):
+        zi[..., j] = 0.0 - _sum(scaled[..., j + 1:], axis=-1)
     return zi
+
+
+def _coeff_rows(params) -> tuple[np.ndarray, np.ndarray]:
+    """alpha0 and the lag coefficients [alphas, betas] of each parameter set, one row each."""
+    return (np.array([p.alpha0 for p in params]),
+            np.array([np.concatenate([p.alphas, p.betas]) for p in params]))
 
 
 def sigma2_path(params: GarchParams, residuals) -> np.ndarray:
@@ -253,14 +293,14 @@ def sigma2_path(params: GarchParams, residuals) -> np.ndarray:
     variance of the residuals, so the first output value is fully determined
     by the coefficients and that seed.
     """
-    shocks = _Shocks(residuals, params.k, params.l)
-    return shocks.sigma2(params.alpha0, params.alphas, params.betas)
+    batch, rows = _Batch([residuals], params.k, params.l), np.zeros(1, dtype=np.intp)
+    return batch.sigma2(rows, *_coeff_rows([params]))[0]
 
 
 def log_likelihood(params: GarchParams, residuals) -> float:
     """Gaussian log-likelihood sum_t [-ln(2*pi)/2 - ln(s2_t)/2 - a_t^2/(2*s2_t)]."""
-    shocks = _Shocks(residuals, params.k, params.l)
-    return shocks.log_likelihood(shocks.sigma2(params.alpha0, params.alphas, params.betas))
+    batch, rows = _Batch([residuals], params.k, params.l), np.zeros(1, dtype=np.intp)
+    return float(batch.log_likelihood(rows, batch.sigma2(rows, *_coeff_rows([params])))[0])
 
 
 def forecast_sigma2(fit: GarchFit) -> float:
@@ -319,35 +359,33 @@ def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
 # Maximum-likelihood fit
 # ---------------------------------------------------------------------------
 
-def _theta_to_coeffs(theta: np.ndarray, k: int,
-                     out: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """(alpha0, alphas, betas) of a search point with k ARCH lags, the lag
-    coefficients written into `out` if given; OverflowError for theta[1]
-    below about -709."""
-    alpha0 = math.exp(min(theta[0], 50.0))
-    total = 1.0 / (1.0 + math.exp(-theta[1]))
-    logits = theta[2:]
-    coeffs = np.empty(logits.size) if out is None else out
-    np.subtract(logits, _max(logits), out=coeffs)  # softmax, shifted by the max
+def _theta_to_coeffs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha0 and the lag coefficients [alphas, betas] of search points, one row each.
+
+    alpha0 = exp(min(theta0, 50)) and the sigmoid of theta1 are taken row by
+    row with `math.exp`; a sigmoid whose exp overflows (theta1 below about
+    -709) is its limit 0.  The lag coefficients, that sigmoid times the
+    softmax of theta[2:], are computed over all rows at once.
+    """
+    alpha0 = np.empty(thetas.shape[0])
+    total = np.empty(thetas.shape[0])
+    for r, (t0, t1) in enumerate(thetas[:, :2].tolist()):
+        alpha0[r] = math.exp(min(t0, 50.0))
+        try:
+            total[r] = 1.0 / (1.0 + math.exp(-t1))
+        except OverflowError:
+            total[r] = 0.0
+    logits = thetas[:, 2:]
+    coeffs = logits - _max(logits, axis=1, keepdims=True)  # softmax, shifted by the max
     np.exp(coeffs, out=coeffs)
-    coeffs /= _sum(coeffs)
-    np.multiply(total, coeffs, out=coeffs)
-    return alpha0, coeffs[:k], coeffs[k:]
+    coeffs /= _sum(coeffs, axis=1, keepdims=True)
+    coeffs *= total[:, None]
+    return alpha0, coeffs
 
 
 def _theta_to_params(theta: np.ndarray, spec: GarchSpec) -> GarchParams:
-    return GarchParams(*_theta_to_coeffs(theta, spec.k))
-
-
-def _likelihood_objective(a_norm: np.ndarray, spec: GarchSpec):
-    """The search objective: theta -> negative log-likelihood of `a_norm`.
-
-    Equals -log_likelihood(_theta_to_params(theta, spec), a_norm) bit for bit,
-    and 1e300 wherever that raises (coefficients outside the constraint set,
-    an overflowing transform, a floating-point trap).  The residual-dependent
-    work and every buffer are set up once here, not once per call.
-    """
-    return _Shocks(a_norm, spec.k, spec.l).objective
+    alpha0, coeffs = _theta_to_coeffs(theta[None])
+    return GarchParams(float(alpha0[0]), coeffs[0, :spec.k], coeffs[0, spec.k:])
 
 
 def _params_to_theta(alpha0: float, coeffs: np.ndarray) -> np.ndarray:
@@ -386,8 +424,11 @@ def rolling_sigma2(shocks, floor: float) -> np.ndarray:
     """
     a = np.asarray(shocks, dtype=float).reshape(-1)
     out = np.empty(a.size)
-    for t in range(a.size):
-        out[t] = np.var(a[max(0, t - ROLLING_WINDOW + 1):t + 1])
+    head = min(a.size, ROLLING_WINDOW - 1)  # slots with fewer shocks than the window
+    for t in range(head):
+        out[t] = np.var(a[:t + 1])
+    if a.size >= ROLLING_WINDOW:
+        out[head:] = sliding_window_view(a, ROLLING_WINDOW).var(axis=-1)
     return np.maximum(out, floor)
 
 
@@ -408,17 +449,113 @@ def extend_sigma2(fit: GarchFit, shocks) -> np.ndarray:
     return s2
 
 
-def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
-        options: FitOptions = FitOptions()) -> GarchFit:
-    """Demean the series and maximize the Gaussian likelihood over the constraint set.
+@dataclass(frozen=True)
+class _Searches:
+    """What `_nelder_mead` found, one entry per search, named as in scipy's result."""
 
-    If the demeaned series does not reject a unit root at 5%, volatility is
-    extracted from the first-differenced series instead (path length is
-    re-aligned by repeating its first value).  If no restart converges, the
-    trailing rolling-variance path (`rolling_sigma2`) is substituted.
-    `log_likelihood` is that of the returned residuals under the returned path.
-    Deterministic for fixed options.
+    x: np.ndarray  # (searches, dim) best vertex
+    fun: np.ndarray
+    nit: np.ndarray
+    nfev: np.ndarray
+    success: np.ndarray
+    f_start: np.ndarray  # the objective at the start point
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each simplex ordered by its vertices' values, as scipy's `np.argsort` + `np.take`."""
+    order = np.argsort(fsim, axis=1)
+    each = np.arange(order.shape[0])[:, None]
+    return sim[each, order], fsim[each, order]
+
+
+def _nelder_mead(evaluate, starts: np.ndarray, max_iter: int, xatol: float, fatol: float,
+                 adaptive: bool) -> _Searches:
+    """Nelder-Mead from every row of `starts`, all searches advancing in lockstep.
+
+    A transcription of scipy's `_minimize_neldermead` with `maxiter` given
+    and no bounds, so no limit on function calls: the same initial simplex,
+    convergence test, reflection, expansion, contraction and shrink, the
+    same sorts and, if `adaptive`, Gao & Han's dimension-dependent
+    coefficients (Comput. Optim. Appl. 51(1), 2012).  Each search visits the
+    points scipy's would in the same order and ends with the same x, fun,
+    nit, nfev and success.  A round advances every live search by one
+    iteration and passes its points to `evaluate(searches, points)`, which
+    returns the objective at points[r] for search searches[r], in at most
+    three calls: the reflections, then the expansions and contractions, then
+    the shrunk vertices.
     """
+    n_search, n = starts.shape
+    if adaptive:
+        dim = float(n)
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    axes = np.arange(n)
+    sim[:, axes + 1, axes] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
+    everyone = np.arange(n_search)
+    fsim = evaluate(np.repeat(everyone, n + 1), sim.reshape(-1, n)).reshape(n_search, n + 1)
+    f_start = fsim[:, 0].copy()
+    for _ in range(2):  # scipy sorts the first simplex twice
+        sim, fsim = _sorted(sim, fsim)
+    nit = np.ones(n_search, dtype=np.intp)
+    nfev = np.full(n_search, n + 1, dtype=np.intp)
+    live = everyone
+    while True:
+        live = live[nit[live] < max_iter]
+        s, f = sim[live], fsim[live]
+        done = ((_max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
+                & (_max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol))
+        live, s, f = live[~done], s[~done], f[~done]
+        if live.size == 0:
+            break
+        xbar = _sum(s[:, :-1], axis=1) / n
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = evaluate(live, xr)
+        expand = fxr < f[:, 0]
+        reflect = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~reflect & (fxr < f[:, -1])
+        inside = ~(expand | reflect | outside)
+        second = ~reflect
+        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = fxr.copy()
+        if second.any():
+            f2[second] = evaluate(live[second], x2[second])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
+        shrink = (outside | inside) & ~take2
+        stay = ~shrink
+        s[stay, -1] = np.where(take2[:, None], x2, xr)[stay]
+        f[stay, -1] = np.where(take2, f2, fxr)[stay]
+        if shrink.any():
+            shrunk = s[shrink]
+            shrunk[:, 1:] = shrunk[:, :1] + sigma * (shrunk[:, 1:] - shrunk[:, :1])
+            s[shrink] = shrunk
+            f[shrink, 1:] = evaluate(np.repeat(live[shrink], n),
+                                     shrunk[:, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+        nfev[live] += 1 + second
+        nit[live] += 1
+        sim[live], fsim[live] = _sorted(s, f)
+    return _Searches(x=sim[:, 0].copy(), fun=_min(fsim, axis=1), nit=nit, nfev=nfev,
+                     success=nit < max_iter, f_start=f_start)
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """One series made ready for the search, as `fit` describes."""
+
+    a: np.ndarray  # the demeaned (perhaps differenced) series the fit describes
+    a_norm: np.ndarray  # `a` at unit sample variance: what the search sees
+    mean: float
+    scale: float
+    used_differencing: bool
+
+
+def _prepare(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
+             options: FitOptions) -> _Prepared:
     x = residual_source.values if isinstance(residual_source, TimeSeries) else \
         np.asarray(residual_source, dtype=float).reshape(-1)
     n = x.size
@@ -445,58 +582,95 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     scale = float(np.std(a))
     if scale == 0.0:
         raise DegenerateSeries("zero-variance series after demeaning")
-    a_norm = a / scale
+    return _Prepared(a=a, a_norm=a / scale, mean=mean, scale=scale,
+                     used_differencing=used_differencing)
 
-    dim = 2 + spec.k + spec.l
+
+def fit_many(residual_sources, spec: GarchSpec,
+             options: FitOptions = FitOptions()) -> list[GarchFit]:
+    """`fit` of every series in `residual_sources`, with all their searches run together.
+
+    Each series is prepared as `fit` describes; then the three searches of
+    every series advance in lockstep through `_nelder_mead`, each round's
+    points of all of them evaluated in one batched call; then each series is
+    finished on its own searches' results.  Each fit equals `fit` of that
+    series alone, bit for bit, whatever else is in the batch.
+    """
+    prepared = [_prepare(source, spec, options) for source in residual_sources]
+    if not prepared:
+        return []
+    k, l = spec.k, spec.l
+    dim = 2 + k + l
     if options.max_iter is not None:
         max_iter = options.max_iter
     else:
         max_iter = 200 * dim if dim <= 8 else 500 * dim
 
-    objective = _likelihood_objective(a_norm, spec)
-    best_ll = -math.inf
-    best_theta = None
-    converged = False
-    start_lls = []
-    for theta0 in _start_points(spec):
-        start_lls.append(-objective(theta0))
-        res = optimize.minimize(
-            objective, theta0, method="Nelder-Mead",
-            options={"maxiter": max_iter, "xatol": options.xatol,
-                     "fatol": options.fatol, "adaptive": dim > 6},
-        )
-        converged = converged or bool(res.success)
-        if -res.fun > best_ll:  # simplex never returns worse than its start
-            best_ll = -res.fun
-            best_theta = res.x
-
-    params_norm = _theta_to_params(best_theta, spec)
+    starts = np.array(_start_points(spec))
+    per_series = starts.shape[0]
+    normalized = _Batch([p.a_norm for p in prepared], k, l)
+    series_of = np.repeat(np.arange(len(prepared)), per_series)
+    found = _nelder_mead(lambda searches, points: normalized.objective(series_of[searches], points),
+                         np.tile(starts, (len(prepared), 1)), max_iter, options.xatol,
+                         options.fatol, adaptive=dim > 6)
 
     # The likelihood is flat in the lag coefficients along alpha ~ 0 (any
     # persistence reproduces a near-constant variance path), so dynamics are
     # kept only when they beat the constant-variance boundary by a BIC-style
     # margin; otherwise collapse to the near-constant point on the ridge.
-    n_obs = a_norm.size
-    coeffs_flat = np.full(spec.k + spec.l, 0.01 / (spec.k + spec.l))
-    flat_norm = GarchParams(alpha0=0.99, alphas=coeffs_flat[:spec.k], betas=coeffs_flat[spec.k:])
-    ll_flat = log_likelihood(flat_norm, a_norm)
-    margin = 0.5 * math.log(n_obs) * (spec.k + spec.l)
-    if best_ll - ll_flat < margin and ll_flat >= max(start_lls):
-        params_norm = flat_norm
-    params = replace(params_norm, alpha0=params_norm.alpha0 * scale * scale)
-    s2 = sigma2_path(params, a)
-    if used_differencing:
-        s2 = np.concatenate([[s2[0]], s2])  # re-align with the level series length
-        a = np.concatenate([[a[0]], a])
-    if not converged:  # the fallback path replaces the search's
-        s2 = rolling_sigma2(a, rolling_floor(a))
+    everyone = np.arange(len(prepared))
+    coeffs_flat = np.full(k + l, 0.01 / (k + l))
+    flat_norm = GarchParams(alpha0=0.99, alphas=coeffs_flat[:k], betas=coeffs_flat[k:])
+    ll_flat = normalized.log_likelihood(
+        everyone, normalized.sigma2(everyone, *_coeff_rows([flat_norm] * len(prepared))))
+    chosen, converged = [], []
+    for i, p in enumerate(prepared):
+        mine = slice(i * per_series, (i + 1) * per_series)
+        best_ll = -math.inf
+        best_theta = None
+        for fun, theta in zip(found.fun[mine], found.x[mine]):
+            if -fun > best_ll:  # simplex never returns worse than its start
+                best_ll = -fun
+                best_theta = theta
+        params_norm = _theta_to_params(best_theta, spec)
+        margin = 0.5 * math.log(p.a_norm.size) * (k + l)
+        if best_ll - ll_flat[i] < margin and ll_flat[i] >= max(-found.f_start[mine]):
+            params_norm = flat_norm
+        chosen.append(replace(params_norm, alpha0=params_norm.alpha0 * p.scale * p.scale))
+        converged.append(bool(found.success[mine].any()))
+
+    paths = _Batch([p.a for p in prepared], k, l).sigma2(everyone, *_coeff_rows(chosen))
+    residuals, s2s = [], []
+    for i, p in enumerate(prepared):
+        a, s2 = p.a, paths[i, :p.a.size].copy()
+        if p.used_differencing:
+            s2 = np.concatenate([[s2[0]], s2])  # re-align with the level series length
+            a = np.concatenate([[a[0]], a])
+        if not converged[i]:  # the fallback path replaces the search's
+            s2 = rolling_sigma2(a, rolling_floor(a))
+        residuals.append(a)
+        s2s.append(s2)
     # the likelihood of the returned residuals under the returned path
-    ll = _Shocks(a, 0, 0).log_likelihood(s2)
-    return GarchFit(
-        params=params, sigma2_path=s2, residuals=a, log_likelihood=ll, mean=mean,
-        converged=converged, used_differencing=used_differencing,
-        used_rolling_fallback=not converged,
-    )
+    lls = _Batch(residuals, 0, 0).log_likelihood(everyone, _padded(s2s, 1.0))
+    return [GarchFit(params=chosen[i], sigma2_path=s2s[i], residuals=residuals[i],
+                     log_likelihood=float(lls[i]), mean=p.mean, converged=converged[i],
+                     used_differencing=p.used_differencing,
+                     used_rolling_fallback=not converged[i])
+            for i, p in enumerate(prepared)]
+
+
+def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
+        options: FitOptions = FitOptions()) -> GarchFit:
+    """Demean the series and maximize the Gaussian likelihood over the constraint set.
+
+    If the demeaned series does not reject a unit root at 5%, volatility is
+    extracted from the first-differenced series instead (path length is
+    re-aligned by repeating its first value).  If no restart converges, the
+    trailing rolling-variance path (`rolling_sigma2`) is substituted.
+    `log_likelihood` is that of the returned residuals under the returned path.
+    Deterministic for fixed options; `fit_many` of the one series.
+    """
+    return fit_many([residual_source], spec, options)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,8 @@ def _train_size(n: int, cfg: PipelineConfig) -> int:
 
 def _fit_mode_garch(mode_values: np.ndarray, train_size: int,
                     cfg: PipelineConfig) -> tuple[garch_mod.GarchFit, ...]:
-    """One volatility fit per mode, on the mode's leading `train_size` slots."""
-    return tuple(garch_mod.fit(mode_values[idx, :train_size], cfg.garch, cfg.garch_options)
-                 for idx in range(mode_values.shape[0]))
+    """One volatility fit per mode, on the mode's leading `train_size` slots, searched together."""
+    return tuple(garch_mod.fit_many(mode_values[:, :train_size], cfg.garch, cfg.garch_options))
 
 
 def _train_volatility(mode_train: np.ndarray, variant: Variant,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modecast import garch as garch_mod
 from modecast.cli import main
 from modecast.data import write_csv
 from modecast.pipeline import aggregate
@@ -79,6 +80,22 @@ def test_garch_fit_outputs_per_mode_files(tmp_path, series_csv, config_file):
         assert payload["alpha0"] > 0
         sigma = np.loadtxt(out / f"sigma2_mode_{k}.csv", delimiter=",", skiprows=1)
         assert np.all(sigma[:, 1] > 0)
+
+
+def test_garch_fit_files_equal_per_mode_fits_byte_for_byte(tmp_path, series_csv, config_file,
+                                                          monkeypatch):
+    args = ["garch-fit", "--input", str(series_csv), "--config", str(config_file)]
+    assert main(args + ["--out-dir", str(tmp_path / "batched")]) == 0
+    # the same command with each mode fitted on its own, as `garch.fit` does
+    batched = garch_mod.fit_many
+    monkeypatch.setattr(garch_mod, "fit_many", lambda sources, spec, options:
+                        [batched([x], spec, options)[0] for x in sources])
+    assert main(args + ["--out-dir", str(tmp_path / "alone")]) == 0
+    names = sorted(p.name for p in (tmp_path / "alone").glob("*_mode_*"))
+    assert names == sorted(p.name for p in (tmp_path / "batched").glob("*_mode_*"))
+    assert len(names) == 4  # garch_mode_k.json and sigma2_mode_k.csv of both modes
+    for name in names:
+        assert (tmp_path / "batched" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_train_then_forecast_from_model_dir(tmp_path, series_csv, config_file):

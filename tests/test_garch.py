@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import signal, stats
+from scipy import optimize, signal, stats
 
 from modecast import garch
 from modecast.errors import DegenerateSeries, InvalidLags, InvalidParams, TooShort
@@ -17,8 +17,10 @@ from modecast.garch import (
     adf_test,
     arch_lm_test,
     diagnose,
+    ROLLING_WINDOW,
     extend_sigma2,
     fit,
+    fit_many,
     forecast_sigma2,
     log_likelihood,
     rolling_floor,
@@ -26,9 +28,10 @@ from modecast.garch import (
     sigma2_path,
     simulate,
     step_sigma2,
+    _Batch,
     _constraint_violation,
     _filter_state,
-    _likelihood_objective,
+    _nelder_mead,
     _theta_to_params,
 )
 from modecast.series import TimeSeries
@@ -158,7 +161,7 @@ def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
     rng = np.random.default_rng(100 + 10 * k + l)
     a = rng.standard_normal(240)
     a = a / np.std(a)
-    objective = _likelihood_objective(a, spec)
+    series = (a, rng.standard_normal(173))  # one batch, mixed lengths
     dim = 2 + k + l
     thetas = list(rng.normal(0.0, 3.0, size=(1000, dim)))
     edges = {
@@ -173,15 +176,18 @@ def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
         for theta in rng.normal(0.0, 3.0, size=(20, dim)):
             theta[index] = value
             thetas.append(theta)
+    rows = rng.integers(0, 2, size=len(thetas))
+    values = _Batch(series, k, l).objective(rows, np.array(thetas))
+    references = [_reference_objective(x, spec) for x in series]
     rejected = 0
-    for theta in thetas:
+    for theta, row, value in zip(thetas, rows, values):
         try:
-            expected = -log_likelihood(_theta_to_params(theta, spec), a)
+            expected = -log_likelihood(_theta_to_params(theta, spec), series[row])
         except (InvalidParams, OverflowError):
             expected = 1e300
-        assert objective(theta) == expected
+        assert value == expected == references[row](theta)
         rejected += expected == 1e300
-    assert rejected >= 40  # both always-invalid edge groups reached the 1e300 branch
+    assert rejected >= 40  # both always-invalid edge groups reached the 1e300 rows
 
 
 def _reference_objective(a_norm, spec):
@@ -218,47 +224,155 @@ def _reference_objective(a_norm, spec):
     return objective
 
 
-SEARCH_ITERS = {(10, 10): 600}  # a capped search keeps the (10,10) case short
+def _lockstep(visits):
+    """`garch._nelder_mead`, recording each search's points and values in `visits`."""
+
+    def search(evaluate, starts, *args, **kwargs):
+        def record(searches, points):
+            values = evaluate(searches, points)
+            for s, theta, value in zip(searches.tolist(), points, values):
+                visits.setdefault(s, []).append((theta.copy(), value))
+            return values
+
+        return _nelder_mead(record, starts, *args, **kwargs)
+
+    return search
 
 
-def _recorded_fit(monkeypatch, make_objective, series, spec):
-    """`fit` with its objective built by `make_objective`, the normalized
-    residuals it searched over, and every point it visited."""
-    searched, visited = [], []
+def _scipy(objective, visits):
+    """A stand-in for `garch._nelder_mead`: scipy's Nelder-Mead on `objective`
+    from one start after another, recording as `_lockstep` does."""
 
-    def recording(a_norm, spec_):
-        searched.append(a_norm)
-        objective = make_objective(a_norm, spec_)
+    def search(_evaluate, starts, max_iter, xatol, fatol, adaptive):
+        results = []
+        for s, start in enumerate(starts):
+            def traced(theta, s=s):
+                value = objective(theta)
+                visits.setdefault(s, []).append((theta.copy(), value))
+                return value
 
-        def record(theta):
-            visited.append(theta.copy())
-            return objective(theta)
+            results.append(optimize.minimize(
+                traced, start, method="Nelder-Mead",
+                options={"maxiter": max_iter, "xatol": xatol, "fatol": fatol,
+                         "adaptive": adaptive}))
+        return garch._Searches(
+            x=np.array([r.x for r in results]), fun=np.array([r.fun for r in results]),
+            nit=np.array([r.nit for r in results]), nfev=np.array([r.nfev for r in results]),
+            success=np.array([r.success for r in results]),
+            f_start=np.array([objective(start) for start in starts]))
 
-        return record
+    return search
+
+
+def _searched_fit(monkeypatch, search, series, spec, options):
+    """`fit` with `search` in place of `garch._nelder_mead`, and what the search returned."""
+    found = []
+
+    def keep(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(garch, "_likelihood_objective", recording)
-        fitted = fit(series, spec, FitOptions(max_iter=SEARCH_ITERS.get((spec.k, spec.l))))
-    return fitted, searched[0], visited
+        patch.setattr(garch, "_nelder_mead", keep)
+        fitted = fit(series, spec, options)
+    (result,) = found
+    return fitted, result
+
+
+def _assert_same_fit(fitted, expected):
+    """Field for field, bit for bit."""
+    assert fitted.params.alpha0 == expected.params.alpha0
+    for x, y in ((fitted.params.alphas, expected.params.alphas),
+                 (fitted.params.betas, expected.params.betas),
+                 (fitted.sigma2_path, expected.sigma2_path),
+                 (fitted.residuals, expected.residuals)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert fitted.log_likelihood == expected.log_likelihood
+    assert fitted.mean == expected.mean
+    assert (fitted.converged, fitted.used_differencing, fitted.used_rolling_fallback) == \
+        (expected.converged, expected.used_differencing, expected.used_rolling_fallback)
+
+
+def _assert_lockstep_equals_scipy(monkeypatch, series, spec, options):
+    """The lockstep search inside `fit` against scipy's Nelder-Mead on the
+    reference objective from the same starts: the same searches and the same
+    fit.  Returns (visits, search results)."""
+    a_norm = garch._prepare(series, spec, options).a_norm
+    visits, visits_ref = {}, {}
+    fitted, found = _searched_fit(monkeypatch, _lockstep(visits), series, spec, options)
+    fitted_ref, found_ref = _searched_fit(
+        monkeypatch, _scipy(_reference_objective(a_norm, spec), visits_ref), series, spec, options)
+    _assert_same_searches(visits, found, visits_ref, found_ref)
+    _assert_same_fit(fitted, fitted_ref)
+    return visits, found
+
+
+def _assert_same_searches(visits, found, visits_ref, found_ref):
+    """The same points in the same order with the same values, search by
+    search, and the same x, fun, nit, nfev, success and start value."""
+    assert sorted(visits) == sorted(visits_ref) == list(range(found.x.shape[0]))
+    for s in visits:
+        assert len(visits[s]) == len(visits_ref[s])
+        for (theta, value), (theta_ref, value_ref) in zip(visits[s], visits_ref[s]):
+            assert np.array_equal(theta, theta_ref)
+            assert value == value_ref
+    for field in ("x", "fun", "nit", "nfev", "success", "f_start"):
+        assert np.array_equal(getattr(found, field), getattr(found_ref, field)), field
+
+
+SEARCH_ITERS = {(10, 10): 600}  # a capped search keeps the (10,10) case short
 
 
 @pytest.mark.parametrize("k,l", ORDERS)
 def test_evaluator_equals_reference_at_every_searched_point(monkeypatch, k, l):
-    spec = GarchSpec(k, l)
+    # (10,10) has 22 dimensions, so its searches use the adaptive coefficients
     series = simulate(GarchParams(0.2, [0.15], [0.6]), 120, seed=20 + k + l).values
-    fitted, a_norm, visited = _recorded_fit(monkeypatch, _likelihood_objective, series, spec)
-    evaluator, reference = _likelihood_objective(a_norm, spec), _reference_objective(a_norm, spec)
-    for theta in visited:
-        assert evaluator(theta) == reference(theta)
-    # the same search, point for point, and the same fit
-    fitted_ref, _, visited_ref = _recorded_fit(monkeypatch, _reference_objective, series, spec)
-    assert len(visited_ref) == len(visited) > 500
-    assert all(np.array_equal(x, y) for x, y in zip(visited, visited_ref))
-    assert fitted.params.alpha0 == fitted_ref.params.alpha0
-    assert np.array_equal(fitted.params.alphas, fitted_ref.params.alphas)
-    assert np.array_equal(fitted.params.betas, fitted_ref.params.betas)
-    assert np.array_equal(fitted.sigma2_path, fitted_ref.sigma2_path)
-    assert fitted.log_likelihood == fitted_ref.log_likelihood
+    options = FitOptions(max_iter=SEARCH_ITERS.get((k, l)))
+    visits, _ = _assert_lockstep_equals_scipy(monkeypatch, series, GarchSpec(k, l), options)
+    assert sum(len(v) for v in visits.values()) > 500
+
+
+def test_lockstep_search_equals_scipy_when_no_start_converges(monkeypatch):
+    series = simulate(GarchParams(0.2, [0.15], [0.6]), 120, seed=24).values
+    options = FitOptions(max_iter=40)
+    _, found = _assert_lockstep_equals_scipy(monkeypatch, series, GarchSpec(2, 2), options)
+    assert not found.success.any() and (found.nit == 40).all()
+
+
+def _plateau(theta):
+    # coarse steps and a flat wall, so vertices tie often
+    r = float(np.sum(theta * theta))
+    return 1e300 if r > 50.0 else math.floor(4.0 * r) / 4.0
+
+
+@pytest.mark.parametrize("dim", [3, 22])
+def test_lockstep_search_equals_scipy_on_ties(dim):
+    starts = np.random.default_rng(dim).normal(0.0, 2.0, size=(3, dim))
+    starts[0, :2] = 0.0  # zero coordinates take the absolute step
+    visits, visits_ref = {}, {}
+    found = _lockstep(visits)(lambda _, points: np.array([_plateau(x) for x in points]),
+                              starts, 300, 1e-5, 1e-8, adaptive=dim > 6)
+    found_ref = _scipy(_plateau, visits_ref)(None, starts, 300, 1e-5, 1e-8, adaptive=dim > 6)
+    _assert_same_searches(visits, found, visits_ref, found_ref)
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (3, 0), (0, 2)])
+@pytest.mark.parametrize("max_iter", [None, 1], ids=["searched", "fallback"])
+def test_fit_many_equals_fit_on_each_series_alone(k, l, max_iter):
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 200, seed=8).values
+    series = [sim,
+              np.cumsum(sim),  # a random walk: differenced, so one slot shorter
+              simulate(GarchParams(0.1, [0.1], [0.8]), 150, seed=9).values]
+    spec, options = GarchSpec(k, l), FitOptions(max_iter=max_iter)
+    alone = [fit(x, spec, options) for x in series]
+    assert [f.used_differencing for f in alone] == [False, True, False]
+    assert all(f.used_rolling_fallback is (max_iter == 1) for f in alone)
+    for chosen in ([0, 1, 2], [2, 0, 1], [1, 2], [1], [0, 0]):
+        fitted = fit_many([series[i] for i in chosen], spec, options)
+        assert len(fitted) == len(chosen)
+        for f, i in zip(fitted, chosen):
+            _assert_same_fit(f, alone[i])
+    assert fit_many([], spec, options) == []
 
 
 def test_log_likelihood_rejects_nan():
@@ -313,6 +427,29 @@ def test_rolling_sigma2_reads_only_past_and_present_slots():
         assert np.array_equal(rolling_sigma2(changed, floor)[:t + 1], path[:t + 1])
     assert path[20] == max(np.var(a[9:21]), floor)
     assert path[0] == floor  # a single shock has zero variance
+
+
+def _rolling_sigma2_loop(shocks, floor):
+    """The fallback path as first written: one `np.var` per slot."""
+    a = np.asarray(shocks, dtype=float).reshape(-1)
+    out = np.empty(a.size)
+    for t in range(a.size):
+        out[t] = np.var(a[max(0, t - ROLLING_WINDOW + 1):t + 1])
+    return np.maximum(out, floor)
+
+
+def test_rolling_sigma2_equals_the_per_slot_loop():
+    # the loop's slot t reads a[:t + 1] only, so one loop over each series
+    # serves every prefix of it
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(10):
+        a = rng.standard_normal(700) * rng.uniform(0.01, 100.0) + rng.uniform(-50.0, 50.0)
+        floor = rolling_floor(a)
+        cases.append((a, floor, _rolling_sigma2_loop(a, floor)))
+    for n in range(1, 701):  # from shorter than one window up
+        a, floor, expected = cases[n % 10]
+        assert np.array_equal(rolling_sigma2(a[:n], floor), expected[:n])
 
 
 def test_fit_fallback_is_trailing_and_extends_exactly():

@@ -301,17 +301,18 @@ def test_compare_models_fits_each_mode_garch_once(monkeypatch):
     series = wavy_series()
     cfg = small_config(n_modes=3, epochs=1)
     cells = [CellKind.RNN, CellKind.GRU]
-    calls = []
-    original = pipeline.garch_mod.fit
+    batches, single = [], []
+    original = pipeline.garch_mod.fit_many
 
-    def counting_fit(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_fit_many(sources, *args, **kwargs):
+        batches.append(len(sources))
+        return original(sources, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline.garch_mod, "fit", counting_fit)
+    monkeypatch.setattr(pipeline.garch_mod, "fit_many", counting_fit_many)
+    monkeypatch.setattr(pipeline.garch_mod, "fit", lambda *args, **kwargs: single.append(args))
     rows = compare_models(series, [4, 8], cells, cfg)
     monkeypatch.undo()
-    assert len(calls) == cfg.vmd.n_modes
+    assert batches == [cfg.vmd.n_modes] and single == []
     for cell in cells:
         fc = fit_forecaster(series, Variant.VMD_GARCH, cell, cfg)
         alone = rolling_forecast(fc, series, 8)
