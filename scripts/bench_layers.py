@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
-backpropagation-through-time step per cell kind) and stage timing of the
-GARCH fit.
+backpropagation-through-time step per cell kind) and stage timing of VMD and
+of the GARCH fit.
 
     python3 scripts/bench_layers.py
 
@@ -11,6 +11,12 @@ over one layer of SEQ_LEN steps, REPEATS times, and prints the median time of ea
 divided by the step count.  Only `init_network`, `_forward_batch` and
 `backward` are used, so the script runs against older versions of the
 engine too.
+
+For VMD it times `vmd.vmd_decompose` of the committed CPI fixture at K=10
+(tol 1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()`
+under `benchmark_config()` (K=3), VMD_REPEATS times each, and prints the
+median.  Only `vmd_decompose` and its config are used, so this part runs
+against older versions of the decomposition too.
 
 For GARCH it takes the training split (85%) of each mode of the committed
 CPI fixture's K=10 decomposition: the ten segments a comparison fits.  At
@@ -35,6 +41,7 @@ from pathlib import Path
 SIZES = ((32, 16), (32, 64))  # (batch, hidden)
 SEQ_LEN = 25
 REPEATS = 300
+VMD_REPEATS = 7
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
@@ -49,7 +56,7 @@ def main() -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import numpy as np
 
-    from modecast import data, garch, neural, vmd
+    from modecast import data, garch, neural, synthetic, vmd
 
     print(f"{'cell':<5} {'batch x hidden':>14} {'forward us/step':>16} {'bptt us/step':>13}")
     for kind in neural.CellKind:
@@ -75,7 +82,22 @@ def main() -> int:
                   f"{statistics.median(bwd) * per_step:13.2f}")
 
     series = data.load_csv(CPI_FIXTURE)
-    modes = vmd.vmd_decompose(series, vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7))
+    cpi_config = vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7)
+    cases = (
+        (f"CPI fixture, K={CPI_MODES}", series, cpi_config),
+        ("benchmark_series, K=3", synthetic.benchmark_series(), synthetic.benchmark_config().vmd),
+    )
+    print(f"\n{'vmd':<24} {'length':>6} {'sweeps':>6} {'ms':>9}")
+    for label, signal, config in cases:
+        elapsed = []
+        for _ in range(VMD_REPEATS):
+            t0 = time.perf_counter()
+            decomposed = vmd.vmd_decompose(signal, config)
+            elapsed.append(time.perf_counter() - t0)
+        print(f"{label:<24} {len(signal):6d} {decomposed.iterations:6d} "
+              f"{statistics.median(elapsed) * 1e3:9.2f}")
+
+    modes = vmd.vmd_decompose(series, cpi_config)
     segments = list(modes.modes[:, :int(np.floor(0.85 * len(series)))])
     ways = {
         "fit": lambda spec: [garch.fit(segment, spec) for segment in segments],

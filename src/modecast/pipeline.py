@@ -22,8 +22,8 @@ Protocol notes baked in here rather than in the submodules:
   The one-network-code-path baselines keep the tensor shape: the direct
   variant duplicates the value channel, the decomposition-only variant feeds
   zeros.
-* Final predictions are compensated (Kahan) sums of the per-mode predictions,
-  since mode magnitudes can span many orders.
+* Final predictions are correctly rounded sums (`math.fsum`) of the per-mode
+  predictions, since mode magnitudes can span many orders.
 """
 
 from __future__ import annotations
@@ -162,15 +162,8 @@ def metrics(actual, predicted, horizon: int | None = None) -> EvalReport:
 
 
 def aggregate(mode_predictions) -> float:
-    """Compensated (Kahan) sum of the per-mode predictions."""
-    total = 0.0
-    comp = 0.0
-    for v in np.asarray(mode_predictions, dtype=float).reshape(-1):
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    """Correctly rounded sum of the per-mode predictions."""
+    return math.fsum(np.asarray(mode_predictions, dtype=float).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

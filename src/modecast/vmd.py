@@ -4,9 +4,9 @@ The decomposition minimizes the summed bandwidth of K analytic-signal modes
 subject to the modes adding up to the input, via an augmented Lagrangian with
 a quadratic penalty weighted by `alpha` and a multiplier updated by dual
 ascent with step `tau`.  All updates run on the one-sided frequency grid
-omega in [0, 0.5] cycles/sample (negative frequencies are zeroed during the
+omega in [0, 0.5] cycles/sample (negative frequencies are left out during the
 iteration, realizing the analytic-signal kernel, and restored by conjugate
-symmetry before inversion).
+symmetry in the real inverse transform).
 
 Per-block stationary points of the Lagrangian give the update sweep used here:
 
@@ -26,9 +26,8 @@ bandwidth term alone at fixed u_hat_k: the spectral centroid.  Modes are
 updated in a sequential k = 1..K sweep (each update sees the already-updated
 lower-index modes), which makes the result bit-deterministic.
 
-Transforms are computed by a hand-rolled radix-2 FFT plus a Bluestein
-chirp-convolution fallback, so signals of arbitrary length are supported
-without padding distortion.
+Transforms are numpy's real FFT (`np.fft.rfft` / `irfft`), which handles any
+length without padding.
 """
 
 from __future__ import annotations
@@ -41,74 +40,6 @@ from .errors import ConfigError, NumericalError, TooShort
 from .series import TimeSeries
 
 _EPS = np.finfo(float).eps
-
-
-# ---------------------------------------------------------------------------
-# Discrete Fourier transform: radix-2 core + Bluestein for arbitrary lengths
-# ---------------------------------------------------------------------------
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey FFT; len(x) must be a power of two."""
-    n = x.size
-    if n == 1:
-        return x.astype(complex)
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    out = x[rev].astype(complex)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(-1, size)
-        even = blocks[:, :half].copy()
-        odd = blocks[:, half:] * twiddle
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        size *= 2
-    return out
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.size
-
-
-def dft(signal) -> np.ndarray:
-    """Forward DFT of a complex signal of any length >= 1.
-
-    Power-of-two lengths use the radix-2 path directly; other lengths go
-    through Bluestein's chirp identity n*k = (n^2 + k^2 - (k-n)^2) / 2, which
-    turns the transform into one circular convolution of power-of-two size.
-    Chirp phases are built with exact modular reduction of k^2 mod 2n so long
-    signals do not lose phase accuracy.
-    """
-    x = np.asarray(signal, dtype=complex).reshape(-1)
-    n = x.size
-    if n == 0:
-        raise TooShort("cannot transform an empty signal")
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    k = np.arange(n, dtype=np.int64)
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=complex)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=complex)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return chirp * conv[:n]
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse DFT; idft(dft(x)) == x to within 1e-10 relative error."""
-    y = np.asarray(spectrum, dtype=complex).reshape(-1)
-    if y.size == 0:
-        raise TooShort("cannot transform an empty spectrum")
-    return np.conj(dft(np.conj(y))) / y.size
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +57,14 @@ def mirror_extend(signal) -> np.ndarray:
 
 
 def crop_center(extended) -> np.ndarray:
-    """Exact inverse of mirror_extend: the middle T samples of a 2T signal."""
-    x = np.asarray(extended).reshape(-1)
-    if x.size < 4 or x.size % 2 != 0:
-        raise TooShort(f"expected an even-length mirror-extended signal, got length {x.size}")
-    t = x.size // 2
+    """Exact inverse of mirror_extend along the last axis: the middle T of 2T samples."""
+    x = np.atleast_1d(extended)
+    n = x.shape[-1]
+    if n < 4 or n % 2 != 0:
+        raise TooShort(f"expected an even-length mirror-extended signal, got length {n}")
+    t = n // 2
     half = t // 2
-    return x[half:half + t]
+    return x[..., half:half + t]
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +167,13 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     if not np.isfinite(x).all():
         raise NumericalError("signal contains non-finite values")
 
-    f = mirror_extend(x) if config.mirror else x.copy()
+    f = mirror_extend(x) if config.mirror else x
     n = f.size
-    f_hat = dft(f)
-    n_pos = n // 2  # highest one-sided bin index; grid is 0..n_pos
-    freqs = np.arange(n_pos + 1) / n
-    f_plus = f_hat[:n_pos + 1].copy()
+    f_plus = np.fft.rfft(f)  # one-sided spectrum on the grid 0..n//2
+    freqs = np.arange(f_plus.size) / n
 
-    u = np.zeros((k_modes, n_pos + 1), dtype=complex)
-    lam = np.zeros(n_pos + 1, dtype=complex)
+    u = np.zeros((k_modes, f_plus.size), dtype=complex)
+    lam = np.zeros(f_plus.size, dtype=complex)
     omega = _init_omegas(config)
 
     iterations = 0
@@ -275,20 +205,9 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
         if delta < config.tol:
             break
 
-    order = np.argsort(omega)
-    modes = np.empty((k_modes, t_len))
-    signal_norm = float(np.linalg.norm(f)) + _EPS
-    for row, k in enumerate(order):
-        full = np.zeros(n, dtype=complex)
-        full[:n_pos + 1] = u[k]
-        full[n - 1:n - (n - 1) // 2 - 1:-1] = np.conj(full[1:(n - 1) // 2 + 1])
-        mode_ext = idft(full)
-        leak = float(np.abs(mode_ext.imag).max())
-        if leak > 1e-8 * signal_norm:
-            raise NumericalError(f"imaginary leakage {leak:.3e} exceeds tolerance after inversion")
-        mode = mode_ext.real
-        modes[row] = crop_center(mode) if config.mirror else mode
-
+    modes = np.fft.irfft(u[np.argsort(omega)], n=n)
+    if config.mirror:
+        modes = crop_center(modes)
     residual = x - modes.sum(axis=0)
     return ModeSet(
         modes=modes,

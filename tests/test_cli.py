@@ -143,7 +143,7 @@ def test_forecast_per_mode_columns_sum_to_predicted(tmp_path, series_csv, config
                  "--steps", "5", "--out-dir", str(out), "--variant", "vmd"]) == 0
     rows = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1)
     for row in rows:
-        assert row[2] == aggregate(row[3:])  # bit-exact compensated sum
+        assert row[2] == aggregate(row[3:])  # bit-exact correctly rounded sum
 
 
 def test_manifest_rerun_is_bit_identical(tmp_path, series_csv, config_file):

@@ -14,8 +14,6 @@ from modecast.vmd import (
     ModeSet,
     VmdConfig,
     crop_center,
-    dft,
-    idft,
     mirror_extend,
     reconstruct,
     vmd_decompose,
@@ -29,39 +27,8 @@ def _corr(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Transforms
+# Boundary treatment
 # ---------------------------------------------------------------------------
-
-def test_dft_impulse():
-    assert np.allclose(dft([1, 0, 0, 0]), np.ones(4))
-
-
-def test_dft_constant_is_dc_bin():
-    out = dft(np.full(6, 2.5))
-    assert out[0] == pytest.approx(15.0)
-    assert np.abs(out[1:]).max() < 1e-12
-
-
-def test_dft_round_trip_length_13():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    back = idft(dft(x))
-    assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 100, 255, 636])
-def test_dft_matches_numpy_oracle(n):
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ours = dft(x)
-    ref = np.fft.fft(x)
-    assert np.abs(ours - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-
-
-def test_dft_empty_rejected():
-    with pytest.raises(TooShort):
-        dft([])
-
 
 def test_mirror_extend_hand_case():
     assert np.array_equal(mirror_extend([1, 2, 3, 4]), [2, 1, 1, 2, 3, 4, 4, 3])
@@ -78,9 +45,29 @@ def test_crop_center_inverts_mirror_extend(values):
     assert np.array_equal(crop_center(mirror_extend(x)), x)
 
 
+def test_crop_center_acts_on_the_last_axis():
+    rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    extended = np.stack([mirror_extend(r) for r in rows])
+    assert np.array_equal(crop_center(extended), rows)
+    for bad in ([1.0, 2.0], np.zeros((2, 5))):
+        with pytest.raises(TooShort):
+            crop_center(bad)
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mirror", [True, False])
+@pytest.mark.parametrize("length", [2, 3, 128, 257])
+def test_single_unpenalized_mode_returns_the_input(length, mirror):
+    # one mode with a negligible bandwidth penalty keeps the whole spectrum, so
+    # the forward and inverse transforms must round-trip the signal, with and
+    # without a Nyquist bin (an odd unmirrored length has none)
+    x = np.random.default_rng(length).standard_normal(length)
+    ms = vmd_decompose(x, VmdConfig(n_modes=1, alpha=1e-9, tau=0.0, mirror=mirror))
+    assert np.abs(ms.modes[0] - x).max() <= 1e-8 * np.abs(x).max()
+
 
 def test_single_tone_recovery():
     t = np.arange(512)
@@ -190,14 +177,14 @@ def test_variance_partition_on_index_like_signal():
 
 def test_imaginary_leakage_small():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal(257)  # odd length exercises the Bluestein path
+    x = rng.standard_normal(257)  # odd length, mirrored to an even 514-point transform
     ms = vmd_decompose(x, VmdConfig(n_modes=2))
     assert np.all(np.isreal(ms.modes))
 
 
 def test_unmirrored_odd_length_signal():
-    # odd transform length has no Nyquist bin; the conjugate fill must still
-    # produce real modes and exact accounting
+    # odd transform length has no Nyquist bin; the real inverse transform must
+    # still give modes of the input length and exact accounting
     rng = np.random.default_rng(2)
     x = rng.standard_normal(201)
     ms = vmd_decompose(x, VmdConfig(n_modes=2, mirror=False))
