@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
-backpropagation-through-time step per cell kind) and stage timing of VMD and
-of the GARCH fit.
+backpropagation-through-time step per cell kind) and stage timing of mode-set
+training, of VMD and of the GARCH fit.
 
     python3 scripts/bench_layers.py
 
@@ -11,6 +11,17 @@ over one layer of SEQ_LEN steps, REPEATS times, and prints the median time of ea
 divided by the step count.  Only `init_network`, `_forward_batch` and
 `backward` are used, so the script runs against older versions of the
 engine too.
+
+For training it takes three mode sets of LSTM networks on standard-normal
+windows, one epoch at batch 32: the `cpi-volatility` benchmark's (10 nets,
+1x4, seq 12, 447 windows, no dropout), the `matrix` benchmark's (3 nets,
+2x16, seq 25, 655 windows, dropout 0.2) and the reference size of
+`forecast-serve` (3 nets, 2x64, seq 50, 154 windows, dropout 0.2).  Each set
+trains two ways, one `neural.train` per net and all nets as one lockstep
+group (`neural._train_group`, which `train_many` runs under its group cap),
+interleaved over TRAIN_ROUNDS rounds (alternating which way goes first); it
+prints the median of each way, their ratio, and the group size `train_many`
+chooses for that shape.  This part needs an engine with `train_many`.
 
 For VMD it times `vmd.vmd_decompose` of the committed CPI fixture at K=10
 (tol 1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()`
@@ -42,6 +53,12 @@ SIZES = ((32, 16), (32, 64))  # (batch, hidden)
 SEQ_LEN = 25
 REPEATS = 300
 VMD_REPEATS = 7
+TRAIN_SHAPES = (  # name, nets, layers, hidden, seq_len, windows, dropout
+    ("cpi", 10, 1, 4, 12, 447, 0.0),
+    ("matrix", 3, 2, 16, 25, 655, 0.2),
+    ("reference", 3, 2, 64, 50, 154, 0.2),
+)
+TRAIN_ROUNDS = 7
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
@@ -80,6 +97,32 @@ def main() -> int:
             print(f"{kind.value:<5} {f'{batch}x{hidden}':>14} "
                   f"{statistics.median(fwd) * per_step:16.2f} "
                   f"{statistics.median(bwd) * per_step:13.2f}")
+
+    print(f"\n{'training':<10} {'nets':>4} {'per-net ms':>11} {'lockstep ms':>12} {'ratio':>6} "
+          f"{'group':>5}")
+    for name, nets, layers, hidden, seq_len, windows, dropout in TRAIN_SHAPES:
+        rng = np.random.default_rng(0)
+        xs = [rng.standard_normal((windows, seq_len, 2)) for _ in range(nets)]
+        ys = [rng.standard_normal(windows) for _ in range(nets)]
+        configs = [neural.NetworkConfig(cell=neural.CellKind.LSTM, layers=layers, hidden=hidden,
+                                        input_features=2, dropout_rate=dropout, seed=i + 1)
+                   for i in range(nets)]
+        train_cfgs = [neural.TrainConfig(epochs=1, batch_size=32, seed=i + 1) for i in range(nets)]
+        ways = {
+            "per-net": lambda: [neural.train(*args) for args in zip(xs, ys, configs, train_cfgs)],
+            "lockstep": lambda: neural._train_group(xs, ys, configs, train_cfgs),
+        }
+        times = {way: [] for way in ways}
+        for r in range(TRAIN_ROUNDS):
+            for way in sorted(ways, reverse=r % 2 == 1):
+                t0 = time.perf_counter()
+                ways[way]()
+                times[way].append(time.perf_counter() - t0)
+        per_net = statistics.median(times["per-net"])
+        lockstep = statistics.median(times["lockstep"])
+        group = min(neural._group_size(configs[0], seq_len, 32), nets)
+        print(f"{name:<10} {nets:4d} {per_net * 1e3:11.1f} {lockstep * 1e3:12.1f} "
+              f"{per_net / lockstep:6.2f} {group:5d}")
 
     series = data.load_csv(CPI_FIXTURE)
     cpi_config = vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7)

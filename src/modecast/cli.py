@@ -160,11 +160,12 @@ def _cmd_garch_fit(args) -> int:
     _write_modes_csv(mode_set, out_dir)
     fits = garch_mod.fit_many(mode_set.modes, pipe_cfg.garch, pipe_cfg.garch_options)
     for i, fit in enumerate(fits):
+        fitted = not fit.used_rolling_fallback  # a fallback's search point is no fit
         payload = {
             "mode": i + 1,
-            "alpha0": fit.params.alpha0,
-            "alphas": fit.params.alphas.tolist(),
-            "betas": fit.params.betas.tolist(),
+            "alpha0": fit.params.alpha0 if fitted else None,
+            "alphas": fit.params.alphas.tolist() if fitted else None,
+            "betas": fit.params.betas.tolist() if fitted else None,
             "log_likelihood": fit.log_likelihood,
             "mean": fit.mean,
             "converged": fit.converged,
@@ -177,7 +178,9 @@ def _cmd_garch_fit(args) -> int:
             fh.write("index,sigma2\n")
             for t, value in enumerate(fit.sigma2_path):
                 fh.write(f"{t},{value:.17g}\n")
-        print(f"mode {i + 1}: persistence {fit.params.persistence:.4f} "
+        volatility = (f"persistence {fit.params.persistence:.4f}" if fitted
+                      else "rolling-variance fallback")
+        print(f"mode {i + 1}: {volatility} "
               f"converged={fit.converged} differenced={fit.used_differencing}")
     _write_manifest(out_dir, cfg, args)
     return 0

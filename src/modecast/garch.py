@@ -26,12 +26,13 @@ the search, `fit`'s final steps and the public `sigma2_path` and
 `log_likelihood`.  It holds the squared shocks and seeds of many series,
 zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
-(alpha0 and the sigmoid) and `signal.lfilter` over the row's own length;
+(alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
+(`_sigtools._linear_filter`, called directly) over the row's own length;
 the softmax, the filter states, the ARCH convolution (lags summed highest
 first, as `np.convolve` does) and the likelihood terms run over all rows at
 once, and each row's likelihood is summed by its own reduction.  Every step
 is the plain per-series arithmetic in the same order, so each row gets the
-float it would get alone; the per-row `lfilter` call is the evaluation cost
+float it would get alone; the per-row filter call is the evaluation cost
 left.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
@@ -47,7 +48,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal, stats
+from scipy import stats
+from scipy.signal._sigtools import _linear_filter
 
 from .errors import (
     DegenerateSeries,
@@ -121,7 +123,8 @@ class GarchFit:
     `used_differencing` marks volatility extracted from the first-differenced
     series (taken when the level series fails the unit-root rejection);
     `used_rolling_fallback` marks the trailing rolling-variance path
-    (`rolling_sigma2`) substituted after an optimizer failure.
+    (`rolling_sigma2`) substituted after an optimizer failure; `params` then
+    hold the unconverged search's point, not fitted coefficients.
     `log_likelihood` is always the Gaussian likelihood of `residuals` under
     `sigma2_path`, and `sigma2_path` always has the length of `residuals`.
     """
@@ -205,7 +208,7 @@ class _Batch:
 
         The ARCH lags are summed highest first, over all rows at once, which
         is `np.convolve`'s order (bit for bit up to 11 lags); the GARCH lags
-        run `signal.lfilter` row by row over the series' own length, from the
+        run `signal.lfilter`'s filter row by row over the series' own length, from the
         `_filter_state` of the row's denominator [1, -betas].
         """
         k, l = self.k, self.l
@@ -228,7 +231,9 @@ class _Batch:
         zi = _filter_state(denom, self.seeds[rows, None])
         s2 = np.ones_like(base)
         for r, n in enumerate(self.lengths[rows].tolist()):
-            s2[r, :n] = signal.lfilter(_ONE, denom[r], base[r, :n], zi=zi[r])[0]
+            # what `signal.lfilter(_ONE, denom[r], base[r, :n], zi=zi[r])` runs
+            # for a denominator of two or more terms, without its argument handling
+            s2[r, :n] = _linear_filter(_ONE, denom[r], base[r, :n], -1, zi[r])[0]
         return s2
 
     def log_likelihood(self, rows: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -304,7 +309,15 @@ def log_likelihood(params: GarchParams, residuals) -> float:
 
 
 def forecast_sigma2(fit: GarchFit) -> float:
-    """One-step-ahead conditional variance from the fitted paths."""
+    """One-step-ahead conditional variance from the fitted paths.
+
+    A rolling-fallback fit has no fitted coefficients (its `params` come from
+    a search that did not converge) and raises `InvalidParams`; its path
+    continues by `extend_sigma2`.
+    """
+    if fit.used_rolling_fallback:
+        raise InvalidParams("a rolling-variance fallback fit has no fitted coefficients; "
+                            "extend its path with extend_sigma2")
     return step_sigma2(fit.params, fit.residuals, fit.sigma2_path)
 
 

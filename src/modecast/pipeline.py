@@ -12,6 +12,9 @@ Protocol notes baked in here rather than in the submodules:
   only.  The rolling forecast predicts each held-out slot from a window of
   realized mode values and a volatility channel advanced over realized
   shocks; networks are not retrained unless `retrain_every` is set.
+* A mode set's networks share their shapes and differ only in seed and
+  data, so they train together (`neural.train_many`), bit for bit as one by
+  one.
 * Since every window of the rolling forecast is known in advance, each
   mode's network runs once over all of them (once per retraining segment).
   Batched matrix products may round a row differently from a one-window
@@ -217,14 +220,16 @@ def _train_volatility(mode_train: np.ndarray, variant: Variant,
     return np.sqrt(fit.sigma2_path), kind
 
 
-def _train_network(windows: WindowedDataset, cell: neural.CellKind, cfg: PipelineConfig,
-                   mode_index: int) -> neural.RecurrentNetwork:
-    """One mode's network, seeded by the mode so every variant starts alike."""
-    seed = _mode_seed(cfg.train.seed, mode_index)
-    net_cfg = replace(cfg.network, cell=cell, input_features=2, seed=seed)
-    net, _ = neural.train(windows.inputs, windows.targets, net_cfg,
-                          replace(cfg.train, seed=seed))
-    return net
+def _train_networks(windows: list[WindowedDataset], cell: neural.CellKind,
+                    cfg: PipelineConfig) -> list[neural.RecurrentNetwork]:
+    """One network per mode, mode i seeded by `_mode_seed` so every variant
+    starts alike, all trained together by `neural.train_many`."""
+    seeds = [_mode_seed(cfg.train.seed, i + 1) for i in range(len(windows))]
+    trained = neural.train_many(
+        [w.inputs for w in windows], [w.targets for w in windows],
+        [replace(cfg.network, cell=cell, input_features=2, seed=seed) for seed in seeds],
+        [replace(cfg.train, seed=seed) for seed in seeds])
+    return [net for net, _ in trained]
 
 
 def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
@@ -232,7 +237,8 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
                      garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
                      ) -> tuple[ModeModel, ...]:
     """Fit scalers, volatility and one network per mode from the leading
-    `train_size` slots only; mode test segments are never read here.
+    `train_size` slots only; mode test segments are never read here.  The
+    mode networks train together (`_train_networks`).
 
     The VMD-GARCH variant takes its volatility from `garch_fits` when given
     (one fit per mode, made by `_fit_mode_garch` on the same slots) and fits
@@ -244,7 +250,7 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
             garch_fits = _fit_mode_garch(mode_values, train_size, cfg)
         elif len(garch_fits) != k:
             raise LengthMismatch(f"{len(garch_fits)} volatility fits for {k} modes")
-    models = []
+    fitted, windows = [], []
     for idx in range(k):
         mode_train = mode_values[idx, :train_size]
         scaler = fit_scaler(mode_train)
@@ -260,11 +266,13 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
             # input instead of being stretched into a full-range noise channel
             vol_scaler = MinMaxScaler(lo=0.0, hi=scaler.hi - scaler.lo)
         scaled_vol = vol_scaler.apply(vol_train) if vol_scaler is not None else np.zeros(train_size)
-        windows = build_windows(scaler.apply(mode_train), scaled_vol, cfg.seq_len)
-        net = _train_network(windows, cell, cfg, idx + 1)
-        models.append(ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler,
-                                garch=g_fit, network=net, vol_kind=vol_kind))
-    return tuple(models)
+        windows.append(build_windows(scaler.apply(mode_train), scaled_vol, cfg.seq_len))
+        fitted.append((scaler, vol_scaler, g_fit, vol_kind))
+    networks = _train_networks(windows, cell, cfg)
+    return tuple(ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler, garch=g_fit,
+                           network=net, vol_kind=vol_kind)
+                 for idx, ((scaler, vol_scaler, g_fit, vol_kind), net)
+                 in enumerate(zip(fitted, networks)))
 
 
 def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
@@ -364,10 +372,9 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     segment = cfg.retrain_every if cfg.retrain_every > 0 else steps
     for start in range(0, steps, segment):
         if start > 0:
-            networks = [_train_network(build_windows(values[:t0 + start], vol[:t0 + start],
-                                                     cfg.seq_len),
-                                       forecaster.cell, cfg, i + 1)
-                        for i, (values, vol) in enumerate(channels)]
+            networks = _train_networks([build_windows(values[:t0 + start], vol[:t0 + start],
+                                                      cfg.seq_len)
+                                        for values, vol in channels], forecaster.cell, cfg)
         stop = min(start + segment, steps)
         for i, model in enumerate(forecaster.mode_models):
             pred_scaled = neural.predict(networks[i], windows[i][start:])

@@ -82,6 +82,21 @@ def test_garch_fit_outputs_per_mode_files(tmp_path, series_csv, config_file):
         assert np.all(sigma[:, 1] > 0)
 
 
+def test_garch_fit_writes_no_coefficients_for_a_fallback_mode(tmp_path, series_csv,
+                                                             config_file, capsys):
+    config_file.write_text(config_file.read_text() + "garch.max_iter = 1\n")
+    out = tmp_path / "g"
+    assert main(["garch-fit", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    for k in (1, 2):
+        payload = json.loads((out / f"garch_mode_{k}.json").read_text())
+        assert payload["used_rolling_fallback"] and not payload["converged"]
+        assert payload["alpha0"] is None and payload["alphas"] is None and payload["betas"] is None
+        assert f"mode {k}: rolling-variance fallback converged=False" in printed
+    assert "persistence" not in printed
+
+
 def test_garch_fit_files_equal_per_mode_fits_byte_for_byte(tmp_path, series_csv, config_file,
                                                           monkeypatch):
     args = ["garch-fit", "--input", str(series_csv), "--config", str(config_file)]

@@ -466,6 +466,17 @@ def test_fit_fallback_is_trailing_and_extends_exactly():
     assert flat[-1] == floor
 
 
+def test_forecast_sigma2_refuses_a_rolling_fallback_fit():
+    # the fallback's params are the unconverged search's point: stepping the
+    # recursion with them over the rolling path disagrees with extend_sigma2
+    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 250, seed=8).values
+    fitted = fit(sim, GarchSpec(1, 1), FitOptions(max_iter=1))
+    assert fitted.used_rolling_fallback
+    with pytest.raises(InvalidParams):
+        forecast_sigma2(fitted)
+    assert extend_sigma2(fitted, np.zeros(1))[-1] > 0.0  # its path still extends
+
+
 @pytest.mark.parametrize("differencing", [False, True])
 def test_fit_fallback_reports_the_likelihood_of_its_path(differencing):
     # levels: a stationary simulation; differenced: its random walk, which

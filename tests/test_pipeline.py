@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import small_config, wavy_series
 from modecast.errors import HorizonTooLong, LengthMismatch, SeriesMismatch, TooShort, ZeroActual
-from modecast import pipeline
+from modecast import neural, pipeline
 from modecast.neural import CellKind, flatten_parameters
 from modecast.pipeline import (
     Variant,
@@ -158,6 +158,24 @@ def test_single_mode_pure_tone_correlates_with_input():
     mode = fc.mode_values[0]
     c = np.corrcoef(mode, tone.values)[0, 1]
     assert c > 0.99
+
+
+@pytest.mark.parametrize("variant", [Variant.VMD, Variant.VMD_GARCH])
+@pytest.mark.parametrize("cell", list(CellKind))
+def test_mode_networks_equal_nets_trained_one_by_one(variant, cell, monkeypatch):
+    series, cfg = wavy_series(), small_config(n_modes=3)
+    calls = []
+    lockstep = neural.train_many
+    monkeypatch.setattr(neural, "train_many", lambda *a: calls.append(len(a[0])) or lockstep(*a))
+    together = fit_forecaster(series, variant, cell, cfg)
+    assert calls == [3]  # the three mode networks in one call
+    # `train` of each net: `train_many` of that net alone
+    monkeypatch.setattr(neural, "train_many", lambda xs, ys, nets, trains: [
+        lockstep([x], [y], [net], [tr])[0] for x, y, net, tr in zip(xs, ys, nets, trains)])
+    one_by_one = fit_forecaster(series, variant, cell, cfg)
+    for got, want in zip(together.mode_models, one_by_one.mode_models, strict=True):
+        assert got.network.config == want.network.config
+        assert np.array_equal(got.network.flat, want.network.flat)
 
 
 def test_mode_target_consistency():
