@@ -3,16 +3,18 @@
 backpropagation-through-time step per cell kind) and stage timing of mode-set
 training, of VMD and of the GARCH fit.
 
-    python3 scripts/bench_layers.py
+    python3 scripts/bench_layers.py [--only {layers,training,vmd,garch}]
 
-For each cell kind at batch x hidden 32x16 and 32x64, it times a training
-forward pass (`neural._forward_batch`, dropout 0.2) and its `neural.backward`
-over one layer of SEQ_LEN steps, REPEATS times, and prints the median time of each
-divided by the step count.  Only `init_network`, `_forward_batch` and
-`backward` are used, so the script runs against older versions of the
-engine too.
+--only runs one section; by default all four run, in that order.
 
-For training it takes three mode sets of LSTM networks on standard-normal
+layers: for each cell kind at batch x hidden 32x16 and 32x64, it times a
+training forward pass (`neural._forward_batch`, dropout 0.2) and its
+`neural.backward` over one layer of SEQ_LEN steps, REPEATS times, and prints
+the median time of each divided by the step count.  Only `init_network`,
+`_forward_batch` and `backward` are used, so this part runs against older
+versions of the engine too.
+
+training: it takes three mode sets of LSTM networks on standard-normal
 windows, one epoch at batch 32: the `cpi-volatility` benchmark's (10 nets,
 1x4, seq 12, 447 windows, no dropout), the `matrix` benchmark's (3 nets,
 2x16, seq 25, 655 windows, dropout 0.2) and the reference size of
@@ -23,19 +25,27 @@ interleaved over TRAIN_ROUNDS rounds (alternating which way goes first); it
 prints the median of each way, their ratio, and the group size `train_many`
 chooses for that shape.  This part needs an engine with `train_many`.
 
-For VMD it times `vmd.vmd_decompose` of the committed CPI fixture at K=10
-(tol 1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()`
-under `benchmark_config()` (K=3), VMD_REPEATS times each, and prints the
-median.  Only `vmd_decompose` and its config are used, so this part runs
-against older versions of the decomposition too.
+vmd: it times `vmd.vmd_decompose` of the committed CPI fixture at K=10 (tol
+1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()` under
+`benchmark_config()` (K=3), VMD_REPEATS times each, and prints the median and
+the median divided by the sweep count.  Only `vmd_decompose` and its config
+are used, so this part runs against older versions of the decomposition too.
 
-For GARCH it takes the training split (85%) of each mode of the committed
-CPI fixture's K=10 decomposition: the ten segments a comparison fits.  At
-(1,1) and (2,2) it fits the ten segments two ways, one `garch.fit` per
-segment and one `garch.fit_many` over all ten, interleaved in one process
-over GARCH_ROUNDS rounds (alternating which way goes first), so the host's
-speed phases fall on both alike; it prints the median of each way and their
-ratio.  Then it times one `garch.fit` of the fifth mode's segment at (10,10).
+garch: it takes the training split (85%) of each mode of the committed CPI
+fixture's K=10 decomposition: the ten segments a comparison fits.  At (1,1)
+and (2,2) it fits the ten segments two ways, one `garch.fit` per segment and
+one `garch.fit_many` over all ten, interleaved in one process over
+GARCH_ROUNDS rounds (alternating which way goes first), so the host's speed
+phases fall on both alike; it prints the median of each way and their ratio.
+One more, untimed `fit_many` per order counts what the search asked of its
+evaluator, through a wrapper around `garch._nelder_mead`: the evaluator
+calls, the rows (one point of one search each) and the rounds (the longest
+search's iterations).  The filter floor is rows x the median time of one
+variance-filter call (`scipy.signal._sigtools._linear_filter`, what
+`signal.lfilter` runs) over a segment, the cost no bookkeeping change can
+remove; the rest of `fit_many` is numpy and Python overhead per round, per
+call and per row.  Then it times one `garch.fit` of the fifth mode's segment
+at (10,10).
 
 BLAS runs on one thread, fixed before numpy loads, and the process is pinned
 to one CPU.
@@ -43,6 +53,7 @@ to one CPU.
 
 from __future__ import annotations
 
+import argparse
 import os
 import statistics
 import sys
@@ -61,19 +72,32 @@ TRAIN_SHAPES = (  # name, nets, layers, hidden, seq_len, windows, dropout
 TRAIN_ROUNDS = 7
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
+FILTER_REPEATS = 2000
+SECTIONS = ("layers", "training", "vmd", "garch")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", choices=SECTIONS, help="run one section")
+    args = parser.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sections = {"layers": bench_layers, "training": bench_training, "vmd": bench_vmd,
+                "garch": bench_garch}
+    for name in ([args.only] if args.only else SECTIONS):
+        sections[name]()
+    return 0
+
+
+def bench_layers() -> None:
     import numpy as np
 
-    from modecast import data, garch, neural, synthetic, vmd
+    from modecast import neural
 
     print(f"{'cell':<5} {'batch x hidden':>14} {'forward us/step':>16} {'bptt us/step':>13}")
     for kind in neural.CellKind:
@@ -97,6 +121,12 @@ def main() -> int:
             print(f"{kind.value:<5} {f'{batch}x{hidden}':>14} "
                   f"{statistics.median(fwd) * per_step:16.2f} "
                   f"{statistics.median(bwd) * per_step:13.2f}")
+
+
+def bench_training() -> None:
+    import numpy as np
+
+    from modecast import neural
 
     print(f"\n{'training':<10} {'nets':>4} {'per-net ms':>11} {'lockstep ms':>12} {'ratio':>6} "
           f"{'group':>5}")
@@ -124,23 +154,77 @@ def main() -> int:
         print(f"{name:<10} {nets:4d} {per_net * 1e3:11.1f} {lockstep * 1e3:12.1f} "
               f"{per_net / lockstep:6.2f} {group:5d}")
 
+
+def bench_vmd() -> None:
+    from modecast import data, synthetic, vmd
+
     series = data.load_csv(CPI_FIXTURE)
-    cpi_config = vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7)
     cases = (
-        (f"CPI fixture, K={CPI_MODES}", series, cpi_config),
+        (f"CPI fixture, K={CPI_MODES}", series,
+         vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7)),
         ("benchmark_series, K=3", synthetic.benchmark_series(), synthetic.benchmark_config().vmd),
     )
-    print(f"\n{'vmd':<24} {'length':>6} {'sweeps':>6} {'ms':>9}")
+    print(f"\n{'vmd':<24} {'length':>6} {'sweeps':>6} {'ms':>9} {'us/sweep':>9}")
     for label, signal, config in cases:
         elapsed = []
         for _ in range(VMD_REPEATS):
             t0 = time.perf_counter()
             decomposed = vmd.vmd_decompose(signal, config)
             elapsed.append(time.perf_counter() - t0)
-        print(f"{label:<24} {len(signal):6d} {decomposed.iterations:6d} "
-              f"{statistics.median(elapsed) * 1e3:9.2f}")
+        median = statistics.median(elapsed)
+        print(f"{label:<24} {len(signal):6d} {decomposed.iterations:6d} {median * 1e3:9.2f} "
+              f"{median / decomposed.iterations * 1e6:9.1f}")
 
-    modes = vmd.vmd_decompose(series, cpi_config)
+
+def _search_counts(garch, segments, spec) -> tuple[int, int, int]:
+    """Evaluator calls, rows and rounds of one `fit_many`, counted around `_nelder_mead`."""
+    counts = {"calls": 0, "rows": 0, "rounds": 0}
+    search = garch._nelder_mead
+
+    def counted(evaluate, *args, **kwargs):
+        def counting(searches, points):
+            counts["calls"] += 1
+            counts["rows"] += len(searches)
+            return evaluate(searches, points)
+
+        found = search(counting, *args, **kwargs)
+        counts["rounds"] = int(found.nit.max()) - 1  # each iteration after the first is a round
+        return found
+
+    garch._nelder_mead = counted
+    try:
+        garch.fit_many(segments, spec)
+    finally:
+        garch._nelder_mead = search
+    return counts["calls"], counts["rows"], counts["rounds"]
+
+
+def _filter_call_s(length: int, l: int) -> float:
+    """Median time of one variance-filter call over `length` slots at GARCH order l."""
+    import numpy as np
+    from scipy import signal
+    from scipy.signal._sigtools import _linear_filter
+
+    denom = np.concatenate([[1.0], np.full(l, -0.8 / l)])
+    zi = signal.lfiltic([1.0], denom, y=np.ones(l))
+    base = np.random.default_rng(0).uniform(0.5, 1.5, length)
+    one = np.ones(1)
+    elapsed = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(FILTER_REPEATS):
+            _linear_filter(one, denom, base, -1, zi)
+        elapsed.append((time.perf_counter() - t0) / FILTER_REPEATS)
+    return statistics.median(elapsed)
+
+
+def bench_garch() -> None:
+    import numpy as np
+
+    from modecast import data, garch, vmd
+
+    series = data.load_csv(CPI_FIXTURE)
+    modes = vmd.vmd_decompose(series, vmd.VmdConfig(n_modes=CPI_MODES, alpha=2000.0, tol=1e-7))
     segments = list(modes.modes[:, :int(np.floor(0.85 * len(series)))])
     ways = {
         "fit": lambda spec: [garch.fit(segment, spec) for segment in segments],
@@ -153,15 +237,19 @@ def main() -> int:
                 t0 = time.perf_counter()
                 ways[way](garch.GarchSpec(*order))
                 times[order, way].append(time.perf_counter() - t0)
-    print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6}")
+    print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6} "
+          f"{'calls':>6} {'rows':>6} {'rounds':>6} {'floor s':>8} {'rest s':>7}")
     for k, l in GARCH_ORDERS:
         one_by_one = statistics.median(times[(k, l), "fit"])
         together = statistics.median(times[(k, l), "fit_many"])
-        print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} {together / one_by_one:6.2f}")
+        calls, rows, rounds = _search_counts(garch, segments, garch.GarchSpec(k, l))
+        floor = rows * _filter_call_s(segments[0].size, l) if l else 0.0
+        print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} "
+              f"{together / one_by_one:6.2f} {calls:6d} {rows:6d} {rounds:6d} "
+              f"{floor:8.3f} {together - floor:7.3f}")
     t0 = time.perf_counter()
     garch.fit(segments[CPI_MODE], garch.GarchSpec(10, 10))
     print(f"{'(10,10)':<7} one segment: {time.perf_counter() - t0:.2f} s")
-    return 0
 
 
 if __name__ == "__main__":

@@ -26,14 +26,14 @@ the search, `fit`'s final steps and the public `sigma2_path` and
 `log_likelihood`.  It holds the squared shocks and seeds of many series,
 zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
-(alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
-(`_sigtools._linear_filter`, called directly) over the row's own length;
-the softmax, the filter states, the ARCH convolution (lags summed highest
-first, as `np.convolve` does) and the likelihood terms run over all rows at
-once, and each row's likelihood is summed by its own reduction.  Every step
-is the plain per-series arithmetic in the same order, so each row gets the
-float it would get alone; the per-row filter call is the evaluation cost
-left.
+(alpha0) and `signal.lfilter`'s IIR filter (`_sigtools._linear_filter`,
+called directly); the sigmoid, the softmax, the filter states, the ARCH
+convolution (lags summed highest first, as `np.convolve` does), the
+likelihood terms and the per-row likelihood sums (one reduction per series
+length) run over all rows at once.  Every step is the plain per-series
+arithmetic in the same order, so each row gets the float it would get
+alone.  The filter calls are the floor of an evaluation's cost; the rest is
+numpy's per-call cost and a dozen passes over the rows.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats
+from scipy import special, stats
 from scipy.signal._sigtools import _linear_filter
 
 from .errors import (
@@ -161,10 +161,12 @@ class FitOptions:
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
 _ONE = np.ones(1)  # the variance filter's numerator
-# `x.sum()`, `x.max()` and `x.min()`, without the method's Python wrapper
+# `x.sum()`, `x.max()`, `x.min()`, `x.any()` and `x.all()`, without the method's Python wrapper
 _sum = np.add.reduce
 _max = np.maximum.reduce
 _min = np.minimum.reduce
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
 
 
 def _padded(arrays, fill: float) -> np.ndarray:
@@ -179,13 +181,13 @@ class _Batch:
     """Residual series prepared for batched runs of the variance recursion at order (k, l).
 
     Holds, per series, its length, the pre-sample seed (the sample variance
-    of the residuals), the squared shocks, and the squared shocks behind
-    m = max(k, l, 1) seed slots, zero-padded to the longest series.  Each
-    call evaluates many rows at once: row r runs series `rows[r]` with its
-    own coefficients, and gets the same floats it would get alone.
+    of the residuals), and the squared shocks behind m = max(k, l, 1) seed
+    slots, zero-padded to the longest series.  Each call evaluates many rows
+    at once: row r runs series `rows[r]` with its own coefficients, and gets
+    the same floats it would get alone.
     """
 
-    __slots__ = ("k", "l", "lengths", "seeds", "a2", "a2x")
+    __slots__ = ("k", "l", "m", "lengths", "distinct", "seeds", "a2x")
 
     def __init__(self, residuals, k: int, l: int):
         series = [np.asarray(a, dtype=float).reshape(-1) for a in residuals]
@@ -195,27 +197,33 @@ class _Batch:
             if not np.isfinite(a).all():
                 raise InvalidParams("residuals contain non-finite values")
         self.k, self.l = k, l
+        self.m = m = max(k, l, 1)
         self.lengths = np.array([a.size for a in series])
+        self.distinct = sorted(set(self.lengths.tolist()))
         self.seeds = np.array([float(np.var(a)) for a in series])
-        self.a2 = _padded([a * a for a in series], 0.0)
-        m = max(k, l, 1)
-        self.a2x = np.concatenate([np.repeat(self.seeds[:, None], m, axis=1), self.a2], axis=1)
+        a2 = _padded([a * a for a in series], 0.0)
+        self.a2x = np.concatenate([np.repeat(self.seeds[:, None], m, axis=1), a2], axis=1)
 
-    def sigma2(self, rows: np.ndarray, alpha0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    def sigma2(self, rows: np.ndarray, alpha0: np.ndarray, coeffs: np.ndarray,
+               a2x: np.ndarray | None = None) -> np.ndarray:
         """Variance paths of series `rows[r]` under alpha0[r] and the lag
         coefficients coeffs[r] = [alphas, betas], one row each, every row
-        as wide as the longest series; slots past a series' length are padding.
+        as wide as the longest series.  A row's slots past its series'
+        length continue the recursion over zero shocks: positive padding.
+        `a2x` may hold `self.a2x[rows]`, gathered by the caller.
 
         The ARCH lags are summed highest first, over all rows at once, which
         is `np.convolve`'s order (bit for bit up to 11 lags); the GARCH lags
-        run `signal.lfilter`'s filter row by row over the series' own length, from the
-        `_filter_state` of the row's denominator [1, -betas].
+        run `signal.lfilter`'s filter row by row, from the `_filter_state` of
+        the row's denominator [1, -betas].  The filter is causal, so a row's
+        leading slots are those of its series filtered alone.
         """
         k, l = self.k, self.l
-        width = self.a2.shape[1]
+        width = self.a2x.shape[1] - self.m
         if k > 0:
-            a2x = self.a2x[rows]
-            lo = max(k, l, 1) - 1  # a2x[lo + t - i] is slot t's lag-(i+1) square
+            if a2x is None:
+                a2x = self.a2x[rows]
+            lo = self.m - 1  # a2x[lo + t - i] is slot t's lag-(i+1) square
             base = coeffs[:, k - 1:k] * a2x[:, lo - k + 1:lo - k + 1 + width]
             for i in range(k - 2, -1, -1):
                 base += coeffs[:, i:i + 1] * a2x[:, lo - i:lo - i + width]
@@ -229,28 +237,36 @@ class _Batch:
         denom[:, 0] = 1.0
         np.negative(coeffs[:, k:], out=denom[:, 1:])
         zi = _filter_state(denom, self.seeds[rows, None])
-        s2 = np.ones_like(base)
-        for r, n in enumerate(self.lengths[rows].tolist()):
-            # what `signal.lfilter(_ONE, denom[r], base[r, :n], zi=zi[r])` runs
-            # for a denominator of two or more terms, without its argument handling
-            s2[r, :n] = _linear_filter(_ONE, denom[r], base[r, :n], -1, zi[r])[0]
-        return s2
+        # what `signal.lfilter(_ONE, denom[r], base[r], zi=zi[r])` runs for a
+        # denominator of two or more terms, without its argument handling
+        return np.array([_linear_filter(_ONE, d, b, -1, z)[0] for d, b, z in zip(denom, base, zi)])
 
-    def log_likelihood(self, rows: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    def log_likelihood(self, rows: np.ndarray, s2: np.ndarray,
+                       a2: np.ndarray | None = None) -> np.ndarray:
         """Gaussian log-likelihood of series `rows[r]` under the path s2[r], one per row.
 
-        `s2` is laid out as `sigma2` returns it, with positive padding.  The
-        terms -ln(2*pi)/2 - ln(s2)/2 - a^2/(2*s2) are computed one ufunc at a
-        time over all rows; then each row is summed over its own length by
-        its own reduction, as the series alone would be.
+        `s2` is laid out as `sigma2` returns it, with positive padding; `a2`
+        may hold the squared shocks `self.a2x[rows, m:]`, gathered by the
+        caller.  The terms -ln(2*pi)/2 - ln(s2)/2 - a^2/(2*s2) are computed
+        one ufunc at a time over all rows; then the rows of each series
+        length are summed over that length by one reduction over all rows,
+        which sums each row as the series alone would be summed.
         """
+        if a2 is None:
+            a2 = self.a2x[rows, self.m:]
         w = np.log(s2)
         np.multiply(0.5, w, out=w)
         np.subtract(_NEG_HALF_LOG_2PI, w, out=w)
         w2 = np.multiply(2.0, s2)
-        np.divide(self.a2[rows], w2, out=w2)
+        np.divide(a2, w2, out=w2)
         np.subtract(w, w2, out=w)
-        return np.array([_sum(w[r, :n]) for r, n in enumerate(self.lengths[rows].tolist())])
+        *shorter, longest = self.distinct
+        out = _sum(w[:, :longest], axis=1)
+        if shorter:
+            lengths = self.lengths[rows]
+            for n in shorter:
+                np.copyto(out, _sum(w[:, :n], axis=1), where=lengths == n)
+        return out
 
     def objective(self, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """The search objective of point thetas[r] over series rows[r], one per row.
@@ -262,13 +278,18 @@ class _Batch:
         """
         alpha0, coeffs = _theta_to_coeffs(thetas)
         total = _sum(coeffs[:, :self.k], axis=1) + _sum(coeffs[:, self.k:], axis=1)
-        valid = np.flatnonzero((alpha0 > 0) & (0.0 < total) & (total <= 1.0))
+        if _min(alpha0) > 0 and 0.0 < _min(total) and _max(total) <= 1.0:  # NaN fails too
+            return self._negative_log_likelihood(rows, alpha0, coeffs)
         out = np.full(rows.size, 1e300)
+        valid = np.flatnonzero((alpha0 > 0) & (0.0 < total) & (total <= 1.0))
         if valid.size:
-            rows = rows[valid]
-            s2 = self.sigma2(rows, alpha0[valid], coeffs[valid])
-            out[valid] = -self.log_likelihood(rows, s2)
+            out[valid] = self._negative_log_likelihood(rows[valid], alpha0[valid], coeffs[valid])
         return out
+
+    def _negative_log_likelihood(self, rows, alpha0, coeffs) -> np.ndarray:
+        a2x = self.a2x[rows]
+        s2 = self.sigma2(rows, alpha0, coeffs, a2x)
+        return np.negative(self.log_likelihood(rows, s2, a2x[:, self.m:]))
 
 
 def _filter_state(denom: np.ndarray, seed) -> np.ndarray:
@@ -375,19 +396,14 @@ def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
 def _theta_to_coeffs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha0 and the lag coefficients [alphas, betas] of search points, one row each.
 
-    alpha0 = exp(min(theta0, 50)) and the sigmoid of theta1 are taken row by
-    row with `math.exp`; a sigmoid whose exp overflows (theta1 below about
-    -709) is its limit 0.  The lag coefficients, that sigmoid times the
-    softmax of theta[2:], are computed over all rows at once.
+    alpha0 = exp(min(theta0, 50)) is taken row by row with `math.exp`, and
+    the sigmoid of theta1 by `special.expit`, which is 1 / (1 + exp(-theta1))
+    with libm's exp, bit for bit, and 0 where that exp overflows (theta1
+    below about -709).  The lag coefficients, that sigmoid times the softmax
+    of theta[2:], are computed over all rows at once.
     """
-    alpha0 = np.empty(thetas.shape[0])
-    total = np.empty(thetas.shape[0])
-    for r, (t0, t1) in enumerate(thetas[:, :2].tolist()):
-        alpha0[r] = math.exp(min(t0, 50.0))
-        try:
-            total[r] = 1.0 / (1.0 + math.exp(-t1))
-        except OverflowError:
-            total[r] = 0.0
+    alpha0 = np.array(list(map(math.exp, np.minimum(thetas[:, 0], 50.0).tolist())), dtype=float)
+    total = special.expit(thetas[:, 1])
     logits = thetas[:, 2:]
     coeffs = logits - _max(logits, axis=1, keepdims=True)  # softmax, shifted by the max
     np.exp(coeffs, out=coeffs)
@@ -474,13 +490,6 @@ class _Searches:
     f_start: np.ndarray  # the objective at the start point
 
 
-def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each simplex ordered by its vertices' values, as scipy's `np.argsort` + `np.take`."""
-    order = np.argsort(fsim, axis=1)
-    each = np.arange(order.shape[0])[:, None]
-    return sim[each, order], fsim[each, order]
-
-
 def _nelder_mead(evaluate, starts: np.ndarray, max_iter: int, xatol: float, fatol: float,
                  adaptive: bool) -> _Searches:
     """Nelder-Mead from every row of `starts`, all searches advancing in lockstep.
@@ -496,6 +505,9 @@ def _nelder_mead(evaluate, starts: np.ndarray, max_iter: int, xatol: float, fato
     returns the objective at points[r] for search searches[r], in at most
     three calls: the reflections, then the expansions and contractions, then
     the shrunk vertices.
+
+    The live searches' simplices are kept apart, in place, and compacted
+    only when searches end; all live searches share one iteration count.
     """
     n_search, n = starts.shape
     if adaptive:
@@ -503,57 +515,97 @@ def _nelder_mead(evaluate, starts: np.ndarray, max_iter: int, xatol: float, fato
         rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
     else:
         rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # A search's second point is a * xbar - b * worst, (a, b) picked by its
+    # kind: 0 inside contraction, 1 outside contraction, 2 expansion.  The
+    # inside contraction (1 - psi) * xbar + psi * worst is the same float
+    # written as (1 - psi) * xbar - (-psi) * worst.
+    a_of = np.array([1 - psi, 1 + psi * rho, 1 + rho * chi], dtype=float)
+    b_of = np.array([-psi, psi * rho, rho * chi], dtype=float)
     sim = np.repeat(starts[:, None, :], n + 1, axis=1)
     axes = np.arange(n)
     sim[:, axes + 1, axes] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
-    everyone = np.arange(n_search)
-    fsim = evaluate(np.repeat(everyone, n + 1), sim.reshape(-1, n)).reshape(n_search, n + 1)
+    live = np.arange(n_search)
+    fsim = evaluate(np.repeat(live, n + 1), sim.reshape(-1, n)).reshape(n_search, n + 1)
     f_start = fsim[:, 0].copy()
+    first = live[:, None] * (n + 1)  # each live simplex's first vertex in the flattened arrays
+
+    def sort():  # each simplex ordered by its vertices' values, as scipy's argsort + take
+        nonlocal sim, fsim
+        at = (fsim.argsort(axis=1) + first).ravel()
+        sim = sim.reshape(-1, n).take(at, axis=0).reshape(-1, n + 1, n)
+        fsim = fsim.ravel()[at].reshape(-1, n + 1)
+
     for _ in range(2):  # scipy sorts the first simplex twice
-        sim, fsim = _sorted(sim, fsim)
-    nit = np.ones(n_search, dtype=np.intp)
-    nfev = np.full(n_search, n + 1, dtype=np.intp)
-    live = everyone
-    while True:
-        live = live[nit[live] < max_iter]
-        s, f = sim[live], fsim[live]
-        done = ((_max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol)
-                & (_max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol))
-        live, s, f = live[~done], s[~done], f[~done]
-        if live.size == 0:
+        sort()
+    x, fun = np.empty((n_search, n)), np.empty(n_search)
+    nit, nfev = np.empty(n_search, dtype=np.intp), np.empty(n_search, dtype=np.intp)
+    calls = np.full(n_search, n + 1, dtype=np.intp)  # per live search
+    iterations = 1
+
+    def retire(ended):  # record the searches at positions `ended` and drop them
+        nonlocal live, sim, fsim, calls, first
+        ids = live[ended]
+        x[ids], fun[ids] = sim[ended, 0], _min(fsim[ended], axis=1)
+        nit[ids], nfev[ids] = iterations, calls[ended]
+        keep = np.ones(live.size, dtype=bool)
+        keep[ended] = False
+        live, sim, fsim, calls = live[keep], sim[keep], fsim[keep], calls[keep]
+        first = first[:live.size]
+
+    while live.size:
+        if iterations >= max_iter:
+            retire(slice(None))
             break
-        xbar = _sum(s[:, :-1], axis=1) / n
-        worst = s[:, -1]
+        # scipy's max |f[0] - f[j]| is |f[0] - f[-1]| on a sorted simplex
+        flat = np.abs(fsim[:, 0] - fsim[:, -1]) <= fatol
+        if _any(flat):
+            flat = np.flatnonzero(flat)
+            s = sim[flat]
+            ended = flat[_max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol]
+            if ended.size:
+                retire(ended)
+                if not live.size:
+                    break
+        xbar = _sum(sim[:, :-1], axis=1) / n
+        worst = sim[:, -1]
         xr = (1 + rho) * xbar - rho * worst
         fxr = evaluate(live, xr)
-        expand = fxr < f[:, 0]
-        reflect = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~reflect & (fxr < f[:, -1])
-        inside = ~(expand | reflect | outside)
-        second = ~reflect
-        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = fxr.copy()
-        if second.any():
-            f2[second] = evaluate(live[second], x2[second])
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
-        shrink = (outside | inside) & ~take2
-        stay = ~shrink
-        s[stay, -1] = np.where(take2[:, None], x2, xr)[stay]
-        f[stay, -1] = np.where(take2, f2, fxr)[stay]
-        if shrink.any():
-            shrunk = s[shrink]
+        f_worst = fsim[:, -1]
+        expand = fxr < fsim[:, 0]
+        second = expand | ~(fxr < fsim[:, -2])  # all but the reflections
+        contract = second & ~expand
+        below_worst = fxr < f_worst
+        outside = contract & below_worst
+        inside = contract & ~below_worst
+        kind = outside + 2 * expand
+        x2 = a_of[kind][:, None] * xbar - b_of[kind][:, None] * worst
+        if _all(second):
+            f2 = evaluate(live, x2)
+        else:
+            f2 = fxr.copy()
+            if _any(second):
+                f2[second] = evaluate(live[second], x2[second])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f_worst))
+        shrink = contract & ~take2
+        x_new = np.where(take2[:, None], x2, xr)
+        f_new = np.where(take2, f2, fxr)
+        if _any(shrink):
+            stay = ~shrink
+            sim[stay, -1] = x_new[stay]
+            fsim[stay, -1] = f_new[stay]
+            shrunk = sim[shrink]
             shrunk[:, 1:] = shrunk[:, :1] + sigma * (shrunk[:, 1:] - shrunk[:, :1])
-            s[shrink] = shrunk
-            f[shrink, 1:] = evaluate(np.repeat(live[shrink], n),
-                                     shrunk[:, 1:].reshape(-1, n)).reshape(-1, n)
-            nfev[live[shrink]] += n
-        nfev[live] += 1 + second
-        nit[live] += 1
-        sim[live], fsim[live] = _sorted(s, f)
-    return _Searches(x=sim[:, 0].copy(), fun=_min(fsim, axis=1), nit=nit, nfev=nfev,
-                     success=nit < max_iter, f_start=f_start)
+            sim[shrink] = shrunk
+            fsim[shrink, 1:] = evaluate(np.repeat(live[shrink], n),
+                                        shrunk[:, 1:].reshape(-1, n)).reshape(-1, n)
+            calls[shrink] += n
+        else:
+            sim[:, -1] = x_new
+            fsim[:, -1] = f_new
+        calls += 1 + second
+        iterations += 1
+        sort()
+    return _Searches(x=x, fun=fun, nit=nit, nfev=nfev, success=nit < max_iter, f_start=f_start)
 
 
 @dataclass(frozen=True)

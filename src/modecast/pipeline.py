@@ -14,7 +14,8 @@ Protocol notes baked in here rather than in the submodules:
   shocks; networks are not retrained unless `retrain_every` is set.
 * A mode set's networks share their shapes and differ only in seed and
   data, so they train together (`neural.train_many`), bit for bit as one by
-  one.
+  one; the comparison matrix trains a cell's networks of all three variants
+  in one such call.
 * Since every window of the rolling forecast is known in advance, each
   mode's network runs once over all of them (once per retraining segment).
   Batched matrix products may round a row differently from a one-window
@@ -220,25 +221,28 @@ def _train_volatility(mode_train: np.ndarray, variant: Variant,
     return np.sqrt(fit.sigma2_path), kind
 
 
-def _train_networks(windows: list[WindowedDataset], cell: neural.CellKind,
-                    cfg: PipelineConfig) -> list[neural.RecurrentNetwork]:
-    """One network per mode, mode i seeded by `_mode_seed` so every variant
-    starts alike, all trained together by `neural.train_many`."""
-    seeds = [_mode_seed(cfg.train.seed, i + 1) for i in range(len(windows))]
-    trained = neural.train_many(
+def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellKind,
+                    cfg: PipelineConfig) -> list[list[neural.RecurrentNetwork]]:
+    """One network per mode of each mode set in `window_sets`, mode i of
+    every set seeded by `_mode_seed` so every variant starts alike, all
+    trained together by one `neural.train_many` call."""
+    windows = [w for mode_set in window_sets for w in mode_set]
+    seeds = [_mode_seed(cfg.train.seed, i + 1) for mode_set in window_sets
+             for i in range(len(mode_set))]
+    trained = iter(neural.train_many(
         [w.inputs for w in windows], [w.targets for w in windows],
         [replace(cfg.network, cell=cell, input_features=2, seed=seed) for seed in seeds],
-        [replace(cfg.train, seed=seed) for seed in seeds])
-    return [net for net, _ in trained]
+        [replace(cfg.train, seed=seed) for seed in seeds]))
+    return [[next(trained)[0] for _ in mode_set] for mode_set in window_sets]
 
 
-def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
-                     cell: neural.CellKind, cfg: PipelineConfig,
-                     garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
-                     ) -> tuple[ModeModel, ...]:
-    """Fit scalers, volatility and one network per mode from the leading
-    `train_size` slots only; mode test segments are never read here.  The
-    mode networks train together (`_train_networks`).
+def _mode_inputs(mode_values: np.ndarray, train_size: int, variant: Variant,
+                 cfg: PipelineConfig, garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
+                 ) -> tuple[list[tuple], list[WindowedDataset]]:
+    """Scalers, volatility source and training windows of every mode, from
+    the leading `train_size` slots only; mode test segments are never read
+    here.  Returns (scaler, vol_scaler, garch fit, vol_kind) per mode and
+    the windows its network trains on.
 
     The VMD-GARCH variant takes its volatility from `garch_fits` when given
     (one fit per mode, made by `_fit_mode_garch` on the same slots) and fits
@@ -268,11 +272,32 @@ def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
         scaled_vol = vol_scaler.apply(vol_train) if vol_scaler is not None else np.zeros(train_size)
         windows.append(build_windows(scaler.apply(mode_train), scaled_vol, cfg.seq_len))
         fitted.append((scaler, vol_scaler, g_fit, vol_kind))
-    networks = _train_networks(windows, cell, cfg)
+    return fitted, windows
+
+
+def _mode_models(fitted: list[tuple], networks) -> tuple[ModeModel, ...]:
     return tuple(ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler, garch=g_fit,
                            network=net, vol_kind=vol_kind)
                  for idx, ((scaler, vol_scaler, g_fit, vol_kind), net)
-                 in enumerate(zip(fitted, networks)))
+                 in enumerate(zip(fitted, networks, strict=True)))
+
+
+def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
+                     cell: neural.CellKind, cfg: PipelineConfig,
+                     garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
+                     ) -> tuple[ModeModel, ...]:
+    """Fit scalers, volatility and one network per mode (`_mode_inputs`);
+    the mode networks train together (`_train_networks`)."""
+    fitted, windows = _mode_inputs(mode_values, train_size, variant, cfg, garch_fits)
+    (networks,) = _train_networks([windows], cell, cfg)
+    return _mode_models(fitted, networks)
+
+
+def _variant_values(series: TimeSeries, variant: Variant,
+                    mode_set: vmd.ModeSet | None) -> np.ndarray:
+    """The (K, T) series the variant's networks train on: the raw series for
+    the direct variant, the modes otherwise."""
+    return series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes
 
 
 def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
@@ -286,14 +311,11 @@ def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
     across variants and cells).
     """
     validate(series)
-    n = len(series)
-    n_train = _train_size(n, cfg)
-    if variant is Variant.DIRECT:
-        mode_set = None
-        mode_values = series.values[None, :].copy()
-    else:
+    n_train = _train_size(len(series), cfg)
+    mode_set = None
+    if variant is not Variant.DIRECT:
         mode_set = modes if modes is not None else vmd.vmd_decompose(series, cfg.vmd)
-        mode_values = mode_set.modes
+    mode_values = _variant_values(series, variant, mode_set)
     models = _fit_mode_models(mode_values, n_train, variant, cell, cfg, garch_fits)
     return EnsembleForecaster(variant=variant, cell=cell, config=cfg, modes=mode_set,
                               mode_values=mode_values, mode_models=models, train_size=n_train)
@@ -372,9 +394,9 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     segment = cfg.retrain_every if cfg.retrain_every > 0 else steps
     for start in range(0, steps, segment):
         if start > 0:
-            networks = _train_networks([build_windows(values[:t0 + start], vol[:t0 + start],
-                                                      cfg.seq_len)
-                                        for values, vol in channels], forecaster.cell, cfg)
+            (networks,) = _train_networks([[build_windows(values[:t0 + start], vol[:t0 + start],
+                                                          cfg.seq_len)
+                                            for values, vol in channels]], forecaster.cell, cfg)
         stop = min(start + segment, steps)
         for i, model in enumerate(forecaster.mode_models):
             pred_scaled = neural.predict(networks[i], windows[i][start:])
@@ -395,23 +417,34 @@ def compare_models(series: TimeSeries, steps_list: list[int],
     All models share one decomposition, one volatility fit per mode (a fit
     depends only on the mode's training segment and the model order, so every
     VMD-GARCH cell reuses it) and identical per-mode seeds, so rows differ
-    only by what the variant itself changes.  Each model runs one rolling
-    forecast at max(steps_list), and shorter horizons score its prefix; that
-    prefix equals a separate shorter forecast up to rounding only, since a
-    batched network pass can round a row differently at another batch size.
+    only by what the variant itself changes.  A cell's networks of all three
+    variants train together in one `neural.train_many` call; each equals the
+    network `fit_forecaster` trains for its variant alone, bit for bit.  Each
+    model runs one rolling forecast at max(steps_list), and shorter horizons
+    score its prefix; that prefix equals a separate shorter forecast up to
+    rounding only, since a batched network pass can round a row differently
+    at another batch size.
     """
     if not steps_list:
         raise LengthMismatch("steps_list must be nonempty")
     validate(series)
     max_steps = max(steps_list)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
-    garch_fits = _fit_mode_garch(mode_set.modes, _train_size(len(series), cfg), cfg)
+    n_train = _train_size(len(series), cfg)
+    garch_fits = _fit_mode_garch(mode_set.modes, n_train, cfg)
+    variants = (Variant.DIRECT, Variant.VMD, Variant.VMD_GARCH)
+    values = [_variant_values(series, variant, mode_set) for variant in variants]
+    inputs = [_mode_inputs(v, n_train, variant, cfg, garch_fits)
+              for variant, v in zip(variants, values)]
     rows: list[ComparisonRow] = []
     for cell in cells:
-        for variant in (Variant.DIRECT, Variant.VMD, Variant.VMD_GARCH):
-            fc = fit_forecaster(series, variant, cell, cfg,
-                                modes=None if variant is Variant.DIRECT else mode_set,
-                                garch_fits=garch_fits)
+        networks = _train_networks([windows for _, windows in inputs], cell, cfg)
+        for variant, mode_values, (fitted, _), nets in zip(variants, values, inputs, networks):
+            fc = EnsembleForecaster(
+                variant=variant, cell=cell, config=cfg,
+                modes=None if variant is Variant.DIRECT else mode_set,
+                mode_values=mode_values, mode_models=_mode_models(fitted, nets),
+                train_size=n_train)
             result = rolling_forecast(fc, series, max_steps)
             label = f"{variant.label_prefix}{cell.name}"
             for h in steps_list:

@@ -27,7 +27,10 @@ updated in a sequential k = 1..K sweep (each update sees the already-updated
 lower-index modes), which makes the result bit-deterministic.
 
 Transforms are numpy's real FFT (`np.fft.rfft` / `irfft`), which handles any
-length without padding.
+length without padding.  The sweep writes into buffers allocated once, and a
+mode's power sum from its centroid update is kept as the next sweep's
+convergence denominator; each float is the one the plain expressions above
+give.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import ConfigError, NumericalError, TooShort
 from .series import TimeSeries
 
 _EPS = np.finfo(float).eps
+_sum = np.add.reduce  # `x.sum()` without the method's Python wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +176,69 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     f_plus = np.fft.rfft(f)  # one-sided spectrum on the grid 0..n//2
     freqs = np.arange(f_plus.size) / n
 
+    # The sweep writes into these buffers: `u` the modes being updated, `u_prev`
+    # the previous sweep's (the two swap each sweep), `total` the running sum
+    # of the modes, `others` the sum of all but mode k, `lam` the multiplier,
+    # `wiener` the filter's denominator, `power` mode k's |u_hat_k|^2.
     u = np.zeros((k_modes, f_plus.size), dtype=complex)
-    lam = np.zeros(f_plus.size, dtype=complex)
-    omega = _init_omegas(config)
+    u_prev = np.zeros_like(u)
+    total, others = np.empty_like(f_plus), np.empty_like(f_plus)
+    lam, lam_half = np.zeros_like(f_plus), np.empty_like(f_plus)
+    wiener, power, moment = np.empty_like(freqs), np.empty_like(freqs), np.empty_like(freqs)
+    change = np.empty_like(u)
+    sq_change = np.empty(u.shape)
+    # |u_prev[k]|^2 summed over the grid: the convergence measure's
+    # denominators, kept from the sweep that made u_prev (zero at the start)
+    prev_mass = np.zeros(k_modes)
+    mass = np.empty(k_modes)
+    omega = _init_omegas(config).tolist()
+    two_alpha = 2.0 * config.alpha
+    nudge = 1.0 / (4.0 * t_len)
 
     iterations = 0
     delta = np.inf
     for iterations in range(1, config.max_iter + 1):
-        u_prev = u.copy()
-        total = u.sum(axis=0)
+        u, u_prev = u_prev, u
+        _sum(u_prev, axis=0, out=total)
+        np.divide(lam, 2.0, out=lam_half)
         for k in range(k_modes):
-            others = total - u[k]
-            u_new = (f_plus - others + lam / 2.0) / (1.0 + 2.0 * config.alpha * (freqs - omega[k]) ** 2)
-            total = others + u_new
-            u[k] = u_new
-            if not (config.dc_mode and k == 0):
-                power = np.abs(u[k]) ** 2
-                mass = power.sum()
-                if mass > 0.0:
-                    omega[k] = float((freqs * power).sum() / mass)
+            uk = u[k]
+            np.subtract(total, u_prev[k], out=others)
+            # u_k = (f_plus - others + lam / 2) / (1 + 2 * alpha * (freqs - omega_k)^2)
+            np.subtract(f_plus, others, out=uk)
+            np.add(uk, lam_half, out=uk)
+            np.subtract(freqs, omega[k], out=wiener)
+            np.square(wiener, out=wiener)
+            np.multiply(two_alpha, wiener, out=wiener)
+            np.add(1.0, wiener, out=wiener)
+            np.divide(uk, wiener, out=uk)
+            np.add(others, uk, out=total)
+            np.absolute(uk, out=power)
+            np.square(power, out=power)
+            mass[k] = _sum(power)
+            if not (config.dc_mode and k == 0) and mass[k] > 0.0:
+                omega[k] = float(_sum(np.multiply(freqs, power, out=moment)) / mass[k])
         # near-duplicate centers degenerate into copies; nudge the later one
         for i in range(k_modes):
             for j in range(i + 1, k_modes):
                 if abs(omega[i] - omega[j]) < 1e-6:
-                    omega[j] += 1.0 / (4.0 * t_len)
-        np.clip(omega, 0.0, 0.5, out=omega)
+                    omega[j] += nudge
+        omega = np.clip(omega, 0.0, 0.5).tolist()
         if config.tau > 0.0:
-            lam = lam + config.tau * (f_plus - u.sum(axis=0))
-        num = np.abs(u - u_prev) ** 2
-        den = (np.abs(u_prev) ** 2).sum(axis=1) + _EPS
-        delta = float((num.sum(axis=1) / den).sum())
+            lam_step = _sum(u, axis=0, out=total)
+            np.subtract(f_plus, lam_step, out=lam_step)
+            np.multiply(config.tau, lam_step, out=lam_step)
+            np.add(lam, lam_step, out=lam)
+        np.subtract(u, u_prev, out=change)
+        np.absolute(change, out=sq_change)
+        np.square(sq_change, out=sq_change)
+        prev_mass += _EPS
+        delta = float(_sum(_sum(sq_change, axis=1) / prev_mass))
+        prev_mass, mass = mass, prev_mass
         if delta < config.tol:
             break
 
+    omega = np.array(omega)
     modes = np.fft.irfft(u[np.argsort(omega)], n=n)
     if config.mirror:
         modes = crop_center(modes)

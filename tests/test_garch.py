@@ -32,6 +32,7 @@ from modecast.garch import (
     _constraint_violation,
     _filter_state,
     _nelder_mead,
+    _theta_to_coeffs,
     _theta_to_params,
 )
 from modecast.series import TimeSeries
@@ -188,6 +189,37 @@ def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
         assert value == expected == references[row](theta)
         rejected += expected == 1e300
     assert rejected >= 40  # both always-invalid edge groups reached the 1e300 rows
+
+
+def _per_row_coeffs(theta):
+    """alpha0 and the lag coefficients of one search point, with `math.exp`."""
+    alpha0 = math.exp(min(theta[0], 50.0))
+    try:
+        sigmoid = 1.0 / (1.0 + math.exp(-theta[1]))
+    except OverflowError:
+        sigmoid = 0.0
+    w = theta[2:] - theta[2:].max()
+    p = np.exp(w)
+    p /= p.sum()
+    return alpha0, sigmoid * p
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6, 22])
+def test_theta_to_coeffs_equals_per_row_math_exp(dim):
+    # with one lag coefficient (dim 3) the coefficient is the sigmoid itself
+    rng = np.random.default_rng(dim)
+    thetas = rng.normal(0.0, 20.0, size=(3000, dim))
+    thetas[:1000, :2] = rng.uniform(-800.0, 800.0, size=(1000, 2))
+    edges = [50.0, np.nextafter(50.0, 51.0), 60.0, 709.8, 1e308, -709.7, -709.78, -709.79,
+             -710.0, -745.2, -800.0, math.inf, -math.inf, -0.0, 0.0]
+    for i, edge in enumerate(edges):
+        thetas[1000 + i, 0] = edge  # theta0 above 50 is clamped; -inf gives alpha0 = 0
+        thetas[1100 + i, 1] = edge  # theta1 below about -709 overflows exp(-theta1)
+    alpha0, coeffs = _theta_to_coeffs(thetas)
+    expected = [_per_row_coeffs(theta) for theta in thetas]
+    bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)  # noqa: E731
+    assert np.array_equal(bits(alpha0), bits([a for a, _ in expected]))
+    assert np.array_equal(bits(coeffs), bits([c for _, c in expected]))
 
 
 def _reference_objective(a_norm, spec):

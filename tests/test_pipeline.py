@@ -341,6 +341,20 @@ def test_compare_models_fits_each_mode_garch_once(monkeypatch):
         assert np.array_equal(row.report.predictions, alone.predictions)
 
 
+def test_compare_models_trains_each_cell_in_one_call(monkeypatch):
+    series, cfg = wavy_series(), small_config(n_modes=3, epochs=1)
+    cells = [CellKind.RNN, CellKind.LSTM]
+    calls = []
+    lockstep = neural.train_many
+    monkeypatch.setattr(neural, "train_many", lambda *a: calls.append(len(a[0])) or lockstep(*a))
+    rows = compare_models(series, [6], cells, cfg)
+    monkeypatch.undo()
+    assert calls == [1 + 2 * cfg.vmd.n_modes] * len(cells)  # direct, VMD and VMD-GARCH nets
+    for row in rows:
+        alone = rolling_forecast(fit_forecaster(series, row.variant, row.cell, cfg), series, 6)
+        assert np.array_equal(row.report.predictions, alone.predictions), row.model
+
+
 def test_fit_forecaster_rejects_fit_count_mismatch():
     cfg = small_config(n_modes=2)
     series = wavy_series()

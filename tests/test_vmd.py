@@ -13,6 +13,7 @@ from modecast.series import TimeSeries
 from modecast.vmd import (
     ModeSet,
     VmdConfig,
+    _init_omegas,
     crop_center,
     mirror_extend,
     reconstruct,
@@ -193,6 +194,91 @@ def test_unmirrored_odd_length_signal():
     t = np.arange(501)
     ms2 = vmd_decompose(np.cos(2 * np.pi * 0.2 * t), VmdConfig(n_modes=1, mirror=False))
     assert abs(ms2.omegas[0] - 0.2) <= 2.0 / 501
+
+
+def _reference_decompose(signal, config):
+    """The sweep as written before it moved into preallocated buffers: fresh
+    arrays, numpy scalars, every measure recomputed from the modes."""
+    x = np.asarray(signal, dtype=float).reshape(-1)
+    t_len, k_modes = x.size, config.n_modes
+    f = mirror_extend(x) if config.mirror else x
+    n = f.size
+    f_plus = np.fft.rfft(f)
+    freqs = np.arange(f_plus.size) / n
+    u = np.zeros((k_modes, f_plus.size), dtype=complex)
+    lam = np.zeros(f_plus.size, dtype=complex)
+    omega = _init_omegas(config)
+    iterations, delta = 0, np.inf
+    for iterations in range(1, config.max_iter + 1):
+        u_prev = u.copy()
+        total = u.sum(axis=0)
+        for k in range(k_modes):
+            others = total - u[k]
+            u_new = (f_plus - others + lam / 2.0) / (1.0 + 2.0 * config.alpha * (freqs - omega[k]) ** 2)
+            total = others + u_new
+            u[k] = u_new
+            if not (config.dc_mode and k == 0):
+                power = np.abs(u[k]) ** 2
+                mass = power.sum()
+                if mass > 0.0:
+                    omega[k] = float((freqs * power).sum() / mass)
+        for i in range(k_modes):
+            for j in range(i + 1, k_modes):
+                if abs(omega[i] - omega[j]) < 1e-6:
+                    omega[j] += 1.0 / (4.0 * t_len)
+        np.clip(omega, 0.0, 0.5, out=omega)
+        if config.tau > 0.0:
+            lam = lam + config.tau * (f_plus - u.sum(axis=0))
+        num = np.abs(u - u_prev) ** 2
+        den = (np.abs(u_prev) ** 2).sum(axis=1) + np.finfo(float).eps
+        delta = float((num.sum(axis=1) / den).sum())
+        if delta < config.tol:
+            break
+    modes = np.fft.irfft(u[np.argsort(omega)], n=n)
+    if config.mirror:
+        modes = crop_center(modes)
+    return ModeSet(modes=modes, omegas=np.sort(omega), residual=x - modes.sum(axis=0),
+                   iterations=iterations, final_delta=delta, converged=delta < config.tol)
+
+
+REFERENCE_CASES = [
+    *(dict(n_modes=k, max_iter=60) for k in range(1, 11)),
+    dict(n_modes=3, tau=0.2, max_iter=60),
+    dict(n_modes=4, dc_mode=True, max_iter=60),
+    dict(n_modes=3, mirror=False, max_iter=60),  # odd length: no Nyquist bin
+    dict(n_modes=3, init_omega="zero", max_iter=60),
+    dict(n_modes=3, init_omega="random", seed=4, max_iter=60),
+    dict(n_modes=2, tol=1e-6),  # stops on tol
+    dict(n_modes=5, max_iter=9),  # runs out of sweeps
+]
+
+
+@pytest.mark.parametrize("settings", REFERENCE_CASES)
+def test_decomposition_equals_reference_sweep_bit_for_bit(settings):
+    t = np.arange(151)
+    x = (np.cos(2 * np.pi * 0.04 * t) + 0.5 * np.cos(2 * np.pi * 0.21 * t + 0.3)
+         + 0.2 * np.random.default_rng(7).standard_normal(t.size) + 0.01 * t)
+    config = VmdConfig(**settings)
+    got, expected = vmd_decompose(x, config), _reference_decompose(x, config)
+    for field in ("modes", "omegas", "residual"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert (got.iterations, got.final_delta, got.converged) == \
+        (expected.iterations, expected.final_delta, expected.converged)
+    if "tol" in settings:
+        assert got.converged and got.iterations < config.max_iter
+    if settings.get("max_iter") == 9:
+        assert not got.converged and got.iterations == 9
+
+
+def test_cpi_fixture_decomposition_equals_reference_sweep():
+    fixture = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
+    x = load_csv(fixture).values
+    config = VmdConfig(n_modes=10, alpha=2000.0, tol=1e-7)
+    got, expected = vmd_decompose(x, config), _reference_decompose(x, config)
+    for field in ("modes", "omegas", "residual"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert (got.iterations, got.final_delta, got.converged) == \
+        (expected.iterations, expected.final_delta, expected.converged)
 
 
 def test_reconstruct_sums_modes():
