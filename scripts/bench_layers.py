@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
-backpropagation-through-time step per cell kind) and stage timing of mode-set
-training, of VMD and of the GARCH fit.
+backpropagation-through-time step per cell kind), stage timing of mode-set
+training, of VMD and of the GARCH fit, and the package's start-up cost.
 
-    python3 scripts/bench_layers.py [--only {layers,training,vmd,garch}]
+    python3 scripts/bench_layers.py [--only {layers,training,vmd,garch,startup}]
 
---only runs one section; by default all four run, in that order.
+--only runs one section; by default all five run, in that order.
 
 layers: for each cell kind at batch x hidden 32x16 and 32x64, it times a
 training forward pass (`neural._forward_batch`, dropout 0.2) and its
@@ -41,11 +41,16 @@ One more, untimed `fit_many` per order counts what the search asked of its
 evaluator, through a wrapper around `garch._nelder_mead`: the evaluator
 calls, the rows (one point of one search each) and the rounds (the longest
 search's iterations).  The filter floor is rows x the median time of one
-variance-filter call (`scipy.signal._sigtools._linear_filter`, what
+variance-filter call (`garch._linear_filter`, the compiled routine
 `signal.lfilter` runs) over a segment, the cost no bookkeeping change can
 remove; the rest of `fit_many` is numpy and Python overhead per round, per
 call and per row.  Then it times one `garch.fit` of the fifth mode's segment
 at (10,10).
+
+startup: it runs `python -c "import modecast.cli"` in a fresh interpreter
+STARTUP_RUNS times and prints the median wall time of the whole child
+process (interpreter start included), the child's peak resident set
+(`ru_maxrss`) and which of STARTUP_WATCHED the import loaded.
 
 BLAS runs on one thread, fixed before numpy loads, and the process is pinned
 to one CPU.
@@ -73,7 +78,9 @@ TRAIN_ROUNDS = 7
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
-SECTIONS = ("layers", "training", "vmd", "garch")
+STARTUP_RUNS = 7
+STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize")
+SECTIONS = ("layers", "training", "vmd", "garch", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
@@ -88,7 +95,7 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sections = {"layers": bench_layers, "training": bench_training, "vmd": bench_vmd,
-                "garch": bench_garch}
+                "garch": bench_garch, "startup": bench_startup}
     for name in ([args.only] if args.only else SECTIONS):
         sections[name]()
     return 0
@@ -202,18 +209,17 @@ def _search_counts(garch, segments, spec) -> tuple[int, int, int]:
 def _filter_call_s(length: int, l: int) -> float:
     """Median time of one variance-filter call over `length` slots at GARCH order l."""
     import numpy as np
-    from scipy import signal
-    from scipy.signal._sigtools import _linear_filter
+
+    from modecast import garch
 
     denom = np.concatenate([[1.0], np.full(l, -0.8 / l)])
-    zi = signal.lfiltic([1.0], denom, y=np.ones(l))
+    zi = garch._filter_state(denom, 1.0)
     base = np.random.default_rng(0).uniform(0.5, 1.5, length)
-    one = np.ones(1)
     elapsed = []
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(FILTER_REPEATS):
-            _linear_filter(one, denom, base, -1, zi)
+            garch._linear_filter(garch._ONE, denom, base, -1, zi)
         elapsed.append((time.perf_counter() - t0) / FILTER_REPEATS)
     return statistics.median(elapsed)
 
@@ -250,6 +256,28 @@ def bench_garch() -> None:
     t0 = time.perf_counter()
     garch.fit(segments[CPI_MODE], garch.GarchSpec(10, 10))
     print(f"{'(10,10)':<7} one segment: {time.perf_counter() - t0:.2f} s")
+
+
+def bench_startup() -> None:
+    import subprocess
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import modecast.cli\n"
+             "import resource, sys\n"
+             f"print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+             f"*[name for name in {STARTUP_WATCHED!r} if name in sys.modules])")
+    elapsed, rss_kb = [], []
+    for _ in range(STARTUP_RUNS):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        elapsed.append(time.perf_counter() - t0)
+        rss_kb.append(int(out[0]))
+        loaded = out[1:]
+    print(f"\n{'startup':<20} {'runs':>4} {'median s':>9} {'peak MB':>8}  loaded")
+    print(f"{'import modecast.cli':<20} {STARTUP_RUNS:4d} {statistics.median(elapsed):9.3f} "
+          f"{statistics.median(rss_kb) / 1024:8.1f}  {' '.join(loaded) or '-'}")
 
 
 if __name__ == "__main__":

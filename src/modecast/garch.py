@@ -27,29 +27,34 @@ the search, `fit`'s final steps and the public `sigma2_path` and
 zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
 (alpha0) and `signal.lfilter`'s IIR filter (`_sigtools._linear_filter`,
-called directly); the sigmoid, the softmax, the filter states, the ARCH
-convolution (lags summed highest first, as `np.convolve` does), the
-likelihood terms and the per-row likelihood sums (one reduction per series
-length) run over all rows at once.  Every step is the plain per-series
-arithmetic in the same order, so each row gets the float it would get
-alone.  The filter calls are the floor of an evaluation's cost; the rest is
-numpy's per-call cost and a dozen passes over the rows.
+loaded from its extension file and called directly); the sigmoid, the
+softmax, the filter states, the ARCH convolution (lags summed highest
+first, as `np.convolve` does), the likelihood terms and the per-row
+likelihood sums (one reduction per series length) run over all rows at
+once.  Every step is the plain per-series arithmetic in the same order, so
+each row gets the float it would get alone.  The filter calls are the floor
+of an evaluation's cost; the rest is numpy's per-call cost and a dozen
+passes over the rows.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
 for conditional heteroskedasticity (T * R^2 of squared values on their own
-lags against the chi-squared 95% quantile).
+lags against the chi-squared 95% quantile, from `special.gammaincinv`).
+Neither `scipy.signal` nor `scipy.stats` is imported.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special, stats
-from scipy.signal._sigtools import _linear_filter
+from scipy import special
 
 from .errors import (
     DegenerateSeries,
@@ -161,6 +166,26 @@ class FitOptions:
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
 _ONE = np.ones(1)  # the variance filter's numerator
+
+
+def _load_linear_filter():
+    """`signal.lfilter`'s compiled IIR routine, without importing `scipy.signal`.
+
+    Importing `scipy.signal._sigtools` runs the whole `scipy.signal` package
+    import first, which pulls in `scipy.stats`; loading the extension file
+    by itself gives the same C function for a fraction of the start-up.
+    """
+    where = os.path.join(scipy.__path__[0], "signal")
+    spec = PathFinder.find_spec("scipy.signal._sigtools", [where])
+    if spec is None:
+        raise ImportError(f"scipy.signal._sigtools not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
+
 # `x.sum()`, `x.max()`, `x.min()`, `x.any()` and `x.all()`, without the method's Python wrapper
 _sum = np.add.reduce
 _max = np.maximum.reduce
@@ -811,8 +836,12 @@ def arch_lm_test(series: TimeSeries | np.ndarray, lags: int = 12) -> tuple[float
         raise SingularRegression("squared series is constant")
     r2 = 1.0 - rss / tss
     stat = float(rows * r2)
-    crit = float(stats.chi2.ppf(0.95, lags))
-    return stat, stat > crit
+    return stat, stat > chi2_critical_95(lags)
+
+
+def chi2_critical_95(lags: int) -> float:
+    """The chi-squared(lags) 95% quantile, as `scipy.stats.chi2.ppf(0.95, lags)` computes it."""
+    return float(2 * special.gammaincinv(lags / 2, 0.95))
 
 
 def diagnose(series: TimeSeries | np.ndarray, lags: int = 12) -> DiagnosticsReport:

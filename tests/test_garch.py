@@ -702,6 +702,12 @@ def test_chi2_critical_value_constant():
     assert float(stats.chi2.ppf(0.95, 12)) == pytest.approx(21.026, abs=1e-3)
 
 
+def test_chi2_critical_95_equals_scipy_stats_bit_for_bit():
+    for lags in range(1, 201):
+        want = float(stats.chi2.ppf(0.95, lags))
+        assert garch.chi2_critical_95(lags).hex() == want.hex(), lags
+
+
 def test_diagnose_bundles_both_tests():
     sim = simulate(GarchParams(0.1, [0.3], [0.6]), 1500, seed=6)
     report = diagnose(sim, lags=12)
