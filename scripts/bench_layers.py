@@ -213,7 +213,7 @@ def _filter_call_s(length: int, l: int) -> float:
     from modecast import garch
 
     denom = np.concatenate([[1.0], np.full(l, -0.8 / l)])
-    zi = garch._filter_state(denom, 1.0)
+    zi = garch._filter_state(denom[None, :], 1.0)[0]
     base = np.random.default_rng(0).uniform(0.5, 1.5, length)
     elapsed = []
     for _ in range(5):

@@ -54,8 +54,7 @@ def main() -> None:
     (OUT / "comparison.txt").write_text(report)
     print(report)
 
-    forecaster = fit_forecaster(series, Variant.VMD_GARCH, CellKind.LSTM, cfg,
-                                modes=mode_set)
+    forecaster = fit_forecaster(series, Variant.VMD_GARCH, CellKind.LSTM, cfg)
     result = rolling_forecast(forecaster, series, 70)
     line_chart([("actual", result.actuals), ("predicted", result.predictions)],
                "Volatility-aware LSTM, 70-step rolling forecast",

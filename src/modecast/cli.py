@@ -90,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     # CLI flags outrank config values
     if getattr(args, "modes", None) is not None:
         cfg = replace(cfg, modes=args.modes)

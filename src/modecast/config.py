@@ -92,10 +92,8 @@ _SCHEMA = {
 _FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse config text over `base` (or the defaults); unknown keys are errors."""
-    values = {f.name: getattr(base, f.name) for f in fields(RunConfig)} if base else {}
-    cfg = RunConfig(**values) if values else RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    """Parse config text over the defaults; unknown keys are errors."""
     updates: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -113,14 +111,12 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             updates[field_name] = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
-    merged = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    merged.update(updates)
-    return RunConfig(**merged)
+    return RunConfig(**updates)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())
 
 
 def render_config(cfg: RunConfig, header_comments: list[str] | None = None) -> str:

@@ -21,9 +21,12 @@ point of every search to the evaluator in at most three batched calls.
 Each search visits the points scipy's would, in the same order, and ends
 where it would.  `fit` is `fit_many` of one series.
 
-One batched evaluator, `_Batch`, is the only variance recursion: it serves
-the search, `fit`'s final steps and the public `sigma2_path` and
-`log_likelihood`.  It holds the squared shocks and seeds of many series,
+The variance recursion runs in three places.  The batched evaluator
+`_Batch` serves the search, `fit`'s final steps and the public
+`sigma2_path` and `log_likelihood`.  `step_sigma2` advances a path by one
+slot in scalar arithmetic; `extend_sigma2` runs it over the held-out shocks
+of every rolling forecast.  `simulate` draws shocks through its own scalar
+loop.  `_Batch` holds the squared shocks and seeds of many series,
 zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
 (alpha0) and `signal.lfilter`'s IIR filter (`_sigtools._linear_filter`,
@@ -318,8 +321,8 @@ class _Batch:
 
 
 def _filter_state(denom: np.ndarray, seed) -> np.ndarray:
-    """`lfilter` state for pre-sample outputs all equal to `seed`, per row of
-    `denom` (with `seed` broadcast against it) or for one denominator.
+    """`lfilter` state for pre-sample outputs all equal to `seed`, one row per
+    row of the (rows, l + 1) `denom`, with `seed` broadcast against it.
 
     The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
     written out without its argument handling, one state slot at a time.

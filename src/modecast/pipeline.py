@@ -12,10 +12,15 @@ Protocol notes baked in here rather than in the submodules:
   only.  The rolling forecast predicts each held-out slot from a window of
   realized mode values and a volatility channel advanced over realized
   shocks; networks are not retrained unless `retrain_every` is set.
+* One builder, `_fit_forecasters`, makes every forecaster: `fit_forecaster`
+  takes its one (variant, cell) pair and `compare_models` the whole matrix.
+  It decomposes once and fits each mode's volatility once per call, and a
+  network's training windows are the leading rows of the channels the
+  rolling forecast reads (`_channels`), so both paths see the same floats.
 * A mode set's networks share their shapes and differ only in seed and
   data, so they train together (`neural.train_many`), bit for bit as one by
-  one; the comparison matrix trains a cell's networks of all three variants
-  in one such call.
+  one; the builder trains a cell's networks of every variant asked for in
+  one such call.
 * Since every window of the rolling forecast is known in advance, each
   mode's network runs once over all of them (once per retraining segment).
   Batched matrix products may round a row differently from a one-window
@@ -33,6 +38,7 @@ Protocol notes baked in here rather than in the submodules:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -188,6 +194,25 @@ def build_windows(mode_scaled, vol_scaled, seq_len: int) -> WindowedDataset:
     return WindowedDataset(inputs=inputs, targets=m[seq_len:].copy(), seq_len=seq_len)
 
 
+def _channels(model: ModeModel, mode_series: np.ndarray, train_size: int,
+              steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled value and volatility channels over the training slots and `steps`
+    held-out slots, the held-out ones filled from realized mode values only.
+    With `steps` = 0 they are the channels the mode's network trains on: the
+    leading slots of `extend_sigma2` are the fit's own `sigma2_path`."""
+    values = model.scaler.apply(mode_series[:train_size + steps])
+    if model.vol_kind == "value":
+        return values, values
+    if model.vol_kind in ("garch", "rolling") and model.vol_scaler is not None:
+        fit = model.garch
+        held = mode_series[train_size:train_size + steps]
+        if fit.used_differencing:
+            held = held - mode_series[train_size - 1:train_size + steps - 1]
+        s2 = garch_mod.extend_sigma2(fit, held - fit.mean)
+        return values, model.vol_scaler.apply(np.sqrt(s2))
+    return values, np.zeros(train_size + steps)
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
@@ -202,23 +227,6 @@ def _train_size(n: int, cfg: PipelineConfig) -> int:
     if n_train <= cfg.seq_len or n_train >= n:
         raise TooShort(f"train size {n_train} incompatible with seq_len {cfg.seq_len} and length {n}")
     return n_train
-
-
-def _fit_mode_garch(mode_values: np.ndarray, train_size: int,
-                    cfg: PipelineConfig) -> tuple[garch_mod.GarchFit, ...]:
-    """One volatility fit per mode, on the mode's leading `train_size` slots, searched together."""
-    return tuple(garch_mod.fit_many(mode_values[:, :train_size], cfg.garch, cfg.garch_options))
-
-
-def _train_volatility(mode_train: np.ndarray, variant: Variant,
-                      fit: garch_mod.GarchFit | None) -> tuple[np.ndarray, str]:
-    """Return (vol_train array, vol_kind) for one mode; `fit` serves VMD-GARCH."""
-    if variant is Variant.DIRECT:
-        return mode_train.copy(), "value"
-    if variant is Variant.VMD:
-        return np.zeros_like(mode_train), "zeros"
-    kind = "rolling" if fit.used_rolling_fallback else "garch"
-    return np.sqrt(fit.sigma2_path), kind
 
 
 def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellKind,
@@ -236,111 +244,70 @@ def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellK
     return [[next(trained)[0] for _ in mode_set] for mode_set in window_sets]
 
 
-def _mode_inputs(mode_values: np.ndarray, train_size: int, variant: Variant,
-                 cfg: PipelineConfig, garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
-                 ) -> tuple[list[tuple], list[WindowedDataset]]:
-    """Scalers, volatility source and training windows of every mode, from
-    the leading `train_size` slots only; mode test segments are never read
-    here.  Returns (scaler, vol_scaler, garch fit, vol_kind) per mode and
-    the windows its network trains on.
+def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
+                     cells: Sequence[neural.CellKind],
+                     cfg: PipelineConfig) -> Iterator[EnsembleForecaster]:
+    """Yield the forecaster of every (cell, variant) pair, cell by cell.
 
-    The VMD-GARCH variant takes its volatility from `garch_fits` when given
-    (one fit per mode, made by `_fit_mode_garch` on the same slots) and fits
-    it here otherwise.
-    """
-    k = mode_values.shape[0]
-    if variant is Variant.VMD_GARCH:
-        if garch_fits is None:
-            garch_fits = _fit_mode_garch(mode_values, train_size, cfg)
-        elif len(garch_fits) != k:
-            raise LengthMismatch(f"{len(garch_fits)} volatility fits for {k} modes")
-    fitted, windows = [], []
-    for idx in range(k):
-        mode_train = mode_values[idx, :train_size]
-        scaler = fit_scaler(mode_train)
-        g_fit = garch_fits[idx] if variant is Variant.VMD_GARCH else None
-        vol_train, vol_kind = _train_volatility(mode_train, variant, g_fit)
-        if vol_kind == "value":
-            vol_scaler: MinMaxScaler | None = scaler
-        elif vol_kind == "zeros" or vol_train.max() <= 0.0:
-            vol_scaler = None
-        else:
-            # sigma shares the mode's units, so scale it by the value span
-            # anchored at zero: a negligible volatility stays a negligible
-            # input instead of being stretched into a full-range noise channel
-            vol_scaler = MinMaxScaler(lo=0.0, hi=scaler.hi - scaler.lo)
-        scaled_vol = vol_scaler.apply(vol_train) if vol_scaler is not None else np.zeros(train_size)
-        windows.append(build_windows(scaler.apply(mode_train), scaled_vol, cfg.seq_len))
-        fitted.append((scaler, vol_scaler, g_fit, vol_kind))
-    return fitted, windows
-
-
-def _mode_models(fitted: list[tuple], networks) -> tuple[ModeModel, ...]:
-    return tuple(ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler, garch=g_fit,
-                           network=net, vol_kind=vol_kind)
-                 for idx, ((scaler, vol_scaler, g_fit, vol_kind), net)
-                 in enumerate(zip(fitted, networks, strict=True)))
-
-
-def _fit_mode_models(mode_values: np.ndarray, train_size: int, variant: Variant,
-                     cell: neural.CellKind, cfg: PipelineConfig,
-                     garch_fits: tuple[garch_mod.GarchFit, ...] | None = None
-                     ) -> tuple[ModeModel, ...]:
-    """Fit scalers, volatility and one network per mode (`_mode_inputs`);
-    the mode networks train together (`_train_networks`)."""
-    fitted, windows = _mode_inputs(mode_values, train_size, variant, cfg, garch_fits)
-    (networks,) = _train_networks([windows], cell, cfg)
-    return _mode_models(fitted, networks)
-
-
-def _variant_values(series: TimeSeries, variant: Variant,
-                    mode_set: vmd.ModeSet | None) -> np.ndarray:
-    """The (K, T) series the variant's networks train on: the raw series for
-    the direct variant, the modes otherwise."""
-    return series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes
-
-
-def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
-                   cfg: PipelineConfig, modes: vmd.ModeSet | None = None,
-                   garch_fits: tuple[garch_mod.GarchFit, ...] | None = None) -> EnsembleForecaster:
-    """Build the full per-mode model bundle for one (variant, cell) pair.
-
-    `modes` may carry a precomputed decomposition of `series` and `garch_fits`
-    precomputed volatility fits of its modes' training segments, one per mode,
-    read by the VMD-GARCH variant only (the comparison matrix reuses both
-    across variants and cells).
+    The series is decomposed once if a variant reads the modes, and each
+    mode's volatility fitted once (one `garch_mod.fit_many` call) if
+    VMD-GARCH is asked for, whatever the number of cells.  Scalers,
+    volatility source and training windows come from the leading split
+    only; the windows are the leading rows of the channels the rolling
+    forecast reads (`_channels`).  A cell's networks of every variant train
+    together in one `_train_networks` call.
     """
     validate(series)
     n_train = _train_size(len(series), cfg)
-    mode_set = None
-    if variant is not Variant.DIRECT:
-        mode_set = modes if modes is not None else vmd.vmd_decompose(series, cfg.vmd)
-    mode_values = _variant_values(series, variant, mode_set)
-    models = _fit_mode_models(mode_values, n_train, variant, cell, cfg, garch_fits)
-    return EnsembleForecaster(variant=variant, cell=cell, config=cfg, modes=mode_set,
-                              mode_values=mode_values, mode_models=models, train_size=n_train)
+    mode_set = garch_fits = None
+    if any(v is not Variant.DIRECT for v in variants):
+        mode_set = vmd.vmd_decompose(series, cfg.vmd)
+    if Variant.VMD_GARCH in variants:
+        garch_fits = garch_mod.fit_many(mode_set.modes[:, :n_train], cfg.garch,
+                                        cfg.garch_options)
+    plans = []  # (variant, values, mode models with network=None, windows)
+    for variant in variants:
+        values = series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes
+        models, windows = [], []
+        for idx, mode_series in enumerate(values):
+            scaler = fit_scaler(mode_series[:n_train])
+            fit = garch_fits[idx] if variant is Variant.VMD_GARCH else None
+            if variant is Variant.DIRECT:
+                vol_kind, vol_scaler = "value", scaler
+            elif variant is Variant.VMD:
+                vol_kind, vol_scaler = "zeros", None
+            else:
+                vol_kind = "rolling" if fit.used_rolling_fallback else "garch"
+                # sigma shares the mode's units, so scale it by the value span
+                # anchored at zero: a negligible volatility stays a negligible
+                # input instead of being stretched into a full-range noise channel
+                vol_scaler = (None if np.sqrt(fit.sigma2_path).max() <= 0.0
+                              else MinMaxScaler(lo=0.0, hi=scaler.hi - scaler.lo))
+            model = ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler,
+                              garch=fit, network=None, vol_kind=vol_kind)
+            models.append(model)
+            windows.append(build_windows(*_channels(model, mode_series, n_train, 0), cfg.seq_len))
+        plans.append((variant, values, models, windows))
+    for cell in cells:
+        networks = _train_networks([windows for *_, windows in plans], cell, cfg)
+        for (variant, values, models, _), nets in zip(plans, networks):
+            yield EnsembleForecaster(
+                variant=variant, cell=cell, config=cfg,
+                modes=None if variant is Variant.DIRECT else mode_set, mode_values=values,
+                mode_models=tuple(replace(m, network=net)
+                                  for m, net in zip(models, nets, strict=True)),
+                train_size=n_train)
+
+
+def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
+                   cfg: PipelineConfig) -> EnsembleForecaster:
+    """Build the full per-mode model bundle for one (variant, cell) pair."""
+    return next(_fit_forecasters(series, (variant,), (cell,), cfg))
 
 
 # ---------------------------------------------------------------------------
 # Rolling one-step-ahead forecast
 # ---------------------------------------------------------------------------
-
-def _forecast_channels(model: ModeModel, mode_series: np.ndarray, train_size: int,
-                       steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled value and volatility channels over the training slots and `steps`
-    held-out slots, the held-out ones filled from realized mode values only."""
-    values = model.scaler.apply(mode_series[:train_size + steps])
-    if model.vol_kind == "value":
-        return values, values
-    if model.vol_kind in ("garch", "rolling") and model.vol_scaler is not None:
-        fit = model.garch
-        held = mode_series[train_size:train_size + steps]
-        if fit.used_differencing:
-            held = held - mode_series[train_size - 1:train_size + steps - 1]
-        s2 = garch_mod.extend_sigma2(fit, held - fit.mean)
-        return values, model.vol_scaler.apply(np.sqrt(s2))
-    return values, np.zeros(train_size + steps)
-
 
 def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                      steps: int) -> ForecastResult:
@@ -386,7 +353,7 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
 
     t0 = forecaster.train_size
     first = t0 - cfg.seq_len  # first slot of the first window
-    channels = [_forecast_channels(m, forecaster.mode_values[i], t0, steps)
+    channels = [_channels(m, forecaster.mode_values[i], t0, steps)
                 for i, m in enumerate(forecaster.mode_models)]
     windows = [build_windows(values[first:], vol[first:], cfg.seq_len).inputs
                for values, vol in channels]
@@ -414,41 +381,32 @@ def compare_models(series: TimeSeries, steps_list: list[int],
                    cells: list[neural.CellKind], cfg: PipelineConfig) -> list[ComparisonRow]:
     """Run the 3 variants x len(cells) matrix at every horizon in steps_list.
 
-    All models share one decomposition, one volatility fit per mode (a fit
-    depends only on the mode's training segment and the model order, so every
-    VMD-GARCH cell reuses it) and identical per-mode seeds, so rows differ
-    only by what the variant itself changes.  A cell's networks of all three
-    variants train together in one `neural.train_many` call; each equals the
-    network `fit_forecaster` trains for its variant alone, bit for bit.  Each
-    model runs one rolling forecast at max(steps_list), and shorter horizons
-    score its prefix; that prefix equals a separate shorter forecast up to
-    rounding only, since a batched network pass can round a row differently
-    at another batch size.
+    Every model comes from one `_fit_forecasters` pass, so all share one
+    decomposition, one volatility fit per mode (a fit depends only on the
+    mode's training segment and the model order) and identical per-mode
+    seeds, and rows differ only by what the variant itself changes; each
+    model equals the one `fit_forecaster` builds for its pair alone, bit for
+    bit.  Horizons below 1 or past the held-out span raise `HorizonTooLong`
+    before anything is fitted.  Each model runs one rolling forecast at
+    max(steps_list), and shorter horizons score its prefix; that prefix
+    equals a separate shorter forecast up to rounding only, since a batched
+    network pass can round a row differently at another batch size.
     """
     if not steps_list:
         raise LengthMismatch("steps_list must be nonempty")
     validate(series)
+    held_out = len(series) - _train_size(len(series), cfg)
+    bad = [h for h in steps_list if not 1 <= h <= held_out]
+    if bad:
+        raise HorizonTooLong(f"horizons {bad} outside 1..{held_out}, the held-out span")
     max_steps = max(steps_list)
-    mode_set = vmd.vmd_decompose(series, cfg.vmd)
-    n_train = _train_size(len(series), cfg)
-    garch_fits = _fit_mode_garch(mode_set.modes, n_train, cfg)
     variants = (Variant.DIRECT, Variant.VMD, Variant.VMD_GARCH)
-    values = [_variant_values(series, variant, mode_set) for variant in variants]
-    inputs = [_mode_inputs(v, n_train, variant, cfg, garch_fits)
-              for variant, v in zip(variants, values)]
     rows: list[ComparisonRow] = []
-    for cell in cells:
-        networks = _train_networks([windows for _, windows in inputs], cell, cfg)
-        for variant, mode_values, (fitted, _), nets in zip(variants, values, inputs, networks):
-            fc = EnsembleForecaster(
-                variant=variant, cell=cell, config=cfg,
-                modes=None if variant is Variant.DIRECT else mode_set,
-                mode_values=mode_values, mode_models=_mode_models(fitted, nets),
-                train_size=n_train)
-            result = rolling_forecast(fc, series, max_steps)
-            label = f"{variant.label_prefix}{cell.name}"
-            for h in steps_list:
-                rows.append(ComparisonRow(
-                    model=label, variant=variant, cell=cell, horizon=h,
-                    report=metrics(result.actuals[:h], result.predictions[:h], horizon=h)))
+    for fc in _fit_forecasters(series, variants, cells, cfg):
+        result = rolling_forecast(fc, series, max_steps)
+        label = f"{fc.variant.label_prefix}{fc.cell.name}"
+        for h in steps_list:
+            rows.append(ComparisonRow(
+                model=label, variant=fc.variant, cell=fc.cell, horizon=h,
+                report=metrics(result.actuals[:h], result.predictions[:h], horizon=h)))
     return rows

@@ -107,12 +107,14 @@ def _reference_forecast(forecaster, steps):
     return predictions, per_mode, windows
 
 
-@functools.cache
-def _forecaster(cell, variant, fallback):
+def _fit(cell, variant, fallback):
     cfg = small_config(n_modes=2, epochs=1)
     if fallback:  # one simplex iteration never converges: every mode falls back
         cfg = dataclasses.replace(cfg, garch_options=garch.FitOptions(max_iter=1))
     return fit_forecaster(wavy_series(), variant, cell, cfg)
+
+
+_forecaster = functools.cache(_fit)
 
 
 _CASES = [(cell, variant, False) for cell in CellKind for variant in Variant]
@@ -154,6 +156,26 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
         still = rolling_forecast(base, wavy_series(), STEPS)
         assert np.array_equal(res.predictions[:retrain_every], still.predictions[:retrain_every])
         assert np.array_equal(res.per_mode[:retrain_every], still.per_mode[:retrain_every])
+
+
+@pytest.mark.parametrize("cell,variant,fallback", _CASES, ids=_IDS)
+def test_training_windows_match_reference_state(monkeypatch, cell, variant, fallback):
+    # the networks train on the windows of the reference state's initial
+    # lists: scaled training values and the scaled fitted volatility path
+    captured = []
+    train_many = neural.train_many
+    monkeypatch.setattr(neural, "train_many", lambda xs, ys, *rest: captured.append((xs, ys))
+                        or train_many(xs, ys, *rest))
+    fc = _fit(cell, variant, fallback)
+    monkeypatch.undo()
+    ((inputs, targets),) = captured
+    assert len(inputs) == len(fc.mode_models)
+    for i, model in enumerate(fc.mode_models):
+        state = _ReferenceModeState(model, fc.mode_values[i], fc.train_size)
+        want = build_windows(np.asarray(state.scaled_values), np.asarray(state.scaled_vol),
+                             fc.config.seq_len)
+        assert np.array_equal(inputs[i], want.inputs)
+        assert np.array_equal(targets[i], want.targets)
 
 
 def _loop_build_windows(mode_scaled, vol_scaled, seq_len):

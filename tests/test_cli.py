@@ -300,3 +300,12 @@ def test_decompose_ten_modes_on_index_fixture(tmp_path, capsys):
     omegas = meta["omegas"]
     assert len(omegas) == 10
     assert omegas == sorted(omegas)
+
+
+@pytest.mark.parametrize("horizons", ["5,-2", "0"])
+def test_compare_rejects_non_positive_horizon(tmp_path, series_csv, config_file, horizons):
+    out = tmp_path / "cmp_bad"
+    code = main(["compare", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(out), "--cells", "rnn", "--horizons", horizons])
+    assert code == 2
+    assert not (out / "metrics.txt").exists()

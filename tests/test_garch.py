@@ -153,7 +153,7 @@ def test_filter_state_matches_lfiltic_exactly(l):
         denom = np.concatenate([[1.0], -rng.dirichlet(np.ones(l)) * rng.uniform(0.0, 1.0)])
         seed = float(rng.uniform(1e-3, 1e3))
         expected = signal.lfiltic([1.0], denom, y=np.full(l, seed))
-        assert np.array_equal(_filter_state(denom, seed), expected)
+        assert np.array_equal(_filter_state(denom[None, :], seed)[0], expected)
 
 
 @pytest.mark.parametrize("k,l", ORDERS)
@@ -247,7 +247,7 @@ def _reference_objective(a_norm, spec):
                 s2 = np.full(n, alpha0)
             if betas.size > 0:
                 denom = np.concatenate([[1.0], -betas])
-                s2, _ = signal.lfilter([1.0], denom, s2, zi=_filter_state(denom, seed))
+                s2, _ = signal.lfilter([1.0], denom, s2, zi=_filter_state(denom[None, :], seed)[0])
             return -float(np.sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(s2)
                                  - a2 / (2.0 * s2)))
         except (FloatingPointError, OverflowError):

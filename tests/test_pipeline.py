@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from modecast import neural, pipeline
 from modecast.neural import CellKind, flatten_parameters
 from modecast.pipeline import (
     Variant,
-    _fit_mode_models,
     aggregate,
     build_windows,
     compare_models,
@@ -23,7 +23,7 @@ from modecast.pipeline import (
     metrics,
     rolling_forecast,
 )
-from modecast.series import TimeSeries
+from modecast.series import SplitSpec, TimeSeries
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +256,6 @@ def test_retraining_switch_changes_later_steps():
     base = small_config(n_modes=1, epochs=1)
     fc = fit_forecaster(series, Variant.VMD, CellKind.RNN, base)
     still = rolling_forecast(fc, series, 8)
-    import dataclasses
-
     retrain_cfg = dataclasses.replace(base, retrain_every=3)
     fc2 = fit_forecaster(series, Variant.VMD, CellKind.RNN, retrain_cfg)
     moving = rolling_forecast(fc2, series, 8)
@@ -269,20 +267,19 @@ def test_retraining_switch_changes_later_steps():
 # Leakage canary
 # ---------------------------------------------------------------------------
 
-def test_no_leakage_from_mode_test_segments():
+def test_no_leakage_from_mode_test_segments(monkeypatch):
     # perturbing only the test segment of the mode sequences must leave every
     # training artifact (scalers, volatility fits, network weights) unchanged
     series = wavy_series()
     cfg = small_config(n_modes=2)
-    from modecast import vmd as vmd_mod
-
-    mode_set = vmd_mod.vmd_decompose(series, cfg.vmd)
-    train_size = int(np.floor(cfg.split.train_fraction * len(series)))
-    clean = _fit_mode_models(mode_set.modes, train_size, Variant.VMD_GARCH, CellKind.RNN, cfg)
-    perturbed_modes = mode_set.modes.copy()
-    perturbed_modes[:, train_size:] += 17.0
-    dirty = _fit_mode_models(perturbed_modes, train_size, Variant.VMD_GARCH, CellKind.RNN, cfg)
-    for a, b in zip(clean, dirty):
+    clean = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
+    perturbed = clean.modes.modes.copy()
+    perturbed[:, clean.train_size:] += 17.0
+    dirty_modes = dataclasses.replace(clean.modes, modes=perturbed)
+    monkeypatch.setattr(pipeline.vmd, "vmd_decompose", lambda *args: dirty_modes)
+    dirty = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
+    assert np.array_equal(dirty.mode_values, perturbed)  # the perturbed modes were read
+    for a, b in zip(clean.mode_models, dirty.mode_models, strict=True):
         assert a.scaler == b.scaler
         assert a.vol_scaler == b.vol_scaler
         assert a.garch.params.alpha0 == b.garch.params.alpha0
@@ -294,13 +291,13 @@ def test_refit_on_extended_train_does_change_artifacts():
     # complementary canary: moving the split boundary really changes the fits
     series = wavy_series()
     cfg = small_config(n_modes=2)
-    from modecast import vmd as vmd_mod
-
-    mode_set = vmd_mod.vmd_decompose(series, cfg.vmd)
     n_train = int(np.floor(cfg.split.train_fraction * len(series)))
-    a = _fit_mode_models(mode_set.modes, n_train, Variant.VMD_GARCH, CellKind.RNN, cfg)
-    b = _fit_mode_models(mode_set.modes, n_train + 10, Variant.VMD_GARCH, CellKind.RNN, cfg)
-    assert a[0].scaler != b[0].scaler or a[0].garch.params.alpha0 != b[0].garch.params.alpha0
+    later = dataclasses.replace(cfg, split=SplitSpec((n_train + 10.5) / len(series)))
+    a = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
+    b = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, later)
+    assert (a.train_size, b.train_size) == (n_train, n_train + 10)
+    assert a.mode_models[0].scaler != b.mode_models[0].scaler \
+        or a.mode_models[0].garch.params.alpha0 != b.mode_models[0].garch.params.alpha0
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +315,13 @@ def test_compare_models_matrix_shape():
 
 
 def test_compare_models_fits_each_mode_garch_once(monkeypatch):
+    # one decomposition per comparison, none for the direct variant: the
+    # benchmark's reconstruction check records `vmd.vmd_decompose` calls
     series = wavy_series()
     cfg = small_config(n_modes=3, epochs=1)
     cells = [CellKind.RNN, CellKind.GRU]
-    batches, single = [], []
-    original = pipeline.garch_mod.fit_many
+    batches, single, decompositions = [], [], []
+    original, decompose = pipeline.garch_mod.fit_many, pipeline.vmd.vmd_decompose
 
     def counting_fit_many(sources, *args, **kwargs):
         batches.append(len(sources))
@@ -330,9 +329,13 @@ def test_compare_models_fits_each_mode_garch_once(monkeypatch):
 
     monkeypatch.setattr(pipeline.garch_mod, "fit_many", counting_fit_many)
     monkeypatch.setattr(pipeline.garch_mod, "fit", lambda *args, **kwargs: single.append(args))
+    monkeypatch.setattr(pipeline.vmd, "vmd_decompose",
+                        lambda *args: decompositions.append(args) or decompose(*args))
     rows = compare_models(series, [4, 8], cells, cfg)
+    assert batches == [cfg.vmd.n_modes] and single == [] and len(decompositions) == 1
+    fit_forecaster(series, Variant.DIRECT, CellKind.RNN, cfg)
+    assert batches == [cfg.vmd.n_modes] and len(decompositions) == 1
     monkeypatch.undo()
-    assert batches == [cfg.vmd.n_modes] and single == []
     for cell in cells:
         fc = fit_forecaster(series, Variant.VMD_GARCH, cell, cfg)
         alone = rolling_forecast(fc, series, 8)
@@ -355,18 +358,25 @@ def test_compare_models_trains_each_cell_in_one_call(monkeypatch):
         assert np.array_equal(row.report.predictions, alone.predictions), row.model
 
 
-def test_fit_forecaster_rejects_fit_count_mismatch():
-    cfg = small_config(n_modes=2)
-    series = wavy_series()
-    fc = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
-    with pytest.raises(LengthMismatch):
-        fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg, modes=fc.modes,
-                       garch_fits=(fc.mode_models[0].garch,))
-
-
 def test_compare_models_requires_horizons():
     with pytest.raises(LengthMismatch):
         compare_models(wavy_series(), [], [CellKind.RNN], small_config())
+
+
+@pytest.mark.parametrize("horizons", [[5, -2], [0], [5, 45]])
+def test_compare_models_rejects_horizons_outside_held_out_span(horizons, monkeypatch):
+    # wavy_series: 220 points, 176 in training, so horizons run 1..44
+    fitted = []
+    monkeypatch.setattr(pipeline.vmd, "vmd_decompose", lambda *args: fitted.append(args))
+    monkeypatch.setattr(neural, "train_many", lambda *args: fitted.append(args))
+    with pytest.raises(HorizonTooLong):
+        compare_models(wavy_series(), horizons, [CellKind.RNN], small_config())
+    assert fitted == []  # rejected before anything is fitted
+
+
+def test_compare_models_accepts_whole_held_out_span():
+    rows = compare_models(wavy_series(), [1, 44], [CellKind.RNN], small_config(epochs=1))
+    assert [r.report.predictions.size for r in rows] == [1, 44] * 3
 
 
 def test_reference_shape_ten_modes_tenth_order(tmp_path):
