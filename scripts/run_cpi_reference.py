@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Reference monthly-index experiment on the committed fixture.
 
-Mirrors the full protocol: ten modes, tenth-order variance recursions,
-50-step windows over (value, volatility) pairs, 85/15 split, one-step-ahead
-rolling forecasts, nine-model comparison.  The default trims the epoch count
-to 20; --epochs 100 gives the published settings.
+Runs the full protocol of `configs/reference.cfg`: ten modes, tenth-order
+variance recursions, 50-step windows over (value, volatility) pairs, 85/15
+split, one-step-ahead rolling forecasts, nine-model comparison.  The default
+trims the epoch count to 20; --epochs 100 gives the published settings.
 
 Cost, estimated from measured epoch times rather than from a full run: one
 epoch of one reference-size network (490 windows, 2x64, seq 50, dropout 0.2)
@@ -30,28 +30,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from modecast.config import load_config, to_pipeline_config
 from modecast.data import load_csv
-from modecast.garch import FitOptions, GarchSpec
-from modecast.neural import CellKind, NetworkConfig, TrainConfig
-from modecast.pipeline import PipelineConfig, compare_models
-from modecast.series import SplitSpec
-from modecast.vmd import VmdConfig
+from modecast.garch import GarchSpec
+from modecast.neural import CellKind
+from modecast.pipeline import compare_models
 
-FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
-OUT = Path(__file__).resolve().parents[1] / "out" / "cpi_reference"
-
-
-def reference_config(epochs: int) -> PipelineConfig:
-    return PipelineConfig(
-        vmd=VmdConfig(n_modes=10, alpha=2000.0),
-        garch=GarchSpec(k=10, l=10),
-        network=NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=64,
-                              input_features=2, dropout_rate=0.2, seed=0),
-        train=TrainConfig(epochs=epochs, batch_size=32, lr=1e-3, seed=0),
-        split=SplitSpec(0.85),
-        seq_len=50,
-        garch_options=FitOptions(),
-    )
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "data" / "cpi_germany_synthetic.csv"
+CONFIG = ROOT / "configs" / "reference.cfg"
+OUT = ROOT / "out" / "cpi_reference"
 
 
 def main() -> None:
@@ -64,11 +52,11 @@ def main() -> None:
     args = parser.parse_args()
 
     series = load_csv(FIXTURE)
-    cfg = reference_config(args.epochs)
+    cfg = to_pipeline_config(load_config(CONFIG))
+    cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs))
     if args.quick:
-        cfg = replace(cfg, vmd=VmdConfig(n_modes=2, alpha=2000.0),
-                      garch=GarchSpec(1, 1), seq_len=20,
-                      train=replace(cfg.train, epochs=3))
+        cfg = replace(cfg, vmd=replace(cfg.vmd, n_modes=2), garch=GarchSpec(1, 1),
+                      seq_len=20, train=replace(cfg.train, epochs=3))
     horizons = [int(h) for h in args.horizons.split(",")]
     cells = [CellKind[c.strip().upper()] for c in args.cells.split(",")]
 

@@ -23,12 +23,13 @@ from . import garch as garch_mod
 from . import charts, data, persist, vmd
 from .config import (
     RunConfig,
+    _parse_int_list,
     cell_kind,
     load_config,
     render_config,
     to_pipeline_config,
 )
-from .errors import ConfigError, ModecastError
+from .errors import ConfigError, ModecastError, UnreadableFile
 from .pipeline import (
     ForecastResult,
     Variant,
@@ -99,7 +100,10 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "cell", None):
         cfg = replace(cfg, network_cell=args.cell)
     if getattr(args, "horizons", None):
-        cfg = replace(cfg, horizons=tuple(int(h) for h in args.horizons.split(",")))
+        try:
+            cfg = replace(cfg, horizons=_parse_int_list(args.horizons))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --horizons: {exc}") from exc
     return cfg
 
 
@@ -110,10 +114,6 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, args) -> None:
         f"input: {getattr(args, 'input', '-')}",
     ]
     (out_dir / "run_manifest.txt").write_text(render_config(cfg, comments), encoding="utf-8")
-
-
-def _load_series(args):
-    return data.load_csv(args.input)
 
 
 def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
@@ -137,7 +137,7 @@ def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
 def _cmd_decompose(args) -> int:
     cfg = _resolve_config(args)
     pipe_cfg = to_pipeline_config(cfg)
-    series = _load_series(args)
+    series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, pipe_cfg.vmd)
@@ -151,7 +151,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_garch_fit(args) -> int:
     cfg = _resolve_config(args)
     pipe_cfg = to_pipeline_config(cfg)
-    series = _load_series(args)
+    series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, pipe_cfg.vmd)
@@ -187,7 +187,7 @@ def _cmd_garch_fit(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     pipe_cfg = to_pipeline_config(cfg)
-    series = _load_series(args)
+    series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     forecaster = fit_forecaster(series, _VARIANTS[args.variant],
                                 cell_kind(cfg.network_cell), pipe_cfg)
@@ -210,7 +210,7 @@ def _write_predictions_csv(result: ForecastResult, path: Path) -> None:
 
 def _cmd_forecast(args) -> int:
     cfg = _resolve_config(args)
-    series = _load_series(args)
+    series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.model_dir:
@@ -251,7 +251,7 @@ def _format_rows(rows) -> tuple[str, str]:
 def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     pipe_cfg = to_pipeline_config(cfg)
-    series = _load_series(args)
+    series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [cell_kind(c) for c in args.cells.split(",")]
@@ -265,18 +265,31 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _read_table(path, columns=()) -> np.ndarray:
+    """The rows of a CSV file with a header line, as a structured array that
+    holds every name in `columns`; any other file raises `UnreadableFile`."""
+    try:
+        table = np.genfromtxt(path, delimiter=",", names=True)
+    except (OSError, ValueError, IndexError) as exc:  # bad UTF-8, ragged rows, no lines
+        raise UnreadableFile(f"cannot read {path} as a CSV table: {exc}") from exc
+    if table.size == 0 or not set(columns) <= set(table.dtype.names or ()):
+        named = f" naming {', '.join(columns)}" if columns else ""
+        raise UnreadableFile(f"{path}: need a header line{named} and at least one data row")
+    return table
+
+
 def _cmd_plot(args) -> int:
     if not args.predictions and not args.modes_csv:
         raise ConfigError("plot needs --predictions or --modes-csv")
     out = Path(args.out)
     if args.predictions:
-        rows = np.genfromtxt(args.predictions, delimiter=",", names=True)
+        rows = _read_table(args.predictions, ("step", "actual", "predicted"))
         series = [("actual", np.atleast_1d(rows["actual"])),
                   ("predicted", np.atleast_1d(rows["predicted"]))]
         charts.line_chart(series, "Rolling one-step-ahead forecast", out,
                           x_values=np.atleast_1d(rows["step"]))
     else:
-        table = np.genfromtxt(args.modes_csv, delimiter=",", names=True)
+        table = _read_table(args.modes_csv)
         names = table.dtype.names
         panels = [(name, np.atleast_1d(table[name])) for name in names]
         charts.panel_chart(panels, "Decomposition", out)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from . import garch, neural, vmd
+from .data import read_text
 from .errors import ConfigError
 from .pipeline import PipelineConfig
 from .series import SplitSpec
@@ -115,8 +116,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path))
 
 
 def render_config(cfg: RunConfig, header_comments: list[str] | None = None) -> str:

@@ -1,39 +1,38 @@
-"""Dated-series CSV ingestion/emission and an optional cached HTTP fetch.
+"""Dated-series CSV ingestion and emission.
 
 The on-disk format is two columns, ``date,value``: ISO dates (YYYY-MM-DD),
 decimal values, UTF-8, LF or CRLF line endings.  The header is matched
 case-insensitively and the second column may carry any name (exports from
 data portals usually use the series identifier), which becomes the series
 name.  Values are written with 17 significant digits so a write/load round
-trip is exact.
-
-Everything except `fetch_series` runs offline; the fetch is a convenience
-client that no other operation depends on.
+trip is exact.  `read_text` is how every text input (series and run
+configuration) is read.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import time
 from datetime import date
 from pathlib import Path
 
-from .errors import HttpStatusError, NetworkError, ParseError, TooShort
+from .errors import ParseError, TooShort, UnreadableFile
 from .series import TimeSeries, validate
 
-log = logging.getLogger(__name__)
 
-CACHE_ENV_VAR = "MODECAST_CACHE_DIR"
+def read_text(path) -> str:
+    """The UTF-8 text of an input file: `FileNotFoundError` if it does not
+    exist, `UnreadableFile` naming it if it cannot be read as such text."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, bad bytes, ...
+        raise UnreadableFile(f"cannot read {path} as UTF-8 text: {exc}") from exc
 
 
 def load_csv(path) -> TimeSeries:
     """Parse a `date,value` file into a validated series with timestamps."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8")
-    return parse_csv_text(text, name_hint=path.stem)
+    return parse_csv_text(read_text(path), name_hint=Path(path).stem)
 
 
 def parse_csv_text(text: str, name_hint: str = "") -> TimeSeries:
@@ -79,50 +78,3 @@ def write_csv(series: TimeSeries, path) -> Path:
         for stamp, value in zip(series.timestamps, series.values):
             fh.write(f"{stamp.isoformat()},{value:.17g}\n")
     return path
-
-
-def resolve_cache_dir(cache_dir=None) -> Path:
-    """Precedence: explicit argument > environment variable > default."""
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "modecast"
-
-
-def fetch_series(series_id: str, endpoint_url: str, cache_dir=None,
-                 timeout: float = 30.0, max_age_seconds: float = 86400.0) -> Path:
-    """Download `<endpoint_url>?id=<series_id>` as CSV into the cache.
-
-    A cached file younger than `max_age_seconds` short-circuits the network
-    entirely.  The stored file is byte-identical to the response body; it is
-    parsed first so malformed payloads never land in the cache.
-    """
-    cache = resolve_cache_dir(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    target = cache / f"{series_id}.csv"
-    if target.exists() and time.time() - target.stat().st_mtime < max_age_seconds:
-        log.info("cache hit for %s at %s", series_id, target)
-        return target
-    # imported here: the HTTP client costs ~15 ms at import, and no other
-    # operation needs it
-    from urllib import error, request
-
-    url = f"{endpoint_url}?id={series_id}"
-    try:
-        with request.urlopen(url, timeout=timeout) as response:
-            status = response.status
-            body = response.read()
-    except error.HTTPError as exc:
-        raise HttpStatusError(exc.code, url) from exc
-    except OSError as exc:  # URLError, refused connections and timeouts
-        raise NetworkError(
-            f"could not reach {url}: {exc}; pass a cached file or check connectivity"
-        ) from exc
-    if status != 200:
-        raise HttpStatusError(status, url)
-    parse_csv_text(body.decode("utf-8"), name_hint=series_id)  # reject malformed payloads
-    target.write_bytes(body)
-    log.info("fetched %s (%d bytes) to %s", series_id, len(body), target)
-    return target

@@ -64,6 +64,10 @@ class SeriesMismatch(DataError):
     """A forecaster is asked to forecast a series other than the one it was fitted on."""
 
 
+class UnreadableFile(DataError):
+    """An input file exists but cannot be read as text (a directory, non-UTF-8 bytes, ...)."""
+
+
 class ParseError(DataError):
     """Malformed input file; carries the 1-based line number."""
 
@@ -99,18 +103,3 @@ class InvalidLags(ConfigError, ValueError):
 
 class StaleCache(ModecastError):
     """Backward pass received a cache built for different parameters."""
-
-
-class NetworkError(ModecastError):
-    """Remote fetch failed before an HTTP response was received."""
-
-    exit_code = 2
-
-
-class HttpStatusError(NetworkError):
-    """Remote fetch returned a non-success HTTP status."""
-
-    def __init__(self, status_code: int, url: str):
-        super().__init__(f"HTTP {status_code} from {url}")
-        self.status_code = status_code
-        self.url = url

@@ -10,16 +10,15 @@ bit for bit, so a reloaded forecaster forecasts identically.
 
 A model directory is outside input: the archive is read with
 `allow_pickle=False`, and any missing, extra, truncated, foreign, mistyped or
-misshapen entry raises `CorruptModel`.  The v1 layout (JSON arrays plus one
-text checkpoint `net_mode_<n>.txt` per network) is not read; saving into a v1
-directory rewrites it and deletes those checkpoints.
+misshapen entry raises `CorruptModel`, and so does a header whose values
+contradict each other or the arrays.  A directory of any other format (the
+v1 layout included) is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import re
 import zipfile
 import zlib
 from pathlib import Path
@@ -32,8 +31,6 @@ from .pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
 from .series import MinMaxScaler, SplitSpec
 
 FORMAT = "modecast-forecaster v2"
-V1_FORMAT = "modecast-forecaster v1"
-V1_CHECKPOINT = re.compile(r"net_mode_\d+\.txt")
 HEADER = "forecaster.json"
 ARRAYS = "arrays.npz"
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
@@ -49,13 +46,17 @@ def _fields(obj, names=None) -> dict | None:
     return {n: getattr(obj, n) for n in names or (f.name for f in dataclasses.fields(obj))}
 
 
+def _exact(d: dict, names, what: str) -> dict:
+    """`d`, which must hold exactly the entries `names`: a missing entry must
+    not load silently as a default, nor an extra one be dropped unread."""
+    if set(d) != set(names):
+        raise KeyError(f"{what} entries {sorted(set(d) ^ set(names))}")
+    return d
+
+
 def _settings(cls, d: dict):
-    """`cls(**d)`, where `d` must name every field: a missing entry must not
-    load silently as the field's default."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    if set(d) != names:
-        raise KeyError(f"{cls.__name__} entries {sorted(set(d) ^ names)}")
-    return cls(**d)
+    """`cls(**d)`, where `d` must name every field and nothing else."""
+    return cls(**_exact(d, [f.name for f in dataclasses.fields(cls)], cls.__name__))
 
 
 def _network_to_dict(cfg: neural.NetworkConfig) -> dict:
@@ -80,6 +81,8 @@ def _config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def _config_from_dict(d: dict) -> PipelineConfig:
+    _exact(d, ("vmd", "garch", "garch_options", "network", "train", "split_fraction",
+               "seq_len", "retrain_every"), "config")
     return PipelineConfig(
         vmd=_settings(vmd.VmdConfig, d["vmd"]),
         garch=_settings(garch.GarchSpec, d["garch"]),
@@ -92,26 +95,9 @@ def _config_from_dict(d: dict) -> PipelineConfig:
     )
 
 
-def _remove_v1_checkpoints(out: Path) -> None:
-    """Delete the `net_mode_<n>.txt` checkpoints of a v1 model saved in `out`.
-
-    Only a readable v1 header marks them as that model's; every other file,
-    and every file of a directory without one, is left alone."""
-    try:
-        header = json.loads((out / HEADER).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return
-    if not (isinstance(header, dict) and header.get("format") == V1_FORMAT):
-        return
-    for path in out.iterdir():
-        if V1_CHECKPOINT.fullmatch(path.name) and path.is_file():
-            path.unlink()
-
-
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _remove_v1_checkpoints(out)
     arrays = {"mode_values": forecaster.mode_values}
     modes = forecaster.modes
     if modes is not None:
@@ -151,14 +137,12 @@ def load_forecaster(model_dir) -> EnsembleForecaster:
     root = Path(model_dir)
     try:
         header = json.loads((root / HEADER).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CorruptModel(f"unreadable {HEADER} in {root}: {exc}") from exc
     tag = header.get("format") if isinstance(header, dict) else None
-    if tag == V1_FORMAT:
-        raise CorruptModel(f"{root} holds a v1 forecaster, which is no longer read; "
-                           "re-run `modecast train` to write it again")
     if tag != FORMAT:
-        raise CorruptModel(f"unrecognized forecaster directory: {root}")
+        raise CorruptModel(f"{root} holds no {FORMAT} model (format {tag!r}); "
+                           "re-run `modecast train` to write it again")
     arrays = _read_arrays(root / ARRAYS)
     try:
         return _forecaster_from(header, arrays)
@@ -191,6 +175,8 @@ def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> 
 
 
 def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleForecaster:
+    _exact(header, ("format", "variant", "cell", "train_size", "config", "modes",
+                    "mode_models"), "header")
     cfg = _config_from_dict(header["config"])
     entries = header["mode_models"]
     meta = header["modes"]
@@ -205,23 +191,36 @@ def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleFor
 
     mode_values = _array(arrays, "mode_values", (len(entries), -1))
     t_len = mode_values.shape[1]
+    train_size = header["train_size"]
+    if not (type(train_size) is int and 0 < train_size < t_len):
+        raise CorruptModel(f"{HEADER}: train_size {train_size!r} is not an int in 1..{t_len - 1}")
     modes = None
     if meta is not None:
         modes = vmd.ModeSet(modes=mode_values,
                             omegas=_array(arrays, "omegas", (len(entries),)),
                             residual=_array(arrays, "residual", (t_len,)),
-                            **{k: meta[k] for k in _MODE_SET_SCALARS})
+                            **_exact(meta, _MODE_SET_SCALARS, "modes"))
     models = []
     for n, entry in enumerate(entries, start=1):
+        _exact(entry, ("mode_index", "scaler", "vol_scaler", "vol_kind", "network", "garch"),
+               f"mode {n}")
+        if not (type(entry["mode_index"]) is int and entry["mode_index"] == n):
+            raise CorruptModel(f"{HEADER}: mode {n} has mode_index {entry['mode_index']!r}")
+        fit = None if entry["garch"] is None else _garch_from(entry["garch"], arrays, n, cfg.garch)
+        # the volatility kind must be the one the fit implies, as `_fit_forecasters` sets it
+        kinds = (("zeros", "value") if fit is None
+                 else ("rolling",) if fit.used_rolling_fallback else ("garch",))
+        if entry["vol_kind"] not in kinds:
+            raise CorruptModel(f"{HEADER}: mode {n} has vol_kind {entry['vol_kind']!r}, "
+                               f"expected one of {kinds}")
         net_cfg = _network_from_dict(entry["network"])
         flat = _array(arrays, f"mode_{n}.flat", (neural.parameter_count(net_cfg),))
         models.append(ModeModel(
-            mode_index=entry["mode_index"],
+            mode_index=n,
             scaler=_settings(MinMaxScaler, entry["scaler"]),
             vol_scaler=None if entry["vol_scaler"] is None
                        else _settings(MinMaxScaler, entry["vol_scaler"]),
-            garch=None if entry["garch"] is None else _garch_from(entry["garch"], arrays, n,
-                                                                  cfg.garch),
+            garch=fit,
             network=neural._network(net_cfg, flat),
             vol_kind=entry["vol_kind"],
         ))
@@ -232,12 +231,13 @@ def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleFor
         modes=modes,
         mode_values=mode_values,
         mode_models=tuple(models),
-        train_size=header["train_size"],
+        train_size=train_size,
     )
 
 
 def _garch_from(d: dict, arrays: dict[str, np.ndarray], n: int,
                 spec: garch.GarchSpec) -> garch.GarchFit:
+    _exact(d, ("alpha0", *_GARCH_SCALARS), f"mode {n} garch")
     sigma2 = _array(arrays, f"mode_{n}.sigma2_path", (-1,))
     params = garch.GarchParams(d["alpha0"], _array(arrays, f"mode_{n}.alphas", (spec.k,)),
                                _array(arrays, f"mode_{n}.betas", (spec.l,)))

@@ -11,6 +11,7 @@ import pytest
 
 from modecast.charts import line_chart, panel_chart
 from modecast.errors import CorruptModel
+from modecast.garch import FitOptions
 from modecast.neural import CellKind
 from modecast.persist import load_forecaster, save_forecaster
 from modecast.pipeline import Variant, fit_forecaster, rolling_forecast
@@ -132,32 +133,18 @@ def test_forecaster_load_rejects_v1_dir(tmp_path):
         load_forecaster(model_dir)
 
 
-def test_resave_over_v1_dir_removes_its_checkpoints_only(tmp_path):
+def test_save_touches_no_other_file(tmp_path):
     fc, model_dir = _saved(tmp_path)
     header = model_dir / "forecaster.json"
     header.write_text(json.dumps({**json.loads(header.read_text()),
                                   "format": "modecast-forecaster v1"}))
-    others = ["net_mode_1.txt.bak", "net_mode_x.txt", "notes.txt"]
-    for name in ["net_mode_1.txt", "net_mode_2.txt", "net_mode_12.txt"] + others:
+    others = ["net_mode_1.txt", "net_mode_12.txt", "notes.txt"]
+    for name in others:
         (model_dir / name).write_text("checkpoint\n")
     save_forecaster(fc, model_dir)
     assert sorted(p.name for p in model_dir.iterdir()) == sorted(
         ["arrays.npz", "forecaster.json"] + others)
     _assert_identical(fc, load_forecaster(model_dir))
-
-
-@pytest.mark.parametrize("header", ['{"format": "modecast-forecaster v2"}',
-                                    '{"format": "something else"}', "not json", None])
-def test_resave_leaves_checkpoint_names_alone_without_a_v1_header(tmp_path, header):
-    fc = fit_forecaster(wavy_series(), Variant.VMD, CellKind.RNN, small_config(epochs=1))
-    model_dir = tmp_path / "model"
-    model_dir.mkdir()
-    if header is not None:
-        (model_dir / "forecaster.json").write_text(header)
-    (model_dir / "net_mode_1.txt").write_text("checkpoint\n")
-    save_forecaster(fc, model_dir)
-    assert sorted(p.name for p in model_dir.iterdir()) == [
-        "arrays.npz", "forecaster.json", "net_mode_1.txt"]
 
 
 def test_forecaster_load_rejects_foreign_arrays_file(tmp_path):
@@ -243,6 +230,56 @@ def test_out_of_range_header_values_are_typed(tmp_path):
         with pytest.raises(CorruptModel):
             load_forecaster(model_dir)
         holder[key] = value
+
+
+@pytest.mark.parametrize("variant,path,key,value", [
+    (Variant.VMD_GARCH, (), "extra", 1),
+    (Variant.VMD_GARCH, ("config",), "extra", 1),
+    (Variant.VMD_GARCH, ("modes",), "extra", 1),
+    (Variant.VMD_GARCH, ("mode_models", 0), "extra", 1),
+    (Variant.VMD_GARCH, ("mode_models", 0, "garch"), "extra", 1),
+    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "bogus"),
+    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "value"),
+    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "rolling"),
+    (Variant.VMD, ("mode_models", 1), "vol_kind", "garch"),
+    (Variant.VMD_GARCH, ("mode_models", 0), "mode_index", 7),
+    (Variant.VMD_GARCH, ("mode_models", 1), "mode_index", 2.0),
+    (Variant.VMD_GARCH, (), "train_size", -5),
+    (Variant.VMD_GARCH, (), "train_size", 0),
+    (Variant.VMD_GARCH, (), "train_size", 220),
+    (Variant.VMD_GARCH, (), "train_size", 176.0),
+], ids=["extra-top", "extra-config", "extra-modes", "extra-mode", "extra-garch",
+        "vol-kind-bogus", "vol-kind-value-on-garch", "vol-kind-rolling-on-fit",
+        "vol-kind-garch-without-fit", "mode-index-7", "mode-index-float",
+        "train-size-negative", "train-size-zero", "train-size-whole-series",
+        "train-size-float"])
+def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
+    fc, model_dir = _saved(tmp_path, variant)
+    assert len(fc.mode_values[0]) == 220 and fc.train_size == 176
+    assert [m.vol_kind for m in fc.mode_models] == (
+        ["garch", "garch"] if variant is Variant.VMD_GARCH else ["zeros", "zeros"])
+    manifest = model_dir / "forecaster.json"
+    header = json.loads(manifest.read_text())
+    holder = header
+    for step in path:
+        holder = holder[step]
+    holder[key] = value
+    manifest.write_text(json.dumps(header))
+    with pytest.raises(CorruptModel):
+        load_forecaster(model_dir)
+
+
+def test_rolling_fallback_round_trips_and_keeps_its_kind(tmp_path):
+    cfg = dataclasses.replace(small_config(epochs=1), garch_options=FitOptions(max_iter=1))
+    fc, model_dir = _saved(tmp_path, cfg=cfg)
+    assert [m.vol_kind for m in fc.mode_models] == ["rolling", "rolling"]
+    _assert_identical(fc, load_forecaster(model_dir))
+    manifest = model_dir / "forecaster.json"
+    header = json.loads(manifest.read_text())
+    header["mode_models"][1]["vol_kind"] = "garch"
+    manifest.write_text(json.dumps(header))
+    with pytest.raises(CorruptModel, match="vol_kind"):
+        load_forecaster(model_dir)
 
 
 def test_forecaster_load_with_missing_keys_is_typed(tmp_path):

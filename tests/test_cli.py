@@ -309,3 +309,45 @@ def test_compare_rejects_non_positive_horizon(tmp_path, series_csv, config_file,
                  "--out-dir", str(out), "--cells", "rnn", "--horizons", horizons])
     assert code == 2
     assert not (out / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(),
+                                  lambda p: p.write_bytes(b"date,value\n2020-01-01,1\xff\n")],
+                         ids=["directory", "non-utf8"])
+def test_unreadable_input_exit_2(tmp_path, series_csv, config_file, capsys, flag, make):
+    bad = tmp_path / "unreadable"
+    make(bad)
+    paths = {"--input": series_csv, "--config": config_file, flag: bad}
+    code = main(["decompose", "--input", str(paths["--input"]), "--config",
+                 str(paths["--config"]), "--modes", "2", "--out-dir", str(tmp_path / "u")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+def test_compare_rejects_non_integer_horizon(tmp_path, series_csv, config_file, capsys):
+    out = tmp_path / "cmp_x"
+    code = main(["compare", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(out), "--cells", "rnn", "--horizons", "5,x"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--predictions", "step,foo\n1,2\n"),
+    ("--predictions", "step,actual,predicted\n"),
+    ("--modes-csv", "mode_1,mode_2\n"),
+    ("--modes-csv", ""),
+    ("--modes-csv", "mode_1,mode_2\n1,2\n3\n"),
+], ids=["missing-column", "no-rows", "modes-no-rows", "modes-empty", "modes-ragged"])
+def test_plot_rejects_a_csv_it_cannot_chart(tmp_path, capsys, flag, text):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    svg = tmp_path / "chart.svg"
+    code = main(["plot", flag, str(table), "--out", str(svg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: " in err and str(table) in err and "Traceback" not in err
+    assert not svg.exists()

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import io
-import socket
-import urllib.error
 from datetime import date
 from pathlib import Path
 
@@ -12,17 +9,19 @@ import pytest
 from modecast.config import (
     RunConfig,
     cell_kind,
+    load_config,
     parse_config_text,
     render_config,
     require_modes,
     to_pipeline_config,
 )
-from modecast.data import fetch_series, load_csv, parse_csv_text, resolve_cache_dir, write_csv
+from modecast.data import load_csv, parse_csv_text, write_csv
 from modecast.errors import (
     ConfigError,
-    NetworkError,
+    DataError,
     NonMonotonicTimestamps,
     ParseError,
+    UnreadableFile,
 )
 from modecast.series import TimeSeries
 
@@ -75,6 +74,19 @@ def test_missing_file():
         load_csv("/nonexistent/series.csv")
 
 
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(),
+                                  lambda p: p.write_bytes(b"date,value\n2020-01-01,1\xff\n")],
+                         ids=["directory", "non-utf8"])
+def test_unreadable_input_names_the_file(tmp_path, make):
+    path = tmp_path / "series.csv"
+    make(path)
+    with pytest.raises(UnreadableFile, match="series.csv") as err:
+        load_csv(path)
+    assert isinstance(err.value, DataError)
+    with pytest.raises(UnreadableFile, match="series.csv"):
+        load_config(path)
+
+
 def test_crlf_accepted():
     series = parse_csv_text("date,value\r\n2020-01-01,1\r\n2020-02-01,2\r\n")
     assert len(series) == 2
@@ -96,68 +108,6 @@ def test_fixture_loads():
     assert len(series) == 636
     assert series.timestamps[0] == date(1970, 1, 1)
     assert series.timestamps[-1] == date(2022, 12, 1)
-
-
-# ---------------------------------------------------------------------------
-# Fetch
-# ---------------------------------------------------------------------------
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def test_fetch_unreachable_endpoint(tmp_path):
-    url = f"http://127.0.0.1:{_free_port()}/csv"
-    with pytest.raises(NetworkError) as err:
-        fetch_series("SERIES", url, cache_dir=tmp_path, timeout=0.5)
-    assert "SERIES" in str(err.value) or "127.0.0.1" in str(err.value)
-
-
-def test_fetch_cache_hit_skips_network(tmp_path, caplog):
-    cached = tmp_path / "SERIES.csv"
-    cached.write_text("date,value\n2020-01-01,1\n2020-02-01,2\n")
-    url = f"http://127.0.0.1:{_free_port()}/csv"  # would fail if contacted
-    with caplog.at_level("INFO", logger="modecast.data"):
-        out = fetch_series("SERIES", url, cache_dir=tmp_path)
-    assert out == cached
-    assert any("cache hit" in record.message for record in caplog.records)
-
-
-def test_fetch_writes_response_bytes(tmp_path, monkeypatch):
-    body = b"date,value\n2020-01-01,1.25\n2020-02-01,2.5\n"
-
-    class FakeResponse(io.BytesIO):
-        status = 200
-
-    def fake_urlopen(url, timeout):
-        assert url.endswith("?id=SER")
-        return FakeResponse(body)
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    out = fetch_series("SER", "http://example.invalid/csv", cache_dir=tmp_path)
-    assert out.read_bytes() == body
-
-
-def test_fetch_http_error(tmp_path, monkeypatch):
-    def fake_urlopen(url, timeout):
-        raise urllib.error.HTTPError(url, 404, "Not Found", None, None)
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    from modecast.errors import HttpStatusError
-
-    with pytest.raises(HttpStatusError) as err:
-        fetch_series("NOPE", "http://example.invalid/csv", cache_dir=tmp_path)
-    assert err.value.status_code == 404
-
-
-def test_cache_dir_precedence(tmp_path, monkeypatch):
-    monkeypatch.setenv("MODECAST_CACHE_DIR", str(tmp_path / "env"))
-    assert resolve_cache_dir(tmp_path / "arg") == tmp_path / "arg"
-    assert resolve_cache_dir(None) == tmp_path / "env"
-    monkeypatch.delenv("MODECAST_CACHE_DIR")
-    assert resolve_cache_dir(None).name == "modecast"
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +182,6 @@ def test_to_pipeline_config_validates_through_modules():
 
 
 def test_committed_reference_config_parses():
-    from modecast.config import load_config
-
     path = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
     pipe = to_pipeline_config(load_config(path))
     assert pipe.vmd.n_modes == 10
