@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
 backpropagation-through-time step per cell kind), stage timing of mode-set
-training, of VMD and of the GARCH fit, and the package's start-up cost.
+training, of mode-set inference, of VMD and of the GARCH fit, and the
+package's start-up cost.
 
-    python3 scripts/bench_layers.py [--only {layers,training,vmd,garch,startup}]
+    python3 scripts/bench_layers.py [--only {layers,training,inference,vmd,garch,startup}]
 
---only runs one section; by default all five run, in that order.
+--only runs one section; by default all six run, in that order.
 
 layers: for each cell kind at batch x hidden 32x16 and 32x64, it times a
 training forward pass (`neural._forward_batch`, dropout 0.2) and its
@@ -24,6 +25,19 @@ group (`neural._train_group`, which `train_many` runs under its group cap),
 interleaved over TRAIN_ROUNDS rounds (alternating which way goes first); it
 prints the median of each way, their ratio, and the group size `train_many`
 chooses for that shape.  This part needs an engine with `train_many`.
+
+inference: it takes mode sets of freshly initialized LSTM networks (dropout
+0.2) on standard-normal windows: the served forecast of `forecast-serve` (3
+nets, 2x64, seq 50, 6 windows), the `matrix` benchmark's rolling forecast (3
+nets, 2x16, seq 25, 70 windows) and a reference-protocol comparison's (10
+nets, 2x64, seq 50, 70 windows).  Each set predicts two ways, one
+`neural.predict` per net and one `neural.predict_many` over all of them,
+interleaved over INFER_ROUNDS rounds of INFER_REPEATS calls (alternating which
+way goes first); it prints the median time per call of each way, their ratio
+and how many `_forward_batch` passes `predict_many` ran.  Then it times one
+call of the engine's sigmoid (`neural._sigmoid`) against `scipy.special.expit`
+over the stacked sigmoid gates of one LSTM step of each set as a lockstep
+group, (3H, nets, windows).  This part needs an engine with `predict_many`.
 
 vmd: it times `vmd.vmd_decompose` of the committed CPI fixture at K=10 (tol
 1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()` under
@@ -75,12 +89,20 @@ TRAIN_SHAPES = (  # name, nets, layers, hidden, seq_len, windows, dropout
     ("reference", 3, 2, 64, 50, 154, 0.2),
 )
 TRAIN_ROUNDS = 7
+INFER_SHAPES = (  # name, nets, layers, hidden, seq_len, windows
+    ("served", 3, 2, 64, 50, 6),
+    ("matrix", 3, 2, 16, 25, 70),
+    ("reference", 10, 2, 64, 50, 70),
+)
+INFER_ROUNDS = 7
+INFER_REPEATS = 20
+SIGMOID_REPEATS = 2000
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
 STARTUP_RUNS = 7
 STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize")
-SECTIONS = ("layers", "training", "vmd", "garch", "startup")
+SECTIONS = ("layers", "training", "inference", "vmd", "garch", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
@@ -94,8 +116,9 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    sections = {"layers": bench_layers, "training": bench_training, "vmd": bench_vmd,
-                "garch": bench_garch, "startup": bench_startup}
+    sections = {"layers": bench_layers, "training": bench_training,
+                "inference": bench_inference, "vmd": bench_vmd, "garch": bench_garch,
+                "startup": bench_startup}
     for name in ([args.only] if args.only else SECTIONS):
         sections[name]()
     return 0
@@ -160,6 +183,64 @@ def bench_training() -> None:
         group = min(neural._group_size(configs[0], seq_len, 32), nets)
         print(f"{name:<10} {nets:4d} {per_net * 1e3:11.1f} {lockstep * 1e3:12.1f} "
               f"{per_net / lockstep:6.2f} {group:5d}")
+
+
+def _per_call_s(fn, repeats: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        fn()
+    return (time.perf_counter() - t0) / repeats
+
+
+def bench_inference() -> None:
+    import numpy as np
+    from scipy import special
+
+    from modecast import neural
+
+    print(f"\n{'inference':<10} {'nets':>4} {'per-net ms':>11} {'predict_many ms':>16} "
+          f"{'ratio':>6} {'passes':>6}")
+    gates = []
+    for name, nets, layers, hidden, seq_len, windows in INFER_SHAPES:
+        rng = np.random.default_rng(0)
+        xs = [rng.standard_normal((windows, seq_len, 2)) for _ in range(nets)]
+        networks = [neural.init_network(neural.NetworkConfig(
+            cell=neural.CellKind.LSTM, layers=layers, hidden=hidden, input_features=2,
+            dropout_rate=0.2, seed=i + 1)) for i in range(nets)]
+        ways = {
+            "per-net": lambda: [neural.predict(net, x) for net, x in zip(networks, xs)],
+            "predict_many": lambda: neural.predict_many(networks, xs),
+        }
+        times = {way: [] for way in ways}
+        for r in range(INFER_ROUNDS):
+            for way in sorted(ways, reverse=r % 2 == 1):
+                times[way].append(_per_call_s(ways[way], INFER_REPEATS))
+        per_net = statistics.median(times["per-net"])
+        together = statistics.median(times["predict_many"])
+        passes = []
+        forward_batch = neural._forward_batch
+        neural._forward_batch = lambda *a, **kw: passes.append(1) or forward_batch(*a, **kw)
+        try:
+            neural.predict_many(networks, xs)
+        finally:
+            neural._forward_batch = forward_batch
+        print(f"{name:<10} {nets:4d} {per_net * 1e3:11.2f} {together * 1e3:16.2f} "
+              f"{together / per_net:6.2f} {len(passes):6d}")
+        gates.append((name, (3 * hidden, nets, windows)))
+    print(f"\n{'sigmoid':<10} {'shape':>14} {'expit us':>9} {'_sigmoid us':>12} {'ratio':>6}")
+    for name, shape in gates:
+        x = np.random.default_rng(1).standard_normal(shape) * 5.0
+        out = np.empty(shape)
+        ways = {"expit": lambda: special.expit(x, out=out),
+                "_sigmoid": lambda: neural._sigmoid(x, out=out)}
+        times = {way: [] for way in ways}
+        for r in range(INFER_ROUNDS):
+            for way in sorted(ways, reverse=r % 2 == 1):
+                times[way].append(_per_call_s(ways[way], SIGMOID_REPEATS))
+        expit = statistics.median(times["expit"])
+        own = statistics.median(times["_sigmoid"])
+        print(f"{name:<10} {'x'.join(map(str, shape)):>14} {expit * 1e6:9.2f} {own * 1e6:12.2f} "
+              f"{own / expit:6.2f}")
 
 
 def bench_vmd() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -269,7 +270,9 @@ def _read_table(path, columns=()) -> np.ndarray:
     """The rows of a CSV file with a header line, as a structured array that
     holds every name in `columns`; any other file raises `UnreadableFile`."""
     try:
-        table = np.genfromtxt(path, delimiter=",", names=True)
+        with warnings.catch_warnings():  # an empty file is reported below, not warned of
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
+            table = np.genfromtxt(path, delimiter=",", names=True)
     except (OSError, ValueError, IndexError) as exc:  # bad UTF-8, ragged rows, no lines
         raise UnreadableFile(f"cannot read {path} as a CSV table: {exc}") from exc
     if table.size == 0 or not set(columns) <= set(table.dtype.names or ()):

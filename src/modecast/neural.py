@@ -32,8 +32,11 @@ Activations are stored time-major and unit-major, (L, units, B): a step's
 slice is contiguous, and so is each gate's block of rows within it.  The
 forward pass computes the input projection W[:, H:] @ x + b of all L steps
 in one call before the time loop; each step then adds W[:, :H] @ h_prev and
-applies one sigmoid over the stacked sigmoid gates.  One step function per
-kind serves the batched forward pass and the public
+applies one sigmoid over the stacked sigmoid gates.  The sigmoid is
+1 / (1 + exp(-x)) computed in place on numpy's vectorized `exp`, like the
+cells' `np.tanh`; the time loop silences the overflow of exp(-x) to inf, so
+a saturated gate reads exactly 0.0 or 1.0 without a warning.  One step
+function per kind serves the batched forward pass and the public
 `rnn_cell`/`gru_cell`/`lstm_cell`, and its stored activations are all that
 backpropagation reads.  Backpropagation carries only the recurrent gradient
 through the time loop and writes each step's pre-activation gradients into
@@ -53,6 +56,10 @@ keeps its own shuffle and dropout generators and clipping norm, so each
 result equals `train` of that net alone, bit for bit.  A single network
 keeps 2-d operands.  `GROUP_BYTES` caps a group's activations, since
 lockstep only pays while numpy's per-call cost outweighs the products.
+`predict_many` is the inference twin: it groups networks as `train_many`
+does and runs each group through one forward pass that keeps only the
+hidden sequences, so each net's predictions equal `predict` of that net
+alone, bit for bit; `PREDICT_BYTES` caps its groups.
 
 All functions are pure: `adam_step` and `train` return new parameter
 containers and never mutate their inputs, so fixed seeds give bit-identical
@@ -66,7 +73,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyDataset, ShapeMismatch, StaleCache
 
@@ -84,7 +90,7 @@ _PARAM_KEYS = {
 }
 
 _GATES = {CellKind.RNN: 1, CellKind.GRU: 3, CellKind.LSTM: 4}
-_LSTM_ROWS = ("f", "i", "o", "c")  # sigmoid gates first, so one expit covers them
+_LSTM_ROWS = ("f", "i", "o", "c")  # sigmoid gates first, so one `_sigmoid` covers them
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,13 @@ class RecurrentNetwork:
 
 
 def _sigmoid(x, out=None):
-    # closed bounds by construction: IEEE saturation reaches 0.0 / 1.0
-    return special.expit(x, out=out)
+    """1 / (1 + exp(-x)) in place on numpy's vectorized `exp`; IEEE saturation
+    reaches 0.0 and 1.0.  exp(-x) overflows to inf for x below about -709.78,
+    which numpy reports as an overflow: `_run_layer` silences it."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _layer_shapes(kind: CellKind, hidden: int, d_in: int) -> dict[str, tuple[int, ...]]:
@@ -269,27 +280,35 @@ def _recurrent_weights(kind: CellKind, w: np.ndarray, n: int):
 
 
 def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
-               h0: np.ndarray, c0: np.ndarray):
+               h0: np.ndarray, c0: np.ndarray, keep: bool = True):
     """One layer over a (L, D, B) input sequence from state (h0, c0), each (H, B).
 
     A group runs (L, D, nets, B) from (H, nets, B) states with weights
     (nets, G*H, H+D).  Returns (hidden (L, H, B), gate activations
     (L, G*H, B), memory cells (L, H, B) or None), with a group's net axis
-    before B; for the plain cell the activations are the hidden.
+    before B; for the plain cell the activations are the hidden.  With
+    `keep` false (inference) each step's activations and memory cell
+    overwrite an earlier step's, and only the hidden sequence is returned,
+    with None for the other two.
     """
     steps, n = x.shape[0], h0.shape[0]
     xp = _matmul(w[..., n:], x)  # every step's input projection in one call
     if b is not None:
         xp += b.T[..., None]
     hs = np.empty((steps,) + h0.shape)
-    act = hs if kind is CellKind.RNN else np.empty(xp.shape)
-    cs = np.empty(hs.shape) if kind is CellKind.LSTM else None
+    act = hs if kind is CellKind.RNN else np.empty((steps if keep else 1,) + xp.shape[1:])
+    cs = None  # without `keep`, two slots: a step reads one and writes the other
+    if kind is CellKind.LSTM:
+        cs = np.empty((steps if keep else 2,) + hs.shape[1:])
     step, w_h = _STEPS[kind], _recurrent_weights(kind, w, n)
     h, c = h0, c0
-    for t in range(steps):
-        c_out = None if cs is None else cs[t]
-        step(xp[t], h, c, w_h, act[t], hs[t], c_out)
-        h, c = hs[t], c_out
+    with np.errstate(over="ignore"):  # a saturating gate's exp(-x) overflows to inf
+        for t in range(steps):
+            c_out = None if cs is None else cs[t % len(cs)]
+            step(xp[t], h, c, w_h, act[t % len(act)], hs[t], c_out)
+            h, c = hs[t], c_out
+    if not keep:
+        return hs, None, None
     return hs, act, cs
 
 
@@ -364,7 +383,7 @@ class ForwardCache:
     params_id: int
     inputs: list[np.ndarray]            # per layer: (L, D_layer, B) consumed input
     hidden: list[np.ndarray]            # per layer: (L, H, B) pre-dropout hidden
-    gates: list[np.ndarray]             # per layer: (L, G*H, B) gate activations
+    gates: list[np.ndarray | None]      # per layer: (L, G*H, B) gate activations
     cells: list[np.ndarray | None]      # per layer: (L, H, B) memory cells (LSTM only)
     masks: list[np.ndarray | None]      # per layer: (L, H, B) inverted-dropout masks
     dropped_last: np.ndarray            # (H, B) head input; a group's (nets, H, B)
@@ -372,10 +391,12 @@ class ForwardCache:
 
 
 def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
-                   rng) -> ForwardCache:
+                   rng, keep: bool = True) -> ForwardCache:
     """The forward pass over a (B, L, D) batch, or over a group's (nets, B, L, D)
     batches when `net` holds a group's (nets, P) parameters.  `rng` draws the
-    dropout masks: a generator, or a list of one per net."""
+    dropout masks: a generator, or a list of one per net.  With `keep` false
+    (inference) the cache holds no gate activations or memory cells, so it
+    serves no `backward`."""
     cfg = net.config
     *nets, b, seq_len, feat = batch.shape
     if feat != cfg.input_features:
@@ -391,18 +412,20 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
     zeros = np.zeros((cfg.hidden, *nets, b))
     for w, bias in net.stacked:
         inputs.append(current)
-        hs, act, cs = _run_layer(cfg.cell, w, bias, current, zeros, zeros)
+        hs, act, cs = _run_layer(cfg.cell, w, bias, current, zeros, zeros, keep)
         hidden.append(hs)
         gates.append(act)
         cells.append(cs)
         mask = None
         current = hs
         if dropout:
-            keep = 1.0 - cfg.dropout_rate
+            keep_prob = 1.0 - cfg.dropout_rate
+            mask = np.empty(hs.shape)
             # drawn as (B, L, H) per net, so seeded streams keep their masks
-            drawn = [((r.random((b, seq_len, cfg.hidden)) < keep) / keep).transpose(1, 2, 0)
-                     for r in rngs]
-            mask = np.stack(drawn, axis=2) if nets else np.ascontiguousarray(drawn[0])
+            views = [mask[:, :, j] for j in range(nets[0])] if nets else [mask]
+            for r, view in zip(rngs, views):
+                np.divide(r.random((b, seq_len, cfg.hidden)) < keep_prob, keep_prob,
+                          out=view.transpose(2, 0, 1))
             current = hs * mask
         masks.append(mask)
     dropped_last = np.ascontiguousarray(current[-1].swapaxes(0, -2))  # nets first
@@ -434,11 +457,45 @@ def predict(net: RecurrentNetwork, sequences) -> np.ndarray:
     Row i equals `forward(net, sequences[i])` up to rounding: the batched
     matrix products may sum in another order, and a row's result can depend
     on the batch it runs in.  Reruns on the same batch are bit-identical.
+    `predict_many` of one network.
     """
-    batch = np.asarray(sequences, dtype=float)
-    if batch.ndim != 3:
-        raise ShapeMismatch(f"expected a 3-d batch of sequences, got shape {batch.shape}")
-    return _forward_batch(net, batch, training=False, rng=None).predictions
+    return predict_many([net], [sequences])[0]
+
+
+def predict_many(networks, sequences) -> list[np.ndarray]:
+    """`predict(networks[i], sequences[i])` of every i, in input order.
+
+    Networks whose configs differ only in their seeds and whose batches share
+    one shape run in lockstep, as `train_many` groups them: one forward pass
+    over the group's stacked (nets, P) parameters, each product one batched
+    `np.matmul` that makes every net's BLAS call of `predict`, so each result
+    equals `predict` of that net alone, bit for bit.  `PREDICT_BYTES` caps
+    a group's size.
+    """
+    networks = list(networks)
+    batches = [np.asarray(s, dtype=float) for s in sequences]
+    if len(networks) != len(batches):
+        raise ShapeMismatch(f"{len(networks)} networks and {len(batches)} batches")
+    groups: dict[tuple, list[int]] = {}
+    for i, (net, batch) in enumerate(zip(networks, batches)):
+        if batch.ndim != 3:
+            raise ShapeMismatch(f"expected a 3-d batch of sequences, got shape {batch.shape}")
+        groups.setdefault(_lockstep_key(net.config, batch.shape), []).append(i)
+    results: list = [None] * len(batches)
+    for (config, _, (n, seq_len, _)), members in groups.items():
+        size = _group_size(replace(config, dropout_rate=0.0), max(1, seq_len), max(1, n),
+                           PREDICT_BYTES)
+        for start in range(0, len(members), size):
+            group = members[start:start + size]
+            if len(group) == 1:
+                net, batch = networks[group[0]], batches[group[0]]
+            else:
+                net = _network(config, np.stack([networks[i].flat for i in group]))
+                batch = np.stack([batches[i] for i in group])
+            preds = _forward_batch(net, batch, training=False, rng=None, keep=False).predictions
+            for i, row in zip(group, preds.reshape(len(group), -1)):
+                results[i] = row
+    return results
 
 
 def mse_loss(pred: float, target: float) -> float:
@@ -683,6 +740,13 @@ class TrainConfig:
     clip_norm: float = 5.0
 
 
+def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | None = None):
+    """What the networks of one lockstep group share: their configs and
+    training configs up to the seed, and the shape of their inputs."""
+    return (replace(config, seed=0), None if train_cfg is None else replace(train_cfg, seed=0),
+            shape)
+
+
 # A lockstep group's training batch keeps at most this many bytes of
 # activations for backpropagation (`_group_size`).  Lockstep saves numpy's
 # per-call cost, which dominates small networks; once a net's products
@@ -694,10 +758,20 @@ class TrainConfig:
 # seq 50 (12.3 MB each) 0.88-1.02x.
 GROUP_BYTES = 5 << 20
 
+# `predict_many`'s cap on a group, in the bytes `_group_size` counts for
+# training without dropout (inference keeps less).  Measured LSTM inference
+# on one CPU, lockstep against one by one, by the group's counted bytes:
+# 3 nets of 2x64, seq 50: 6 windows (5.7 MB) 0.87x, 20 (19 MB) 0.97x, 70
+# (67 MB) 1.26x; 3 of 2x16, seq 25: 70 windows (8.4 MB) 0.85x, 200 (24 MB)
+# 0.95x, 500 (60 MB) 1.34x; 10 of 1x4, seq 12: 200 windows (4.8 MB) 0.69x,
+# 1000 (24 MB) 1.03x; 10 of 2x64, seq 50, 70 windows (223 MB) 1.53x.
+PREDICT_BYTES = 16 << 20
 
-def _group_size(config: NetworkConfig, seq_len: int, batch: int) -> int:
+
+def _group_size(config: NetworkConfig, seq_len: int, batch: int,
+                budget: int = GROUP_BYTES) -> int:
     """How many networks of this shape `train_many` trains in one lockstep group:
-    as many as fit `GROUP_BYTES` with the bytes one net's training batch keeps
+    as many as fit `budget` with the bytes one net's training batch keeps
     for backpropagation (per layer its input, hidden, gate, memory-cell and
     dropout-mask sequences)."""
     if config.hidden == 1:
@@ -711,7 +785,7 @@ def _group_size(config: NetworkConfig, seq_len: int, batch: int) -> int:
         units += 0 if kind is CellKind.RNN else _GATES[kind] * h
         units += h if kind is CellKind.LSTM else 0
         units += h if config.dropout_rate > 0.0 else 0
-    return max(1, GROUP_BYTES // (8 * units * seq_len * batch))
+    return max(1, budget // (8 * units * seq_len * batch))
 
 
 def train(inputs, targets, config: NetworkConfig,
@@ -750,8 +824,7 @@ def train_many(inputs, targets, configs,
             raise EmptyDataset(f"expected a nonempty (N, L, D) input array, got shape {x.shape}")
         if x.shape[0] != y.size:
             raise ShapeMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
-        key = (replace(configs[i], seed=0), replace(train_configs[i], seed=0), x.shape)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(_lockstep_key(configs[i], x.shape, train_configs[i]), []).append(i)
     results: list = [None] * len(xs)
     for (config, train_cfg, (n, seq_len, _)), members in groups.items():
         size = _group_size(config, seq_len, max(1, min(train_cfg.batch_size, n)))

@@ -22,8 +22,9 @@ Protocol notes baked in here rather than in the submodules:
   one; the builder trains a cell's networks of every variant asked for in
   one such call.
 * Since every window of the rolling forecast is known in advance, each
-  mode's network runs once over all of them (once per retraining segment).
-  Batched matrix products may round a row differently from a one-window
+  mode's network runs once over all of them (once per retraining segment),
+  and the K networks run together in one `neural.predict_many` call, bit
+  for bit as one by one.  Batched matrix products may round a row differently from a one-window
   pass or from a batch of another size, so forecasts of different lengths
   agree on their common steps up to rounding; reruns are bit-identical.
 * The volatility channel carries the conditional standard deviation (square
@@ -317,7 +318,8 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     before it; the inverse-scaled per-mode predictions are summed.  Windows
     hold realized mode values and a volatility channel advanced over
     realized shocks, so all of them are known in advance and each mode's
-    network runs once over the whole batch.  With `retrain_every` = r > 0
+    network runs once over the whole batch, all K in one
+    `neural.predict_many` call.  With `retrain_every` = r > 0
     the networks are retrained on every slot seen so far after each r steps,
     and each segment of r steps takes the first r rows of one batched run
     over all remaining windows, so the first segment equals the run without
@@ -365,8 +367,8 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                                                           cfg.seq_len)
                                             for values, vol in channels]], forecaster.cell, cfg)
         stop = min(start + segment, steps)
-        for i, model in enumerate(forecaster.mode_models):
-            pred_scaled = neural.predict(networks[i], windows[i][start:])
+        preds = neural.predict_many(networks, [w[start:] for w in windows])
+        for i, (model, pred_scaled) in enumerate(zip(forecaster.mode_models, preds)):
             per_mode[start:stop, i] = model.scaler.invert(pred_scaled[:stop - start])
     for s in range(steps):
         predictions[s] = aggregate(per_mode[s])

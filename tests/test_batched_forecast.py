@@ -132,10 +132,12 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
                                                               retrain_every=retrain_every))
     ref_pred, ref_per_mode, ref_windows = _reference_forecast(fc, STEPS)
 
-    batches, single_calls = [], []
-    predict, forward = neural.predict, neural.forward
+    calls, single_calls = [], []
+    predict_many, predict, forward = neural.predict_many, neural.predict, neural.forward
+    monkeypatch.setattr(neural, "predict_many", lambda nets, seqs: calls.append(
+        (list(nets), [np.array(s) for s in seqs])) or predict_many(nets, seqs))
     monkeypatch.setattr(neural, "predict",
-                        lambda net, seqs: batches.append(np.array(seqs)) or predict(net, seqs))
+                        lambda *a, **kw: single_calls.append(1) or predict(*a, **kw))
     monkeypatch.setattr(neural, "forward",
                         lambda *a, **kw: single_calls.append(1) or forward(*a, **kw))
     res = rolling_forecast(fc, wavy_series(), STEPS)
@@ -143,10 +145,12 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
 
     k = len(fc.mode_models)
     starts = list(range(0, STEPS, retrain_every or STEPS))
-    assert len(batches) == k * len(starts) and not single_calls
-    for j, start in enumerate(starts):
+    assert len(calls) == len(starts) and not single_calls
+    assert all(a is m.network for a, m in zip(calls[0][0], fc.mode_models, strict=True))
+    for (nets, batches), start in zip(calls, starts):
+        assert len(nets) == len(batches) == k
         for i in range(k):
-            assert np.array_equal(batches[j * k + i], ref_windows[i][start:])
+            assert np.array_equal(batches[i], ref_windows[i][start:])
     np.testing.assert_allclose(res.predictions, ref_pred, rtol=1e-12, atol=0.0)
     scale = np.abs(ref_per_mode).max(axis=0)
     np.testing.assert_allclose(res.per_mode, ref_per_mode, rtol=1e-12, atol=1e-12 * scale.max())

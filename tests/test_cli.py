@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +353,19 @@ def test_plot_rejects_a_csv_it_cannot_chart(tmp_path, capsys, flag, text):
     assert code == 2
     assert "error: " in err and str(table) in err and "Traceback" not in err
     assert not svg.exists()
+
+
+def test_plot_of_an_empty_csv_prints_only_the_error(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "table.csv"
+    table.write_text("")
+    with warnings.catch_warnings():
+        # show warnings on stderr as a plain `modecast` run does
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "showwarning", lambda message, category, filename, lineno,
+                            file=None, line=None: sys.stderr.write(
+                                warnings.formatwarning(message, category, filename, lineno, line)))
+        code = main(["plot", "--modes-csv", str(table), "--out", str(tmp_path / "x.svg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {table} as a CSV table: ")
+    assert err.count("\n") == 1 and err.endswith("\n")  # the error line and nothing else

@@ -1,14 +1,26 @@
-"""Lockstep training: `neural.train_many` trains each network of a group bit
-for bit as `neural.train` trains it alone."""
+"""Lockstep training and inference: `neural.train_many` trains each network
+of a group bit for bit as `neural.train` trains it alone, and
+`neural.predict_many` predicts with each as `neural.predict` does."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modecast import neural
 from modecast.errors import EmptyDataset, ShapeMismatch
-from modecast.neural import CellKind, NetworkConfig, TrainConfig, train, train_many
+from modecast.neural import (
+    CellKind,
+    NetworkConfig,
+    TrainConfig,
+    init_network,
+    predict,
+    predict_many,
+    train,
+    train_many,
+)
 
 SEQ_LEN = 6
 SEEDS = (7, 1, 12)  # mixed, so every net draws its own shuffles and masks
@@ -87,3 +99,67 @@ def test_train_many_rejects_bad_inputs():
     with pytest.raises(EmptyDataset):
         train_many([xs[0], xs[1][:0]], [ys[0], ys[1][:0]], configs, train_cfgs)
     assert train_many([], [], [], []) == []
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    original = neural._forward_batch
+    monkeypatch.setattr(neural, "_forward_batch", lambda *a, **kw: calls.append(1)
+                        or original(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("layers", [1, 2], ids=lambda n: f"L{n}")
+def test_predict_many_equals_predict_of_each_net_alone(kind, layers, monkeypatch):
+    calls = _counting_forward(monkeypatch)
+    for hidden in (2, 3, 4, 16, 64):
+        for batch in (1, 2, 6, 20, 70):
+            for nets in (2, 3, 10):
+                networks = [init_network(NetworkConfig(cell=kind, layers=layers, hidden=hidden,
+                                                       input_features=2, seed=s))
+                            for s in range(nets)]
+                rng = np.random.default_rng([hidden, batch, nets])
+                xs = [rng.standard_normal((batch, SEQ_LEN, 2)) for _ in range(nets)]
+                calls.clear()
+                got = predict_many(networks, xs)
+                cap = neural._group_size(replace(networks[0].config, dropout_rate=0.0), SEQ_LEN,
+                                         batch, neural.PREDICT_BYTES)
+                assert len(calls) == -(-nets // cap)  # one pass per group under the cap
+                assert len(got) == nets
+                for net, x, y in zip(networks, xs, got):
+                    assert np.array_equal(y, predict(net, x))
+
+
+def test_predict_many_groups_by_shape_and_keeps_input_order(monkeypatch):
+    def net(kind=CellKind.GRU, hidden=5, seed=0):
+        return init_network(NetworkConfig(cell=kind, layers=1, hidden=hidden, input_features=2,
+                                          seed=seed))
+
+    networks = [net(seed=3), net(seed=4), net(CellKind.LSTM, seed=5), net(seed=6),
+                net(hidden=1, seed=7), net(hidden=1, seed=8), net(seed=9)]
+    rng = np.random.default_rng(2)
+    xs = [rng.standard_normal((8, SEQ_LEN, 2)) for _ in networks]
+    xs[3] = xs[3][:, :4]  # another window length
+    xs[6] = xs[6][:5]     # another batch size
+    calls = _counting_forward(monkeypatch)
+    got = predict_many(networks, xs)
+    # GRU 5 units on (8, 6, 2): nets 0 and 1; each other net alone, one-unit nets included
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert [y.shape for y in got] == [(x.shape[0],) for x in xs]
+    for n, x, y in zip(networks, xs, got):
+        assert np.array_equal(y, predict(n, x))
+
+
+def test_predict_many_rejects_bad_inputs():
+    networks = [init_network(NetworkConfig(cell=CellKind.RNN, layers=1, hidden=3, seed=s))
+                for s in (1, 2)]
+    x = np.zeros((4, SEQ_LEN, 2))
+    with pytest.raises(ShapeMismatch):
+        predict_many(networks, [x])
+    with pytest.raises(ShapeMismatch):
+        predict_many(networks, [x, x[0]])
+    with pytest.raises(ShapeMismatch):
+        predict_many(networks, [x[..., :1], x[..., :1]])
+    assert predict_many([], []) == []

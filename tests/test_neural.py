@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,10 +44,46 @@ def sigmoid(x):
 # Cells
 # ---------------------------------------------------------------------------
 
+def _sigmoid_inputs():
+    grid = np.linspace(-60.0, 60.0, 2001).reshape(3, -1)
+    return grid, np.random.default_rng(11).standard_normal(10**6) * 5.0
+
+
 def test_sigmoid_is_expit_and_saturates():
-    x = np.linspace(-60.0, 60.0, 2001).reshape(3, -1)
-    assert np.array_equal(_sigmoid(x), special.expit(x))
-    assert _sigmoid(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+    # numpy's vectorized exp may round the last bit unlike libm's, which expit
+    # calls; sigmoid values are non-negative, so their bit patterns count ulps
+    for x in _sigmoid_inputs():
+        ulps = np.abs(_sigmoid(x).view(np.int64) - special.expit(x).view(np.int64))
+        assert ulps.max() <= 2
+    with np.errstate(over="ignore"):  # exp(1000) overflows to inf, as `_run_layer` allows
+        assert _sigmoid(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+
+
+def test_sigmoid_is_reciprocal_of_one_plus_numpy_exp():
+    for x in _sigmoid_inputs():
+        want = 1.0 / (1.0 + np.exp(-x))
+        assert np.array_equal(_sigmoid(x), want)
+        buf = x.copy()
+        assert _sigmoid(buf, out=buf) is buf and np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("pre", [-1000.0, 1000.0])
+def test_saturated_gates_give_exact_states_without_warning(pre):
+    h = 3
+    lstm = {f"W_{g}": np.zeros((h, h + 1)) for g in "fioc"}
+    lstm.update({f"b_{g}": np.full(h, pre) for g in "fioc"})
+    gru = {key: np.zeros((h, h + 1)) for key in ("W_z", "W_r", "W")}
+    gru["W_z"][:, h:] = pre  # z = r = sigmoid(pre) on an input of one
+    gru["W_r"][:, h:] = pre
+    h_prev = np.full(h, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_lstm, c_lstm = lstm_cell(lstm, np.zeros(h), np.zeros(h), np.ones(1))
+        h_gru = gru_cell(gru, h_prev, np.ones(1))
+    on = pre > 0  # every gate 1.0, or every gate 0.0
+    assert c_lstm.tolist() == [1.0 if on else 0.0] * h
+    assert np.array_equal(h_lstm, np.tanh(np.ones(h)) if on else np.zeros(h))
+    assert h_gru.tolist() == [0.0 if on else 0.5] * h
 
 
 def test_rnn_cell_zero_weights():
