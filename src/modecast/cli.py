@@ -5,7 +5,8 @@ configuration in the config-file grammar, with the command line recorded in
 comments); rerunning the same command with `--config run_manifest.txt`
 reproduces the outputs bit-for-bit.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
+a missing or unreadable file is a data error whichever flag names it.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_VARIANTS = {"direct": Variant.DIRECT, "vmd": Variant.VMD, "vmd-garch": Variant.VMD_GARCH}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="modecast", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"modecast {__version__}")
@@ -69,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a full forecaster and save it")
     common(p)
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="vmd-garch")
+    p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="vmd-garch")
     p.add_argument("--cell", help="rnn | gru | lstm (default from config)")
 
     p = sub.add_parser("forecast", help="rolling one-step-ahead forecast")
     common(p)
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="vmd-garch")
+    p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="vmd-garch")
     p.add_argument("--cell", help="rnn | gru | lstm (default from config)")
     p.add_argument("--model-dir", help="reuse a saved forecaster instead of training")
     p.add_argument("--steps", type=int, required=True)
@@ -190,7 +188,7 @@ def _cmd_train(args) -> int:
     pipe_cfg = to_pipeline_config(cfg)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
-    forecaster = fit_forecaster(series, _VARIANTS[args.variant],
+    forecaster = fit_forecaster(series, Variant(args.variant),
                                 cell_kind(cfg.network_cell), pipe_cfg)
     persist.save_forecaster(forecaster, out_dir)
     _write_manifest(out_dir, cfg, args)
@@ -218,7 +216,7 @@ def _cmd_forecast(args) -> int:
         forecaster = persist.load_forecaster(args.model_dir)
     else:
         pipe_cfg = to_pipeline_config(cfg)
-        forecaster = fit_forecaster(series, _VARIANTS[args.variant],
+        forecaster = fit_forecaster(series, Variant(args.variant),
                                     cell_kind(cfg.network_cell), pipe_cfg)
     result = rolling_forecast(forecaster, series, args.steps)
     path = out_dir / "predictions.csv"
@@ -273,7 +271,9 @@ def _read_table(path, columns=()) -> np.ndarray:
         with warnings.catch_warnings():  # an empty file is reported below, not warned of
             warnings.filterwarnings("ignore", "genfromtxt: Empty input file", UserWarning)
             table = np.genfromtxt(path, delimiter=",", names=True)
-    except (OSError, ValueError, IndexError) as exc:  # bad UTF-8, ragged rows, no lines
+    except IndexError as exc:  # numpy's report of a file with no non-blank line
+        raise UnreadableFile(f"cannot read {path} as a CSV table: no header line") from exc
+    except (OSError, ValueError) as exc:  # bad UTF-8, ragged rows
         raise UnreadableFile(f"cannot read {path} as a CSV table: {exc}") from exc
     if table.size == 0 or not set(columns) <= set(table.dtype.names or ()):
         named = f" naming {', '.join(columns)}" if columns else ""

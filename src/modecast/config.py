@@ -145,14 +145,12 @@ def require_modes(cfg: RunConfig) -> int:
     return cfg.modes
 
 
-_CELL_NAMES = {"rnn": neural.CellKind.RNN, "gru": neural.CellKind.GRU, "lstm": neural.CellKind.LSTM}
-
-
 def cell_kind(name: str) -> neural.CellKind:
     try:
-        return _CELL_NAMES[name.lower()]
-    except KeyError:
-        raise ConfigError(f"unknown cell '{name}', expected one of {sorted(_CELL_NAMES)}") from None
+        return neural.CellKind(name.lower())
+    except ValueError:
+        raise ConfigError(f"unknown cell '{name}', expected one of "
+                          f"{sorted(k.value for k in neural.CellKind)}") from None
 
 
 def to_pipeline_config(cfg: RunConfig) -> PipelineConfig:

@@ -1,18 +1,23 @@
 """Save/load a fitted forecaster as a directory of two files.
 
-`forecaster.json` is the header: the format tag, settings and scalars.
-`arrays.npz` is one uncompressed `np.savez` archive of float64 arrays:
-`mode_values`, `omegas`, `residual`, and per mode `mode_<n>.flat` (the
-network's parameter vector) and the GARCH `alphas`, `betas`, `sigma2_path`
-and `residuals`.  The arrays are written first and the header last, so a
-directory whose header exists has its arrays.  A reload restores every value
-bit for bit, so a reloaded forecaster forecasts identically.
+The directory stores only what fitting produced.  `forecaster.json` is the
+header: the format tag, variant, cell and run configuration, the mode set's
+scalars (`modes`) when the variant decomposes, and per mode the GARCH fit's
+scalars (`garch`) for VMD-GARCH.  `arrays.npz` is one uncompressed
+`np.savez` archive of a fixed set of stacked float64 arrays, whatever the
+mode count K: `mode_values` (K, T), `networks` (K, P), then `omegas` and
+`residual` when the variant decomposes, and the GARCH `alphas`, `betas`,
+`sigma2_path` and `residuals` (one row per mode) for VMD-GARCH.  The arrays
+are written first and the header last, so a directory whose header exists
+has its arrays.
 
-A model directory is outside input: the archive is read with
-`allow_pickle=False`, and any missing, extra, truncated, foreign, mistyped or
-misshapen entry raises `CorruptModel`, and so does a header whose values
-contradict each other or the arrays.  A directory of any other format (the
-v1 layout included) is refused.
+Load derives the rest as fitting derives it (K, the training size, each
+mode's scaler and network configuration), checks every array's shape
+against it, and restores every value bit for bit, so a reloaded forecaster
+forecasts identically.  A model directory is outside input: the archive is
+read with `allow_pickle=False`, and any missing, extra, truncated, foreign,
+mistyped or misshapen entry raises `CorruptModel`.  A directory of any other
+format (the v1 and v2 layouts included) is refused.
 """
 
 from __future__ import annotations
@@ -27,10 +32,17 @@ import numpy as np
 
 from . import garch, neural, vmd
 from .errors import CorruptModel, ModecastError
-from .pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
-from .series import MinMaxScaler, SplitSpec
+from .pipeline import (
+    EnsembleForecaster,
+    ModeModel,
+    PipelineConfig,
+    Variant,
+    _train_size,
+    mode_network_config,
+)
+from .series import SplitSpec, fit_scaler
 
-FORMAT = "modecast-forecaster v2"
+FORMAT = "modecast-forecaster v3"
 HEADER = "forecaster.json"
 ARRAYS = "arrays.npz"
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
@@ -39,10 +51,8 @@ _GARCH_SCALARS = ("mean", "log_likelihood", "converged", "used_differencing",
 _MODE_SET_SCALARS = ("iterations", "final_delta", "converged")
 
 
-def _fields(obj, names=None) -> dict | None:
-    """The named attributes of `obj` (default: every dataclass field); None stays None."""
-    if obj is None:
-        return None
+def _fields(obj, names=None) -> dict:
+    """The named attributes of `obj` (default: every dataclass field)."""
     return {n: getattr(obj, n) for n in names or (f.name for f in dataclasses.fields(obj))}
 
 
@@ -98,35 +108,26 @@ def _config_from_dict(d: dict) -> PipelineConfig:
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arrays = {"mode_values": forecaster.mode_values}
-    modes = forecaster.modes
-    if modes is not None:
-        arrays.update(omegas=modes.omegas, residual=modes.residual)
-    entries = []
-    for n, model in enumerate(forecaster.mode_models, start=1):
-        arrays[f"mode_{n}.flat"] = model.network.flat
-        fit = model.garch
-        if fit is not None:
-            values = (fit.params.alphas, fit.params.betas, fit.sigma2_path, fit.residuals)
-            arrays.update({f"mode_{n}.{k}": v for k, v in zip(_GARCH_ARRAYS, values)})
-        entries.append({
-            "mode_index": model.mode_index,
-            "scaler": _fields(model.scaler),
-            "vol_scaler": _fields(model.vol_scaler),
-            "vol_kind": model.vol_kind,
-            "network": _network_to_dict(model.network.config),
-            "garch": None if fit is None else {"alpha0": fit.params.alpha0,
-                                               **_fields(fit, _GARCH_SCALARS)},
-        })
+    models = forecaster.mode_models
+    arrays = {"mode_values": forecaster.mode_values,
+              "networks": np.stack([m.network.flat for m in models])}
     header = {
         "format": FORMAT,
         "variant": forecaster.variant.value,
         "cell": forecaster.cell.value,
-        "train_size": forecaster.train_size,
         "config": _config_to_dict(forecaster.config),
-        "modes": _fields(modes, _MODE_SET_SCALARS),
-        "mode_models": entries,
     }
+    if forecaster.variant is not Variant.DIRECT:
+        arrays.update(omegas=forecaster.modes.omegas, residual=forecaster.modes.residual)
+        header["modes"] = _fields(forecaster.modes, _MODE_SET_SCALARS)
+    if forecaster.variant is Variant.VMD_GARCH:
+        fits = [m.garch for m in models]
+        arrays.update(alphas=np.stack([f.params.alphas for f in fits]),
+                      betas=np.stack([f.params.betas for f in fits]),
+                      sigma2_path=np.stack([f.sigma2_path for f in fits]),
+                      residuals=np.stack([f.residuals for f in fits]))
+        header["garch"] = [{"alpha0": f.params.alpha0, **_fields(f, _GARCH_SCALARS)}
+                           for f in fits]
     with open(out / ARRAYS, "wb") as fh:
         np.savez(fh, **arrays)
     (out / HEADER).write_text(json.dumps(header, indent=1), encoding="utf-8")
@@ -175,75 +176,56 @@ def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> 
 
 
 def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleForecaster:
-    _exact(header, ("format", "variant", "cell", "train_size", "config", "modes",
-                    "mode_models"), "header")
+    """The forecaster of a v3 directory.  Every fact the header and archive
+    do not hold is derived as fitting derives it, and each array's shape is
+    checked against what was derived."""
+    variant = Variant(header["variant"])
+    decomposes = variant is not Variant.DIRECT
+    with_garch = variant is Variant.VMD_GARCH
+    _exact(header, ("format", "variant", "cell", "config", *("modes",) * decomposes,
+                    *("garch",) * with_garch), "header")
     cfg = _config_from_dict(header["config"])
-    entries = header["mode_models"]
-    meta = header["modes"]
-    expected = {"mode_values"} | (set() if meta is None else {"omegas", "residual"})
-    for n, entry in enumerate(entries, start=1):
-        expected.add(f"mode_{n}.flat")
-        if entry["garch"] is not None:
-            expected.update(f"mode_{n}.{name}" for name in _GARCH_ARRAYS)
+    cell = neural.CellKind(header["cell"])
+    expected = {"mode_values", "networks", *(("omegas", "residual") if decomposes else ()),
+                *(_GARCH_ARRAYS if with_garch else ())}
     if set(arrays) != expected:
         raise CorruptModel(f"{ARRAYS}: missing {sorted(expected - set(arrays))}, "
                            f"unexpected {sorted(set(arrays) - expected)}")
 
-    mode_values = _array(arrays, "mode_values", (len(entries), -1))
+    k = cfg.vmd.n_modes if decomposes else 1
+    mode_values = _array(arrays, "mode_values", (k, -1))
     t_len = mode_values.shape[1]
-    train_size = header["train_size"]
-    if not (type(train_size) is int and 0 < train_size < t_len):
-        raise CorruptModel(f"{HEADER}: train_size {train_size!r} is not an int in 1..{t_len - 1}")
+    train_size = _train_size(t_len, cfg)
+    net_cfgs = [mode_network_config(cfg, cell, i + 1) for i in range(k)]
+    flats = _array(arrays, "networks", (k, neural.parameter_count(net_cfgs[0])))
     modes = None
-    if meta is not None:
-        modes = vmd.ModeSet(modes=mode_values,
-                            omegas=_array(arrays, "omegas", (len(entries),)),
+    if decomposes:
+        modes = vmd.ModeSet(modes=mode_values, omegas=_array(arrays, "omegas", (k,)),
                             residual=_array(arrays, "residual", (t_len,)),
-                            **_exact(meta, _MODE_SET_SCALARS, "modes"))
-    models = []
-    for n, entry in enumerate(entries, start=1):
-        _exact(entry, ("mode_index", "scaler", "vol_scaler", "vol_kind", "network", "garch"),
-               f"mode {n}")
-        if not (type(entry["mode_index"]) is int and entry["mode_index"] == n):
-            raise CorruptModel(f"{HEADER}: mode {n} has mode_index {entry['mode_index']!r}")
-        fit = None if entry["garch"] is None else _garch_from(entry["garch"], arrays, n, cfg.garch)
-        # the volatility kind must be the one the fit implies, as `_fit_forecasters` sets it
-        kinds = (("zeros", "value") if fit is None
-                 else ("rolling",) if fit.used_rolling_fallback else ("garch",))
-        if entry["vol_kind"] not in kinds:
-            raise CorruptModel(f"{HEADER}: mode {n} has vol_kind {entry['vol_kind']!r}, "
-                               f"expected one of {kinds}")
-        net_cfg = _network_from_dict(entry["network"])
-        flat = _array(arrays, f"mode_{n}.flat", (neural.parameter_count(net_cfg),))
-        models.append(ModeModel(
-            mode_index=n,
-            scaler=_settings(MinMaxScaler, entry["scaler"]),
-            vol_scaler=None if entry["vol_scaler"] is None
-                       else _settings(MinMaxScaler, entry["vol_scaler"]),
-            garch=fit,
-            network=neural._network(net_cfg, flat),
-            vol_kind=entry["vol_kind"],
-        ))
+                            **_exact(header["modes"], _MODE_SET_SCALARS, "modes"))
+    fits = [None] * k
+    if with_garch:
+        if len(header["garch"]) != k:
+            raise CorruptModel(f"{HEADER}: garch holds {len(header['garch'])} entries, not {k}")
+        alphas = _array(arrays, "alphas", (k, cfg.garch.k))
+        betas = _array(arrays, "betas", (k, cfg.garch.l))
+        sigma2 = _array(arrays, "sigma2_path", (k, train_size))
+        residuals = _array(arrays, "residuals", (k, train_size))
+        for i, entry in enumerate(header["garch"]):
+            _exact(entry, ("alpha0", *_GARCH_SCALARS), f"mode {i + 1} garch")
+            fits[i] = garch.GarchFit(
+                params=garch.GarchParams(entry["alpha0"], alphas[i], betas[i]),
+                sigma2_path=sigma2[i], residuals=residuals[i],
+                **{name: entry[name] for name in _GARCH_SCALARS})
     return EnsembleForecaster(
-        variant=Variant(header["variant"]),
-        cell=neural.CellKind(header["cell"]),
+        variant=variant,
+        cell=cell,
         config=cfg,
         modes=modes,
         mode_values=mode_values,
-        mode_models=tuple(models),
+        mode_models=tuple(ModeModel(scaler=fit_scaler(values[:train_size]), garch=fit,
+                                    network=neural._network(net_cfg, flat))
+                          for values, fit, net_cfg, flat in zip(mode_values, fits, net_cfgs,
+                                                                flats)),
         train_size=train_size,
-    )
-
-
-def _garch_from(d: dict, arrays: dict[str, np.ndarray], n: int,
-                spec: garch.GarchSpec) -> garch.GarchFit:
-    _exact(d, ("alpha0", *_GARCH_SCALARS), f"mode {n} garch")
-    sigma2 = _array(arrays, f"mode_{n}.sigma2_path", (-1,))
-    params = garch.GarchParams(d["alpha0"], _array(arrays, f"mode_{n}.alphas", (spec.k,)),
-                               _array(arrays, f"mode_{n}.betas", (spec.l,)))
-    return garch.GarchFit(
-        params=params,
-        sigma2_path=sigma2,
-        residuals=_array(arrays, f"mode_{n}.residuals", sigma2.shape),
-        **{k: d[k] for k in _GARCH_SCALARS},
     )

@@ -28,10 +28,13 @@ Protocol notes baked in here rather than in the submodules:
   pass or from a batch of another size, so forecasts of different lengths
   agree on their common steps up to rounding; reruns are bit-identical.
 * The volatility channel carries the conditional standard deviation (square
-  root of the fitted variance path), min-max scaled like the value channel.
-  The one-network-code-path baselines keep the tensor shape: the direct
-  variant duplicates the value channel, the decomposition-only variant feeds
-  zeros.
+  root of the fitted variance path), scaled by the mode's value span.  The
+  one-network-code-path baselines keep the tensor shape: the direct variant
+  duplicates the value channel, the decomposition-only variant feeds zeros.
+* A mode's record (`ModeModel`) holds only what fitting produced: scaler,
+  GARCH fit and network.  The volatility channel follows from the variant
+  (`_channels`) and the network configuration from the run configuration and
+  the mode's position (`mode_network_config`), here and in `persist` alike.
 * Final predictions are correctly rounded sums (`math.fsum`) of the per-mode
   predictions, since mode magnitudes can span many orders.
 """
@@ -93,14 +96,11 @@ class WindowedDataset:
 
 @dataclass(frozen=True)
 class ModeModel:
-    """Everything fitted for one mode: scalers, volatility source, network."""
+    """What fitting produced for one mode: its scaler, GARCH fit and network."""
 
-    mode_index: int
     scaler: MinMaxScaler
-    vol_scaler: MinMaxScaler | None
-    garch: garch_mod.GarchFit | None
+    garch: garch_mod.GarchFit | None  # VMD-GARCH only
     network: neural.RecurrentNetwork
-    vol_kind: str  # "garch" | "rolling" | "zeros" | "value"
 
 
 @dataclass(frozen=True)
@@ -195,23 +195,26 @@ def build_windows(mode_scaled, vol_scaled, seq_len: int) -> WindowedDataset:
     return WindowedDataset(inputs=inputs, targets=m[seq_len:].copy(), seq_len=seq_len)
 
 
-def _channels(model: ModeModel, mode_series: np.ndarray, train_size: int,
+def _channels(variant: Variant, model: ModeModel, mode_series: np.ndarray, train_size: int,
               steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Scaled value and volatility channels over the training slots and `steps`
     held-out slots, the held-out ones filled from realized mode values only.
     With `steps` = 0 they are the channels the mode's network trains on: the
     leading slots of `extend_sigma2` are the fit's own `sigma2_path`."""
     values = model.scaler.apply(mode_series[:train_size + steps])
-    if model.vol_kind == "value":
+    if variant is Variant.DIRECT:
         return values, values
-    if model.vol_kind in ("garch", "rolling") and model.vol_scaler is not None:
-        fit = model.garch
-        held = mode_series[train_size:train_size + steps]
-        if fit.used_differencing:
-            held = held - mode_series[train_size - 1:train_size + steps - 1]
-        s2 = garch_mod.extend_sigma2(fit, held - fit.mean)
-        return values, model.vol_scaler.apply(np.sqrt(s2))
-    return values, np.zeros(train_size + steps)
+    if variant is Variant.VMD:
+        return values, np.zeros(train_size + steps)
+    fit = model.garch
+    held = mode_series[train_size:train_size + steps]
+    if fit.used_differencing:
+        held = held - mode_series[train_size - 1:train_size + steps - 1]
+    s2 = garch_mod.extend_sigma2(fit, held - fit.mean)
+    # sigma shares the mode's units, so scale it by the value span anchored at
+    # zero: a negligible volatility stays a negligible input instead of being
+    # stretched into a full-range noise channel
+    return values, MinMaxScaler(0.0, model.scaler.hi - model.scaler.lo).apply(np.sqrt(s2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +233,25 @@ def _train_size(n: int, cfg: PipelineConfig) -> int:
     return n_train
 
 
+def mode_network_config(cfg: PipelineConfig, cell: neural.CellKind,
+                        mode_index: int) -> neural.NetworkConfig:
+    """The configuration of mode `mode_index`'s network (1-based), seeded by
+    `_mode_seed` so mode i of every variant starts alike."""
+    return replace(cfg.network, cell=cell, input_features=2,
+                   seed=_mode_seed(cfg.train.seed, mode_index))
+
+
 def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellKind,
                     cfg: PipelineConfig) -> list[list[neural.RecurrentNetwork]]:
-    """One network per mode of each mode set in `window_sets`, mode i of
-    every set seeded by `_mode_seed` so every variant starts alike, all
-    trained together by one `neural.train_many` call."""
+    """One network per mode of each mode set in `window_sets`, configured by
+    `mode_network_config`, all trained together by one `neural.train_many`
+    call."""
     windows = [w for mode_set in window_sets for w in mode_set]
-    seeds = [_mode_seed(cfg.train.seed, i + 1) for mode_set in window_sets
-             for i in range(len(mode_set))]
+    net_cfgs = [mode_network_config(cfg, cell, i + 1) for mode_set in window_sets
+                for i in range(len(mode_set))]
     trained = iter(neural.train_many(
-        [w.inputs for w in windows], [w.targets for w in windows],
-        [replace(cfg.network, cell=cell, input_features=2, seed=seed) for seed in seeds],
-        [replace(cfg.train, seed=seed) for seed in seeds]))
+        [w.inputs for w in windows], [w.targets for w in windows], net_cfgs,
+        [replace(cfg.train, seed=net_cfg.seed) for net_cfg in net_cfgs]))
     return [[next(trained)[0] for _ in mode_set] for mode_set in window_sets]
 
 
@@ -271,23 +281,12 @@ def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
         values = series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes
         models, windows = [], []
         for idx, mode_series in enumerate(values):
-            scaler = fit_scaler(mode_series[:n_train])
-            fit = garch_fits[idx] if variant is Variant.VMD_GARCH else None
-            if variant is Variant.DIRECT:
-                vol_kind, vol_scaler = "value", scaler
-            elif variant is Variant.VMD:
-                vol_kind, vol_scaler = "zeros", None
-            else:
-                vol_kind = "rolling" if fit.used_rolling_fallback else "garch"
-                # sigma shares the mode's units, so scale it by the value span
-                # anchored at zero: a negligible volatility stays a negligible
-                # input instead of being stretched into a full-range noise channel
-                vol_scaler = (None if np.sqrt(fit.sigma2_path).max() <= 0.0
-                              else MinMaxScaler(lo=0.0, hi=scaler.hi - scaler.lo))
-            model = ModeModel(mode_index=idx + 1, scaler=scaler, vol_scaler=vol_scaler,
-                              garch=fit, network=None, vol_kind=vol_kind)
+            model = ModeModel(scaler=fit_scaler(mode_series[:n_train]),
+                              garch=garch_fits[idx] if variant is Variant.VMD_GARCH else None,
+                              network=None)
             models.append(model)
-            windows.append(build_windows(*_channels(model, mode_series, n_train, 0), cfg.seq_len))
+            windows.append(build_windows(*_channels(variant, model, mode_series, n_train, 0),
+                                         cfg.seq_len))
         plans.append((variant, values, models, windows))
     for cell in cells:
         networks = _train_networks([windows for *_, windows in plans], cell, cfg)
@@ -355,7 +354,7 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
 
     t0 = forecaster.train_size
     first = t0 - cfg.seq_len  # first slot of the first window
-    channels = [_channels(m, forecaster.mode_values[i], t0, steps)
+    channels = [_channels(forecaster.variant, m, forecaster.mode_values[i], t0, steps)
                 for i, m in enumerate(forecaster.mode_models)]
     windows = [build_windows(values[first:], vol[first:], cfg.seq_len).inputs
                for values, vol in channels]

@@ -21,6 +21,7 @@ from conftest import small_config, wavy_series
 from modecast import garch, neural, pipeline
 from modecast.neural import CellKind
 from modecast.pipeline import Variant, aggregate, build_windows, fit_forecaster, rolling_forecast
+from modecast.series import MinMaxScaler
 
 STEPS = 8
 
@@ -28,18 +29,18 @@ STEPS = 8
 class _ReferenceModeState:
     """Per-mode window state advanced one slot at a time."""
 
-    def __init__(self, model, mode_series, train_size):
+    def __init__(self, variant, model, mode_series, train_size):
+        self.variant = variant
         self.model = model
         self.raw = list(mode_series[:train_size])
         self.scaled_values = list(model.scaler.apply(np.asarray(self.raw)))
         fit = model.garch
-        if model.vol_kind in ("garch", "rolling") and fit is not None:
+        if variant is Variant.VMD_GARCH:
+            self.vol_scaler = MinMaxScaler(0.0, model.scaler.hi - model.scaler.lo)
             self.a = list(fit.residuals)
             self.s2 = list(fit.sigma2_path)
-            vol = np.sqrt(fit.sigma2_path)
-            self.scaled_vol = list(model.vol_scaler.apply(vol)) if model.vol_scaler is not None \
-                else [0.0] * train_size
-        elif model.vol_kind == "value":
+            self.scaled_vol = list(self.vol_scaler.apply(np.sqrt(fit.sigma2_path)))
+        elif variant is Variant.DIRECT:
             self.scaled_vol = list(self.scaled_values)
         else:
             self.scaled_vol = [0.0] * train_size
@@ -55,12 +56,12 @@ class _ReferenceModeState:
         self.raw.append(value)
         self.scaled_values.append(float(model.scaler.apply(value)))
         fit = model.garch
-        if model.vol_kind in ("garch", "rolling") and fit is not None:
+        if self.variant is Variant.VMD_GARCH:
             if fit.used_differencing:
                 shock = (self.raw[-1] - self.raw[-2]) - fit.mean
             else:
                 shock = value - fit.mean
-            if model.vol_kind == "garch":
+            if not fit.used_rolling_fallback:
                 s2_next = garch.step_sigma2(fit.params, np.asarray(self.a), np.asarray(self.s2))
                 self.a.append(shock)
             else:
@@ -69,9 +70,8 @@ class _ReferenceModeState:
                 s2_next = max(var, garch.rolling_floor(fit.residuals))
             self.s2.append(s2_next)
             vol = math.sqrt(s2_next)
-            self.scaled_vol.append(float(model.vol_scaler.apply(vol))
-                                   if model.vol_scaler is not None else 0.0)
-        elif model.vol_kind == "value":
+            self.scaled_vol.append(float(self.vol_scaler.apply(vol)))
+        elif self.variant is Variant.DIRECT:
             self.scaled_vol.append(self.scaled_values[-1])
         else:
             self.scaled_vol.append(0.0)
@@ -84,7 +84,8 @@ def _reference_forecast(forecaster, steps):
     per_mode = np.empty((steps, k))
     predictions = np.empty(steps)
     windows = [np.empty((steps, cfg.seq_len, 2)) for _ in range(k)]
-    states = [_ReferenceModeState(m, forecaster.mode_values[i], forecaster.train_size)
+    states = [_ReferenceModeState(forecaster.variant, m, forecaster.mode_values[i],
+                                  forecaster.train_size)
               for i, m in enumerate(forecaster.mode_models)]
     networks = [m.network for m in forecaster.mode_models]
     for s in range(steps):
@@ -127,7 +128,7 @@ _IDS = [f"{c.value}-{v.value}{'-fallback' if f else ''}" for c, v, f in _CASES]
 def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback, retrain_every):
     base = _forecaster(cell, variant, fallback)
     if fallback:
-        assert all(m.vol_kind == "rolling" for m in base.mode_models)
+        assert all(m.garch.used_rolling_fallback for m in base.mode_models)
     fc = dataclasses.replace(base, config=dataclasses.replace(base.config,
                                                               retrain_every=retrain_every))
     ref_pred, ref_per_mode, ref_windows = _reference_forecast(fc, STEPS)
@@ -175,7 +176,7 @@ def test_training_windows_match_reference_state(monkeypatch, cell, variant, fall
     ((inputs, targets),) = captured
     assert len(inputs) == len(fc.mode_models)
     for i, model in enumerate(fc.mode_models):
-        state = _ReferenceModeState(model, fc.mode_values[i], fc.train_size)
+        state = _ReferenceModeState(variant, model, fc.mode_values[i], fc.train_size)
         want = build_windows(np.asarray(state.scaled_values), np.asarray(state.scaled_vol),
                              fc.config.seq_len)
         assert np.array_equal(inputs[i], want.inputs)

@@ -11,7 +11,7 @@ import pytest
 
 from modecast.charts import line_chart, panel_chart
 from modecast.errors import CorruptModel
-from modecast.garch import FitOptions
+from modecast.garch import FitOptions, GarchSpec
 from modecast.neural import CellKind
 from modecast.persist import load_forecaster, save_forecaster
 from modecast.pipeline import Variant, fit_forecaster, rolling_forecast
@@ -162,6 +162,76 @@ def test_resave_leaves_checkpoint_names_alone_without_a_v1_header(tmp_path, head
     _assert_identical(fc, load_forecaster(model_dir))
 
 
+def test_forecaster_load_rejects_v2_dir(tmp_path):
+    _, model_dir = _saved(tmp_path)
+    manifest = model_dir / "forecaster.json"
+    header = json.loads(manifest.read_text())
+    # the v2 layout: the same settings plus the training size and per-mode entries
+    manifest.write_text(json.dumps({**header, "format": "modecast-forecaster v2",
+                                    "train_size": 176, "mode_models": []}))
+    with pytest.raises(CorruptModel, match="re-run `modecast train`"):
+        load_forecaster(model_dir)
+
+
+_FIXED_NAMES = {
+    Variant.DIRECT: {"mode_values", "networks"},
+    Variant.VMD: {"mode_values", "networks", "omegas", "residual"},
+    Variant.VMD_GARCH: {"mode_values", "networks", "omegas", "residual",
+                        "alphas", "betas", "sigma2_path", "residuals"},
+}
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
+    cfg = small_config(epochs=1, n_modes=n_modes)
+    fc, model_dir = _saved(tmp_path, variant, cfg=cfg)
+    k = 1 if variant is Variant.DIRECT else n_modes
+    assert len(fc.mode_models) == k
+    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
+        shapes = {name: npz[name].shape for name in npz.files}
+    assert set(shapes) == _FIXED_NAMES[variant]
+    assert shapes["mode_values"] == (k, 220)
+    assert shapes["networks"] == (k, fc.mode_models[0].network.flat.size)
+    if variant is not Variant.DIRECT:
+        assert shapes["omegas"] == (k,) and shapes["residual"] == (220,)
+    if variant is Variant.VMD_GARCH:
+        assert shapes["alphas"] == shapes["betas"] == (k, 1)
+        assert shapes["sigma2_path"] == shapes["residuals"] == (k, 176)
+    header = json.loads((model_dir / "forecaster.json").read_text())
+    assert set(header) == {"format", "variant", "cell", "config",
+                           *(("modes",) if variant is not Variant.DIRECT else ()),
+                           *(("garch",) if variant is Variant.VMD_GARCH else ())}
+    if variant is Variant.VMD_GARCH:
+        assert len(header["garch"]) == k
+    _assert_identical(fc, load_forecaster(model_dir))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_garch_order_with_an_empty_lag_set_round_trips(tmp_path, order):
+    cfg = dataclasses.replace(small_config(epochs=1), garch=GarchSpec(*order))
+    fc, model_dir = _saved(tmp_path, cfg=cfg)
+    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
+        assert npz["alphas"].shape == (2, order[0]) and npz["betas"].shape == (2, order[1])
+    loaded = load_forecaster(model_dir)
+    _assert_identical(fc, loaded)
+    series = wavy_series()
+    assert np.array_equal(rolling_forecast(fc, series, 20).predictions,
+                          rolling_forecast(loaded, series, 20).predictions)
+
+
+def test_mode_count_other_than_configured_is_rejected(tmp_path):
+    # every array holds three modes, in agreement with each other, but the
+    # configuration decomposes into two
+    _, model_dir = _saved(tmp_path, Variant.VMD, cfg=small_config(epochs=1, n_modes=3))
+    manifest = model_dir / "forecaster.json"
+    header = json.loads(manifest.read_text())
+    header["config"]["vmd"]["n_modes"] = 2
+    manifest.write_text(json.dumps(header))
+    with pytest.raises(CorruptModel, match="mode_values"):
+        load_forecaster(model_dir)
+
+
 def test_forecaster_load_rejects_foreign_arrays_file(tmp_path):
     _, model_dir = _saved(tmp_path)
     arrays = model_dir / "arrays.npz"
@@ -211,16 +281,16 @@ def test_float32_network_vector_is_rejected(tmp_path):
     _, model_dir = _saved(tmp_path)
 
     def as_float32(arrays):
-        arrays["mode_1.flat"] = arrays["mode_1.flat"].astype(np.float32)
+        arrays["networks"] = arrays["networks"].astype(np.float32)
 
     _rewrite_arrays(model_dir, as_float32)
-    with pytest.raises(CorruptModel, match="mode_1.flat"):
+    with pytest.raises(CorruptModel, match="networks"):
         load_forecaster(model_dir)
 
 
-@pytest.mark.parametrize("name,shape", [("mode_1.flat", (7,)), ("mode_values", (3, 220)),
-                                        ("residual", (219,)), ("mode_2.alphas", (2,)),
-                                        ("mode_2.residuals", (5,))])
+@pytest.mark.parametrize("name,shape", [("networks", (2, 7)), ("mode_values", (3, 220)),
+                                        ("residual", (219,)), ("alphas", (2, 2)),
+                                        ("residuals", (2, 5))])
 def test_misshapen_array_is_rejected(tmp_path, name, shape):
     _, model_dir = _saved(tmp_path)
 
@@ -236,8 +306,8 @@ def test_out_of_range_header_values_are_typed(tmp_path):
     _, model_dir = _saved(tmp_path)
     manifest = model_dir / "forecaster.json"
     full = json.loads(manifest.read_text())
-    for holder, key, bad in [(full["mode_models"][0]["garch"], "alpha0", -1.0),
-                             (full["mode_models"][0]["network"], "layers", 0),
+    for holder, key, bad in [(full["garch"][0], "alpha0", -1.0),
+                             (full["config"]["network"], "layers", 0),
                              (full["config"]["vmd"], "max_iter", 0),
                              (full["config"], "vmd", None)]:
         value, holder[key] = holder[key], bad
@@ -247,38 +317,38 @@ def test_out_of_range_header_values_are_typed(tmp_path):
         holder[key] = value
 
 
+_GARCH_ENTRY = {"alpha0": 0.1, "mean": 0.0, "log_likelihood": -1.0, "converged": True,
+                "used_differencing": False, "used_rolling_fallback": False}
+
+
 @pytest.mark.parametrize("variant,path,key,value", [
     (Variant.VMD_GARCH, (), "extra", 1),
     (Variant.VMD_GARCH, ("config",), "extra", 1),
     (Variant.VMD_GARCH, ("modes",), "extra", 1),
-    (Variant.VMD_GARCH, ("mode_models", 0), "extra", 1),
-    (Variant.VMD_GARCH, ("mode_models", 0, "garch"), "extra", 1),
-    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "bogus"),
-    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "value"),
-    (Variant.VMD_GARCH, ("mode_models", 0), "vol_kind", "rolling"),
-    (Variant.VMD, ("mode_models", 1), "vol_kind", "garch"),
-    (Variant.VMD_GARCH, ("mode_models", 0), "mode_index", 7),
-    (Variant.VMD_GARCH, ("mode_models", 1), "mode_index", 2.0),
-    (Variant.VMD_GARCH, (), "train_size", -5),
-    (Variant.VMD_GARCH, (), "train_size", 0),
-    (Variant.VMD_GARCH, (), "train_size", 220),
-    (Variant.VMD_GARCH, (), "train_size", 176.0),
-], ids=["extra-top", "extra-config", "extra-modes", "extra-mode", "extra-garch",
-        "vol-kind-bogus", "vol-kind-value-on-garch", "vol-kind-rolling-on-fit",
-        "vol-kind-garch-without-fit", "mode-index-7", "mode-index-float",
-        "train-size-negative", "train-size-zero", "train-size-whole-series",
-        "train-size-float"])
+    (Variant.VMD_GARCH, ("config", "network"), "extra", 1),
+    (Variant.VMD_GARCH, ("garch", 0), "extra", 1),
+    (Variant.VMD_GARCH, (), "garch", None),
+    (Variant.VMD, (), "garch", [_GARCH_ENTRY, _GARCH_ENTRY]),
+    (Variant.VMD_GARCH, (), "garch", lambda entries: entries[:-1]),
+    (Variant.VMD, (), "modes", None),
+    (Variant.DIRECT, (), "modes", {"iterations": 1, "final_delta": 0.0, "converged": True}),
+    (Variant.VMD_GARCH, (), "train_size", 176),
+    (Variant.VMD_GARCH, (), "mode_models", []),
+], ids=["extra-top", "extra-config", "extra-modes", "extra-network", "extra-garch",
+        "garch-null", "garch-on-vmd", "garch-one-short", "modes-null-on-vmd",
+        "modes-on-direct", "leftover-train-size", "leftover-mode-models"])
 def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
     fc, model_dir = _saved(tmp_path, variant)
     assert len(fc.mode_values[0]) == 220 and fc.train_size == 176
-    assert [m.vol_kind for m in fc.mode_models] == (
-        ["garch", "garch"] if variant is Variant.VMD_GARCH else ["zeros", "zeros"])
+    assert [m.garch is None for m in fc.mode_models] == (
+        [False, False] if variant is Variant.VMD_GARCH
+        else [True, True] if variant is Variant.VMD else [True])
     manifest = model_dir / "forecaster.json"
     header = json.loads(manifest.read_text())
     holder = header
     for step in path:
         holder = holder[step]
-    holder[key] = value
+    holder[key] = value(holder[key]) if callable(value) else value
     manifest.write_text(json.dumps(header))
     with pytest.raises(CorruptModel):
         load_forecaster(model_dir)
@@ -287,25 +357,17 @@ def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
 def test_rolling_fallback_round_trips_and_keeps_its_kind(tmp_path):
     cfg = dataclasses.replace(small_config(epochs=1), garch_options=FitOptions(max_iter=1))
     fc, model_dir = _saved(tmp_path, cfg=cfg)
-    assert [m.vol_kind for m in fc.mode_models] == ["rolling", "rolling"]
+    assert [m.garch.used_rolling_fallback for m in fc.mode_models] == [True, True]
     _assert_identical(fc, load_forecaster(model_dir))
-    manifest = model_dir / "forecaster.json"
-    header = json.loads(manifest.read_text())
-    header["mode_models"][1]["vol_kind"] = "garch"
-    manifest.write_text(json.dumps(header))
-    with pytest.raises(CorruptModel, match="vol_kind"):
-        load_forecaster(model_dir)
 
 
 def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
     fc, model_dir = _saved(tmp_path)
     manifest = model_dir / "forecaster.json"
     full = json.loads(manifest.read_text())
-    entry = full["mode_models"][0]
     config = full["config"]
     holders = [full, config, config["network"], config["vmd"], config["garch"],
-               config["garch_options"], config["train"], full["modes"], entry,
-               entry["scaler"], entry["network"], entry["garch"]]
+               config["garch_options"], config["train"], full["modes"], full["garch"][0]]
     for holder in holders:
         for key in [k for k in holder if k != "format"]:
             value = holder.pop(key)
@@ -317,7 +379,7 @@ def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
     save_forecaster(fc, model_dir)
     with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
         names = list(npz.files)
-    assert len(names) == 3 + 5 * len(fc.mode_models)
+    assert len(names) == 8
     for name in names:
         _rewrite_arrays(model_dir, lambda arrays: arrays.pop(name))
         with pytest.raises(CorruptModel, match=name):

@@ -129,14 +129,14 @@ def test_direct_variant_single_model_no_decomposition():
     fc = fit_forecaster(wavy_series(), Variant.DIRECT, CellKind.RNN, small_config())
     assert len(fc.mode_models) == 1
     assert fc.modes is None
-    assert fc.mode_models[0].vol_kind == "value"
+    assert fc.mode_models[0].garch is None
 
 
 def test_vmd_variant_one_model_per_mode():
     cfg = small_config(n_modes=3)
     fc = fit_forecaster(wavy_series(), Variant.VMD, CellKind.RNN, cfg)
     assert len(fc.mode_models) == 3
-    assert all(m.vol_kind == "zeros" for m in fc.mode_models)
+    assert all(m.garch is None for m in fc.mode_models)
     assert fc.modes is not None and fc.modes.n_modes == 3
 
 
@@ -145,8 +145,9 @@ def test_vmd_garch_variant_has_volatility_fits():
     fc = fit_forecaster(wavy_series(), Variant.VMD_GARCH, CellKind.RNN, cfg)
     assert len(fc.mode_models) == 2
     for model in fc.mode_models:
-        assert model.vol_kind in ("garch", "rolling")
         assert model.garch is not None
+        # a fitted path, or the rolling fallback exactly when no search converged
+        assert model.garch.used_rolling_fallback == (not model.garch.converged)
         assert np.all(model.garch.sigma2_path > 0)
 
 
@@ -279,9 +280,12 @@ def test_no_leakage_from_mode_test_segments(monkeypatch):
     monkeypatch.setattr(pipeline.vmd, "vmd_decompose", lambda *args: dirty_modes)
     dirty = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
     assert np.array_equal(dirty.mode_values, perturbed)  # the perturbed modes were read
-    for a, b in zip(clean.mode_models, dirty.mode_models, strict=True):
+    for i, (a, b) in enumerate(zip(clean.mode_models, dirty.mode_models, strict=True)):
         assert a.scaler == b.scaler
-        assert a.vol_scaler == b.vol_scaler
+        # the training volatility channel, scaled by the value span
+        vol_a = pipeline._channels(Variant.VMD_GARCH, a, clean.mode_values[i], clean.train_size, 0)
+        vol_b = pipeline._channels(Variant.VMD_GARCH, b, dirty.mode_values[i], dirty.train_size, 0)
+        assert np.array_equal(vol_a[1], vol_b[1])
         assert a.garch.params.alpha0 == b.garch.params.alpha0
         pa, pb = flatten_parameters(a.network), flatten_parameters(b.network)
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
@@ -409,6 +413,6 @@ def test_reference_shape_ten_modes_tenth_order(tmp_path):
     assert fc.train_size == 540  # floor(0.85 * 636)
     for model in fc.mode_models:
         assert model.garch is not None
-        assert model.vol_kind in ("garch", "rolling")
+        assert model.garch.used_rolling_fallback == (not model.garch.converged)
     # trend-like low-frequency modes go through the differencing gate
     assert fc.mode_models[0].garch.used_differencing
