@@ -6,7 +6,8 @@ comments); rerunning the same command with `--config run_manifest.txt`
 reproduces the outputs bit-for-bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
-a missing or unreadable file is a data error whichever flag names it.
+a missing or unreadable file, or an output path that cannot be written, is a
+data error whichever flag names it.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _cmd_train(args) -> int:
     persist.save_forecaster(forecaster, out_dir)
     _write_manifest(out_dir, cfg, args)
     print(f"saved {args.variant}/{cfg.network_cell} forecaster "
-          f"({len(forecaster.mode_models)} mode models) to {out_dir}")
+          f"({len(forecaster.mode_values)} mode models) to {out_dir}")
     return 0
 
 
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModecastError as exc:

@@ -74,7 +74,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeMismatch, StaleCache
+from .errors import ConfigError, EmptyDataset, ShapeMismatch, StaleCache
 
 
 class CellKind(Enum):
@@ -738,6 +738,16 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     clip_norm: float = 5.0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:  # NaN included
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
 
 
 def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | None = None):

@@ -1,23 +1,22 @@
 """Save/load a fitted forecaster as a directory of two files.
 
-The directory stores only what fitting produced.  `forecaster.json` is the
-header: the format tag, variant, cell and run configuration, the mode set's
-scalars (`modes`) when the variant decomposes, and per mode the GARCH fit's
-scalars (`garch`) for VMD-GARCH.  `arrays.npz` is one uncompressed
-`np.savez` archive of a fixed set of stacked float64 arrays, whatever the
-mode count K: `mode_values` (K, T), `networks` (K, P), then `omegas` and
-`residual` when the variant decomposes, and the GARCH `alphas`, `betas`,
-`sigma2_path` and `residuals` (one row per mode) for VMD-GARCH.  The arrays
-are written first and the header last, so a directory whose header exists
-has its arrays.
+The directory holds the fields of `pipeline.EnsembleForecaster`.
+`forecaster.json` is the header: the format tag, variant, cell and run
+configuration, the mode set's scalars (`modes`) when the variant decomposes,
+and per mode the GARCH fit's scalars (`garch`) for VMD-GARCH.  `arrays.npz`
+is one uncompressed `np.savez` archive of a fixed set of stacked float64
+arrays, whatever the mode count K: `mode_values` (K, T), `networks` (K, P),
+then `omegas` and `residual` when the variant decomposes, and the GARCH
+`alphas`, `betas`, `sigma2_path` and `residuals` (one row per mode) for
+VMD-GARCH.  The arrays are written first and the header last, so a
+directory whose header exists has its arrays.
 
-Load derives the rest as fitting derives it (K, the training size, each
-mode's scaler and network configuration), checks every array's shape
-against it, and restores every value bit for bit, so a reloaded forecaster
-forecasts identically.  A model directory is outside input: the archive is
-read with `allow_pickle=False`, and any missing, extra, truncated, foreign,
-mistyped or misshapen entry raises `CorruptModel`.  A directory of any other
-format (the v1 and v2 layouts included) is refused.
+A model directory is outside input.  The archive is read with
+`allow_pickle=False`; load checks each key set, dtype and number of
+dimensions, and the record's constructor every shape.  Any missing, extra,
+truncated, foreign, mistyped or misshapen entry raises `CorruptModel`, as
+does any other format (the v1 and v2 layouts included).  Values come back
+bit for bit, so a reloaded forecaster forecasts identically.
 """
 
 from __future__ import annotations
@@ -31,16 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import garch, neural, vmd
-from .errors import CorruptModel, ModecastError
-from .pipeline import (
-    EnsembleForecaster,
-    ModeModel,
-    PipelineConfig,
-    Variant,
-    _train_size,
-    mode_network_config,
-)
-from .series import SplitSpec, fit_scaler
+from .errors import CorruptModel, ModecastError, ShapeMismatch
+from .pipeline import EnsembleForecaster, PipelineConfig, Variant
+from .series import SplitSpec
 
 FORMAT = "modecast-forecaster v3"
 HEADER = "forecaster.json"
@@ -108,9 +100,7 @@ def _config_from_dict(d: dict) -> PipelineConfig:
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    models = forecaster.mode_models
-    arrays = {"mode_values": forecaster.mode_values,
-              "networks": np.stack([m.network.flat for m in models])}
+    arrays = {"mode_values": forecaster.mode_values, "networks": forecaster.networks}
     header = {
         "format": FORMAT,
         "variant": forecaster.variant.value,
@@ -121,13 +111,11 @@ def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
         arrays.update(omegas=forecaster.modes.omegas, residual=forecaster.modes.residual)
         header["modes"] = _fields(forecaster.modes, _MODE_SET_SCALARS)
     if forecaster.variant is Variant.VMD_GARCH:
-        fits = [m.garch for m in models]
-        arrays.update(alphas=np.stack([f.params.alphas for f in fits]),
-                      betas=np.stack([f.params.betas for f in fits]),
-                      sigma2_path=np.stack([f.sigma2_path for f in fits]),
-                      residuals=np.stack([f.residuals for f in fits]))
+        rows = [(f.params.alphas, f.params.betas, f.sigma2_path, f.residuals)
+                for f in forecaster.garch]
+        arrays.update(zip(_GARCH_ARRAYS, map(np.stack, zip(*rows))))
         header["garch"] = [{"alpha0": f.params.alpha0, **_fields(f, _GARCH_SCALARS)}
-                           for f in fits]
+                           for f in forecaster.garch]
     with open(out / ARRAYS, "wb") as fh:
         np.savez(fh, **arrays)
     (out / HEADER).write_text(json.dumps(header, indent=1), encoding="utf-8")
@@ -166,66 +154,44 @@ def _read_arrays(path: Path) -> dict[str, np.ndarray]:
         raise CorruptModel(f"unreadable {path}: {exc!r}") from exc
 
 
-def _array(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """`arrays[name]`, which must be float64 of `shape` (-1 matches any length)."""
+def _array(arrays: dict[str, np.ndarray], name: str, ndim: int) -> np.ndarray:
+    """`arrays[name]`, which must be a float64 array of `ndim` dimensions."""
     a = arrays[name]
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == len(shape)
-            and all(want in (-1, got) for want, got in zip(shape, a.shape))):
-        raise CorruptModel(f"{ARRAYS}: {name} is not a float64 array of shape {shape}")
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim):
+        raise CorruptModel(f"{ARRAYS}: {name} is not a {ndim}-d float64 array")
     return a
 
 
 def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleForecaster:
-    """The forecaster of a v3 directory.  Every fact the header and archive
-    do not hold is derived as fitting derives it, and each array's shape is
-    checked against what was derived."""
+    """The forecaster of a v3 directory; the record checks every shape."""
     variant = Variant(header["variant"])
     decomposes = variant is not Variant.DIRECT
     with_garch = variant is Variant.VMD_GARCH
     _exact(header, ("format", "variant", "cell", "config", *("modes",) * decomposes,
                     *("garch",) * with_garch), "header")
     cfg = _config_from_dict(header["config"])
-    cell = neural.CellKind(header["cell"])
     expected = {"mode_values", "networks", *(("omegas", "residual") if decomposes else ()),
                 *(_GARCH_ARRAYS if with_garch else ())}
     if set(arrays) != expected:
         raise CorruptModel(f"{ARRAYS}: missing {sorted(expected - set(arrays))}, "
                            f"unexpected {sorted(set(arrays) - expected)}")
-
-    k = cfg.vmd.n_modes if decomposes else 1
-    mode_values = _array(arrays, "mode_values", (k, -1))
-    t_len = mode_values.shape[1]
-    train_size = _train_size(t_len, cfg)
-    net_cfgs = [mode_network_config(cfg, cell, i + 1) for i in range(k)]
-    flats = _array(arrays, "networks", (k, neural.parameter_count(net_cfgs[0])))
-    modes = None
+    mode_values = _array(arrays, "mode_values", 2)
+    modes = fits = None
     if decomposes:
-        modes = vmd.ModeSet(modes=mode_values, omegas=_array(arrays, "omegas", (k,)),
-                            residual=_array(arrays, "residual", (t_len,)),
+        modes = vmd.ModeSet(modes=mode_values, omegas=_array(arrays, "omegas", 1),
+                            residual=_array(arrays, "residual", 1),
                             **_exact(header["modes"], _MODE_SET_SCALARS, "modes"))
-    fits = [None] * k
-    if with_garch:
-        if len(header["garch"]) != k:
-            raise CorruptModel(f"{HEADER}: garch holds {len(header['garch'])} entries, not {k}")
-        alphas = _array(arrays, "alphas", (k, cfg.garch.k))
-        betas = _array(arrays, "betas", (k, cfg.garch.l))
-        sigma2 = _array(arrays, "sigma2_path", (k, train_size))
-        residuals = _array(arrays, "residuals", (k, train_size))
-        for i, entry in enumerate(header["garch"]):
-            _exact(entry, ("alpha0", *_GARCH_SCALARS), f"mode {i + 1} garch")
-            fits[i] = garch.GarchFit(
-                params=garch.GarchParams(entry["alpha0"], alphas[i], betas[i]),
-                sigma2_path=sigma2[i], residuals=residuals[i],
-                **{name: entry[name] for name in _GARCH_SCALARS})
-    return EnsembleForecaster(
-        variant=variant,
-        cell=cell,
-        config=cfg,
-        modes=modes,
-        mode_values=mode_values,
-        mode_models=tuple(ModeModel(scaler=fit_scaler(values[:train_size]), garch=fit,
-                                    network=neural._network(net_cfg, flat))
-                          for values, fit, net_cfg, flat in zip(mode_values, fits, net_cfgs,
-                                                                flats)),
-        train_size=train_size,
-    )
+    if with_garch:  # one header entry per row of each GARCH array
+        entries = [_exact(e, ("alpha0", *_GARCH_SCALARS), "garch") for e in header["garch"]]
+        fits = tuple(
+            garch.GarchFit(params=garch.GarchParams(entry["alpha0"], alphas, betas),
+                           sigma2_path=sigma2, residuals=residuals,
+                           **{name: entry[name] for name in _GARCH_SCALARS})
+            for entry, alphas, betas, sigma2, residuals in zip(
+                entries, *(_array(arrays, name, 2) for name in _GARCH_ARRAYS), strict=True))
+    try:
+        return EnsembleForecaster(variant=variant, cell=neural.CellKind(header["cell"]),
+                                  config=cfg, modes=modes, mode_values=mode_values, garch=fits,
+                                  networks=_array(arrays, "networks", 2))
+    except ShapeMismatch as exc:
+        raise CorruptModel(f"{ARRAYS}: {exc}") from exc

@@ -31,10 +31,10 @@ Protocol notes baked in here rather than in the submodules:
   root of the fitted variance path), scaled by the mode's value span.  The
   one-network-code-path baselines keep the tensor shape: the direct variant
   duplicates the value channel, the decomposition-only variant feeds zeros.
-* A mode's record (`ModeModel`) holds only what fitting produced: scaler,
-  GARCH fit and network.  The volatility channel follows from the variant
-  (`_channels`) and the network configuration from the run configuration and
-  the mode's position (`mode_network_config`), here and in `persist` alike.
+* A forecaster (`EnsembleForecaster`) holds only what fitting produced, as a
+  model directory does, and refuses parts that disagree.  The training size,
+  scalers, volatility channel (`_channels`) and network configurations
+  (`mode_network_config`) are derived from it here only.
 * Final predictions are correctly rounded sums (`math.fsum`) of the per-mode
   predictions, since mode magnitudes can span many orders.
 """
@@ -52,9 +52,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import garch as garch_mod
 from . import neural, vmd
 from .errors import (
+    ConfigError,
     HorizonTooLong,
     LengthMismatch,
     SeriesMismatch,
+    ShapeMismatch,
     TooShort,
     ZeroActual,
 )
@@ -84,6 +86,12 @@ class PipelineConfig:
     garch_options: garch_mod.FitOptions = garch_mod.FitOptions()
     retrain_every: int = 0  # 0: never retrain during the rolling forecast
 
+    def __post_init__(self):
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
+        if self.retrain_every < 0:
+            raise ConfigError(f"retrain_every must be >= 0, got {self.retrain_every}")
+
 
 @dataclass(frozen=True)
 class WindowedDataset:
@@ -94,24 +102,54 @@ class WindowedDataset:
     seq_len: int
 
 
-@dataclass(frozen=True)
-class ModeModel:
-    """What fitting produced for one mode: its scaler, GARCH fit and network."""
-
-    scaler: MinMaxScaler
-    garch: garch_mod.GarchFit | None  # VMD-GARCH only
-    network: neural.RecurrentNetwork
+def _check_array(name: str, a, shape: tuple[int, ...]) -> None:
+    """Raise `ShapeMismatch` unless `a` is float64 of `shape` (-1 matches any length)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == len(shape)
+            and all(want in (-1, got) for want, got in zip(shape, a.shape))):
+        raise ShapeMismatch(f"{name} is not a float64 array of shape {shape}")
 
 
 @dataclass(frozen=True)
 class EnsembleForecaster:
+    """What fitting produced, as a model directory holds it.  Construction raises
+    `ShapeMismatch` unless the parts agree with each other and with `config`
+    (`TooShort` unless the T slots split), so every record saves and loads back."""
+
     variant: Variant
     cell: neural.CellKind
     config: PipelineConfig
-    modes: vmd.ModeSet | None       # None for the direct variant
-    mode_values: np.ndarray         # (K, T) series each net is trained/evaluated on
-    mode_models: tuple[ModeModel, ...]
-    train_size: int
+    modes: vmd.ModeSet | None                     # None for the direct variant
+    mode_values: np.ndarray                       # (K, T) series each net is trained/evaluated on
+    garch: tuple[garch_mod.GarchFit, ...] | None  # one fit per mode, VMD-GARCH only
+    networks: np.ndarray                          # (K, P) parameter vectors, mode by mode
+
+    def __post_init__(self):
+        decomposes = self.variant is not Variant.DIRECT
+        for name, wanted in (("modes", decomposes), ("garch", self.variant is Variant.VMD_GARCH)):
+            if (getattr(self, name) is None) == wanted:
+                raise ShapeMismatch(f"{name} must {'' if wanted else 'not '}be given "
+                                    f"for the {self.variant.value} variant")
+        k = self.config.vmd.n_modes if decomposes else 1
+        _check_array("mode_values", self.mode_values, (k, -1))
+        t_len, train_size = self.mode_values.shape[1], self.train_size
+        if decomposes:
+            if self.modes.modes is not self.mode_values:
+                raise ShapeMismatch("modes.modes is not the mode_values array")
+            _check_array("omegas", self.modes.omegas, (k,))
+            _check_array("residual", self.modes.residual, (t_len,))
+        _check_array("networks", self.networks,
+                     (k, neural.parameter_count(mode_network_config(self.config, self.cell, 1))))
+        if self.garch is not None and len(self.garch) != k:
+            raise ShapeMismatch(f"garch holds {len(self.garch)} fits, not {k}")
+        for i, fit in enumerate(self.garch or ()):
+            _check_array(f"garch[{i}].alphas", fit.params.alphas, (self.config.garch.k,))
+            _check_array(f"garch[{i}].betas", fit.params.betas, (self.config.garch.l,))
+            _check_array(f"garch[{i}].sigma2_path", fit.sigma2_path, (train_size,))
+            _check_array(f"garch[{i}].residuals", fit.residuals, (train_size,))
+
+    @property
+    def train_size(self) -> int:
+        return _train_size(self.mode_values.shape[1], self.config)
 
 
 @dataclass(frozen=True)
@@ -195,18 +233,17 @@ def build_windows(mode_scaled, vol_scaled, seq_len: int) -> WindowedDataset:
     return WindowedDataset(inputs=inputs, targets=m[seq_len:].copy(), seq_len=seq_len)
 
 
-def _channels(variant: Variant, model: ModeModel, mode_series: np.ndarray, train_size: int,
-              steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _channels(variant: Variant, scaler: MinMaxScaler, fit: garch_mod.GarchFit | None,
+              mode_series: np.ndarray, train_size: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Scaled value and volatility channels over the training slots and `steps`
     held-out slots, the held-out ones filled from realized mode values only.
     With `steps` = 0 they are the channels the mode's network trains on: the
     leading slots of `extend_sigma2` are the fit's own `sigma2_path`."""
-    values = model.scaler.apply(mode_series[:train_size + steps])
+    values = scaler.apply(mode_series[:train_size + steps])
     if variant is Variant.DIRECT:
         return values, values
     if variant is Variant.VMD:
         return values, np.zeros(train_size + steps)
-    fit = model.garch
     held = mode_series[train_size:train_size + steps]
     if fit.used_differencing:
         held = held - mode_series[train_size - 1:train_size + steps - 1]
@@ -214,7 +251,7 @@ def _channels(variant: Variant, model: ModeModel, mode_series: np.ndarray, train
     # sigma shares the mode's units, so scale it by the value span anchored at
     # zero: a negligible volatility stays a negligible input instead of being
     # stretched into a full-range noise channel
-    return values, MinMaxScaler(0.0, model.scaler.hi - model.scaler.lo).apply(np.sqrt(s2))
+    return values, MinMaxScaler(0.0, scaler.hi - scaler.lo).apply(np.sqrt(s2))
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +311,23 @@ def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
     if any(v is not Variant.DIRECT for v in variants):
         mode_set = vmd.vmd_decompose(series, cfg.vmd)
     if Variant.VMD_GARCH in variants:
-        garch_fits = garch_mod.fit_many(mode_set.modes[:, :n_train], cfg.garch,
-                                        cfg.garch_options)
-    plans = []  # (variant, values, mode models with network=None, windows)
+        garch_fits = tuple(garch_mod.fit_many(mode_set.modes[:, :n_train], cfg.garch,
+                                              cfg.garch_options))
+    plans = []  # (variant, values, fits, windows)
     for variant in variants:
         values = series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes
-        models, windows = [], []
-        for idx, mode_series in enumerate(values):
-            model = ModeModel(scaler=fit_scaler(mode_series[:n_train]),
-                              garch=garch_fits[idx] if variant is Variant.VMD_GARCH else None,
-                              network=None)
-            models.append(model)
-            windows.append(build_windows(*_channels(variant, model, mode_series, n_train, 0),
-                                         cfg.seq_len))
-        plans.append((variant, values, models, windows))
+        fits = garch_fits if variant is Variant.VMD_GARCH else None
+        windows = [build_windows(*_channels(variant, fit_scaler(mode_series[:n_train]), fit,
+                                            mode_series, n_train, 0), cfg.seq_len)
+                   for mode_series, fit in zip(values, fits or (None,) * len(values))]
+        plans.append((variant, values, fits, windows))
     for cell in cells:
         networks = _train_networks([windows for *_, windows in plans], cell, cfg)
-        for (variant, values, models, _), nets in zip(plans, networks):
+        for (variant, values, fits, _), nets in zip(plans, networks):
             yield EnsembleForecaster(
                 variant=variant, cell=cell, config=cfg,
                 modes=None if variant is Variant.DIRECT else mode_set, mode_values=values,
-                mode_models=tuple(replace(m, network=net)
-                                  for m, net in zip(models, nets, strict=True)),
-                train_size=n_train)
+                garch=fits, networks=np.stack([net.flat for net in nets]))
 
 
 def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
@@ -317,26 +348,26 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     before it; the inverse-scaled per-mode predictions are summed.  Windows
     hold realized mode values and a volatility channel advanced over
     realized shocks, so all of them are known in advance and each mode's
-    network runs once over the whole batch, all K in one
-    `neural.predict_many` call.  With `retrain_every` = r > 0
-    the networks are retrained on every slot seen so far after each r steps,
-    and each segment of r steps takes the first r rows of one batched run
-    over all remaining windows, so the first segment equals the run without
-    retraining exactly.  Raises `SeriesMismatch` when the first
-    train_size + steps values of `series` are not those of the fitted series.
+    network runs once over the whole batch, all K in one `predict_many`
+    call.  With `retrain_every` = r > 0 the networks are retrained on every
+    slot seen so far after each r steps, and each segment of r steps takes
+    the first r rows of one batched run over all remaining windows, so the
+    first segment equals the run without retraining exactly.  Raises
+    `SeriesMismatch` when the first train_size + steps values of `series`
+    are not those of the fitted series.
     """
     cfg = forecaster.config
+    t0 = forecaster.train_size
     n = len(series)
-    k = len(forecaster.mode_models)
+    k = len(forecaster.mode_values)
     if steps < 0:
         raise HorizonTooLong("steps must be >= 0")
-    if steps > n - forecaster.train_size:
-        raise HorizonTooLong(
-            f"{steps} steps requested but only {n - forecaster.train_size} held-out points exist")
+    if steps > n - t0:
+        raise HorizonTooLong(f"{steps} steps requested but only {n - t0} held-out points exist")
     # the windows come from the fitted modes, so `series` must be the fitted
     # series; for the decomposition, compare the residual it defines
     # (input - sum of modes), which that difference reproduces bit for bit
-    used = forecaster.train_size + steps
+    used = t0 + steps
     head = series.values[:used]
     if forecaster.modes is None:
         same = np.array_equal(head, forecaster.mode_values[0, :used])
@@ -348,17 +379,18 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                              f"forecaster was fitted on")
     per_mode = np.empty((steps, k))
     predictions = np.empty(steps)
-    actuals = series.values[forecaster.train_size:forecaster.train_size + steps].copy()
+    actuals = series.values[t0:used].copy()
     if steps == 0:
         return ForecastResult(predictions=predictions, actuals=actuals, per_mode=per_mode)
 
-    t0 = forecaster.train_size
     first = t0 - cfg.seq_len  # first slot of the first window
-    channels = [_channels(forecaster.variant, m, forecaster.mode_values[i], t0, steps)
-                for i, m in enumerate(forecaster.mode_models)]
+    scalers = [fit_scaler(values[:t0]) for values in forecaster.mode_values]
+    channels = [_channels(forecaster.variant, scaler, fit, values, t0, steps) for scaler, fit, values
+                in zip(scalers, forecaster.garch or (None,) * k, forecaster.mode_values)]
     windows = [build_windows(values[first:], vol[first:], cfg.seq_len).inputs
                for values, vol in channels]
-    networks = [m.network for m in forecaster.mode_models]
+    networks = [neural._network(mode_network_config(cfg, forecaster.cell, i + 1), flat)
+                for i, flat in enumerate(forecaster.networks)]
     segment = cfg.retrain_every if cfg.retrain_every > 0 else steps
     for start in range(0, steps, segment):
         if start > 0:
@@ -367,8 +399,8 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                                             for values, vol in channels]], forecaster.cell, cfg)
         stop = min(start + segment, steps)
         preds = neural.predict_many(networks, [w[start:] for w in windows])
-        for i, (model, pred_scaled) in enumerate(zip(forecaster.mode_models, preds)):
-            per_mode[start:stop, i] = model.scaler.invert(pred_scaled[:stop - start])
+        for i, (scaler, pred_scaled) in enumerate(zip(scalers, preds)):
+            per_mode[start:stop, i] = scaler.invert(pred_scaled[:stop - start])
     for s in range(steps):
         predictions[s] = aggregate(per_mode[s])
     return ForecastResult(predictions=predictions, actuals=actuals, per_mode=per_mode)

@@ -21,7 +21,7 @@ from conftest import small_config, wavy_series
 from modecast import garch, neural, pipeline
 from modecast.neural import CellKind
 from modecast.pipeline import Variant, aggregate, build_windows, fit_forecaster, rolling_forecast
-from modecast.series import MinMaxScaler
+from modecast.series import MinMaxScaler, fit_scaler
 
 STEPS = 8
 
@@ -29,14 +29,14 @@ STEPS = 8
 class _ReferenceModeState:
     """Per-mode window state advanced one slot at a time."""
 
-    def __init__(self, variant, model, mode_series, train_size):
+    def __init__(self, variant, scaler, fit, mode_series, train_size):
         self.variant = variant
-        self.model = model
+        self.scaler = scaler
+        self.fit = fit
         self.raw = list(mode_series[:train_size])
-        self.scaled_values = list(model.scaler.apply(np.asarray(self.raw)))
-        fit = model.garch
+        self.scaled_values = list(scaler.apply(np.asarray(self.raw)))
         if variant is Variant.VMD_GARCH:
-            self.vol_scaler = MinMaxScaler(0.0, model.scaler.hi - model.scaler.lo)
+            self.vol_scaler = MinMaxScaler(0.0, scaler.hi - scaler.lo)
             self.a = list(fit.residuals)
             self.s2 = list(fit.sigma2_path)
             self.scaled_vol = list(self.vol_scaler.apply(np.sqrt(fit.sigma2_path)))
@@ -52,10 +52,9 @@ class _ReferenceModeState:
         return w
 
     def append_actual(self, value):
-        model = self.model
         self.raw.append(value)
-        self.scaled_values.append(float(model.scaler.apply(value)))
-        fit = model.garch
+        self.scaled_values.append(float(self.scaler.apply(value)))
+        fit = self.fit
         if self.variant is Variant.VMD_GARCH:
             if fit.used_differencing:
                 shock = (self.raw[-1] - self.raw[-2]) - fit.mean
@@ -80,19 +79,25 @@ class _ReferenceModeState:
 def _reference_forecast(forecaster, steps):
     """(predictions, per_mode, windows): windows[i][s] is mode i's input at step s."""
     cfg = forecaster.config
-    k = len(forecaster.mode_models)
+    k = len(forecaster.mode_values)
+    t0 = forecaster.train_size
     per_mode = np.empty((steps, k))
     predictions = np.empty(steps)
     windows = [np.empty((steps, cfg.seq_len, 2)) for _ in range(k)]
-    states = [_ReferenceModeState(forecaster.variant, m, forecaster.mode_values[i],
-                                  forecaster.train_size)
-              for i, m in enumerate(forecaster.mode_models)]
-    networks = [m.network for m in forecaster.mode_models]
+    fits = forecaster.garch or [None] * k
+    states = [_ReferenceModeState(forecaster.variant, fit_scaler(forecaster.mode_values[i, :t0]),
+                                  fits[i], forecaster.mode_values[i], t0)
+              for i in range(k)]
+    networks = [neural._network(dataclasses.replace(cfg.network, cell=forecaster.cell,
+                                                    input_features=2,
+                                                    seed=pipeline._mode_seed(cfg.train.seed, i + 1)),
+                                forecaster.networks[i])
+                for i in range(k)]
     for s in range(steps):
         for i, state in enumerate(states):
             windows[i][s] = state.window(cfg.seq_len)
             pred_scaled, _ = neural.forward(networks[i], windows[i][s], training=False)
-            per_mode[s, i] = float(state.model.scaler.invert(pred_scaled))
+            per_mode[s, i] = float(state.scaler.invert(pred_scaled))
         predictions[s] = aggregate(per_mode[s])
         for i, state in enumerate(states):
             state.append_actual(float(forecaster.mode_values[i, forecaster.train_size + s]))
@@ -128,7 +133,7 @@ _IDS = [f"{c.value}-{v.value}{'-fallback' if f else ''}" for c, v, f in _CASES]
 def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback, retrain_every):
     base = _forecaster(cell, variant, fallback)
     if fallback:
-        assert all(m.garch.used_rolling_fallback for m in base.mode_models)
+        assert all(fit.used_rolling_fallback for fit in base.garch)
     fc = dataclasses.replace(base, config=dataclasses.replace(base.config,
                                                               retrain_every=retrain_every))
     ref_pred, ref_per_mode, ref_windows = _reference_forecast(fc, STEPS)
@@ -144,10 +149,12 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
     res = rolling_forecast(fc, wavy_series(), STEPS)
     monkeypatch.undo()
 
-    k = len(fc.mode_models)
+    k = len(fc.mode_values)
     starts = list(range(0, STEPS, retrain_every or STEPS))
     assert len(calls) == len(starts) and not single_calls
-    assert all(a is m.network for a, m in zip(calls[0][0], fc.mode_models, strict=True))
+    for i, net in enumerate(calls[0][0]):  # the fitted networks, as the record derives them
+        assert np.array_equal(net.flat, fc.networks[i])
+        assert net.config == pipeline.mode_network_config(fc.config, fc.cell, i + 1)
     for (nets, batches), start in zip(calls, starts):
         assert len(nets) == len(batches) == k
         for i in range(k):
@@ -174,9 +181,11 @@ def test_training_windows_match_reference_state(monkeypatch, cell, variant, fall
     fc = _fit(cell, variant, fallback)
     monkeypatch.undo()
     ((inputs, targets),) = captured
-    assert len(inputs) == len(fc.mode_models)
-    for i, model in enumerate(fc.mode_models):
-        state = _ReferenceModeState(variant, model, fc.mode_values[i], fc.train_size)
+    k = len(fc.mode_values)
+    assert len(inputs) == k
+    for i, fit in enumerate(fc.garch or [None] * k):
+        state = _ReferenceModeState(variant, fit_scaler(fc.mode_values[i, :fc.train_size]), fit,
+                                    fc.mode_values[i], fc.train_size)
         want = build_windows(np.asarray(state.scaled_values), np.asarray(state.scaled_vol),
                              fc.config.seq_len)
         assert np.array_equal(inputs[i], want.inputs)

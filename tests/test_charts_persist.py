@@ -187,12 +187,12 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
     cfg = small_config(epochs=1, n_modes=n_modes)
     fc, model_dir = _saved(tmp_path, variant, cfg=cfg)
     k = 1 if variant is Variant.DIRECT else n_modes
-    assert len(fc.mode_models) == k
+    assert len(fc.mode_values) == k
     with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
         shapes = {name: npz[name].shape for name in npz.files}
     assert set(shapes) == _FIXED_NAMES[variant]
     assert shapes["mode_values"] == (k, 220)
-    assert shapes["networks"] == (k, fc.mode_models[0].network.flat.size)
+    assert shapes["networks"] == (k, fc.networks[0].size)
     if variant is not Variant.DIRECT:
         assert shapes["omegas"] == (k,) and shapes["residual"] == (220,)
     if variant is Variant.VMD_GARCH:
@@ -204,7 +204,21 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
                            *(("garch",) if variant is Variant.VMD_GARCH else ())}
     if variant is Variant.VMD_GARCH:
         assert len(header["garch"]) == k
-    _assert_identical(fc, load_forecaster(model_dir))
+    # the record is the directory: every field comes back bit for bit
+    loaded = load_forecaster(model_dir)
+    assert [f.name for f in dataclasses.fields(loaded)] == [
+        "variant", "cell", "config", "modes", "mode_values", "garch", "networks"]
+    _assert_identical(fc, loaded)
+    for name in ("mode_values", "networks"):
+        assert getattr(fc, name).tobytes() == getattr(loaded, name).tobytes()
+    if variant is not Variant.DIRECT:
+        assert loaded.modes.modes is loaded.mode_values
+        for name in ("omegas", "residual"):
+            assert getattr(fc.modes, name).tobytes() == getattr(loaded.modes, name).tobytes()
+    for fit, back in zip(fc.garch or (), loaded.garch or (), strict=True):
+        for a, b in [(fit.params.alphas, back.params.alphas), (fit.params.betas, back.params.betas),
+                     (fit.sigma2_path, back.sigma2_path), (fit.residuals, back.residuals)]:
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -308,6 +322,8 @@ def test_out_of_range_header_values_are_typed(tmp_path):
     full = json.loads(manifest.read_text())
     for holder, key, bad in [(full["garch"][0], "alpha0", -1.0),
                              (full["config"]["network"], "layers", 0),
+                             (full["config"], "seq_len", 0),
+                             (full["config"]["train"], "batch_size", 0),
                              (full["config"]["vmd"], "max_iter", 0),
                              (full["config"], "vmd", None)]:
         value, holder[key] = holder[key], bad
@@ -340,7 +356,7 @@ _GARCH_ENTRY = {"alpha0": 0.1, "mean": 0.0, "log_likelihood": -1.0, "converged":
 def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
     fc, model_dir = _saved(tmp_path, variant)
     assert len(fc.mode_values[0]) == 220 and fc.train_size == 176
-    assert [m.garch is None for m in fc.mode_models] == (
+    assert [fit is None for fit in fc.garch or [None] * len(fc.mode_values)] == (
         [False, False] if variant is Variant.VMD_GARCH
         else [True, True] if variant is Variant.VMD else [True])
     manifest = model_dir / "forecaster.json"
@@ -357,7 +373,7 @@ def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
 def test_rolling_fallback_round_trips_and_keeps_its_kind(tmp_path):
     cfg = dataclasses.replace(small_config(epochs=1), garch_options=FitOptions(max_iter=1))
     fc, model_dir = _saved(tmp_path, cfg=cfg)
-    assert [m.garch.used_rolling_fallback for m in fc.mode_models] == [True, True]
+    assert [fit.used_rolling_fallback for fit in fc.garch] == [True, True]
     _assert_identical(fc, load_forecaster(model_dir))
 
 

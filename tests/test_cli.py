@@ -368,3 +368,34 @@ def test_plot_of_an_empty_csv_prints_only_the_error(tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot read {table} as a CSV table: no header line\n"
+
+
+@pytest.mark.parametrize("line", ["network.seq_len = 0", "network.seq_len = -3", "train.batch = 0",
+                                  "train.epochs = -1", "train.lr = -1", "retrain_every = -2"])
+def test_out_of_range_setting_exit_1(tmp_path, series_csv, config_file, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(config_file.read_text() + line + "\n")
+    out = tmp_path / "fc"
+    code = main(["forecast", "--modes", "2", "--variant", "vmd", "--config", str(bad),
+                 "--input", str(series_csv), "--steps", "3", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "train", "plot"])
+def test_unusable_output_path_exit_2(tmp_path, series_csv, config_file, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    if command == "plot":
+        table = tmp_path / "predictions.csv"
+        table.write_text("step,actual,predicted\n1,2,3\n2,3,4\n")
+        argv = ["plot", "--predictions", str(table), "--out", str(blocker / "x.svg")]
+    else:
+        argv = [command, "--input", str(series_csv), "--config", str(config_file),
+                "--out-dir", str(blocker)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err

@@ -18,8 +18,7 @@ import pytest
 from modecast import neural
 from modecast.errors import ShapeMismatch
 from modecast.persist import load_forecaster, save_forecaster
-from modecast.pipeline import EnsembleForecaster, ModeModel, PipelineConfig, Variant
-from modecast.series import MinMaxScaler
+from modecast.pipeline import EnsembleForecaster, PipelineConfig, Variant, mode_network_config
 from modecast.vmd import VmdConfig
 from modecast.neural import (
     CellKind,
@@ -273,15 +272,15 @@ def test_reloaded_network_predicts_bit_identically(kind, tmp_path):
     rng = np.random.default_rng(6)
     x, y = rng.standard_normal((40, SEQ_LEN, 2)), rng.standard_normal(40)
     net, _ = train(x, y, cfg, train_cfg)
-    model = ModeModel(scaler=MinMaxScaler(lo=0.0, hi=1.0), garch=None, network=net)
     forecaster = EnsembleForecaster(
         variant=Variant.DIRECT, cell=kind,
         config=PipelineConfig(vmd=VmdConfig(n_modes=1), network=cfg, train=train_cfg,
                               seq_len=SEQ_LEN),
-        modes=None, mode_values=rng.standard_normal((1, 60)), mode_models=(model,),
-        train_size=51)
+        modes=None, mode_values=rng.standard_normal((1, 60)), garch=None,
+        networks=net.flat[None])
     save_forecaster(forecaster, tmp_path / "model")
-    loaded = load_forecaster(tmp_path / "model").mode_models[0].network
+    fc = load_forecaster(tmp_path / "model")
+    loaded = neural._network(mode_network_config(fc.config, fc.cell, 1), fc.networks[0])
     assert loaded.config == cfg
     assert np.array_equal(loaded.flat, net.flat)
     for batch in (x[:1], x):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -10,10 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_config, wavy_series
-from modecast.errors import HorizonTooLong, LengthMismatch, SeriesMismatch, TooShort, ZeroActual
+from modecast.errors import (
+    HorizonTooLong,
+    LengthMismatch,
+    SeriesMismatch,
+    ShapeMismatch,
+    TooShort,
+    ZeroActual,
+)
 from modecast import neural, pipeline
-from modecast.neural import CellKind, flatten_parameters
+from modecast.neural import CellKind
 from modecast.pipeline import (
+    EnsembleForecaster,
+    PipelineConfig,
     Variant,
     aggregate,
     build_windows,
@@ -23,7 +33,8 @@ from modecast.pipeline import (
     metrics,
     rolling_forecast,
 )
-from modecast.series import SplitSpec, TimeSeries
+from modecast.series import SplitSpec, TimeSeries, fit_scaler
+from modecast.vmd import VmdConfig
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +138,28 @@ def test_build_windows_length_mismatch():
 
 def test_direct_variant_single_model_no_decomposition():
     fc = fit_forecaster(wavy_series(), Variant.DIRECT, CellKind.RNN, small_config())
-    assert len(fc.mode_models) == 1
+    assert len(fc.mode_values) == 1
     assert fc.modes is None
-    assert fc.mode_models[0].garch is None
+    assert fc.garch is None
 
 
 def test_vmd_variant_one_model_per_mode():
     cfg = small_config(n_modes=3)
     fc = fit_forecaster(wavy_series(), Variant.VMD, CellKind.RNN, cfg)
-    assert len(fc.mode_models) == 3
-    assert all(m.garch is None for m in fc.mode_models)
+    assert len(fc.mode_values) == 3
+    assert fc.garch is None
     assert fc.modes is not None and fc.modes.n_modes == 3
 
 
 def test_vmd_garch_variant_has_volatility_fits():
     cfg = small_config(n_modes=2)
     fc = fit_forecaster(wavy_series(), Variant.VMD_GARCH, CellKind.RNN, cfg)
-    assert len(fc.mode_models) == 2
-    for model in fc.mode_models:
-        assert model.garch is not None
+    assert len(fc.mode_values) == 2
+    for i in range(2):
+        assert fc.garch[i] is not None
         # a fitted path, or the rolling fallback exactly when no search converged
-        assert model.garch.used_rolling_fallback == (not model.garch.converged)
-        assert np.all(model.garch.sigma2_path > 0)
+        assert fc.garch[i].used_rolling_fallback == (not fc.garch[i].converged)
+        assert np.all(fc.garch[i].sigma2_path > 0)
 
 
 def test_single_mode_pure_tone_correlates_with_input():
@@ -174,9 +185,56 @@ def test_mode_networks_equal_nets_trained_one_by_one(variant, cell, monkeypatch)
     monkeypatch.setattr(neural, "train_many", lambda xs, ys, nets, trains: [
         lockstep([x], [y], [net], [tr])[0] for x, y, net, tr in zip(xs, ys, nets, trains)])
     one_by_one = fit_forecaster(series, variant, cell, cfg)
-    for got, want in zip(together.mode_models, one_by_one.mode_models, strict=True):
-        assert got.network.config == want.network.config
-        assert np.array_equal(got.network.flat, want.network.flat)
+    # the network configurations derive from these
+    assert (together.config, together.cell) == (one_by_one.config, one_by_one.cell)
+    for got, want in zip(together.networks, one_by_one.networks, strict=True):
+        assert np.array_equal(got, want)
+
+
+@functools.cache
+def _fitted_vmd_garch():
+    return fit_forecaster(wavy_series(), Variant.VMD_GARCH, CellKind.RNN, small_config(epochs=1))
+
+
+def _short_path(fc):
+    first = fc.garch[0]
+    return (dataclasses.replace(first, sigma2_path=first.sigma2_path[:-1]), *fc.garch[1:])
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda fc: {"variant": Variant.VMD}, "garch"),
+    (lambda fc: {"variant": Variant.VMD, "garch": None, "modes": None}, "modes"),
+    (lambda fc: {"mode_values": fc.mode_values.copy()}, "modes.modes"),
+    (lambda fc: {"garch": _short_path(fc)}, "sigma2_path"),
+    (lambda fc: {"garch": fc.garch[:-1]}, "garch"),
+    (lambda fc: {"networks": fc.networks[:, :-1]}, "networks"),
+], ids=["garch-on-vmd", "vmd-without-modes", "modes-not-mode-values", "path-one-short",
+        "fit-missing", "network-one-short"])
+def test_record_that_load_would_refuse_cannot_be_built(change, match):
+    fc = _fitted_vmd_garch()
+    dataclasses.replace(fc)  # the fitted record itself passes its checks
+    with pytest.raises(ShapeMismatch, match=match):
+        dataclasses.replace(fc, **change(fc))
+
+
+def test_direct_record_with_a_network_of_another_width_cannot_be_built():
+    # a network trained under other settings than the record's configuration:
+    # saved, its directory would not load
+    net = neural.init_network(neural.NetworkConfig(cell=CellKind.LSTM, hidden=4, seed=5))
+    values = wavy_series(n=60).values[None, :].copy()
+    with pytest.raises(ShapeMismatch, match="networks"):
+        EnsembleForecaster(variant=Variant.DIRECT, cell=CellKind.LSTM,
+                           config=PipelineConfig(vmd=VmdConfig(n_modes=1)), modes=None,
+                           mode_values=values, garch=None, networks=net.flat[None])
+
+
+def test_record_derives_its_training_size():
+    fc = fit_forecaster(wavy_series(n=60), Variant.DIRECT, CellKind.RNN, small_config(epochs=1))
+    assert fc.train_size == 48  # floor(0.8 * 60)
+    longer = dataclasses.replace(fc.config, split=SplitSpec(0.9))
+    assert dataclasses.replace(fc, config=longer).train_size == 54
+    with pytest.raises(TooShort):
+        dataclasses.replace(fc, mode_values=fc.mode_values[:, :12])
 
 
 def test_mode_target_consistency():
@@ -280,15 +338,18 @@ def test_no_leakage_from_mode_test_segments(monkeypatch):
     monkeypatch.setattr(pipeline.vmd, "vmd_decompose", lambda *args: dirty_modes)
     dirty = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
     assert np.array_equal(dirty.mode_values, perturbed)  # the perturbed modes were read
-    for i, (a, b) in enumerate(zip(clean.mode_models, dirty.mode_models, strict=True)):
-        assert a.scaler == b.scaler
+    for i, (fit_a, fit_b) in enumerate(zip(clean.garch, dirty.garch, strict=True)):
+        scaler_a = fit_scaler(clean.mode_values[i, :clean.train_size])
+        scaler_b = fit_scaler(dirty.mode_values[i, :dirty.train_size])
+        assert scaler_a == scaler_b
         # the training volatility channel, scaled by the value span
-        vol_a = pipeline._channels(Variant.VMD_GARCH, a, clean.mode_values[i], clean.train_size, 0)
-        vol_b = pipeline._channels(Variant.VMD_GARCH, b, dirty.mode_values[i], dirty.train_size, 0)
+        vol_a = pipeline._channels(Variant.VMD_GARCH, scaler_a, fit_a, clean.mode_values[i],
+                                   clean.train_size, 0)
+        vol_b = pipeline._channels(Variant.VMD_GARCH, scaler_b, fit_b, dirty.mode_values[i],
+                                   dirty.train_size, 0)
         assert np.array_equal(vol_a[1], vol_b[1])
-        assert a.garch.params.alpha0 == b.garch.params.alpha0
-        pa, pb = flatten_parameters(a.network), flatten_parameters(b.network)
-        assert all(np.array_equal(pa[k], pb[k]) for k in pa)
+        assert fit_a.params.alpha0 == fit_b.params.alpha0
+        assert np.array_equal(clean.networks[i], dirty.networks[i])
 
 
 def test_refit_on_extended_train_does_change_artifacts():
@@ -300,8 +361,8 @@ def test_refit_on_extended_train_does_change_artifacts():
     a = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, cfg)
     b = fit_forecaster(series, Variant.VMD_GARCH, CellKind.RNN, later)
     assert (a.train_size, b.train_size) == (n_train, n_train + 10)
-    assert a.mode_models[0].scaler != b.mode_models[0].scaler \
-        or a.mode_models[0].garch.params.alpha0 != b.mode_models[0].garch.params.alpha0
+    assert fit_scaler(a.mode_values[0, :a.train_size]) != fit_scaler(b.mode_values[0, :b.train_size]) \
+        or a.garch[0].params.alpha0 != b.garch[0].params.alpha0
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +470,10 @@ def test_reference_shape_ten_modes_tenth_order(tmp_path):
         garch_options=FitOptions(),
     )
     fc = fit_forecaster(series, Variant.VMD_GARCH, CellKind.LSTM, cfg)
-    assert len(fc.mode_models) == 10
+    assert len(fc.mode_values) == 10
     assert fc.train_size == 540  # floor(0.85 * 636)
-    for model in fc.mode_models:
-        assert model.garch is not None
-        assert model.garch.used_rolling_fallback == (not model.garch.converged)
+    for i in range(10):
+        assert fc.garch[i] is not None
+        assert fc.garch[i].used_rolling_fallback == (not fc.garch[i].converged)
     # trend-like low-frequency modes go through the differencing gate
-    assert fc.mode_models[0].garch.used_differencing
+    assert fc.garch[0].used_differencing
