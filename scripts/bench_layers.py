@@ -101,7 +101,7 @@ GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
 STARTUP_RUNS = 7
-STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize")
+STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.special")
 SECTIONS = ("layers", "training", "inference", "vmd", "garch", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10

@@ -7,7 +7,11 @@ reproduces the outputs bit-for-bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
 a missing or unreadable file, or an output path that cannot be written, is a
-data error whichever flag names it.
+data error whichever flag names it.  A command checks its settings, input,
+model and horizons before it creates its output directory, and creates that
+directory before it fits a forecaster, so an unwritable one fits nothing;
+a run that fails removes the output directory it created if it is still
+empty.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from .errors import ConfigError, ModecastError, UnreadableFile
 from .pipeline import (
     ForecastResult,
     Variant,
+    check_horizons,
     compare_models,
     fit_forecaster,
+    held_out_span,
     metrics,
     rolling_forecast,
 )
@@ -189,6 +195,7 @@ def _cmd_train(args) -> int:
     pipe_cfg = to_pipeline_config(cfg)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     forecaster = fit_forecaster(series, Variant(args.variant),
                                 cell_kind(cfg.network_cell), pipe_cfg)
     persist.save_forecaster(forecaster, out_dir)
@@ -212,14 +219,16 @@ def _cmd_forecast(args) -> int:
     cfg = _resolve_config(args)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.model_dir:
-        forecaster = persist.load_forecaster(args.model_dir)
+    if args.model_dir:  # nothing to fit: every check runs in the forecast itself
+        result = rolling_forecast(persist.load_forecaster(args.model_dir), series, args.steps)
+        out_dir.mkdir(parents=True, exist_ok=True)
     else:
         pipe_cfg = to_pipeline_config(cfg)
+        check_horizons([args.steps], held_out_span(series, pipe_cfg), least=0)
+        out_dir.mkdir(parents=True, exist_ok=True)
         forecaster = fit_forecaster(series, Variant(args.variant),
                                     cell_kind(cfg.network_cell), pipe_cfg)
-    result = rolling_forecast(forecaster, series, args.steps)
+        result = rolling_forecast(forecaster, series, args.steps)
     path = out_dir / "predictions.csv"
     _write_predictions_csv(result, path)
     _write_manifest(out_dir, cfg, args)
@@ -252,9 +261,10 @@ def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     pipe_cfg = to_pipeline_config(cfg)
     series = data.load_csv(args.input)
+    cells = [cell_kind(c) for c in args.cells.split(",")]
+    check_horizons(cfg.horizons, held_out_span(series, pipe_cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [cell_kind(c) for c in args.cells.split(",")]
     rows = compare_models(series, list(cfg.horizons), cells, pipe_cfg)
     structured, pretty = _format_rows(rows)
     (out_dir / "metrics.txt").write_text(structured, encoding="utf-8")
@@ -315,11 +325,23 @@ _COMMANDS = {
 }
 
 
+def _run(args) -> int:
+    """Run the command; if it fails, remove an `--out-dir` it created and left empty."""
+    out_dir = Path(args.out_dir) if getattr(args, "out_dir", None) else None
+    fresh = out_dir is not None and not out_dir.exists()
+    try:
+        return _COMMANDS[args.command](args)
+    except BaseException:
+        if fresh and out_dir.is_dir() and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,12 +29,12 @@ of every rolling forecast.  `simulate` draws shocks through its own scalar
 loop.  `_Batch` holds the squared shocks and seeds of many series,
 zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
-(alpha0) and `signal.lfilter`'s IIR filter (`_sigtools._linear_filter`,
-loaded from its extension file and called directly); the sigmoid, the
-softmax, the filter states, the ARCH convolution (lags summed highest
-first, as `np.convolve` does), the likelihood terms and the per-row
-likelihood sums (one reduction per series length) run over all rows at
-once.  Every step is the plain per-series arithmetic in the same order, so
+(alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
+(`_sigtools._linear_filter`, loaded from its extension file and called
+directly); the softmax, the filter states, the ARCH convolution (lags
+summed highest first, as `np.convolve` does), the likelihood terms and the
+per-row likelihood sums (one reduction per series length) run over all rows
+at once.  Every step is the plain per-series arithmetic in the same order, so
 each row gets the float it would get alone.  The filter calls are the floor
 of an evaluation's cost; the rest is numpy's per-call cost and a dozen
 passes over the rows.
@@ -42,8 +42,9 @@ passes over the rows.
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
 for conditional heteroskedasticity (T * R^2 of squared values on their own
-lags against the chi-squared 95% quantile, from `special.gammaincinv`).
-Neither `scipy.signal` nor `scipy.stats` is imported.
+lags against the chi-squared 95% quantile, from `scipy.special.gammaincinv`,
+which only the LM test imports).  Neither `scipy.signal`, `scipy.stats` nor,
+outside the LM test, `scipy.special` is imported.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from importlib.machinery import PathFinder
 import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .errors import (
     DegenerateSeries,
@@ -421,17 +421,24 @@ def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
 # Maximum-likelihood fit
 # ---------------------------------------------------------------------------
 
+def _expit(t: float) -> float:
+    """1 / (1 + exp(-t)) with libm's exp, and 0 where that exp overflows (t
+    below about -709): `scipy.special.expit`'s formula, without importing it."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
+
+
 def _theta_to_coeffs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha0 and the lag coefficients [alphas, betas] of search points, one row each.
 
-    alpha0 = exp(min(theta0, 50)) is taken row by row with `math.exp`, and
-    the sigmoid of theta1 by `special.expit`, which is 1 / (1 + exp(-theta1))
-    with libm's exp, bit for bit, and 0 where that exp overflows (theta1
-    below about -709).  The lag coefficients, that sigmoid times the softmax
-    of theta[2:], are computed over all rows at once.
+    alpha0 = exp(min(theta0, 50)) and the sigmoid of theta1 are taken row by
+    row with `math.exp` (see `_expit`).  The lag coefficients, that sigmoid
+    times the softmax of theta[2:], are computed over all rows at once.
     """
     alpha0 = np.array(list(map(math.exp, np.minimum(thetas[:, 0], 50.0).tolist())), dtype=float)
-    total = special.expit(thetas[:, 1])
+    total = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
     logits = thetas[:, 2:]
     coeffs = logits - _max(logits, axis=1, keepdims=True)  # softmax, shifted by the max
     np.exp(coeffs, out=coeffs)
@@ -843,7 +850,14 @@ def arch_lm_test(series: TimeSeries | np.ndarray, lags: int = 12) -> tuple[float
 
 
 def chi2_critical_95(lags: int) -> float:
-    """The chi-squared(lags) 95% quantile, as `scipy.stats.chi2.ppf(0.95, lags)` computes it."""
+    """The chi-squared(lags) 95% quantile, as `scipy.stats.chi2.ppf(0.95, lags)` computes it.
+
+    `scipy.special` is imported here, not at module scope: only the LM test
+    needs it, and loading it costs more start-up time than the rest of the
+    package.
+    """
+    from scipy import special
+
     return float(2 * special.gammaincinv(lags / 2, 0.95))
 
 

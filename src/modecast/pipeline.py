@@ -270,6 +270,21 @@ def _train_size(n: int, cfg: PipelineConfig) -> int:
     return n_train
 
 
+def held_out_span(series: TimeSeries, cfg: PipelineConfig) -> int:
+    """The slots of `series` after its training split under `cfg`, the most
+    steps a forecaster fitted on it can roll; raises what `validate` and the
+    split raise."""
+    validate(series)
+    return len(series) - _train_size(len(series), cfg)
+
+
+def check_horizons(horizons: Sequence[int], held_out: int, least: int = 1) -> None:
+    """Raise `HorizonTooLong` unless every horizon lies in least..held_out."""
+    bad = [h for h in horizons if not least <= h <= held_out]
+    if bad:
+        raise HorizonTooLong(f"horizons {bad} outside {least}..{held_out}, the held-out span")
+
+
 def mode_network_config(cfg: PipelineConfig, cell: neural.CellKind,
                         mode_index: int) -> neural.NetworkConfig:
     """The configuration of mode `mode_index`'s network (1-based), seeded by
@@ -360,10 +375,7 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
     t0 = forecaster.train_size
     n = len(series)
     k = len(forecaster.mode_values)
-    if steps < 0:
-        raise HorizonTooLong("steps must be >= 0")
-    if steps > n - t0:
-        raise HorizonTooLong(f"{steps} steps requested but only {n - t0} held-out points exist")
+    check_horizons([steps], n - t0, least=0)
     # the windows come from the fitted modes, so `series` must be the fitted
     # series; for the decomposition, compare the residual it defines
     # (input - sum of modes), which that difference reproduces bit for bit
@@ -427,11 +439,7 @@ def compare_models(series: TimeSeries, steps_list: list[int],
     """
     if not steps_list:
         raise LengthMismatch("steps_list must be nonempty")
-    validate(series)
-    held_out = len(series) - _train_size(len(series), cfg)
-    bad = [h for h in steps_list if not 1 <= h <= held_out]
-    if bad:
-        raise HorizonTooLong(f"horizons {bad} outside 1..{held_out}, the held-out span")
+    check_horizons(steps_list, held_out_span(series, cfg))
     max_steps = max(steps_list)
     variants = (Variant.DIRECT, Variant.VMD, Variant.VMD_GARCH)
     rows: list[ComparisonRow] = []

@@ -27,10 +27,12 @@ updated in a sequential k = 1..K sweep (each update sees the already-updated
 lower-index modes), which makes the result bit-deterministic.
 
 Transforms are numpy's real FFT (`np.fft.rfft` / `irfft`), which handles any
-length without padding.  The sweep writes into buffers allocated once, and a
-mode's power sum from its centroid update is kept as the next sweep's
-convergence denominator; each float is the one the plain expressions above
-give.
+length without padding.  The sweep writes into buffers allocated once.  Since
+mode k's filter reads only omega_k, and omega_k moves only after mode k is
+updated, each sweep builds the K filter denominators first and updates the K
+centroids after the last mode.  A mode's power sum from its centroid update
+is kept as the next sweep's convergence denominator; each float is the one
+the plain expressions above give.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     # The sweep writes into these buffers: `u` the modes being updated, `u_prev`
     # the previous sweep's (the two swap each sweep), `total` the running sum
     # of the modes, `others` the sum of all but mode k, `lam` the multiplier,
-    # `wiener` the filter's denominator, `power` mode k's |u_hat_k|^2.
+    # `wiener` the K filter denominators, `power` the modes' |u_hat_k|^2.
     u = np.zeros((k_modes, f_plus.size), dtype=complex)
     u_prev = np.zeros_like(u)
     total, others = np.empty_like(f_plus), np.empty_like(f_plus)
     lam, lam_half = np.zeros_like(f_plus), np.empty_like(f_plus)
-    wiener, power, moment = np.empty_like(freqs), np.empty_like(freqs), np.empty_like(freqs)
+    wiener, power = np.empty(u.shape), np.empty(u.shape)
     change = np.empty_like(u)
     sq_change = np.empty(u.shape)
     # |u_prev[k]|^2 summed over the grid: the convergence measure's
@@ -200,24 +202,30 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     for iterations in range(1, config.max_iter + 1):
         u, u_prev = u_prev, u
         _sum(u_prev, axis=0, out=total)
-        np.divide(lam, 2.0, out=lam_half)
+        if config.tau > 0.0:
+            np.divide(lam, 2.0, out=lam_half)
+        # 1 + 2 * alpha * (freqs - omega_k)^2 for every k at once
+        np.subtract(freqs, np.array(omega)[:, None], out=wiener)
+        np.square(wiener, out=wiener)
+        np.multiply(two_alpha, wiener, out=wiener)
+        np.add(1.0, wiener, out=wiener)
         for k in range(k_modes):
             uk = u[k]
+            # u_k = (f_plus - others + lam / 2) / wiener_k
             np.subtract(total, u_prev[k], out=others)
-            # u_k = (f_plus - others + lam / 2) / (1 + 2 * alpha * (freqs - omega_k)^2)
             np.subtract(f_plus, others, out=uk)
-            np.add(uk, lam_half, out=uk)
-            np.subtract(freqs, omega[k], out=wiener)
-            np.square(wiener, out=wiener)
-            np.multiply(two_alpha, wiener, out=wiener)
-            np.add(1.0, wiener, out=wiener)
-            np.divide(uk, wiener, out=uk)
+            if config.tau > 0.0:
+                np.add(uk, lam_half, out=uk)
+            np.divide(uk, wiener[k], out=uk)
             np.add(others, uk, out=total)
-            np.absolute(uk, out=power)
-            np.square(power, out=power)
-            mass[k] = _sum(power)
+        # spectral centroids of the updated modes
+        np.absolute(u, out=power)
+        np.square(power, out=power)
+        _sum(power, axis=1, out=mass)
+        moments = _sum(np.multiply(freqs, power, out=power), axis=1)
+        for k in range(k_modes):
             if not (config.dc_mode and k == 0) and mass[k] > 0.0:
-                omega[k] = float(_sum(np.multiply(freqs, power, out=moment)) / mass[k])
+                omega[k] = float(moments[k] / mass[k])
         # near-duplicate centers degenerate into copies; nudge the later one
         for i in range(k_modes):
             for j in range(i + 1, k_modes):

@@ -152,6 +152,7 @@ def test_forecast_from_model_dir_rejects_another_series(tmp_path, series_csv, co
                  "--out-dir", str(tmp_path / "other"), *common]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "other").exists()
 
 
 def test_forecast_per_mode_columns_sum_to_predicted(tmp_path, series_csv, config_file):
@@ -399,3 +400,63 @@ def test_unusable_output_path_exit_2(tmp_path, series_csv, config_file, capsys, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,extra,setting,exit_code", [
+    ("forecast", ["--steps", "3"], "network.seq_len = 0", 1),
+    ("forecast", ["--steps", "9999"], "", 2),
+    ("compare", ["--cells", "rnn", "--horizons", "9999"], "", 2),
+], ids=["bad-setting", "steps-too-long", "horizon-too-long"])
+def test_refused_run_leaves_no_output_dir_and_fits_nothing(tmp_path, series_csv, config_file,
+                                                           capsys, monkeypatch, command, extra,
+                                                           setting, exit_code):
+    import modecast.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "fit_forecaster", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "compare_models", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "run2.cfg"
+    cfg.write_text(config_file.read_text() + setting + "\n")
+    out = tmp_path / "fcout"
+    code = main([command, "--input", str(series_csv), "--config", str(cfg),
+                 "--out-dir", str(out), *extra])
+    assert code == exit_code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert calls == []
+
+
+def test_train_into_an_unwritable_out_dir_fits_nothing(tmp_path, series_csv, config_file,
+                                                       capsys, monkeypatch):
+    import modecast.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "fit_forecaster", lambda *a, **k: calls.append(a))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    code = main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(blocker)])
+    assert code == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("train", []), ("forecast", ["--steps", "1"]), ("compare", ["--cells", "rnn", "--horizons", "1"]),
+])
+def test_run_failing_in_the_fit_leaves_no_output_dir(tmp_path, config_file, capsys, command,
+                                                     extra):
+    from datetime import date
+
+    # 15 points split, but cannot hold 10 modes: the decomposition refuses them
+    series = wavy_series(n=15)
+    stamps = tuple(date(2000 + i // 12, i % 12 + 1, 1) for i in range(len(series)))
+    short = write_csv(type(series)(series.values, timestamps=stamps), tmp_path / "short.csv")
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(config_file.read_text() + "network.seq_len = 4\n")
+    out = tmp_path / "fit_out"
+    code = main([command, "--input", str(short), "--config", str(cfg), "--modes", "10",
+                 "--out-dir", str(out), *extra])
+    assert code == 2
+    assert "10 modes" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
-"""Start-up: importing modecast loads neither `scipy.signal` nor `scipy.stats`.
+"""Start-up: importing modecast loads neither `scipy.signal` nor `scipy.stats`,
+and no path but the LM test loads `scipy.special`.
 
 The import checks run in a fresh interpreter, since the test process itself
 has imported both packages by the time it gets here.
@@ -47,6 +48,40 @@ def test_import_and_fit_load_neither_scipy_signal_nor_scipy_stats():
     # the compiled filter module itself may be registered under its full name
     # (CPython records single-phase extension modules there); its package is not
     assert out in ("[]", "['scipy.signal._sigtools']")
+
+
+def test_no_path_but_the_lm_test_loads_scipy_special(tmp_path):
+    out = _run(f"""
+        import importlib, pkgutil, sys
+        import numpy as np
+        import modecast
+        for info in pkgutil.iter_modules(modecast.__path__):
+            importlib.import_module("modecast." + info.name)
+        import modecast.cli
+        from modecast import garch, neural, persist, pipeline, vmd
+        from modecast.series import SplitSpec, TimeSeries
+
+        t = np.arange(160)
+        series = TimeSeries(20.0 + 0.02 * t + np.cos(2 * np.pi * 0.07 * t)
+                            + 0.2 * np.random.default_rng(0).standard_normal(t.size))
+        cfg = pipeline.PipelineConfig(
+            vmd=vmd.VmdConfig(n_modes=2, alpha=500.0), garch=garch.GarchSpec(1, 1),
+            network=neural.NetworkConfig(cell=neural.CellKind.GRU, layers=1, hidden=4,
+                                         input_features=2, seed=0),
+            train=neural.TrainConfig(epochs=1, batch_size=32, lr=3e-3, seed=5),
+            split=SplitSpec(0.8), seq_len=8, garch_options=garch.FitOptions())
+        fc = pipeline.fit_forecaster(series, pipeline.Variant.VMD_GARCH,
+                                     neural.CellKind.GRU, cfg)
+        persist.save_forecaster(fc, {str(tmp_path / "model")!r})
+        loaded = persist.load_forecaster({str(tmp_path / "model")!r})
+        pipeline.rolling_forecast(loaded, series, 4)
+        pipeline.compare_models(series, [2], [neural.CellKind.RNN], cfg)
+        assert "scipy.special" not in sys.modules
+        stat, _ = garch.arch_lm_test(series, 4)
+        assert np.isfinite(stat) and "scipy.special" in sys.modules
+        print("ok")
+    """)
+    assert out == "ok"
 
 
 _FILTER_IDENTITY = """

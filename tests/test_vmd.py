@@ -281,6 +281,93 @@ def test_cpi_fixture_decomposition_equals_reference_sweep():
         (expected.iterations, expected.final_delta, expected.converged)
 
 
+def _buffered_decompose(signal, config):
+    """The buffered sweep as written before the filter denominators and the
+    centroids moved out of the per-mode loop: every step of mode k, its
+    centroid included, inside that loop."""
+    x = np.asarray(signal, dtype=float).reshape(-1)
+    t_len, k_modes = x.size, config.n_modes
+    f = mirror_extend(x) if config.mirror else x
+    n = f.size
+    f_plus = np.fft.rfft(f)
+    freqs = np.arange(f_plus.size) / n
+    _sum = np.add.reduce
+    u = np.zeros((k_modes, f_plus.size), dtype=complex)
+    u_prev = np.zeros_like(u)
+    total, others = np.empty_like(f_plus), np.empty_like(f_plus)
+    lam, lam_half = np.zeros_like(f_plus), np.empty_like(f_plus)
+    wiener, power, moment = np.empty_like(freqs), np.empty_like(freqs), np.empty_like(freqs)
+    change = np.empty_like(u)
+    sq_change = np.empty(u.shape)
+    prev_mass = np.zeros(k_modes)
+    mass = np.empty(k_modes)
+    omega = _init_omegas(config).tolist()
+    two_alpha = 2.0 * config.alpha
+    nudge = 1.0 / (4.0 * t_len)
+
+    iterations = 0
+    delta = np.inf
+    for iterations in range(1, config.max_iter + 1):
+        u, u_prev = u_prev, u
+        _sum(u_prev, axis=0, out=total)
+        np.divide(lam, 2.0, out=lam_half)
+        for k in range(k_modes):
+            uk = u[k]
+            np.subtract(total, u_prev[k], out=others)
+            np.subtract(f_plus, others, out=uk)
+            np.add(uk, lam_half, out=uk)
+            np.subtract(freqs, omega[k], out=wiener)
+            np.square(wiener, out=wiener)
+            np.multiply(two_alpha, wiener, out=wiener)
+            np.add(1.0, wiener, out=wiener)
+            np.divide(uk, wiener, out=uk)
+            np.add(others, uk, out=total)
+            np.absolute(uk, out=power)
+            np.square(power, out=power)
+            mass[k] = _sum(power)
+            if not (config.dc_mode and k == 0) and mass[k] > 0.0:
+                omega[k] = float(_sum(np.multiply(freqs, power, out=moment)) / mass[k])
+        for i in range(k_modes):
+            for j in range(i + 1, k_modes):
+                if abs(omega[i] - omega[j]) < 1e-6:
+                    omega[j] += nudge
+        omega = np.clip(omega, 0.0, 0.5).tolist()
+        if config.tau > 0.0:
+            lam_step = _sum(u, axis=0, out=total)
+            np.subtract(f_plus, lam_step, out=lam_step)
+            np.multiply(config.tau, lam_step, out=lam_step)
+            np.add(lam, lam_step, out=lam)
+        np.subtract(u, u_prev, out=change)
+        np.absolute(change, out=sq_change)
+        np.square(sq_change, out=sq_change)
+        prev_mass += np.finfo(float).eps
+        delta = float(_sum(_sum(sq_change, axis=1) / prev_mass))
+        prev_mass, mass = mass, prev_mass
+        if delta < config.tol:
+            break
+
+    omega = np.array(omega)
+    modes = np.fft.irfft(u[np.argsort(omega)], n=n)
+    if config.mirror:
+        modes = crop_center(modes)
+    return ModeSet(modes=modes, omegas=np.sort(omega), residual=x - modes.sum(axis=0),
+                   iterations=iterations, final_delta=delta, converged=delta < config.tol)
+
+
+@pytest.mark.parametrize("k_modes", [1, 3, 10])
+def test_decomposition_equals_buffered_sweep_bit_for_bit(k_modes):
+    t = np.arange(120)
+    x = (np.cos(2 * np.pi * 0.07 * t) + 0.4 * np.sin(2 * np.pi * 0.31 * t)
+         + 0.3 * np.random.default_rng(11).standard_normal(t.size) + 2.0)
+    config = VmdConfig(n_modes=k_modes, tau=0.3, dc_mode=True, mirror=False,
+                       init_omega="random", seed=9, max_iter=80)
+    got, expected = vmd_decompose(x, config), _buffered_decompose(x, config)
+    for field in ("modes", "omegas", "residual"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert (got.iterations, got.final_delta, got.converged) == \
+        (expected.iterations, expected.final_delta, expected.converged)
+
+
 def test_reconstruct_sums_modes():
     ms = ModeSet(modes=np.array([[1.0, 1.0], [2.0, 3.0]]), omegas=np.array([0.1, 0.2]),
                  residual=np.zeros(2), iterations=1, final_delta=0.0, converged=True)
