@@ -3,8 +3,9 @@
 
 Runs the full protocol of `configs/reference.cfg`: ten modes, tenth-order
 variance recursions, 50-step windows over (value, volatility) pairs, 85/15
-split, one-step-ahead rolling forecasts, nine-model comparison.  The default
-trims the epoch count to 20; --epochs 100 gives the published settings.
+split, one-step-ahead rolling forecasts, nine-model comparison at the
+config's horizons.  The default trims the epoch count to 20; --epochs 100
+gives the published settings.
 
 Cost, estimated from measured epoch times rather than from a full run: one
 epoch of one reference-size network (490 windows, 2x64, seq 50, dropout 0.2)
@@ -30,10 +31,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from modecast.config import load_config, to_pipeline_config
+from modecast.config import cell_kind, load_config, parse_setting, to_pipeline_config
 from modecast.data import load_csv
+from modecast.errors import ConfigError
 from modecast.garch import GarchSpec
-from modecast.neural import CellKind
 from modecast.pipeline import compare_models
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,24 +46,29 @@ OUT = ROOT / "out" / "cpi_reference"
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--horizons", default="10")
+    parser.add_argument("--horizons", help="comma-separated step counts (default from the config)")
     parser.add_argument("--cells", default="rnn,gru,lstm")
     parser.add_argument("--quick", action="store_true",
                         help="2 modes, first-order variance model, 3 epochs")
     args = parser.parse_args()
 
+    settings = load_config(CONFIG)
+    try:
+        if args.horizons is not None:
+            settings["horizons"] = parse_setting("horizons", args.horizons, "--horizons")
+        cells = [cell_kind(c.strip()) for c in args.cells.split(",")]
+    except ConfigError as exc:
+        parser.error(str(exc))
     series = load_csv(FIXTURE)
-    cfg = to_pipeline_config(load_config(CONFIG))
+    cfg = to_pipeline_config(settings)
     cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs))
     if args.quick:
         cfg = replace(cfg, vmd=replace(cfg.vmd, n_modes=2), garch=GarchSpec(1, 1),
                       seq_len=20, train=replace(cfg.train, epochs=3))
-    horizons = [int(h) for h in args.horizons.split(",")]
-    cells = [CellKind[c.strip().upper()] for c in args.cells.split(",")]
 
     OUT.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    rows = compare_models(series, horizons, cells, cfg)
+    rows = compare_models(series, list(settings["horizons"]), cells, cfg)
     print(f"finished in {time.time() - t0:.0f} s")
     lines = [f"{'model':<16} {'horizon':>7} {'rmse':>10} {'mae':>10} {'mape%':>8}"]
     for row in rows:

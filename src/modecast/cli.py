@@ -1,9 +1,11 @@
 """Command-line driver: decompose | garch-fit | train | forecast | compare | plot.
 
-Every run writes its outputs plus a `run_manifest.txt` (the fully resolved
-configuration in the config-file grammar, with the command line recorded in
-comments); rerunning the same command with `--config run_manifest.txt`
-reproduces the outputs bit-for-bit.
+Settings come from the `--config` file, outranked by `--modes`, `--seed`,
+`--cell` and `--horizons`, which go through the same parsers (`config`).
+Every run writes its outputs plus a `run_manifest.txt`: the configuration
+that ran, in the config-file grammar (for `forecast --model-dir`, the loaded
+model's), with the command line recorded in comments.  Rerunning the same
+command with `--config run_manifest.txt` reproduces the outputs bit-for-bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
 a missing or unreadable file, or an output path that cannot be written, is a
@@ -29,16 +31,17 @@ from . import __version__
 from . import garch as garch_mod
 from . import charts, data, persist, vmd
 from .config import (
-    RunConfig,
-    _parse_int_list,
+    DEFAULT_HORIZONS,
     cell_kind,
     load_config,
+    parse_setting,
     render_config,
     to_pipeline_config,
 )
 from .errors import ConfigError, ModecastError, UnreadableFile
 from .pipeline import (
     ForecastResult,
+    PipelineConfig,
     Variant,
     check_horizons,
     compare_models,
@@ -63,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run configuration file")
         p.add_argument("--input", required=True, help="date,value CSV series")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--modes", type=int, help="number of decomposition modes")
-        p.add_argument("--seed", type=int, help="training seed override")
+        p.add_argument("--modes", help="number of decomposition modes")
+        p.add_argument("--seed", help="training seed override")
 
     p = sub.add_parser("decompose", help="write mode CSV + center-frequency metadata")
     common(p)
@@ -96,30 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    # CLI flags outrank config values
-    if getattr(args, "modes", None) is not None:
-        cfg = replace(cfg, modes=args.modes)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, train_seed=args.seed)
-    if getattr(args, "cell", None):
-        cfg = replace(cfg, network_cell=args.cell)
-    if getattr(args, "horizons", None):
-        try:
-            cfg = replace(cfg, horizons=_parse_int_list(args.horizons))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --horizons: {exc}") from exc
-    return cfg
+def _settings(args) -> dict[str, object]:
+    """The config file's settings, outranked by the CLI flags given."""
+    settings = {"horizons": DEFAULT_HORIZONS, **(load_config(args.config) if args.config else {})}
+    for flag, key in (("modes", "modes"), ("seed", "train.seed"), ("cell", "network.cell"),
+                      ("horizons", "horizons")):
+        if getattr(args, flag, None) is not None:
+            settings[key] = parse_setting(key, getattr(args, flag), f"--{flag}")
+    return settings
 
 
-def _write_manifest(out_dir: Path, cfg: RunConfig, args) -> None:
+def _write_manifest(out_dir: Path, cfg: PipelineConfig, settings: dict, args) -> None:
     comments = [
         f"modecast {__version__} run manifest; rerun with --config {out_dir / 'run_manifest.txt'}",
         "command: " + " ".join(sys.argv[1:] if sys.argv[1:] else [args.command]),
         f"input: {getattr(args, 'input', '-')}",
     ]
-    (out_dir / "run_manifest.txt").write_text(render_config(cfg, comments), encoding="utf-8")
+    (out_dir / "run_manifest.txt").write_text(render_config(cfg, settings["horizons"], comments),
+                                              encoding="utf-8")
 
 
 def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
@@ -141,28 +138,28 @@ def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _resolve_config(args)
-    pipe_cfg = to_pipeline_config(cfg)
+    settings = _settings(args)
+    cfg = to_pipeline_config(settings)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode_set = vmd.vmd_decompose(series, pipe_cfg.vmd)
+    mode_set = vmd.vmd_decompose(series, cfg.vmd)
     path = _write_modes_csv(mode_set, out_dir)
-    _write_manifest(out_dir, cfg, args)
+    _write_manifest(out_dir, cfg, settings, args)
     print(f"wrote {path} ({mode_set.n_modes} modes, {mode_set.iterations} iterations, "
           f"final delta {mode_set.final_delta:.3e}, converged={mode_set.converged})")
     return 0
 
 
 def _cmd_garch_fit(args) -> int:
-    cfg = _resolve_config(args)
-    pipe_cfg = to_pipeline_config(cfg)
+    settings = _settings(args)
+    cfg = to_pipeline_config(settings)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode_set = vmd.vmd_decompose(series, pipe_cfg.vmd)
+    mode_set = vmd.vmd_decompose(series, cfg.vmd)
     _write_modes_csv(mode_set, out_dir)
-    fits = garch_mod.fit_many(mode_set.modes, pipe_cfg.garch, pipe_cfg.garch_options)
+    fits = garch_mod.fit_many(mode_set.modes, cfg.garch, cfg.garch_options)
     for i, fit in enumerate(fits):
         fitted = not fit.used_rolling_fallback  # a fallback's search point is no fit
         payload = {
@@ -186,21 +183,20 @@ def _cmd_garch_fit(args) -> int:
                       else "rolling-variance fallback")
         print(f"mode {i + 1}: {volatility} "
               f"converged={fit.converged} differenced={fit.used_differencing}")
-    _write_manifest(out_dir, cfg, args)
+    _write_manifest(out_dir, cfg, settings, args)
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    pipe_cfg = to_pipeline_config(cfg)
+    settings = _settings(args)
+    cfg = to_pipeline_config(settings)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    forecaster = fit_forecaster(series, Variant(args.variant),
-                                cell_kind(cfg.network_cell), pipe_cfg)
+    forecaster = fit_forecaster(series, Variant(args.variant), cfg.network.cell, cfg)
     persist.save_forecaster(forecaster, out_dir)
-    _write_manifest(out_dir, cfg, args)
-    print(f"saved {args.variant}/{cfg.network_cell} forecaster "
+    _write_manifest(out_dir, cfg, settings, args)
+    print(f"saved {args.variant}/{cfg.network.cell.value} forecaster "
           f"({len(forecaster.mode_values)} mode models) to {out_dir}")
     return 0
 
@@ -216,22 +212,24 @@ def _write_predictions_csv(result: ForecastResult, path: Path) -> None:
 
 
 def _cmd_forecast(args) -> int:
-    cfg = _resolve_config(args)
+    settings = _settings(args)
     series = data.load_csv(args.input)
     out_dir = Path(args.out_dir)
     if args.model_dir:  # nothing to fit: every check runs in the forecast itself
-        result = rolling_forecast(persist.load_forecaster(args.model_dir), series, args.steps)
+        forecaster = persist.load_forecaster(args.model_dir)
+        cfg = replace(forecaster.config,
+                      network=replace(forecaster.config.network, cell=forecaster.cell))
+        result = rolling_forecast(forecaster, series, args.steps)
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
-        pipe_cfg = to_pipeline_config(cfg)
-        check_horizons([args.steps], held_out_span(series, pipe_cfg), least=0)
+        cfg = to_pipeline_config(settings)
+        check_horizons([args.steps], held_out_span(series, cfg), least=0)
         out_dir.mkdir(parents=True, exist_ok=True)
-        forecaster = fit_forecaster(series, Variant(args.variant),
-                                    cell_kind(cfg.network_cell), pipe_cfg)
+        forecaster = fit_forecaster(series, Variant(args.variant), cfg.network.cell, cfg)
         result = rolling_forecast(forecaster, series, args.steps)
     path = out_dir / "predictions.csv"
     _write_predictions_csv(result, path)
-    _write_manifest(out_dir, cfg, args)
+    _write_manifest(out_dir, cfg, settings, args)
     if result.predictions.size:
         report = metrics(result.actuals, result.predictions, horizon=args.steps)
         mape = "n/a" if report.mape is None else f"{report.mape:.4f}%"
@@ -258,18 +256,18 @@ def _format_rows(rows) -> tuple[str, str]:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
-    pipe_cfg = to_pipeline_config(cfg)
+    settings = _settings(args)
+    cfg = to_pipeline_config(settings)
     series = data.load_csv(args.input)
     cells = [cell_kind(c) for c in args.cells.split(",")]
-    check_horizons(cfg.horizons, held_out_span(series, pipe_cfg))
+    check_horizons(settings["horizons"], held_out_span(series, cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = compare_models(series, list(cfg.horizons), cells, pipe_cfg)
+    rows = compare_models(series, list(settings["horizons"]), cells, cfg)
     structured, pretty = _format_rows(rows)
     (out_dir / "metrics.txt").write_text(structured, encoding="utf-8")
     (out_dir / "metrics_table.txt").write_text(pretty, encoding="utf-8")
-    _write_manifest(out_dir, cfg, args)
+    _write_manifest(out_dir, cfg, settings, args)
     print(pretty, end="")
     print(f"wrote {out_dir / 'metrics.txt'}")
     return 0

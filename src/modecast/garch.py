@@ -60,6 +60,7 @@ import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ConfigError,
     DegenerateSeries,
     InvalidLags,
     InvalidParams,
@@ -165,6 +166,10 @@ class FitOptions:
     fatol: float = 1e-8
     adf_lags: int = 12
     allow_differencing: bool = True
+
+    def __post_init__(self):
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)

@@ -744,10 +744,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:  # NaN included
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not 0 < self.lr < math.inf:  # NaN included
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 < self.clip_norm < math.inf:
+            raise ConfigError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
 def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | None = None):

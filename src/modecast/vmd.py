@@ -105,12 +105,12 @@ class VmdConfig:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ConfigError(f"n_modes must be >= 1, got {self.n_modes}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.tau < 0:
-            raise ConfigError(f"tau must be >= 0, got {self.tau}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.alpha < np.inf:  # NaN included
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 <= self.tau < np.inf:
+            raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.init_omega not in ("uniform", "zero", "random"):

@@ -325,6 +325,8 @@ def test_out_of_range_header_values_are_typed(tmp_path):
                              (full["config"], "seq_len", 0),
                              (full["config"]["train"], "batch_size", 0),
                              (full["config"]["vmd"], "max_iter", 0),
+                             (full["config"]["vmd"], "alpha", float("nan")),
+                             (full["config"]["garch_options"], "max_iter", 0),
                              (full["config"], "vmd", None)]:
         value, holder[key] = holder[key], bad
         manifest.write_text(json.dumps(full))

@@ -10,7 +10,9 @@ import pytest
 
 from modecast import garch as garch_mod
 from modecast.cli import main
+from modecast.config import load_config, to_pipeline_config
 from modecast.data import write_csv
+from modecast.persist import load_forecaster
 from modecast.pipeline import aggregate
 
 from conftest import wavy_series
@@ -173,6 +175,31 @@ def test_manifest_rerun_is_bit_identical(tmp_path, series_csv, config_file):
     assert main(["forecast", "--input", str(series_csv), "--config", str(manifest),
                  "--steps", "4", "--out-dir", str(out2)]) == 0
     assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
+
+
+def test_forecast_from_model_dir_records_the_model_settings(tmp_path, series_csv, config_file):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd"]) == 0
+    out = tmp_path / "fc"
+    assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
+                 "--modes", "5", "--seed", "9", "--cell", "lstm", "--steps", "4",
+                 "--out-dir", str(out)]) == 0
+    manifest = out / "run_manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for line in ("modes = 2", "network.cell = rnn", "network.hidden = 6", "network.seq_len = 10",
+                 "train.epochs = 2", "train.seed = 5"):
+        assert line in lines
+    assert to_pipeline_config(load_config(manifest)) == load_forecaster(model_dir).config
+
+
+def test_empty_horizons_flag_exit_1_naming_it(tmp_path, series_csv, config_file, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(out), "--cells", "rnn", "--horizons", ","]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--horizons" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_emits_structured_metrics(tmp_path, series_csv, config_file):
@@ -372,7 +399,9 @@ def test_plot_of_an_empty_csv_prints_only_the_error(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("line", ["network.seq_len = 0", "network.seq_len = -3", "train.batch = 0",
-                                  "train.epochs = -1", "train.lr = -1", "retrain_every = -2"])
+                                  "train.epochs = -1", "train.lr = -1", "retrain_every = -2",
+                                  "vmd.alpha = nan", "vmd.alpha = inf", "vmd.tol = nan",
+                                  "train.lr = inf", "garch.max_iter = 0", "horizons = ,"])
 def test_out_of_range_setting_exit_1(tmp_path, series_csv, config_file, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(config_file.read_text() + line + "\n")

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from modecast.config import (
-    RunConfig,
     cell_kind,
     load_config,
     parse_config_text,
     render_config,
-    require_modes,
     to_pipeline_config,
 )
 from modecast.data import load_csv, parse_csv_text, write_csv
@@ -23,7 +21,10 @@ from modecast.errors import (
     ParseError,
     UnreadableFile,
 )
+from modecast.neural import CellKind
+from modecast.pipeline import PipelineConfig
 from modecast.series import TimeSeries
+from modecast.vmd import VmdConfig
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 
@@ -127,10 +128,9 @@ network.seq_len = 50
 train.epochs = 100
 horizons = 10,20,30
 """)
-    assert cfg.modes == 10
-    assert cfg.horizons == (10, 20, 30)
-    assert cfg.vmd_alpha == 2000.0
-    assert cfg.network_seq_len == 50
+    assert cfg == {"modes": 10, "split.fraction": 0.85, "vmd.alpha": 2000.0, "garch.k": 10,
+                   "garch.l": 10, "network.cell": CellKind.LSTM, "network.seq_len": 50,
+                   "train.epochs": 100, "horizons": (10, 20, 30)}
 
 
 def test_unknown_key_rejected():
@@ -151,30 +151,66 @@ def test_missing_equals_rejected():
 
 
 def test_modes_required():
-    with pytest.raises(ConfigError):
-        require_modes(RunConfig())
-    assert require_modes(RunConfig(modes=4)) == 4
+    with pytest.raises(ConfigError, match="modes"):
+        to_pipeline_config(parse_config_text("vmd.alpha = 750\n"))
+    assert to_pipeline_config({"modes": 4}).vmd.n_modes == 4
+
+
+def test_defaults_are_the_dataclasses_own():
+    assert to_pipeline_config({"modes": 3}) == PipelineConfig(vmd=VmdConfig(n_modes=3))
 
 
 def test_render_parse_round_trip():
-    cfg = parse_config_text("modes = 4\nvmd.alpha = 750\nnetwork.cell = gru\nhorizons = 5,7\n")
-    text = render_config(cfg, header_comments=["frozen run"])
-    back = parse_config_text(text)
-    assert back == cfg
+    cfg = to_pipeline_config(parse_config_text(
+        "modes = 4\nvmd.alpha = 750\nnetwork.cell = GRU\ntrain.seed = 3\ngarch.max_iter = 9\n"))
+    assert (cfg.network.cell, cfg.network.seed, cfg.garch_options.max_iter) == (CellKind.GRU, 3, 9)
+    back = parse_config_text(render_config(cfg, (5, 7), header_comments=["frozen run"]))
+    assert to_pipeline_config(back) == cfg
+    assert back["horizons"] == (5, 7)
+
+
+def test_rendered_text_lists_every_key_in_table_order():
+    cfg = to_pipeline_config(parse_config_text(
+        "modes = 3\nnetwork.cell = Rnn\ntrain.lr = 0.003\nvmd.dc_mode = true\n"
+        "garch.max_iter = 40\n"))
+    assert render_config(cfg, (5, 20), ["a comment"]) == """\
+# a comment
+modes = 3
+split.fraction = 0.84999999999999998
+vmd.alpha = 2000
+vmd.tau = 0
+vmd.tol = 9.9999999999999995e-08
+vmd.max_iter = 500
+vmd.init_omega = uniform
+vmd.mirror = true
+vmd.dc_mode = true
+vmd.seed = 0
+garch.k = 10
+garch.l = 10
+garch.max_iter = 40
+network.cell = rnn
+network.layers = 2
+network.hidden = 64
+network.dropout = 0.20000000000000001
+network.seq_len = 50
+train.epochs = 100
+train.batch = 32
+train.lr = 0.0030000000000000001
+train.seed = 0
+horizons = 5,20
+retrain_every = 0
+"""
 
 
 def test_cell_kind_lookup():
-    from modecast.neural import CellKind
-
     assert cell_kind("LSTM") is CellKind.LSTM
     with pytest.raises(ConfigError):
         cell_kind("transformer")
 
 
 def test_to_pipeline_config_validates_through_modules():
-    cfg = parse_config_text("modes = 3\nnetwork.cell = gru\n")
-    pipe = to_pipeline_config(cfg)
-    assert pipe.vmd.n_modes == 3
+    pipe = to_pipeline_config(parse_config_text("modes = 3\nnetwork.cell = gru\n"))
+    assert pipe.vmd.n_modes == 3 and pipe.network.cell is CellKind.GRU
     with pytest.raises(ConfigError):
         to_pipeline_config(parse_config_text("modes = 0\n"))
     with pytest.raises(ConfigError):
