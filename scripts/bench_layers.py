@@ -4,9 +4,9 @@ backpropagation-through-time step per cell kind), stage timing of mode-set
 training, of mode-set inference, of VMD and of the GARCH fit, and the
 package's start-up cost.
 
-    python3 scripts/bench_layers.py [--only {layers,training,inference,vmd,garch,startup}]
+    python3 scripts/bench_layers.py [--only {layers,training,memory,inference,vmd,garch,startup}]
 
---only runs one section; by default all six run, in that order.
+--only runs one section; by default all seven run, in that order.
 
 layers: for each cell kind at batch x hidden 32x16 and 32x64, it times a
 training forward pass (`neural._forward_batch`, dropout 0.2) and its
@@ -25,6 +25,13 @@ group (`neural._train_group`, which `train_many` runs under its group cap),
 interleaved over TRAIN_ROUNDS rounds (alternating which way goes first); it
 prints the median of each way, their ratio, and the group size `train_many`
 chooses for that shape.  This part needs an engine with `train_many`.
+
+memory: for the same three mode sets it prints the bytes of activations the
+engine counts for one lockstep group's mini-batch (`neural._step_bytes` times
+the group size `train_many` chooses), the `tracemalloc` peak of one epoch of
+`neural.train_many` over the set and their ratio, and the minor page faults
+(`getrusage`) of a second, untraced epoch.  This part needs an engine with
+`_step_bytes`.
 
 inference: it takes mode sets of freshly initialized LSTM networks (dropout
 0.2) on standard-normal windows: the served forecast of `forecast-serve` (3
@@ -102,7 +109,7 @@ GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
 STARTUP_RUNS = 7
 STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.special")
-SECTIONS = ("layers", "training", "inference", "vmd", "garch", "startup")
+SECTIONS = ("layers", "training", "memory", "inference", "vmd", "garch", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
@@ -116,7 +123,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    sections = {"layers": bench_layers, "training": bench_training,
+    sections = {"layers": bench_layers, "training": bench_training, "memory": bench_memory,
                 "inference": bench_inference, "vmd": bench_vmd, "garch": bench_garch,
                 "startup": bench_startup}
     for name in ([args.only] if args.only else SECTIONS):
@@ -153,21 +160,31 @@ def bench_layers() -> None:
                   f"{statistics.median(bwd) * per_step:13.2f}")
 
 
-def bench_training() -> None:
+def _training_set(nets, layers, hidden, seq_len, windows, dropout):
+    """Standard-normal windows and targets with LSTM and one-epoch training
+    configs for `nets` networks of one shape."""
     import numpy as np
 
     from modecast import neural
 
+    rng = np.random.default_rng(0)
+    xs = [rng.standard_normal((windows, seq_len, 2)) for _ in range(nets)]
+    ys = [rng.standard_normal(windows) for _ in range(nets)]
+    configs = [neural.NetworkConfig(cell=neural.CellKind.LSTM, layers=layers, hidden=hidden,
+                                    input_features=2, dropout_rate=dropout, seed=i + 1)
+               for i in range(nets)]
+    train_cfgs = [neural.TrainConfig(epochs=1, batch_size=32, seed=i + 1) for i in range(nets)]
+    return xs, ys, configs, train_cfgs
+
+
+def bench_training() -> None:
+    from modecast import neural
+
     print(f"\n{'training':<10} {'nets':>4} {'per-net ms':>11} {'lockstep ms':>12} {'ratio':>6} "
           f"{'group':>5}")
-    for name, nets, layers, hidden, seq_len, windows, dropout in TRAIN_SHAPES:
-        rng = np.random.default_rng(0)
-        xs = [rng.standard_normal((windows, seq_len, 2)) for _ in range(nets)]
-        ys = [rng.standard_normal(windows) for _ in range(nets)]
-        configs = [neural.NetworkConfig(cell=neural.CellKind.LSTM, layers=layers, hidden=hidden,
-                                        input_features=2, dropout_rate=dropout, seed=i + 1)
-                   for i in range(nets)]
-        train_cfgs = [neural.TrainConfig(epochs=1, batch_size=32, seed=i + 1) for i in range(nets)]
+    for name, nets, *shape in TRAIN_SHAPES:
+        xs, ys, configs, train_cfgs = _training_set(nets, *shape)
+        seq_len = shape[2]
         ways = {
             "per-net": lambda: [neural.train(*args) for args in zip(xs, ys, configs, train_cfgs)],
             "lockstep": lambda: neural._train_group(xs, ys, configs, train_cfgs),
@@ -183,6 +200,30 @@ def bench_training() -> None:
         group = min(neural._group_size(configs[0], seq_len, 32), nets)
         print(f"{name:<10} {nets:4d} {per_net * 1e3:11.1f} {lockstep * 1e3:12.1f} "
               f"{per_net / lockstep:6.2f} {group:5d}")
+
+
+def bench_memory() -> None:
+    import resource
+    import tracemalloc
+
+    from modecast import neural
+
+    print(f"\n{'memory':<10} {'nets':>4} {'group':>5} {'counted MB':>11} {'peak MB':>8} "
+          f"{'ratio':>6} {'faults':>7}")
+    for name, nets, *shape in TRAIN_SHAPES:
+        xs, ys, configs, train_cfgs = _training_set(nets, *shape)
+        seq_len = shape[2]
+        group = min(neural._group_size(configs[0], seq_len, 32), nets)
+        counted = group * neural._step_bytes(configs[0], seq_len, 32)
+        tracemalloc.start()
+        neural.train_many(xs, ys, configs, train_cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        neural.train_many(xs, ys, configs, train_cfgs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(f"{name:<10} {nets:4d} {group:5d} {counted / 1e6:11.2f} {peak / 1e6:8.2f} "
+              f"{peak / counted:6.2f} {faults:7d}")
 
 
 def _per_call_s(fn, repeats: int) -> float:

@@ -4,8 +4,11 @@ Settings come from the `--config` file, outranked by `--modes`, `--seed`,
 `--cell` and `--horizons`, which go through the same parsers (`config`).
 Every run writes its outputs plus a `run_manifest.txt`: the configuration
 that ran, in the config-file grammar (for `forecast --model-dir`, the loaded
-model's), with the command line recorded in comments.  Rerunning the same
-command with `--config run_manifest.txt` reproduces the outputs bit-for-bit.
+model's), with the command line given to `main` recorded in comments.
+Rerunning the same command with `--config run_manifest.txt` reproduces the
+outputs bit-for-bit.  `forecast --model-dir` runs the model as saved: a
+fitting flag or config setting that asks for another value than the model's
+is refused.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
 a missing or unreadable file, or an output path that cannot be written, is a
@@ -33,9 +36,11 @@ from . import charts, data, persist, vmd
 from .config import (
     DEFAULT_HORIZONS,
     cell_kind,
+    format_value,
     load_config,
     parse_setting,
     render_config,
+    setting_value,
     to_pipeline_config,
 )
 from .errors import ConfigError, ModecastError, UnreadableFile
@@ -82,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="rolling one-step-ahead forecast")
     common(p)
-    p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="vmd-garch")
+    p.add_argument("--variant", choices=sorted(v.value for v in Variant),
+                   help="default vmd-garch when fitting")
     p.add_argument("--cell", help="rnn | gru | lstm (default from config)")
     p.add_argument("--model-dir", help="reuse a saved forecaster instead of training")
     p.add_argument("--steps", type=int, required=True)
@@ -99,20 +105,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLAG_KEYS = {"modes": "modes", "seed": "train.seed", "cell": "network.cell",
+              "horizons": "horizons"}
+
+
 def _settings(args) -> dict[str, object]:
     """The config file's settings, outranked by the CLI flags given."""
     settings = {"horizons": DEFAULT_HORIZONS, **(load_config(args.config) if args.config else {})}
-    for flag, key in (("modes", "modes"), ("seed", "train.seed"), ("cell", "network.cell"),
-                      ("horizons", "horizons")):
+    for flag, key in _FLAG_KEYS.items():
         if getattr(args, flag, None) is not None:
             settings[key] = parse_setting(key, getattr(args, flag), f"--{flag}")
     return settings
 
 
+def _check_model_settings(args, settings: dict, forecaster, cfg: PipelineConfig) -> None:
+    """`--model-dir` runs the model as saved (`cfg`): a setting given by a flag or
+    by `--config` that differs from the model's raises `ConfigError` naming it."""
+    if args.variant is not None and Variant(args.variant) is not forecaster.variant:
+        raise ConfigError(f"--variant {args.variant} differs from the model in "
+                          f"{args.model_dir}, fitted as {forecaster.variant.value}")
+    flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None}
+    for key, value in settings.items():
+        fitted = setting_value(cfg, key)
+        if fitted is not None and value != fitted:
+            name = flags.get(key, f"{key!r} of --config")
+            raise ConfigError(f"{name} differs from the model in {args.model_dir}, "
+                              f"fitted with {key} = {format_value(fitted)}")
+
+
 def _write_manifest(out_dir: Path, cfg: PipelineConfig, settings: dict, args) -> None:
     comments = [
         f"modecast {__version__} run manifest; rerun with --config {out_dir / 'run_manifest.txt'}",
-        "command: " + " ".join(sys.argv[1:] if sys.argv[1:] else [args.command]),
+        "command: " + " ".join(args.argv),
         f"input: {getattr(args, 'input', '-')}",
     ]
     (out_dir / "run_manifest.txt").write_text(render_config(cfg, settings["horizons"], comments),
@@ -219,13 +244,15 @@ def _cmd_forecast(args) -> int:
         forecaster = persist.load_forecaster(args.model_dir)
         cfg = replace(forecaster.config,
                       network=replace(forecaster.config.network, cell=forecaster.cell))
+        _check_model_settings(args, settings, forecaster, cfg)
         result = rolling_forecast(forecaster, series, args.steps)
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
         cfg = to_pipeline_config(settings)
         check_horizons([args.steps], held_out_span(series, cfg), least=0)
         out_dir.mkdir(parents=True, exist_ok=True)
-        forecaster = fit_forecaster(series, Variant(args.variant), cfg.network.cell, cfg)
+        variant = Variant(args.variant or Variant.VMD_GARCH.value)
+        forecaster = fit_forecaster(series, variant, cfg.network.cell, cfg)
         result = rolling_forecast(forecaster, series, args.steps)
     path = out_dir / "predictions.csv"
     _write_predictions_csv(result, path)
@@ -307,7 +334,7 @@ def _cmd_plot(args) -> int:
         charts.panel_chart(panels, "Decomposition", out)
     source = args.predictions or args.modes_csv
     Path(f"{out}.manifest.txt").write_text(
-        f"# modecast {__version__} plot manifest\n# command: " + " ".join(sys.argv[1:])
+        f"# modecast {__version__} plot manifest\n# command: " + " ".join(args.argv)
         + f"\n# source: {source}\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
@@ -337,8 +364,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv  # what the manifests record as the command
         return _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

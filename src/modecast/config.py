@@ -123,7 +123,8 @@ def _set(obj, path: str, value):
     return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
 
 
-def _format(value) -> str:
+def format_value(value) -> str:
+    """A setting's value as the config grammar writes it."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -140,11 +141,17 @@ def render_config(cfg: PipelineConfig, horizons: tuple[int, ...],
     """Every key's value in `cfg` (and `horizons`), in table order; for a
     `cfg` that `to_pipeline_config` made, text that it reads back to `cfg`."""
     lines = [f"# {comment}" for comment in (header_comments or [])]
-    for key, (_, *paths) in _KEYS.items():
-        value = reduce(getattr, paths[0].split("."), cfg) if paths else horizons
+    for key in _KEYS:
+        value = horizons if key == "horizons" else setting_value(cfg, key)
         if value is not None:
-            lines.append(f"{key} = {_format(value)}")
+            lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+def setting_value(cfg: PipelineConfig, key: str):
+    """The value `cfg` holds for `key`; None for `horizons`, no pipeline field."""
+    paths = _KEYS[key][1:]
+    return reduce(getattr, paths[0].split("."), cfg) if paths else None
 
 
 def to_pipeline_config(settings: dict[str, object]) -> PipelineConfig:

@@ -61,9 +61,15 @@ does and runs each group through one forward pass that keeps only the
 hidden sequences, so each net's predictions equal `predict` of that net
 alone, bit for bit; `PREDICT_BYTES` caps its groups.
 
-All functions are pure: `adam_step` and `train` return new parameter
-containers and never mutate their inputs, so fixed seeds give bit-identical
-results across runs.
+Memory.  A training step's sequences are views of one workspace
+(`_Workspace`) that a lockstep group allocates in its first mini-batch and
+reuses for every later batch.  `backward` consumes the cache: arrays it no
+longer needs become its working arrays, and each layer's entries are
+released once that layer's gradients are formed.
+
+All functions but `backward`, which consumes its cache, are pure:
+`adam_step` and `train` return new parameter containers and never mutate
+their inputs, so fixed seeds give bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -215,10 +221,11 @@ def init_network(config: NetworkConfig) -> RecurrentNetwork:
 # ---------------------------------------------------------------------------
 # One step per cell kind.  States are unit-major, (H, B), so every gate's
 # block of a step is a contiguous row range; a group's are (H, nets, B), so
-# the block stays contiguous across its nets.  A step reads its input
-# projection `xp` (G*H, B) and the previous state, writes the gate
-# activations to `act` (G*H, B) and the new state to `h_out` (and `c_out`).
-# `w_h` is what `_recurrent_weights` returns.
+# the block stays contiguous across its nets.  A step finds its input
+# projection in `act` (G*H, B), adds the recurrent product W[:, :H] @ h_prev,
+# which it forms in `mm`, overwrites `act` with the gate activations and
+# writes the new state to `h_out` (and `c_out`).  `w_h` is what
+# `_recurrent_weights` returns.
 # ---------------------------------------------------------------------------
 
 def _matmul(w, x, out=None):
@@ -238,30 +245,27 @@ def _matmul(w, x, out=None):
     return out
 
 
-def _rnn_step(xp, h, c, w_h, act, h_out, c_out):
-    _matmul(w_h, h, out=h_out)
-    h_out += xp
-    np.tanh(h_out, out=h_out)  # `act` is `h_out`: the activation is the state
+def _rnn_step(h, c, w_h, act, h_out, c_out, mm):
+    # `act` is `h_out`, which holds the step's input projection: the activation is the state
+    np.add(_matmul(w_h, h, out=mm), h_out, out=h_out)
+    np.tanh(h_out, out=h_out)
 
 
-def _gru_step(xp, h, c, w_h, act, h_out, c_out):
+def _gru_step(h, c, w_h, act, h_out, c_out, mm):
     n = h.shape[0]
     w_zr, w_cand = w_h
     zr, hc = act[:2 * n], act[2 * n:]
-    _matmul(w_zr, h, out=zr)
-    zr += xp[:2 * n]
+    np.add(_matmul(w_zr, h, out=mm[:2 * n]), zr, out=zr)
     _sigmoid(zr, out=zr)
     z, r = act[:n], act[n:2 * n]
-    _matmul(w_cand, r * h, out=hc)
-    hc += xp[2 * n:]
+    np.add(_matmul(w_cand, r * h, out=mm[2 * n:]), hc, out=hc)
     np.tanh(hc, out=hc)
     np.add((1.0 - z) * h, z * hc, out=h_out)
 
 
-def _lstm_step(xp, h, c, w_h, act, h_out, c_out):
+def _lstm_step(h, c, w_h, act, h_out, c_out, mm):
     n = h.shape[0]
-    _matmul(w_h, h, out=act)
-    act += xp
+    np.add(_matmul(w_h, h, out=mm), act, out=act)
     _sigmoid(act[:3 * n], out=act[:3 * n])
     np.tanh(act[3 * n:], out=act[3 * n:])
     np.add(act[:n] * c, act[n:2 * n] * act[3 * n:], out=c_out)
@@ -280,32 +284,38 @@ def _recurrent_weights(kind: CellKind, w: np.ndarray, n: int):
 
 
 def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
-               h0: np.ndarray, c0: np.ndarray, keep: bool = True):
+               h0: np.ndarray, c0: np.ndarray, workspace: _Workspace, layer: int,
+               keep: bool = True):
     """One layer over a (L, D, B) input sequence from state (h0, c0), each (H, B).
 
     A group runs (L, D, nets, B) from (H, nets, B) states with weights
-    (nets, G*H, H+D).  Returns (hidden (L, H, B), gate activations
-    (L, G*H, B), memory cells (L, H, B) or None), with a group's net axis
-    before B; for the plain cell the activations are the hidden.  With
-    `keep` false (inference) each step's activations and memory cell
-    overwrite an earlier step's, and only the hidden sequence is returned,
-    with None for the other two.
+    (nets, G*H, H+D).  The sequences are buffers of `workspace` named after
+    `layer`.  Returns (hidden (L, H, B), gate activations (L, G*H, B), memory
+    cells (L, H, B) or None), with a group's net axis before B; for the plain
+    cell the activations are the hidden.  The input projection of every step
+    is computed into the gate buffer, whose slot each step then overwrites
+    with its activations.  With `keep` false (inference) the memory cells take
+    two slots, a step reading one and writing the other, and only the hidden
+    sequence is returned, with None for the other two.
     """
     steps, n = x.shape[0], h0.shape[0]
-    xp = _matmul(w[..., n:], x)  # every step's input projection in one call
-    if b is not None:
-        xp += b.T[..., None]
-    hs = np.empty((steps,) + h0.shape)
-    act = hs if kind is CellKind.RNN else np.empty((steps if keep else 1,) + xp.shape[1:])
-    cs = None  # without `keep`, two slots: a step reads one and writes the other
+    hs = workspace.take(("hidden", layer), (steps,) + h0.shape)
+    act = hs
+    if kind is not CellKind.RNN:
+        act = workspace.take(("gates", layer), (steps, w.shape[-2]) + h0.shape[1:])
+    cs = None
     if kind is CellKind.LSTM:
-        cs = np.empty((steps if keep else 2,) + hs.shape[1:])
+        cs = workspace.take(("cells", layer), (steps if keep else 2,) + h0.shape)
+    _matmul(w[..., n:], x, out=act)  # every step's input projection in one call
+    if b is not None:
+        act += b.T[..., None]
+    mm = workspace.take("step", act.shape[1:])
     step, w_h = _STEPS[kind], _recurrent_weights(kind, w, n)
     h, c = h0, c0
     with np.errstate(over="ignore"):  # a saturating gate's exp(-x) overflows to inf
         for t in range(steps):
             c_out = None if cs is None else cs[t % len(cs)]
-            step(xp[t], h, c, w_h, act[t % len(act)], hs[t], c_out)
+            step(h, c, w_h, act[t], hs[t], c_out, mm)
             h, c = hs[t], c_out
     if not keep:
         return hs, None, None
@@ -351,7 +361,7 @@ def _cell(kind: CellKind, params: dict[str, np.ndarray], h_prev, c_prev, x):
     h_prev, c_prev = (np.broadcast_to(a, lead + (n,)) for a in (h_prev, c_prev))
     x = np.broadcast_to(x, lead + x.shape[-1:])
     hs, _, cs = _run_layer(kind, w, b, _unit_major(x)[None], _unit_major(h_prev),
-                           _unit_major(c_prev))
+                           _unit_major(c_prev), _Workspace(), 0)
     return hs[0].T.reshape(h_prev.shape), None if cs is None else cs[0].T.reshape(h_prev.shape)
 
 
@@ -374,11 +384,35 @@ def lstm_cell(params: dict[str, np.ndarray], h_prev, c_prev, x) -> tuple[np.ndar
 # Forward / backward over stacked layers
 # ---------------------------------------------------------------------------
 
+class _Workspace:
+    """Named buffers that the training steps of one lockstep group share.
+
+    Every mini-batch's forward cache and backward's working arrays are views
+    of them, so after the first step a step allocates no sequence-sized array
+    and the process faults no page in again.  A buffer is allocated on its
+    first request; a later request of at most as many entries (the partial
+    last batch of an epoch) takes its leading part, so a view is always
+    contiguous."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, name, shape: tuple) -> np.ndarray:
+        """An uninitialized view of buffer `name` with `shape`."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
     """Activations retained for backpropagation; tied to one parameter set.
     Sequences are time-major and unit-major: (L, units, B), or a group's
-    (L, units, nets, B)."""
+    (L, units, nets, B), and are views of `workspace`'s buffers.  `backward`
+    consumes the cache: it releases each layer's entries (sets them to None)
+    once that layer's gradients are formed."""
 
     params_id: int
     inputs: list[np.ndarray]            # per layer: (L, D_layer, B) consumed input
@@ -388,15 +422,18 @@ class ForwardCache:
     masks: list[np.ndarray | None]      # per layer: (L, H, B) inverted-dropout masks
     dropped_last: np.ndarray            # (H, B) head input; a group's (nets, H, B)
     predictions: np.ndarray             # (B,); a group's (nets, B)
+    workspace: _Workspace = field(repr=False)
 
 
 def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
-                   rng, keep: bool = True) -> ForwardCache:
+                   rng, keep: bool = True, workspace: _Workspace | None = None) -> ForwardCache:
     """The forward pass over a (B, L, D) batch, or over a group's (nets, B, L, D)
     batches when `net` holds a group's (nets, P) parameters.  `rng` draws the
-    dropout masks: a generator, or a list of one per net.  With `keep` false
-    (inference) the cache holds no gate activations or memory cells, so it
-    serves no `backward`."""
+    dropout masks: a generator, or a list of one per net.  The sequences go
+    into `workspace`'s buffers (a fresh one by default), and `backward` takes
+    its working arrays from the same workspace.  With `keep` false (inference)
+    the cache holds no gate activations or memory cells, so it serves no
+    `backward`."""
     cfg = net.config
     *nets, b, seq_len, feat = batch.shape
     if feat != cfg.input_features:
@@ -406,13 +443,18 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
     dropout = training and cfg.dropout_rate > 0.0
     if dropout and rng is None:
         raise ShapeMismatch("training forward pass needs a dropout generator")
+    ws = _Workspace() if workspace is None else workspace
     rngs = rng if isinstance(rng, list) else [rng]
+    h = cfg.hidden
     inputs, hidden, gates, cells, masks = [], [], [], [], []
-    current = np.ascontiguousarray(batch.transpose((-2, -1) + tuple(range(batch.ndim - 2))))
-    zeros = np.zeros((cfg.hidden, *nets, b))
-    for w, bias in net.stacked:
+    current = ws.take(("input", 0), (seq_len, feat, *nets, b))
+    current[...] = batch.transpose((-2, -1) + tuple(range(batch.ndim - 2)))
+    zeros = np.zeros((h, *nets, b))
+    for layer, (w, bias) in enumerate(net.stacked):
         inputs.append(current)
-        hs, act, cs = _run_layer(cfg.cell, w, bias, current, zeros, zeros, keep)
+        # inference keeps only the hidden sequences: the rest of a layer is freed with it
+        layer_ws = ws if keep else _Workspace()
+        hs, act, cs = _run_layer(cfg.cell, w, bias, current, zeros, zeros, layer_ws, layer, keep)
         hidden.append(hs)
         gates.append(act)
         cells.append(cs)
@@ -420,19 +462,25 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
         current = hs
         if dropout:
             keep_prob = 1.0 - cfg.dropout_rate
-            mask = np.empty(hs.shape)
-            # drawn as (B, L, H) per net, so seeded streams keep their masks
+            mask = ws.take(("mask", layer), hs.shape)
+            # drawn as (B, L, H) per net, so seeded streams keep their masks; the
+            # draws wait in the pre-activation gradient buffer, idle until backward
+            idle = ws.take("d_act", (seq_len, _GATES[cfg.cell] * h, *nets, b))
+            draws = idle.reshape(-1)[:mask.size].reshape(*nets, b, seq_len, h)
             views = [mask[:, :, j] for j in range(nets[0])] if nets else [mask]
-            for r, view in zip(rngs, views):
-                np.divide(r.random((b, seq_len, cfg.hidden)) < keep_prob, keep_prob,
-                          out=view.transpose(2, 0, 1))
-            current = hs * mask
+            for r, draw, view in zip(rngs, draws if nets else [draws], views):
+                r.random(out=draw)
+                np.less(draw, keep_prob, out=draw)
+                np.divide(draw, keep_prob, out=view.transpose(2, 0, 1))
+            if layer < cfg.layers - 1:
+                current = np.multiply(hs, mask, out=ws.take(("input", layer + 1), hs.shape))
         masks.append(mask)
-    dropped_last = np.ascontiguousarray(current[-1].swapaxes(0, -2))  # nets first
+    last = hidden[-1][-1] if masks[-1] is None else hidden[-1][-1] * masks[-1][-1]
+    dropped_last = np.ascontiguousarray(last.swapaxes(0, -2))  # nets first
     preds = (net.head.w_hy[..., None, :] @ dropped_last)[..., 0, :] + net.head.b_y[..., None]
     return ForwardCache(
         params_id=id(net.flat), inputs=inputs, hidden=hidden, gates=gates, cells=cells,
-        masks=masks, dropped_last=dropped_last, predictions=preds,
+        masks=masks, dropped_last=dropped_last, predictions=preds, workspace=ws,
     )
 
 
@@ -508,32 +556,41 @@ def mse_loss_grad(pred: float, target: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Backpropagation through time, one loop per cell kind.  Each takes the
-# gradient on the layer's hidden sequence and returns the pre-activation
-# gradients (L, G*H, B) in the stacked gate order; `h_prev` is (L, H, B) and
-# `w_h` the recurrent block W[:, :H].  The returned buffer first holds, per
-# gate, the factor from the gate's pre-activation to dh (or to dc, or to
-# d(r * h_prev)) at every step; the loop scales step t's factors in place.
+# gradient on the layer's hidden sequence and writes the pre-activation
+# gradients to `d_act` (L, G*H, B) in the stacked gate order; `h_prev` is
+# (L, H, B) and `w_h` the recurrent block W[:, :H].  `d_act` first receives,
+# per gate, the factor from the gate's pre-activation to dh (or to dc, or to
+# d(r * h_prev)) at every step, formed with `out=` so that no sequence-sized
+# temporary is made; the loop scales step t's factors in place.  The
+# activations and memory cells are consumed: the gated cell's update gate
+# becomes 1 - z, and the memory cell's cells become o * (1 - tanh(c)^2).
 # ---------------------------------------------------------------------------
 
-def _rnn_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+def _rnn_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     w_ht = np.ascontiguousarray(np.swapaxes(w_h, -1, -2))
-    d_act = np.multiply(hs, hs)
+    np.multiply(hs, hs, out=d_act)
     np.subtract(1.0, d_act, out=d_act)
     dh_next = np.zeros_like(hs[0])
     for t in range(hs.shape[0] - 1, -1, -1):
         d_act[t] *= d_hidden[t] + dh_next
         dh_next = _matmul(w_ht, d_act[t])
-    return d_act
 
 
-def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     n = hs.shape[1]
     z, r, hc = act[:, :n], act[:, n:2 * n], act[:, 2 * n:]
-    d_act = np.empty_like(act)
-    np.multiply(hc - h_prev, z * (1.0 - z), out=d_act[:, :n])
-    np.multiply(h_prev, r * (1.0 - r), out=d_act[:, n:2 * n])
-    np.multiply(z, 1.0 - hc * hc, out=d_act[:, 2 * n:])
-    carry = 1.0 - z
+    d_z, d_r, d_c = d_act[:, :n], d_act[:, n:2 * n], d_act[:, 2 * n:]
+    np.subtract(1.0, z, out=d_r)  # z * (1 - z), held in d_r until d_r's turn
+    np.multiply(z, d_r, out=d_r)
+    np.subtract(hc, h_prev, out=d_z)
+    d_z *= d_r
+    np.subtract(1.0, r, out=d_r)
+    np.multiply(r, d_r, out=d_r)
+    d_r *= h_prev
+    np.multiply(hc, hc, out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= z
+    carry = np.subtract(1.0, z, out=z)
     w_t = np.swapaxes(w_h, -1, -2)
     w_zr_t = np.ascontiguousarray(w_t[..., :2 * n])
     w_cand_t = np.ascontiguousarray(w_t[..., 2 * n:])
@@ -546,19 +603,26 @@ def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h):
         da[:n] *= dh
         da[n:2 * n] *= d_rh
         dh_next = dh * carry[t] + d_rh * r[t] + _matmul(w_zr_t, da[:2 * n])
-    return d_act
 
 
-def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h):
+def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     n = hs.shape[1]
     f, i, o, cc = (act[:, k * n:(k + 1) * n] for k in range(4))
-    d_act = np.empty_like(act)
-    d_act[0, :n] = 0.0  # the first step's previous cell state is zero
-    np.multiply(cs[:-1], f[1:] * (1.0 - f[1:]), out=d_act[1:, :n])
-    np.multiply(cc, i * (1.0 - i), out=d_act[:, n:2 * n])
-    g_c = np.tanh(cs)
-    np.multiply(g_c, o * (1.0 - o), out=d_act[:, 2 * n:3 * n])
-    np.multiply(i, 1.0 - cc * cc, out=d_act[:, 3 * n:])
+    d_f, d_i, d_o, d_c = (d_act[:, k * n:(k + 1) * n] for k in range(4))
+    d_f[0] = 0.0  # the first step's previous cell state is zero
+    np.subtract(1.0, f[1:], out=d_f[1:])
+    d_f[1:] *= f[1:]
+    d_f[1:] *= cs[:-1]
+    np.subtract(1.0, i, out=d_i)
+    d_i *= i
+    d_i *= cc
+    np.multiply(cc, cc, out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= i
+    g_c = np.tanh(cs, out=cs)
+    np.subtract(1.0, o, out=d_o)
+    d_o *= o
+    d_o *= g_c
     g_c *= g_c  # from dh to dc: o * (1 - tanh(c)^2)
     np.subtract(1.0, g_c, out=g_c)
     g_c *= o
@@ -575,7 +639,6 @@ def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h):
         da[3 * n:] *= d_c
         dc_next = d_c * f[t]
         dh_next = _matmul(w_ht, da)
-    return d_act
 
 
 _BPTT = {CellKind.RNN: _rnn_bptt, CellKind.GRU: _gru_bptt, CellKind.LSTM: _lstm_bptt}
@@ -586,6 +649,18 @@ def _by_net(seq: np.ndarray) -> np.ndarray:
     return seq.swapaxes(0, -2)
 
 
+def _as_rows(seq: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """A (L, units, [nets,] B) sequence as the ([nets,] units, L*B) rows the
+    weight products read: for a batch of one a view, otherwise a copy into
+    `spare`, a consumed array of as many entries."""
+    rows = _by_net(seq)
+    if seq.shape[-1] > 1:
+        spare = spare.reshape(rows.shape)
+        spare[...] = rows
+        rows = spare
+    return rows.reshape(rows.shape[:-2] + (-1,))
+
+
 def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarray:
     """Full backpropagation through time from d(loss)/d(prediction).
 
@@ -593,10 +668,20 @@ def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarra
     `_flatten_grads` names its parts.  Dropout masks from the forward pass
     are reused, so the gradient matches the exact forward computation.  A
     group's cache takes (nets, B) loss gradients and gives (nets, P).
+
+    The cache is consumed: its sequences serve as working arrays, each
+    layer's entries are released once that layer's gradients are formed, top
+    layer first, and a second `backward` on it raises `StaleCache`.  The
+    working arrays and the returned gradient are buffers of the cache's
+    workspace, so a training step that reuses the workspace overwrites them.
     """
     if cache.params_id != id(net.flat):
         raise StaleCache("cache was built for a different parameter set")
+    if cache.gates[-1] is None:
+        raise StaleCache("cache holds no activations: consumed by a backward, "
+                         "or built for inference")
     cfg = net.config
+    ws = cache.workspace
     preds = cache.predictions
     d_pred = np.asarray(loss_grad, dtype=float)
     if d_pred.size == 1:
@@ -606,42 +691,50 @@ def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarra
     d_pred = d_pred.reshape(preds.shape)
     nets = preds.shape[:-1]
 
-    grads = np.zeros_like(net.flat)
+    grads = ws.take("grads", net.flat.shape)  # every entry is assigned below
     n = cfg.hidden
     grads[..., -1 - n:-1] = (cache.dropped_last @ d_pred[..., None])[..., 0]
     grads[..., -1] = d_pred.sum(axis=-1)
-    # gradient w.r.t. each layer's dropped output sequence
-    d_out = np.zeros(cache.hidden[-1].shape)
-    d_out[-1] = net.head.w_hy.T[..., None] * d_pred
+    # gradient w.r.t. each layer's dropped output sequence, kept in the top
+    # layer's dropout mask (without dropout, in a mask of ones)
+    d_out = cache.masks[-1]
+    if d_out is None:
+        d_out = ws.take("d_out", cache.hidden[-1].shape)
+        d_out[-1] = 1.0
+    d_out[:-1] = 0.0
+    d_out[-1] *= net.head.w_hy.T[..., None] * d_pred
+    seq_len, b = d_out.shape[0], d_out.shape[-1]
 
     grad_layers = _network(cfg, grads).stacked
     for layer in range(cfg.layers - 1, -1, -1):
         w, _ = net.stacked[layer]
         g_w, g_b = grad_layers[layer]
         rows, cols = w.shape[-2:]
-        hs, act, mask = cache.hidden[layer], cache.gates[layer], cache.masks[layer]
-        if mask is not None:
-            d_out *= mask  # through inverted dropout
+        hs, act = cache.hidden[layer], cache.gates[layer]
         # [h_prev, x] of every step, laid out (H+D, L, B) for the products below
-        seq_len, b = hs.shape[0], hs.shape[-1]
-        u = np.empty(nets + (cols, seq_len, b))
+        u = ws.take("u", nets + (cols, seq_len, b))
         u[..., :n, 0, :] = 0.0
         u[..., :n, 1:, :] = _by_net(hs[:-1])
         u[..., n:, :, :] = _by_net(cache.inputs[layer])
         h_prev = _by_net(u[..., :n, :, :])
-        d_act = _BPTT[cfg.cell](d_out, hs, act, cache.cells[layer], h_prev, w[..., :n])
+        d_act = ws.take("d_act", (seq_len, rows) + nets + (b,))
+        _BPTT[cfg.cell](d_out, hs, act, cache.cells[layer], h_prev, w[..., :n], d_act)
         if layer:  # gradient on the dropped output of the layer below
-            d_out = _matmul(np.swapaxes(w[..., n:], -1, -2), d_act)
+            _matmul(np.swapaxes(w[..., n:], -1, -2), d_act, out=d_out)
+            if cache.masks[layer - 1] is not None:
+                d_out *= cache.masks[layer - 1]  # through inverted dropout
         if cfg.cell is CellKind.GRU:  # the candidate reads [r * h_prev, x]
-            rh = act[:, n:2 * n] * h_prev
+            rh = np.multiply(act[:, n:2 * n], h_prev, out=hs)
         # weight and bias gradients after the loop, one product each over all steps
-        d_act = _by_net(d_act).reshape(nets + (rows, -1))
-        g_w[...] = d_act @ np.swapaxes(u.reshape(nets + (cols, -1)), -1, -2)
+        d_rows = _as_rows(d_act, act)
+        g_w[...] = d_rows @ np.swapaxes(u.reshape(nets + (cols, -1)), -1, -2)
         if cfg.cell is CellKind.GRU:
-            rh = _by_net(rh).reshape(nets + (n, -1))
-            g_w[..., 2 * n:, :n] = d_act[..., 2 * n:, :] @ np.swapaxes(rh, -1, -2)
+            rh = _as_rows(rh, u[..., :n, :, :])
+            g_w[..., 2 * n:, :n] = d_rows[..., 2 * n:, :] @ np.swapaxes(rh, -1, -2)
         if g_b is not None:
-            g_b[...] = d_act.sum(axis=-1)
+            g_b[...] = d_rows.sum(axis=-1)
+        for entries in (cache.inputs, cache.hidden, cache.gates, cache.cells, cache.masks):
+            entries[layer] = None
     return grads
 
 
@@ -758,7 +851,12 @@ def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | 
 
 
 # A lockstep group's training batch keeps at most this many bytes of
-# activations for backpropagation (`_group_size`).  Lockstep saves numpy's
+# activations for backpropagation: its forward cache, as `_step_bytes`
+# counts it.  The group's workspace also holds backward's pre-activation
+# gradients (G*H units per step), [h_prev, x] rows (H+D) and gradient
+# vector, so a step has 1.4x the count live for a 2-layer LSTM with dropout;
+# the parameters, Adam moments and each Adam step's new arrays come on top
+# (a 2x64 LSTM epoch peaks at 1.7x in `tracemalloc`).  Lockstep saves numpy's
 # per-call cost, which dominates small networks; once a net's products
 # outweigh it, the group's larger working set costs more than it saves.
 # Measured one epoch at batch 32 on one CPU with a 2 MiB L2 cache, lockstep
@@ -768,8 +866,10 @@ def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | 
 # seq 50 (12.3 MB each) 0.88-1.02x.
 GROUP_BYTES = 5 << 20
 
-# `predict_many`'s cap on a group, in the bytes `_group_size` counts for
-# training without dropout (inference keeps less).  Measured LSTM inference
+# `predict_many`'s cap on a group, in the bytes `_step_bytes` counts for
+# training without dropout.  Inference keeps less: every layer's hidden
+# sequence, and one layer at a time its gate buffer (which first holds the
+# input projection) and two memory-cell slots.  Measured LSTM inference
 # on one CPU, lockstep against one by one, by the group's counted bytes:
 # 3 nets of 2x64, seq 50: 6 windows (5.7 MB) 0.87x, 20 (19 MB) 0.97x, 70
 # (67 MB) 1.26x; 3 of 2x16, seq 25: 70 windows (8.4 MB) 0.85x, 200 (24 MB)
@@ -778,16 +878,9 @@ GROUP_BYTES = 5 << 20
 PREDICT_BYTES = 16 << 20
 
 
-def _group_size(config: NetworkConfig, seq_len: int, batch: int,
-                budget: int = GROUP_BYTES) -> int:
-    """How many networks of this shape `train_many` trains in one lockstep group:
-    as many as fit `budget` with the bytes one net's training batch keeps
-    for backpropagation (per layer its input, hidden, gate, memory-cell and
-    dropout-mask sequences)."""
-    if config.hidden == 1:
-        # a one-unit net's products have a single row, which BLAS runs as
-        # strided vector products whose sums a group would reorder
-        return 1
+def _step_bytes(config: NetworkConfig, seq_len: int, batch: int) -> int:
+    """The bytes one net's training batch keeps for backpropagation: per layer
+    its input, hidden, gate, memory-cell and dropout-mask sequences."""
     h, kind = config.hidden, config.cell
     units = 0
     for layer in range(config.layers):
@@ -795,7 +888,18 @@ def _group_size(config: NetworkConfig, seq_len: int, batch: int,
         units += 0 if kind is CellKind.RNN else _GATES[kind] * h
         units += h if kind is CellKind.LSTM else 0
         units += h if config.dropout_rate > 0.0 else 0
-    return max(1, budget // (8 * units * seq_len * batch))
+    return 8 * units * seq_len * batch
+
+
+def _group_size(config: NetworkConfig, seq_len: int, batch: int,
+                budget: int = GROUP_BYTES) -> int:
+    """How many networks of this shape `train_many` trains in one lockstep group:
+    as many as fit `budget` with the `_step_bytes` of each."""
+    if config.hidden == 1:
+        # a one-unit net's products have a single row, which BLAS runs as
+        # strided vector products whose sums a group would reorder
+        return 1
+    return max(1, budget // _step_bytes(config, seq_len, batch))
 
 
 def train(inputs, targets, config: NetworkConfig,
@@ -848,7 +952,9 @@ def train_many(inputs, targets, configs,
 
 
 def _train_group(xs, ys, configs, train_configs) -> list[tuple[RecurrentNetwork, list[float]]]:
-    """`train_many` of one lockstep group; a group of one runs without a net axis."""
+    """`train_many` of one lockstep group; a group of one runs without a net axis.
+    Every mini-batch's forward cache and backward's working arrays are views of
+    one workspace, allocated in the first step."""
     one = len(xs) == 1
     stack = (lambda arrays: arrays[0]) if one else np.stack
     net = _network(configs[0], stack([init_network(c).flat for c in configs]))
@@ -856,6 +962,7 @@ def _train_group(xs, ys, configs, train_configs) -> list[tuple[RecurrentNetwork,
     state = init_adam(net, lr=train_cfg.lr)
     shuffle_rngs = [np.random.default_rng([t.seed, 1]) for t in train_configs]
     dropout_rngs = [np.random.default_rng([t.seed, 2]) for t in train_configs]
+    workspace = _Workspace()
     n = xs[0].shape[0]
     batch = max(1, min(train_cfg.batch_size, n))
     history = []
@@ -865,7 +972,7 @@ def _train_group(xs, ys, configs, train_configs) -> list[tuple[RecurrentNetwork,
         for start in range(0, n, batch):
             sels = [order[start:start + batch] for order in orders]
             cache = _forward_batch(net, stack([x[sel] for x, sel in zip(xs, sels)]),
-                                   training=True, rng=dropout_rngs)
+                                   training=True, rng=dropout_rngs, workspace=workspace)
             err = cache.predictions - stack([y[sel] for y, sel in zip(ys, sels)])
             sq_err += (err * err).sum(axis=-1)
             d_pred = 2.0 * err / sels[0].size

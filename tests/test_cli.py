@@ -181,16 +181,52 @@ def test_forecast_from_model_dir_records_the_model_settings(tmp_path, series_csv
     model_dir = tmp_path / "model"
     assert main(["train", "--input", str(series_csv), "--config", str(config_file),
                  "--out-dir", str(model_dir), "--variant", "vmd"]) == 0
-    out = tmp_path / "fc"
+    out = tmp_path / "fc"  # flags equal to the model's settings pass
     assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
-                 "--modes", "5", "--seed", "9", "--cell", "lstm", "--steps", "4",
-                 "--out-dir", str(out)]) == 0
+                 "--modes", "2", "--seed", "5", "--cell", "RNN", "--variant", "vmd",
+                 "--steps", "4", "--out-dir", str(out)]) == 0
     manifest = out / "run_manifest.txt"
     lines = manifest.read_text().splitlines()
     for line in ("modes = 2", "network.cell = rnn", "network.hidden = 6", "network.seq_len = 10",
                  "train.epochs = 2", "train.seed = 5"):
         assert line in lines
     assert to_pipeline_config(load_config(manifest)) == load_forecaster(model_dir).config
+
+
+@pytest.mark.parametrize("flag,value", [("--variant", "direct"), ("--cell", "lstm"),
+                                        ("--modes", "5"), ("--seed", "9"), ("--config", None)])
+def test_forecast_from_model_dir_refuses_a_differing_setting(tmp_path, series_csv, config_file,
+                                                            capsys, flag, value):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd"]) == 0
+    if flag == "--config":  # the training config with one setting changed
+        value = str(tmp_path / "other.cfg")
+        Path(value).write_text(config_file.read_text().replace("network.hidden = 6",
+                                                               "network.hidden = 7"))
+    capsys.readouterr()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
+                 flag, value, "--steps", "4", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}" if flag != "--config" else
+                          "error: 'network.hidden' of --config differs")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_manifests_record_the_arguments_given_to_main(tmp_path, series_csv, config_file,
+                                                      monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
+    out = tmp_path / "dec"
+    argv = ["decompose", "--input", str(series_csv), "--config", str(config_file),
+            "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert f"# command: {' '.join(argv)}" in (out / "run_manifest.txt").read_text().splitlines()
+    chart = tmp_path / "modes.svg"
+    argv = ["plot", "--modes-csv", str(out / "modes.csv"), "--out", str(chart)]
+    assert main(argv) == 0
+    assert f"# command: {' '.join(argv)}" in Path(f"{chart}.manifest.txt").read_text().splitlines()
 
 
 def test_empty_horizons_flag_exit_1_naming_it(tmp_path, series_csv, config_file, capsys):

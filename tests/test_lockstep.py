@@ -66,6 +66,33 @@ def test_train_many_equals_train_of_each_net_alone(kind, layers, dropout, n, mon
     _assert_equal_to_alone(xs, ys, configs, train_cfgs, got)
 
 
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_training_allocates_its_workspace_in_the_first_step(kind, monkeypatch):
+    steps, grown = [], []
+    take, original_backward = neural._Workspace.take, neural.backward
+
+    def counted_take(self, name, shape):
+        before = self._buffers.get(name)
+        view = take(self, name, shape)
+        if self._buffers[name] is not before:
+            grown.append((len(steps), name))
+        return view
+
+    def counted_backward(*args):
+        grads = original_backward(*args)
+        steps.append(1)
+        return grads
+
+    monkeypatch.setattr(neural._Workspace, "take", counted_take)
+    monkeypatch.setattr(neural, "backward", counted_backward)
+    xs, ys = _data(70, len(SEEDS))  # two full batches and one of 6, three epochs
+    configs, train_cfgs = _configs(kind, 2, 0.2)
+    train_cfgs = [replace(t, epochs=3) for t in train_cfgs]
+    train_many(xs, ys, configs, train_cfgs)
+    assert len(steps) == 9
+    assert grown and all(step == 0 for step, _ in grown)
+
+
 def test_train_many_groups_by_shape_and_keeps_input_order():
     xs, ys = _data(40, 5)
     xs[1] = xs[1][:, :4]  # another window length

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from scipy import special
 
-from modecast import persist
+from modecast import neural, persist
 from modecast.errors import EmptyDataset, ShapeMismatch, StaleCache
 from modecast.neural import (
     CellKind,
@@ -332,6 +333,40 @@ def test_backward_rejects_stale_cache():
     other = init_network(cfg)
     with pytest.raises(StaleCache):
         backward(other, cache, 1.0)
+
+
+def test_backward_consumes_its_cache():
+    cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=3, input_features=2,
+                        dropout_rate=0.3, seed=4)
+    net = init_network(cfg)
+    x = np.random.default_rng(0).standard_normal((5, 4, 2))
+    cache = neural._forward_batch(net, x, True, np.random.default_rng(1))
+    backward(net, cache, np.ones(5))
+    for entries in (cache.inputs, cache.hidden, cache.gates, cache.cells, cache.masks):
+        assert entries == [None, None]  # every layer released
+    with pytest.raises(StaleCache):
+        backward(net, cache, np.ones(5))
+    with pytest.raises(StaleCache):  # an inference pass keeps no activations
+        backward(net, neural._forward_batch(net, x, False, None, keep=False), np.ones(5))
+
+
+def test_training_epoch_peak_memory_at_the_served_shape():
+    # the reference-size network `forecast-serve` trains: 2x64 LSTM, seq 50, batch 32,
+    # 154 windows (a partial last batch); the cache counted by `_step_bytes` is 12.3 MB.
+    # What a step keeps beyond it: the pre-activation gradients (4H units), the
+    # [h_prev, x] rows (2H), parameters, Adam moments and the Adam step's new
+    # arrays; 1.70x in all.  A step that allocated its own arrays peaked at 2.42x.
+    cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=64, input_features=2,
+                        dropout_rate=0.2, seed=1)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((154, 50, 2)), rng.standard_normal(154)
+    tracemalloc.start()
+    try:
+        train(x, y, cfg, TrainConfig(epochs=1, batch_size=32, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * neural._step_bytes(cfg, 50, 32)
 
 
 def test_gradient_flows_through_dropout_masks():
