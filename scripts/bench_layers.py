@@ -59,14 +59,15 @@ one `garch.fit_many` over all ten, interleaved in one process over
 GARCH_ROUNDS rounds (alternating which way goes first), so the host's speed
 phases fall on both alike; it prints the median of each way and their ratio.
 One more, untimed `fit_many` per order counts what the search asked of its
-evaluator, through a wrapper around `garch._nelder_mead`: the evaluator
-calls, the rows (one point of one search each) and the rounds (the longest
-search's iterations).  The filter floor is rows x the median time of one
-variance-filter call (`garch._linear_filter`, the compiled routine
-`signal.lfilter` runs) over a segment, the cost no bookkeeping change can
-remove; the rest of `fit_many` is numpy and Python overhead per round, per
-call and per row.  Then it times one `garch.fit` of the fifth mode's segment
-at (10,10).
+evaluator, through a wrapper around `garch._bfgs`: the evaluator calls, the
+rows (one trial point of one search each), the rounds (the calls after the
+one at the start points; each round evaluates one trial point of every live
+search) and the longest search's BFGS iterations.  The filter floor is rows x
+the median time of a row's two filter calls over a segment (`garch._linear_filter`,
+the compiled routine `signal.lfilter` runs: one over the variance path, one
+over its 1+k+l derivative lanes), the cost no bookkeeping change can remove;
+the rest of `fit_many` is numpy and Python overhead per round, per call and
+per row.  Then it times one `garch.fit_many` of all ten segments at (10,10).
 
 startup: it runs `python -c "import modecast.cli"` in a fresh interpreter
 STARTUP_RUNS times and prints the median wall time of the whole child
@@ -112,7 +113,6 @@ STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.speci
 SECTIONS = ("layers", "training", "memory", "inference", "vmd", "garch", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
-CPI_MODE = 4  # the fifth mode; its level series rejects a unit root, so no differencing
 
 
 def main(argv=None) -> int:
@@ -306,9 +306,10 @@ def bench_vmd() -> None:
 
 
 def _search_counts(garch, segments, spec) -> tuple[int, int, int]:
-    """Evaluator calls, rows and rounds of one `fit_many`, counted around `_nelder_mead`."""
-    counts = {"calls": 0, "rows": 0, "rounds": 0}
-    search = garch._nelder_mead
+    """Evaluator calls, rows and the longest search's iterations of one
+    `fit_many`, counted around `_bfgs`."""
+    counts = {"calls": 0, "rows": 0, "iterations": 0}
+    search = garch._bfgs
 
     def counted(evaluate, *args, **kwargs):
         def counting(searches, points):
@@ -317,31 +318,36 @@ def _search_counts(garch, segments, spec) -> tuple[int, int, int]:
             return evaluate(searches, points)
 
         found = search(counting, *args, **kwargs)
-        counts["rounds"] = int(found.nit.max()) - 1  # each iteration after the first is a round
+        counts["iterations"] = int(found.nit.max())
         return found
 
-    garch._nelder_mead = counted
+    garch._bfgs = counted
     try:
         garch.fit_many(segments, spec)
     finally:
-        garch._nelder_mead = search
-    return counts["calls"], counts["rows"], counts["rounds"]
+        garch._bfgs = search
+    return counts["calls"], counts["rows"], counts["iterations"]
 
 
-def _filter_call_s(length: int, l: int) -> float:
-    """Median time of one variance-filter call over `length` slots at GARCH order l."""
+def _filter_call_s(length: int, k: int, l: int) -> float:
+    """Median time of one row's filter calls over `length` slots at GARCH
+    order (k, l): the variance path's and its 1+k+l derivative lanes'."""
     import numpy as np
 
     from modecast import garch
 
     denom = np.concatenate([[1.0], np.full(l, -0.8 / l)])
     zi = garch._filter_state(denom[None, :], 1.0)[0]
-    base = np.random.default_rng(0).uniform(0.5, 1.5, length)
+    rng = np.random.default_rng(0)
+    base = rng.uniform(0.5, 1.5, length)
+    lanes = rng.uniform(0.5, 1.5, (1 + k + l, length))
+    zeros = np.zeros((1 + k + l, l))
     elapsed = []
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(FILTER_REPEATS):
             garch._linear_filter(garch._ONE, denom, base, -1, zi)
+            garch._linear_filter(garch._ONE, denom, lanes, -1, zeros)
         elapsed.append((time.perf_counter() - t0) / FILTER_REPEATS)
     return statistics.median(elapsed)
 
@@ -366,18 +372,18 @@ def bench_garch() -> None:
                 ways[way](garch.GarchSpec(*order))
                 times[order, way].append(time.perf_counter() - t0)
     print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6} "
-          f"{'calls':>6} {'rows':>6} {'rounds':>6} {'floor s':>8} {'rest s':>7}")
+          f"{'calls':>6} {'rows':>6} {'rounds':>6} {'iters':>6} {'floor s':>8} {'rest s':>7}")
     for k, l in GARCH_ORDERS:
         one_by_one = statistics.median(times[(k, l), "fit"])
         together = statistics.median(times[(k, l), "fit_many"])
-        calls, rows, rounds = _search_counts(garch, segments, garch.GarchSpec(k, l))
-        floor = rows * _filter_call_s(segments[0].size, l) if l else 0.0
+        calls, rows, iterations = _search_counts(garch, segments, garch.GarchSpec(k, l))
+        floor = rows * _filter_call_s(segments[0].size, k, l) if l else 0.0
         print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} "
-              f"{together / one_by_one:6.2f} {calls:6d} {rows:6d} {rounds:6d} "
+              f"{together / one_by_one:6.2f} {calls:6d} {rows:6d} {calls - 1:6d} {iterations:6d} "
               f"{floor:8.3f} {together - floor:7.3f}")
     t0 = time.perf_counter()
-    garch.fit(segments[CPI_MODE], garch.GarchSpec(10, 10))
-    print(f"{'(10,10)':<7} one segment: {time.perf_counter() - t0:.2f} s")
+    garch.fit_many(segments, garch.GarchSpec(10, 10))
+    print(f"{'(10,10)':<7} {CPI_MODES} segments, one fit_many: {time.perf_counter() - t0:.2f} s")
 
 
 def bench_startup() -> None:

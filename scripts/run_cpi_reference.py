@@ -13,8 +13,10 @@ took 0.067 s (RNN), 0.214 s (GRU) and 0.268 s (LSTM) on one pinned CPU of a
 shared 2-vCPU VM.  The nine models train 21 networks per cell kind (one
 direct, ten per decomposition variant), so 100 epochs come to about
 21 x 100 x (0.067 + 0.214 + 0.268) s, roughly 20 minutes of training, and
-the default 20 epochs to about 4 minutes.  The ten (10,10) volatility fits
-add seconds.
+the default 20 epochs to about 4 minutes.  Measured: a default run's
+comparison took 299 s on one CPU of that VM (`OPENBLAS_NUM_THREADS=1`), of
+which the ten (10,10) volatility fits, one `garch.fit_many`, take about
+0.6 s.
 
 Usage:
     python scripts/run_cpi_reference.py [--epochs N] [--horizons 10,20]

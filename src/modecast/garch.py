@@ -6,20 +6,23 @@ The variance recursion is
 
 over zero-mean shocks a_t, with alpha0 > 0, all lag coefficients >= 0 and
 0 < sum(alphas) + sum(betas) <= 1.  Fitting maximizes the Gaussian
-log-likelihood with a Nelder-Mead search over transformed parameters that
+log-likelihood with a BFGS search over transformed parameters that
 satisfy the constraint set by construction: alpha0 = exp(theta0) and the lag
 coefficients are softmax(weights) scaled by sigmoid(theta_s), so their sum
 always lands in (0, 1).  Residuals are normalized to unit sample variance
 before the search and alpha0 is scaled back afterwards, which makes the fit
 scale-equivariant to rounding error.
 
-The search is scipy's Nelder-Mead, three restarts per series, run in
-lockstep: `_nelder_mead` transcribes scipy's `_minimize_neldermead` over
-arrays of simplices, so all the searches of a `fit_many` call (three per
-series) advance one iteration per round, and each round hands every pending
-point of every search to the evaluator in at most three batched calls.
-Each search visits the points scipy's would, in the same order, and ends
-where it would.  `fit` is `fit_many` of one series.
+The search reads the likelihood's analytic score: the derivatives of the
+variance path in the coefficients follow the variance recursion itself
+(Fiorentini, Calzolari & Panattoni, J. Applied Econometrics 11(4), 1996),
+and the chain rule through the transform gives the gradient in theta.
+`_bfgs` runs three starts per series with a strong-Wolfe line search, in
+lockstep: all the searches of a `fit_many` call advance together, each
+round handing every search's pending trial point to one batched call for
+the values and gradients.  A search's path depends on its own values only,
+so `fit`, which is `fit_many` of one series, gives each series the fit it
+gets in any batch.
 
 The variance recursion runs in three places.  The batched evaluator
 `_Batch` serves the search, `fit`'s final steps and the public
@@ -31,20 +34,19 @@ zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
 (alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
 (`_sigtools._linear_filter`, loaded from its extension file and called
-directly); the softmax, the filter states, the ARCH convolution (lags
-summed highest first, as `np.convolve` does), the likelihood terms and the
-per-row likelihood sums (one reduction per series length) run over all rows
-at once.  Every step is the plain per-series arithmetic in the same order, so
-each row gets the float it would get alone.  The filter calls are the floor
-of an evaluation's cost; the rest is numpy's per-call cost and a dozen
-passes over the rows.
+directly), once for the variance path and once more for its derivatives;
+the softmax, the filter states, the ARCH convolution (lags summed highest
+first, as `np.convolve` does), the likelihood terms and the per-row sums
+(one reduction per series length) run over all rows at once.  Every step is
+the plain per-series arithmetic in the same order, so each row gets the
+floats it would get alone.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
 for conditional heteroskedasticity (T * R^2 of squared values on their own
 lags against the chi-squared 95% quantile, from `scipy.special.gammaincinv`,
-which only the LM test imports).  Neither `scipy.signal`, `scipy.stats` nor,
-outside the LM test, `scipy.special` is imported.
+which only the LM test imports).  None of `scipy.signal`, `scipy.stats` and
+`scipy.optimize` is imported, nor, outside the LM test, `scipy.special`.
 """
 
 from __future__ import annotations
@@ -159,11 +161,15 @@ class DiagnosticsReport:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Deterministic optimizer settings; identical options give identical fits."""
+    """Deterministic fit settings; identical options give identical fits.
 
-    max_iter: int | None = None  # None: 200 * dim iterations, 500 * dim above 8 dims
-    xatol: float = 1e-5
-    fatol: float = 1e-8
+    `max_iter` caps each start's BFGS iterations (None: 200 per search
+    dimension, 500 per dimension above 8); a search that reaches it without
+    converging counts as unconverged.  `adf_lags` and `allow_differencing`
+    govern the unit-root test that decides whether the series is differenced.
+    """
+
+    max_iter: int | None = None
     adf_lags: int = 12
     allow_differencing: bool = True
 
@@ -194,10 +200,9 @@ def _load_linear_filter():
 
 _linear_filter = _load_linear_filter()
 
-# `x.sum()`, `x.max()`, `x.min()`, `x.any()` and `x.all()`, without the method's Python wrapper
+# `x.sum()`, `x.max()`, `x.any()` and `x.all()`, without the method's Python wrapper
 _sum = np.add.reduce
 _max = np.maximum.reduce
-_min = np.minimum.reduce
 _any = np.logical_or.reduce
 _all = np.logical_and.reduce
 
@@ -266,9 +271,7 @@ class _Batch:
         if l == 0:
             return base
         # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-        denom = np.empty((rows.size, l + 1))
-        denom[:, 0] = 1.0
-        np.negative(coeffs[:, k:], out=denom[:, 1:])
+        denom = _denominators(coeffs[:, k:])
         zi = _filter_state(denom, self.seeds[rows, None])
         # what `signal.lfilter(_ONE, denom[r], base[r], zi=zi[r])` runs for a
         # denominator of two or more terms, without its argument handling
@@ -293,36 +296,92 @@ class _Batch:
         w2 = np.multiply(2.0, s2)
         np.divide(a2, w2, out=w2)
         np.subtract(w, w2, out=w)
+        return self._row_sums(rows, w)
+
+    def _row_sums(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """w[r] summed along its last axis over the length of series `rows[r]`.
+
+        The rows of each series length are summed over that length by one
+        reduction over all rows, which sums each row as the series alone
+        would be summed; the slots past a row's length are never read.
+        """
         *shorter, longest = self.distinct
-        out = _sum(w[:, :longest], axis=1)
+        out = _sum(w[..., :longest], axis=-1)
         if shorter:
-            lengths = self.lengths[rows]
+            lengths = self.lengths[rows].reshape((-1,) + (1,) * (w.ndim - 2))
             for n in shorter:
-                np.copyto(out, _sum(w[:, :n], axis=1), where=lengths == n)
+                np.copyto(out, _sum(w[..., :n], axis=-1), where=lengths == n)
         return out
 
-    def objective(self, rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """The search objective of point thetas[r] over series rows[r], one per row.
+    def objective_and_score(self, rows: np.ndarray,
+                            thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The search objective at point thetas[r] over series rows[r], and its
+        gradient in theta, one row each.
 
-        -log_likelihood at the coefficients of `_theta_to_coeffs`, and 1e300
-        wherever they leave the constraint set.  The lag coefficients are
-        sigmoid x softmax, never negative, so only alpha0 > 0 and
-        0 < sum <= 1 are tested; rejected rows are not run.
+        The objective is -log_likelihood at the coefficients of
+        `_theta_to_coeffs`, with `sigma2` and `log_likelihood`'s floats.  The
+        lag coefficients are sigmoid x softmax, never negative, so only
+        alpha0 > 0 and 0 < sum <= 1 are tested; a point outside the
+        constraint set is not run and gets 1e300 and a zero gradient.
+
+        The derivatives of s2_t in (alpha0, alphas, betas) obey the variance
+        recursion itself, over the regressors [1, a_{t-i}^2, s2_{t-j}]
+        (seeded before the sample as s2 is) from a zero state: one filter
+        call per row over all of them (Fiorentini, Calzolari & Panattoni,
+        J. Applied Econometrics 11(4), 1996).  Weighted by
+        df/ds2_t = (1 - a_t^2 / s2_t) / (2 s2_t) and summed over each row's
+        series length, they give df/dcoeffs, which the chain rule through
+        `_theta_to_coeffs` turns into df/dtheta.
         """
         alpha0, coeffs = _theta_to_coeffs(thetas)
-        total = _sum(coeffs[:, :self.k], axis=1) + _sum(coeffs[:, self.k:], axis=1)
-        if _min(alpha0) > 0 and 0.0 < _min(total) and _max(total) <= 1.0:  # NaN fails too
-            return self._negative_log_likelihood(rows, alpha0, coeffs)
-        out = np.full(rows.size, 1e300)
-        valid = np.flatnonzero((alpha0 > 0) & (0.0 < total) & (total <= 1.0))
-        if valid.size:
-            out[valid] = self._negative_log_likelihood(rows[valid], alpha0[valid], coeffs[valid])
-        return out
-
-    def _negative_log_likelihood(self, rows, alpha0, coeffs) -> np.ndarray:
+        k, l, m = self.k, self.l, self.m
+        total = _sum(coeffs[:, :k], axis=1) + _sum(coeffs[:, k:], axis=1)
+        valid = (alpha0 > 0) & (0.0 < total) & (total <= 1.0)  # NaN fails too
+        if not _all(valid):
+            values, score = np.full(rows.size, 1e300), np.zeros(thetas.shape)
+            valid = np.flatnonzero(valid)
+            if valid.size:
+                values[valid], score[valid] = self.objective_and_score(rows[valid], thetas[valid])
+            return values, score
         a2x = self.a2x[rows]
         s2 = self.sigma2(rows, alpha0, coeffs, a2x)
-        return np.negative(self.log_likelihood(rows, s2, a2x[:, self.m:]))
+        a2 = a2x[:, m:]
+        values = np.negative(self.log_likelihood(rows, s2, a2))
+        width = s2.shape[1]
+        lanes = np.empty((rows.size, 1 + k + l, width))
+        lanes[:, 0] = 1.0
+        for i in range(k):  # a_{t-i-1}^2, seeds before the sample
+            lanes[:, 1 + i] = a2x[:, m - 1 - i:m - 1 - i + width]
+        if l:
+            s2x = np.concatenate([np.repeat(self.seeds[rows, None], m, axis=1), s2], axis=1)
+            for j in range(l):  # s2_{t-j-1}, seeds before the sample
+                lanes[:, 1 + k + j] = s2x[:, m - 1 - j:m - 1 - j + width]
+            zeros = np.zeros((1 + k + l, l))
+            lanes = np.array([_linear_filter(_ONE, d, x, -1, zeros)[0]
+                              for d, x in zip(_denominators(coeffs[:, k:]), lanes)])
+        weight = np.divide(a2, s2)
+        np.subtract(1.0, weight, out=weight)
+        weight /= np.multiply(2.0, s2)
+        lanes *= weight[:, None, :]
+        grad = self._row_sums(rows, lanes)  # df/d(alpha0, alphas, betas)
+        sigmoid = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
+        complement = np.array(list(map(_expit, (-thetas[:, 1]).tolist())), dtype=float)
+        score = np.empty(thetas.shape)
+        # alpha0 = exp(theta0) below the clamp at 50, constant above it
+        score[:, 0] = np.where(thetas[:, 0] > 50.0, 0.0, grad[:, 0] * alpha0)
+        weighted = _sum(grad[:, 1:] * coeffs, axis=1)  # sum_m g_m c_m
+        # c = sigmoid(theta1) * softmax(theta[2:])
+        score[:, 1] = complement * weighted
+        score[:, 2:] = coeffs * (grad[:, 1:] - (weighted / sigmoid)[:, None])
+        return values, score
+
+
+def _denominators(betas: np.ndarray) -> np.ndarray:
+    """The variance filter's denominators [1, -betas], one row per row of `betas`."""
+    denom = np.empty((betas.shape[0], betas.shape[1] + 1))
+    denom[:, 0] = 1.0
+    np.negative(betas, out=denom[:, 1:])
+    return denom
 
 
 def _filter_state(denom: np.ndarray, seed) -> np.ndarray:
@@ -518,11 +577,21 @@ def extend_sigma2(fit: GarchFit, shocks) -> np.ndarray:
     return s2
 
 
+GTOL = 1e-6  # a search converges when max |df/dtheta| reaches this
+# A search whose line search finds no decrease converges too if the step's
+# predicted gain, -slope = g.H.g (twice f - f* on the quadratic model), is
+# at most this times |f|, some 45 machine epsilons: within the rounding of
+# f, which on a long series hides the last decrease before max |g| <= GTOL.
+ROUNDING = 1e-14
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+LINE_TRIALS = 20  # trial points one line search may take
+
+
 @dataclass(frozen=True)
 class _Searches:
-    """What `_nelder_mead` found, one entry per search, named as in scipy's result."""
+    """What `_bfgs` found, one entry per search, named as in scipy's result."""
 
-    x: np.ndarray  # (searches, dim) best vertex
+    x: np.ndarray  # (searches, dim) the last accepted point
     fun: np.ndarray
     nit: np.ndarray
     nfev: np.ndarray
@@ -530,122 +599,140 @@ class _Searches:
     f_start: np.ndarray  # the objective at the start point
 
 
-def _nelder_mead(evaluate, starts: np.ndarray, max_iter: int, xatol: float, fatol: float,
-                 adaptive: bool) -> _Searches:
-    """Nelder-Mead from every row of `starts`, all searches advancing in lockstep.
+def _bfgs(evaluate, starts: np.ndarray, max_iter: int) -> _Searches:
+    """BFGS from every row of `starts`, all searches advancing in lockstep.
 
-    A transcription of scipy's `_minimize_neldermead` with `maxiter` given
-    and no bounds, so no limit on function calls: the same initial simplex,
-    convergence test, reflection, expansion, contraction and shrink, the
-    same sorts and, if `adaptive`, Gao & Han's dimension-dependent
-    coefficients (Comput. Optim. Appl. 51(1), 2012).  Each search visits the
-    points scipy's would in the same order and ends with the same x, fun,
-    nit, nfev and success.  A round advances every live search by one
-    iteration and passes its points to `evaluate(searches, points)`, which
-    returns the objective at points[r] for search searches[r], in at most
-    three calls: the reflections, then the expansions and contractions, then
-    the shrunk vertices.
+    `evaluate(searches, points)` returns the objective and its gradient at
+    points[r] for search searches[r].  Each round every live search has one
+    trial point pending, and all of them go to one `evaluate` call.  A
+    search moves along p = -H g, H its inverse-Hessian estimate (the
+    identity at first, then BFGS updates), with a line search for the
+    strong Wolfe conditions (Nocedal & Wright, Numerical Optimization,
+    Algorithms 3.5 and 3.6):
+      - the first trial step is min(1, 2.02 * (f - f_prev) / slope), as
+        scipy takes it, which makes the first move of a search about 1 long;
+      - while the function still falls steeply, the step doubles;
+      - once a step is bracketed, the next trial is the minimizer of the
+        cubic through the bracket's ends (`_interpolate`).
+    A point outside the constraint set (value 1e300) fails the decrease
+    test, so it only shrinks the bracket.  A search converges when
+    max |g| <= GTOL.  When a line search spends LINE_TRIALS trials without a
+    point of sufficient decrease, the search ends: converged if its
+    predicted gain -slope is within rounding of f (<= ROUNDING * max(1, |f|)),
+    unconverged otherwise; if it spent them after finding one, it takes
+    that point and goes on.  A search that reaches `max_iter` iterations
+    ends unconverged.
 
-    The live searches' simplices are kept apart, in place, and compacted
-    only when searches end; all live searches share one iteration count.
+    A search's path depends on its own values only, so it ends where it
+    would alone, whatever else runs beside it.
     """
-    n_search, n = starts.shape
-    if adaptive:
-        dim = float(n)
-        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    else:
-        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    # A search's second point is a * xbar - b * worst, (a, b) picked by its
-    # kind: 0 inside contraction, 1 outside contraction, 2 expansion.  The
-    # inside contraction (1 - psi) * xbar + psi * worst is the same float
-    # written as (1 - psi) * xbar - (-psi) * worst.
-    a_of = np.array([1 - psi, 1 + psi * rho, 1 + rho * chi], dtype=float)
-    b_of = np.array([-psi, psi * rho, rho * chi], dtype=float)
-    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
-    axes = np.arange(n)
-    sim[:, axes + 1, axes] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
-    live = np.arange(n_search)
-    fsim = evaluate(np.repeat(live, n + 1), sim.reshape(-1, n)).reshape(n_search, n + 1)
-    f_start = fsim[:, 0].copy()
-    first = live[:, None] * (n + 1)  # each live simplex's first vertex in the flattened arrays
+    n_search, dim = starts.shape
+    x = starts.copy()
+    f, g = evaluate(np.arange(n_search), x)
+    f_start = f.copy()
+    f_prev = f + np.sqrt(_sum(g * g, axis=1)) / 2  # makes the first move about 1 long
+    h = np.repeat(np.eye(dim)[None], n_search, axis=0)
+    nit = np.zeros(n_search, dtype=np.intp)
+    nfev = np.ones(n_search, dtype=np.intp)
+    success = _max(np.abs(g), axis=1) <= GTOL
+    # the line search of each search: direction, slope at 0, pending step,
+    # trials taken, the bracket's low end (value, slope and gradient; at
+    # step 0 the current point) and high end (inf until a step is bracketed)
+    p, slope, step = np.zeros((n_search, dim)), np.zeros(n_search), np.zeros(n_search)
+    trials = np.zeros(n_search, dtype=np.intp)
+    lo, lo_f, lo_d, lo_g = np.zeros(n_search), f.copy(), np.zeros(n_search), g.copy()
+    hi, hi_f, hi_d = np.full(n_search, np.inf), np.zeros(n_search), np.zeros(n_search)
 
-    def sort():  # each simplex ordered by its vertices' values, as scipy's argsort + take
-        nonlocal sim, fsim
-        at = (fsim.argsort(axis=1) + first).ravel()
-        sim = sim.reshape(-1, n).take(at, axis=0).reshape(-1, n + 1, n)
-        fsim = fsim.ravel()[at].reshape(-1, n + 1)
+    def begin(s):  # a new line search for the searches `s`
+        d = -_sum(h[s] * g[s, None, :], axis=2)
+        sl = _sum(d * g[s], axis=1)
+        p[s], slope[s] = d, sl
+        first = 2.02 * (f[s] - f_prev[s]) / sl
+        step[s] = np.where((first > 0) & (first < 1), first, 1.0)
+        trials[s] = 0
+        lo[s], lo_f[s], lo_d[s], lo_g[s] = 0.0, f[s], sl, g[s]
+        hi[s] = np.inf
 
-    for _ in range(2):  # scipy sorts the first simplex twice
-        sort()
-    x, fun = np.empty((n_search, n)), np.empty(n_search)
-    nit, nfev = np.empty(n_search, dtype=np.intp), np.empty(n_search, dtype=np.intp)
-    calls = np.full(n_search, n + 1, dtype=np.intp)  # per live search
-    iterations = 1
-
-    def retire(ended):  # record the searches at positions `ended` and drop them
-        nonlocal live, sim, fsim, calls, first
-        ids = live[ended]
-        x[ids], fun[ids] = sim[ended, 0], _min(fsim[ended], axis=1)
-        nit[ids], nfev[ids] = iterations, calls[ended]
-        keep = np.ones(live.size, dtype=bool)
-        keep[ended] = False
-        live, sim, fsim, calls = live[keep], sim[keep], fsim[keep], calls[keep]
-        first = first[:live.size]
-
+    live = np.flatnonzero(~success)
+    begin(live)
     while live.size:
-        if iterations >= max_iter:
-            retire(slice(None))
-            break
-        # scipy's max |f[0] - f[j]| is |f[0] - f[-1]| on a sorted simplex
-        flat = np.abs(fsim[:, 0] - fsim[:, -1]) <= fatol
-        if _any(flat):
-            flat = np.flatnonzero(flat)
-            s = sim[flat]
-            ended = flat[_max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol]
-            if ended.size:
-                retire(ended)
-                if not live.size:
-                    break
-        xbar = _sum(sim[:, :-1], axis=1) / n
-        worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = evaluate(live, xr)
-        f_worst = fsim[:, -1]
-        expand = fxr < fsim[:, 0]
-        second = expand | ~(fxr < fsim[:, -2])  # all but the reflections
-        contract = second & ~expand
-        below_worst = fxr < f_worst
-        outside = contract & below_worst
-        inside = contract & ~below_worst
-        kind = outside + 2 * expand
-        x2 = a_of[kind][:, None] * xbar - b_of[kind][:, None] * worst
-        if _all(second):
-            f2 = evaluate(live, x2)
-        else:
-            f2 = fxr.copy()
-            if _any(second):
-                f2[second] = evaluate(live[second], x2[second])
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f_worst))
-        shrink = contract & ~take2
-        x_new = np.where(take2[:, None], x2, xr)
-        f_new = np.where(take2, f2, fxr)
-        if _any(shrink):
-            stay = ~shrink
-            sim[stay, -1] = x_new[stay]
-            fsim[stay, -1] = f_new[stay]
-            shrunk = sim[shrink]
-            shrunk[:, 1:] = shrunk[:, :1] + sigma * (shrunk[:, 1:] - shrunk[:, :1])
-            sim[shrink] = shrunk
-            fsim[shrink, 1:] = evaluate(np.repeat(live[shrink], n),
-                                        shrunk[:, 1:].reshape(-1, n)).reshape(-1, n)
-            calls[shrink] += n
-        else:
-            sim[:, -1] = x_new
-            fsim[:, -1] = f_new
-        calls += 1 + second
-        iterations += 1
-        sort()
-    return _Searches(x=x, fun=fun, nit=nit, nfev=nfev, success=nit < max_iter, f_start=f_start)
+        t = step[live]
+        ft, gt = evaluate(live, x[live] + t[:, None] * p[live])
+        nfev[live] += 1
+        trials[live] += 1
+        dt = _sum(gt * p[live], axis=1)
+        s0 = slope[live]
+        # A trial without sufficient decrease, or no lower than the low end,
+        # becomes the high end.  One that also meets the curvature condition
+        # is accepted.  Any other becomes the low end, and the old low end
+        # becomes the high end if the slope points back towards it (before a
+        # step is bracketed, hi is inf: only a rising slope brackets).
+        high = ~(ft <= f[live] + WOLFE_C1 * t * s0) | (ft >= lo_f[live])
+        accept = ~high & (np.abs(dt) <= -WOLFE_C2 * s0)
+        move_lo = ~(high | accept)
+        with np.errstate(invalid="ignore"):  # inf * 0 never reaches move_lo
+            flip = move_lo & (dt * (hi[live] - lo[live]) >= 0)
+        for where, a, fa, da in ((high, t, ft, dt),
+                                 (flip, lo[live], lo_f[live], lo_d[live])):
+            if _any(where):
+                s = live[where]
+                hi[s], hi_f[s], hi_d[s] = a[where], fa[where], da[where]
+        if _any(move_lo):
+            s = live[move_lo]
+            lo[s], lo_f[s], lo_d[s], lo_g[s] = t[move_lo], ft[move_lo], dt[move_lo], gt[move_lo]
+        spent = ~accept & (trials[live] >= LINE_TRIALS)
+        # spent after a decrease: take the bracket's low end; without one,
+        # the search ends where it is
+        settle = spent & (lo[live] > 0)
+        stuck = spent & ~settle
+        if _any(stuck):  # no decrease found: converged if none was left to find
+            s = live[stuck]
+            success[s] = -slope[s] <= ROUNDING * np.maximum(1.0, np.abs(f[s]))
+        moved = accept | settle
+        still = ~(moved | spent)
+        keep = still.copy()
+        if _any(moved):
+            s = live[moved]
+            a = np.where(accept, t, lo[live])[moved]
+            g_new = np.where(accept[:, None], gt, lo_g[live])[moved]
+            x_new = x[s] + a[:, None] * p[s]
+            step_s, step_y = x_new - x[s], g_new - g[s]
+            f_prev[s] = f[s]
+            x[s], f[s], g[s] = x_new, np.where(accept, ft, lo_f[live])[moved], g_new
+            nit[s] += 1
+            success[s] = _max(np.abs(g_new), axis=1) <= GTOL
+            go_on = ~success[s] & (nit[s] < max_iter)
+            ys = _sum(step_y * step_s, axis=1)
+            update = go_on & (ys > 0)  # a settled step may lack the curvature
+            if _any(update):
+                u, su, yu, rho = s[update], step_s[update], step_y[update], 1.0 / ys[update]
+                hy = _sum(h[u] * yu[:, None, :], axis=2)
+                coef = rho * rho * _sum(yu * hy, axis=1) + rho
+                h[u] += (coef[:, None, None] * su[:, :, None] * su[:, None, :]
+                         - rho[:, None, None] * (hy[:, :, None] * su[:, None, :]
+                                                 + su[:, :, None] * hy[:, None, :]))
+            begin(s[go_on])
+            keep[moved] = go_on
+        if _any(still):  # the next trial of a line search under way
+            s = live[still]
+            bracketed = np.isfinite(hi[s])
+            step[s] = np.where(bracketed, _interpolate(lo[s], lo_f[s], lo_d[s], hi[s], hi_f[s],
+                                                       hi_d[s]), 2.0 * lo[s])
+        live = live[keep]
+    return _Searches(x=x, fun=f, nit=nit, nfev=nfev, success=success, f_start=f_start)
+
+
+def _interpolate(a, fa, da, b, fb, db) -> np.ndarray:
+    """The minimizer of the cubic through (a, fa) and (b, fb) with slopes da
+    and db (Nocedal & Wright eq. 3.59), if it lies in the middle four fifths
+    of [a, b] (either order); the midpoint otherwise."""
+    with np.errstate(all="ignore"):
+        d1 = da + db - 3 * (fa - fb) / (a - b)
+        d2 = np.sign(b - a) * np.sqrt(d1 * d1 - da * db)
+        c = b - (b - a) * (db + d2 - d1) / (db - da + 2 * d2)
+        margin = 0.1 * np.abs(b - a)
+        inside = (c >= np.minimum(a, b) + margin) & (c <= np.maximum(a, b) - margin)
+    return np.where(inside, c, 0.5 * (a + b))
 
 
 @dataclass(frozen=True)
@@ -696,7 +783,7 @@ def fit_many(residual_sources, spec: GarchSpec,
     """`fit` of every series in `residual_sources`, with all their searches run together.
 
     Each series is prepared as `fit` describes; then the three searches of
-    every series advance in lockstep through `_nelder_mead`, each round's
+    every series advance in lockstep through `_bfgs`, each round's trial
     points of all of them evaluated in one batched call; then each series is
     finished on its own searches' results.  Each fit equals `fit` of that
     series alone, bit for bit, whatever else is in the batch.
@@ -715,9 +802,9 @@ def fit_many(residual_sources, spec: GarchSpec,
     per_series = starts.shape[0]
     normalized = _Batch([p.a_norm for p in prepared], k, l)
     series_of = np.repeat(np.arange(len(prepared)), per_series)
-    found = _nelder_mead(lambda searches, points: normalized.objective(series_of[searches], points),
-                         np.tile(starts, (len(prepared), 1)), max_iter, options.xatol,
-                         options.fatol, adaptive=dim > 6)
+    found = _bfgs(lambda searches, points: normalized.objective_and_score(series_of[searches],
+                                                                          points),
+                  np.tile(starts, (len(prepared), 1)), max_iter)
 
     # The likelihood is flat in the lag coefficients along alpha ~ 0 (any
     # persistence reproduces a near-constant variance path), so dynamics are
@@ -734,7 +821,7 @@ def fit_many(residual_sources, spec: GarchSpec,
         best_ll = -math.inf
         best_theta = None
         for fun, theta in zip(found.fun[mine], found.x[mine]):
-            if -fun > best_ll:  # simplex never returns worse than its start
+            if -fun > best_ll:  # a search never returns worse than its start
                 best_ll = -fun
                 best_theta = theta
         params_norm = _theta_to_params(best_theta, spec)

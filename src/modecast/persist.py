@@ -15,7 +15,7 @@ A model directory is outside input.  The archive is read with
 `allow_pickle=False`; load checks each key set, dtype and number of
 dimensions, and the record's constructor every shape.  Any missing, extra,
 truncated, foreign, mistyped or misshapen entry raises `CorruptModel`, as
-does any other format (the v1 and v2 layouts included).  Values come back
+does any other format (the v1, v2 and v3 layouts included).  Values come back
 bit for bit, so a reloaded forecaster forecasts identically.
 """
 
@@ -34,7 +34,7 @@ from .errors import CorruptModel, ModecastError, ShapeMismatch
 from .pipeline import EnsembleForecaster, PipelineConfig, Variant
 from .series import SplitSpec
 
-FORMAT = "modecast-forecaster v3"
+FORMAT = "modecast-forecaster v4"
 HEADER = "forecaster.json"
 ARRAYS = "arrays.npz"
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
@@ -163,7 +163,7 @@ def _array(arrays: dict[str, np.ndarray], name: str, ndim: int) -> np.ndarray:
 
 
 def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleForecaster:
-    """The forecaster of a v3 directory; the record checks every shape."""
+    """The forecaster of a v4 directory; the record checks every shape."""
     variant = Variant(header["variant"])
     decomposes = variant is not Variant.DIRECT
     with_garch = variant is Variant.VMD_GARCH

@@ -173,6 +173,18 @@ def test_forecaster_load_rejects_v2_dir(tmp_path):
         load_forecaster(model_dir)
 
 
+def test_forecaster_load_rejects_v3_dir(tmp_path):
+    _, model_dir = _saved(tmp_path)
+    manifest = model_dir / "forecaster.json"
+    header = json.loads(manifest.read_text())
+    # the v3 layout: the same arrays, and the Nelder-Mead tolerances among the GARCH options
+    options = {**header["config"]["garch_options"], "xatol": 1e-5, "fatol": 1e-8}
+    manifest.write_text(json.dumps({**header, "format": "modecast-forecaster v3",
+                                    "config": {**header["config"], "garch_options": options}}))
+    with pytest.raises(CorruptModel, match="re-run `modecast train`"):
+        load_forecaster(model_dir)
+
+
 _FIXED_NAMES = {
     Variant.DIRECT: {"mode_values", "networks"},
     Variant.VMD: {"mode_values", "networks", "omegas", "residual"},

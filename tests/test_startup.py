@@ -1,5 +1,6 @@
-"""Start-up: importing modecast loads neither `scipy.signal` nor `scipy.stats`,
-and no path but the LM test loads `scipy.special`.
+"""Start-up: importing modecast and fitting load none of `scipy.signal`,
+`scipy.stats` and `scipy.optimize`, and no path but the LM test loads
+`scipy.special`.
 
 The import checks run in a fresh interpreter, since the test process itself
 has imported both packages by the time it gets here.
@@ -43,7 +44,8 @@ def test_import_and_fit_load_neither_scipy_signal_nor_scipy_stats():
         sim = garch.simulate(garch.GarchParams(0.1, [0.3], [0.6]), 400, seed=1)
         garch.fit(sim, garch.GarchSpec(1, 1))
         garch.arch_lm_test(sim, 12)
-        print(sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats"))))
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("scipy.signal", "scipy.stats", "scipy.optimize"))))
     """)
     # the compiled filter module itself may be registered under its full name
     # (CPython records single-phase extension modules there); its package is not
