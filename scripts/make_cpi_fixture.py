@@ -7,6 +7,7 @@ index shape: 636 monthly points, 1970-01 through 2022-12, rebased so 2015
 averages 100.
 """
 
+import argparse
 from pathlib import Path
 import sys
 
@@ -19,6 +20,7 @@ OUT = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     series = cpi_like()
     OUT.parent.mkdir(parents=True, exist_ok=True)
     write_csv(series, OUT)

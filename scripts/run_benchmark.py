@@ -9,6 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ OUT = Path(__file__).resolve().parents[1] / "out" / "benchmark"
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
     OUT.mkdir(parents=True, exist_ok=True)
     series = benchmark_series()
     cfg = benchmark_config()

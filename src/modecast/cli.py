@@ -99,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", default="rnn,gru,lstm")
 
     p = sub.add_parser("plot", help="render SVG charts from result CSVs")
-    p.add_argument("--predictions", help="forecast CSV to chart")
-    p.add_argument("--modes-csv", help="decomposition CSV to chart as panels")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--predictions", help="forecast CSV to chart")
+    source.add_argument("--modes-csv", help="decomposition CSV to chart as panels")
     p.add_argument("--out", required=True, help="output SVG path")
     return parser
 
@@ -318,10 +319,8 @@ def _read_table(path, columns=()) -> np.ndarray:
 
 
 def _cmd_plot(args) -> int:
-    if not args.predictions and not args.modes_csv:
-        raise ConfigError("plot needs --predictions or --modes-csv")
     out = Path(args.out)
-    if args.predictions:
+    if args.predictions is not None:
         rows = _read_table(args.predictions, ("step", "actual", "predicted"))
         series = [("actual", np.atleast_1d(rows["actual"])),
                   ("predicted", np.atleast_1d(rows["predicted"]))]
@@ -332,7 +331,7 @@ def _cmd_plot(args) -> int:
         names = table.dtype.names
         panels = [(name, np.atleast_1d(table[name])) for name in names]
         charts.panel_chart(panels, "Decomposition", out)
-    source = args.predictions or args.modes_csv
+    source = args.modes_csv if args.predictions is None else args.predictions
     Path(f"{out}.manifest.txt").write_text(
         f"# modecast {__version__} plot manifest\n# command: " + " ".join(args.argv)
         + f"\n# source: {source}\n", encoding="utf-8")

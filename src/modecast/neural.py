@@ -23,10 +23,10 @@ and [H:] on x, plus one bias of G*H entries:
     gated  (G=3): rows [W_z; W_r; W], no bias
     memory (G=4): rows [W_f; W_i; W_o; W_c], bias [b_f; b_i; b_o; b_c]
 
-Every layer and the head live in one flat parameter vector.  The stacked
-matrices and the per-gate names of `layer_params` (`W_f`, `b_i`, `W_hh`, ...)
-are views into it, so `flatten_parameters` sees per-gate arrays while Adam
-and clipping work on the one vector, and a saved network is that vector.
+Every layer and the head live in one flat parameter vector, which is the
+network's only layout: the stacked matrices and the head are views into it,
+Adam and clipping work on it, and a saved network is that vector.
+Initialization draws one uniform block per gate (`_init_blocks`).
 
 Activations are stored time-major and unit-major, (L, units, B): a step's
 slice is contiguous, and so is each gate's block of rows within it.  The
@@ -36,12 +36,11 @@ applies one sigmoid over the stacked sigmoid gates.  The sigmoid is
 1 / (1 + exp(-x)) computed in place on numpy's vectorized `exp`, like the
 cells' `np.tanh`; the time loop silences the overflow of exp(-x) to inf, so
 a saturated gate reads exactly 0.0 or 1.0 without a warning.  One step
-function per kind serves the batched forward pass and the public
-`rnn_cell`/`gru_cell`/`lstm_cell`, and its stored activations are all that
-backpropagation reads.  Backpropagation carries only the recurrent gradient
-through the time loop and writes each step's pre-activation gradients into
-one (L, G*H, B) buffer; the weight, bias and input gradients then take one
-product or sum each after the loop.
+function per kind serves the forward pass, and its stored activations are
+all that backpropagation reads.  Backpropagation carries only the recurrent
+gradient through the time loop and writes each step's pre-activation
+gradients into one (L, G*H, B) buffer; the weight, bias and input gradients
+then take one product or sum each after the loop.
 
 Lockstep groups.  `train_many` trains networks that differ only in seed and
 data (a mode set) together: every mini-batch of every net of a group runs
@@ -89,14 +88,7 @@ class CellKind(Enum):
     LSTM = "lstm"
 
 
-_PARAM_KEYS = {
-    CellKind.RNN: ("W_hh", "W_xh", "b_h"),
-    CellKind.GRU: ("W_z", "W_r", "W"),
-    CellKind.LSTM: ("W_f", "b_f", "W_i", "b_i", "W_c", "b_c", "W_o", "b_o"),
-}
-
 _GATES = {CellKind.RNN: 1, CellKind.GRU: 3, CellKind.LSTM: 4}
-_LSTM_ROWS = ("f", "i", "o", "c")  # sigmoid gates first, so one `_sigmoid` covers them
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,6 @@ class OutputHead:
 @dataclass(frozen=True)
 class RecurrentNetwork:
     config: NetworkConfig
-    layer_params: tuple[dict[str, np.ndarray], ...]  # per-gate views into `flat`
     head: OutputHead
     flat: np.ndarray = field(repr=False)  # every parameter, layer by layer, then the head
     stacked: tuple[tuple[np.ndarray, np.ndarray | None], ...] = field(repr=False)
@@ -143,79 +134,71 @@ def _sigmoid(x, out=None):
     return np.reciprocal(out, out=out)
 
 
-def _layer_shapes(kind: CellKind, hidden: int, d_in: int) -> dict[str, tuple[int, ...]]:
-    h, d = hidden, d_in
-    if kind is CellKind.RNN:
-        return {"W_hh": (h, h), "W_xh": (h, d), "b_h": (h,)}
-    if kind is CellKind.GRU:
-        return {"W_z": (h, h + d), "W_r": (h, h + d), "W": (h, h + d)}
-    return {"W_f": (h, h + d), "b_f": (h,), "W_i": (h, h + d), "b_i": (h,),
-            "W_c": (h, h + d), "b_c": (h,), "W_o": (h, h + d), "b_o": (h,)}
-
-
 def parameter_count(config: NetworkConfig) -> int:
-    """Closed-form count over all layers plus the output head."""
-    total = 0
+    """Closed-form count over all layers plus the output head: per layer
+    G*H*(H+D) weights and, but for the gated cell, G*H biases."""
+    g, h = _GATES[config.cell], config.hidden
+    total = h + 1
     for layer in range(config.layers):
-        d_in = config.input_features if layer == 0 else config.hidden
-        total += sum(int(np.prod(s)) for s in _layer_shapes(config.cell, config.hidden, d_in).values())
-    return total + config.hidden + 1
-
-
-def _layer_views(kind: CellKind, vec: np.ndarray, start: int, h: int, d: int):
-    """(gate matrix, bias, per-gate views, end) of the layer stored at vec[..., start:end];
-    a group's (nets, P) vector gives views with a leading net axis."""
-    rows = _GATES[kind] * h
-    end = start + rows * (h + d)
-    w = vec[..., start:end].reshape(vec.shape[:-1] + (rows, h + d))
-    if kind is CellKind.GRU:
-        named = {"W_z": w[..., :h, :], "W_r": w[..., h:2 * h, :], "W": w[..., 2 * h:, :]}
-        return w, None, named, end
-    b = vec[..., end:end + rows]
-    end += rows
-    if kind is CellKind.RNN:
-        return w, b, {"W_hh": w[..., :h], "W_xh": w[..., h:], "b_h": b}, end
-    named = {}
-    for key in _PARAM_KEYS[kind]:
-        k = _LSTM_ROWS.index(key[-1])
-        rows_k = slice(k * h, (k + 1) * h)
-        named[key] = w[..., rows_k, :] if key[0] == "W" else b[..., rows_k]
-    return w, b, named, end
+        d_in = config.input_features if layer == 0 else h
+        total += g * h * (h + d_in) + (0 if config.cell is CellKind.GRU else g * h)
+    return total
 
 
 def _network(config: NetworkConfig, vec: np.ndarray) -> RecurrentNetwork:
-    """The network whose parameters are the flat vector `vec` (not copied)."""
-    stacked, layers = [], []
-    start = 0
+    """The network whose parameters are the flat vector `vec` (not copied); a
+    group's (nets, P) vector gives views with a leading net axis."""
+    h, rows = config.hidden, _GATES[config.cell] * config.hidden
+    stacked, start = [], 0
     for layer in range(config.layers):
-        d_in = config.input_features if layer == 0 else config.hidden
-        w, b, named, start = _layer_views(config.cell, vec, start, config.hidden, d_in)
+        cols = h + (config.input_features if layer == 0 else h)
+        end = start + rows * cols
+        w, b = vec[..., start:end].reshape(vec.shape[:-1] + (rows, cols)), None
+        if config.cell is not CellKind.GRU:
+            b, end = vec[..., end:end + rows], end + rows
         stacked.append((w, b))
-        layers.append(named)
-    head = OutputHead(w_hy=vec[..., start:start + config.hidden], b_y=vec[..., -1])
-    return RecurrentNetwork(config=config, layer_params=tuple(layers), head=head,
-                            flat=vec, stacked=tuple(stacked))
+        start = end
+    head = OutputHead(w_hy=vec[..., start:start + h], b_y=vec[..., -1])
+    return RecurrentNetwork(config=config, head=head, flat=vec, stacked=tuple(stacked))
+
+
+def _init_blocks(rng, kind: CellKind, w: np.ndarray, b: np.ndarray | None, h: int) -> None:
+    """Fill one layer's (w, b) with one uniform draw per gate block, bounded by
+    1/sqrt(fan_in): the plain cell draws W[:, :H] (fan_in H), W[:, H:] (fan_in D)
+    and its bias (fan_in H+D); the others draw each gate's rows, then its bias
+    if it has one (fan_in H+D)."""
+    def fill(block, fan_in):
+        bound = 1.0 / math.sqrt(fan_in)
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+
+    cols = w.shape[1]
+    if kind is CellKind.RNN:
+        fill(w[:, :h], h)
+        fill(w[:, h:], cols - h)
+        fill(b, cols)
+        return
+    # the memory cell draws its gates f, i, c, o; they are stored f, i, o, c,
+    # sigmoid gates first, so one `_sigmoid` covers them
+    for k in (0, 1, 3, 2) if kind is CellKind.LSTM else (0, 1, 2):
+        fill(w[k * h:(k + 1) * h], cols)
+        if b is not None:
+            fill(b[k * h:(k + 1) * h], cols)
 
 
 def init_network(config: NetworkConfig) -> RecurrentNetwork:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
 
-    fan_in is the column count of each matrix; biases use the fan_in of the
-    gate they belong to.  Draws run per named parameter in `_PARAM_KEYS`
-    order, layer by layer, then the head.
+    Draws run per gate block (`_init_blocks`), layer by layer, then the head's
+    weights (fan_in H) and bias.
     """
     rng = np.random.default_rng(config.seed)
-    vec = np.empty(parameter_count(config))
-    for layer, params in enumerate(_network(config, vec).layer_params):
-        d_in = config.input_features if layer == 0 else config.hidden
-        for key, shape in _layer_shapes(config.cell, config.hidden, d_in).items():
-            fan_in = shape[-1] if len(shape) > 1 else config.hidden + d_in
-            bound = 1.0 / math.sqrt(fan_in)
-            params[key][...] = rng.uniform(-bound, bound, size=shape)
+    net = _network(config, np.empty(parameter_count(config)))
+    for w, b in net.stacked:
+        _init_blocks(rng, config.cell, w, b, config.hidden)
     bound = 1.0 / math.sqrt(config.hidden)
-    vec[-1 - config.hidden:-1] = rng.uniform(-bound, bound, size=config.hidden)
-    vec[-1] = float(rng.uniform(-bound, bound))
-    return _network(config, vec)
+    net.head.w_hy[...] = rng.uniform(-bound, bound, size=config.hidden)
+    net.flat[-1] = float(rng.uniform(-bound, bound))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -320,64 +303,6 @@ def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarra
     if not keep:
         return hs, None, None
     return hs, act, cs
-
-
-# ---------------------------------------------------------------------------
-# Cells (accept a single state vector (H,) or a batch (B, H))
-# ---------------------------------------------------------------------------
-
-def _stack_cell(kind: CellKind, params: dict[str, np.ndarray]):
-    """Per-gate parameters in the stacked (matrix, bias) layout."""
-    if kind is CellKind.RNN:
-        return np.concatenate([params["W_hh"], params["W_xh"]], axis=1), params["b_h"]
-    if kind is CellKind.GRU:
-        return np.concatenate([params["W_z"], params["W_r"], params["W"]]), None
-    return (np.concatenate([params[f"W_{g}"] for g in _LSTM_ROWS]),
-            np.concatenate([params[f"b_{g}"] for g in _LSTM_ROWS]))
-
-
-def _unit_major(a: np.ndarray) -> np.ndarray:
-    """(H,) or (B, H) as a contiguous (H, B) block."""
-    return np.ascontiguousarray(np.atleast_2d(a).T)
-
-
-def _cell(kind: CellKind, params: dict[str, np.ndarray], h_prev, c_prev, x):
-    """One step of `_run_layer` from (h_prev, c_prev); returns (h, c)."""
-    h_prev = np.asarray(h_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w, b = _stack_cell(kind, params)
-    n = w.shape[0] // _GATES[kind]
-    if h_prev.shape[-1] != n:
-        raise ShapeMismatch(f"hidden state has {h_prev.shape[-1]} units, weights expect {n}")
-    if x.shape[-1] != w.shape[1] - n:
-        raise ShapeMismatch(f"input has {x.shape[-1]} features, weights expect {w.shape[1] - n}")
-    c_prev = np.zeros_like(h_prev) if c_prev is None else np.asarray(c_prev, dtype=float)
-    if c_prev.shape != h_prev.shape:
-        raise ShapeMismatch(f"cell state shape {c_prev.shape} != hidden shape {h_prev.shape}")
-    try:  # a single state serves a batch of inputs, and a single input a batch of states
-        lead = np.broadcast_shapes(h_prev.shape[:-1], x.shape[:-1])
-    except ValueError:
-        raise ShapeMismatch(f"hidden state {h_prev.shape} and input {x.shape} differ in batch") from None
-    h_prev, c_prev = (np.broadcast_to(a, lead + (n,)) for a in (h_prev, c_prev))
-    x = np.broadcast_to(x, lead + x.shape[-1:])
-    hs, _, cs = _run_layer(kind, w, b, _unit_major(x)[None], _unit_major(h_prev),
-                           _unit_major(c_prev), _Workspace(), 0)
-    return hs[0].T.reshape(h_prev.shape), None if cs is None else cs[0].T.reshape(h_prev.shape)
-
-
-def rnn_cell(params: dict[str, np.ndarray], h_prev, x) -> np.ndarray:
-    """h = tanh(W_hh @ h_prev + W_xh @ x + b_h)."""
-    return _cell(CellKind.RNN, params, h_prev, None, x)[0]
-
-
-def gru_cell(params: dict[str, np.ndarray], h_prev, x) -> np.ndarray:
-    """Update/reset-gated state blend; see module docstring for the equations."""
-    return _cell(CellKind.GRU, params, h_prev, None, x)[0]
-
-
-def lstm_cell(params: dict[str, np.ndarray], h_prev, c_prev, x) -> tuple[np.ndarray, np.ndarray]:
-    """Forget/input/output-gated memory cell; returns (h, c)."""
-    return _cell(CellKind.LSTM, params, h_prev, c_prev, x)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +471,6 @@ def predict_many(networks, sequences) -> list[np.ndarray]:
     return results
 
 
-def mse_loss(pred: float, target: float) -> float:
-    return float((pred - target) ** 2)
-
-
-def mse_loss_grad(pred: float, target: float) -> float:
-    return float(2.0 * (pred - target))
-
-
 # ---------------------------------------------------------------------------
 # Backpropagation through time, one loop per cell kind.  Each takes the
 # gradient on the layer's hidden sequence and writes the pre-activation
@@ -664,10 +581,10 @@ def _as_rows(seq: np.ndarray, spare: np.ndarray) -> np.ndarray:
 def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarray:
     """Full backpropagation through time from d(loss)/d(prediction).
 
-    Returns the gradient as one flat vector in the layout of `net.flat`;
-    `_flatten_grads` names its parts.  Dropout masks from the forward pass
-    are reused, so the gradient matches the exact forward computation.  A
-    group's cache takes (nets, B) loss gradients and gives (nets, P).
+    Returns the gradient as one flat vector in the layout of `net.flat`.
+    Dropout masks from the forward pass are reused, so the gradient matches
+    the exact forward computation.  A group's cache takes (nets, B) loss
+    gradients and gives (nets, P).
 
     The cache is consumed: its sequences serve as working arrays, each
     layer's entries are released once that layer's gradients are formed, top
@@ -739,52 +656,21 @@ def backward(net: RecurrentNetwork, cache: ForwardCache, loss_grad) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Named parameter views, Adam, training loop
+# Adam, training loop
 # ---------------------------------------------------------------------------
 
-def flatten_parameters(net: RecurrentNetwork) -> dict[str, np.ndarray]:
-    """Ordered name -> array view of every trainable parameter."""
-    flat: dict[str, np.ndarray] = {}
-    for layer, params in enumerate(net.layer_params):
-        for key, value in params.items():
-            flat[f"L{layer}.{key}"] = value
-    flat["head.w_hy"] = net.head.w_hy
-    flat["head.b_y"] = net.flat[-1:].reshape(())
-    return flat
-
-
-def _flatten_grads(net: RecurrentNetwork, grads: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> view of a flat gradient vector, named like `flatten_parameters`."""
-    return flatten_parameters(_network(net.config, np.asarray(grads)))
-
-
-def _pack(net: RecurrentNetwork, named: dict[str, np.ndarray]) -> np.ndarray:
-    """A name -> array dict shaped like `flatten_parameters(net)`, as one flat vector."""
-    vec = np.empty_like(net.flat)
-    views = _flatten_grads(net, vec)
-    if set(views) != set(named):
-        raise ShapeMismatch("parameter names do not match the network")
-    for key, view in views.items():
-        value = np.asarray(named[key], dtype=float)
-        if value.shape != view.shape:
-            raise ShapeMismatch(f"entry for {key} has shape {value.shape}, expected {view.shape}")
-        view[...] = value
-    return vec
-
-
-def _rebuild(net: RecurrentNetwork, flat: dict[str, np.ndarray]) -> RecurrentNetwork:
-    return _network(net.config, _pack(net, flat))
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass(frozen=True)
 class AdamState:
-    first_moment: np.ndarray   # flat, in the layout of `RecurrentNetwork.flat`
+    """Adam's moments, flat in the layout of `RecurrentNetwork.flat`, its step
+    count and learning rate; the decays and guard are `_BETA1`, `_BETA2`, `_EPS`."""
+
+    first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(net: RecurrentNetwork, lr: float = 1e-3) -> AdamState:
@@ -793,25 +679,18 @@ def init_adam(net: RecurrentNetwork, lr: float = 1e-3) -> AdamState:
 
 
 def adam_step(net: RecurrentNetwork, grads, state: AdamState) -> tuple[RecurrentNetwork, AdamState]:
-    """Bias-corrected Adam update; returns (new network, new state).
-
-    `grads` is a flat gradient vector (as `backward` returns) or a
-    name -> array dict keyed like `flatten_parameters`.
-    """
-    if isinstance(grads, dict):
-        g = _pack(net, grads)
-    else:
-        g = np.asarray(grads, dtype=float)
-        if g.shape != net.flat.shape:
-            raise ShapeMismatch(f"gradient has shape {g.shape}, expected {net.flat.shape}")
+    """Bias-corrected Adam update from a flat gradient of `net.flat`'s shape (as
+    `backward` returns); returns (new network, new state)."""
+    g = np.asarray(grads, dtype=float)
+    if g.shape != net.flat.shape:
+        raise ShapeMismatch(f"gradient has shape {g.shape}, expected {net.flat.shape}")
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    new_state = AdamState(first_moment=m, second_moment=v, step_count=t,
-                          lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
+    m = _BETA1 * state.first_moment + (1.0 - _BETA1) * g
+    v = _BETA2 * state.second_moment + (1.0 - _BETA2) * g * g
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+    new_state = AdamState(first_moment=m, second_moment=v, step_count=t, lr=state.lr)
     return _network(net.config, net.flat - step), new_state
 
 

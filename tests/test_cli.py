@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -279,6 +280,23 @@ def test_plot_modes_panels(tmp_path, series_csv, config_file):
     assert svg.read_text().count("<polyline") == 2
 
 
+@pytest.mark.parametrize("both", [True, False])
+def test_plot_takes_exactly_one_input(tmp_path, capsys, both):
+    table = tmp_path / "predictions.csv"
+    table.write_text("step,actual,predicted\n1,2,3\n2,3,4\n")
+    inputs = ["--predictions", str(table), "--modes-csv", str(table)] if both else []
+    assert main(["plot", *inputs, "--out", str(tmp_path / "x.svg")]) == 1
+    assert "--modes-csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [table]  # no chart, no manifest
+
+
+@pytest.mark.parametrize("flag", ["--predictions", "--modes-csv"])
+def test_plot_of_an_empty_path_is_an_unreadable_file(tmp_path, capsys, flag):
+    assert main(["plot", flag, "", "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -525,3 +543,23 @@ def test_run_failing_in_the_fit_leaves_no_output_dir(tmp_path, config_file, caps
     assert code == 2
     assert "10 modes" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Scripts
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,writes", [
+    ("make_cpi_fixture.py", "data/cpi_germany_synthetic.csv"),
+    ("run_benchmark.py", "out/benchmark/comparison.txt"),
+])
+def test_script_help_prints_usage_and_writes_nothing(script, writes):
+    before = (ROOT / writes).stat().st_mtime_ns
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
+    assert (ROOT / writes).stat().st_mtime_ns == before

@@ -4,7 +4,8 @@
 matmul per gate over the concatenated [h_prev, x] at every step, activations
 stored batch-major, and weight gradients accumulated inside the time loop.
 `_reference_init` keeps the former initialization: one array drawn per named
-parameter.  They read the per-gate views of `layer_params`, so both engines
+parameter.  They keep the former per-gate shape table (`_gate_shapes`) and
+read per-gate views of the stacked (w, b) (`_layer_gates`), so both engines
 run on the same parameter values.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from modecast import neural
-from modecast.errors import ShapeMismatch
 from modecast.persist import load_forecaster, save_forecaster
 from modecast.pipeline import EnsembleForecaster, PipelineConfig, Variant, mode_network_config
 from modecast.vmd import VmdConfig
@@ -24,37 +24,71 @@ from modecast.neural import (
     CellKind,
     NetworkConfig,
     TrainConfig,
-    _flatten_grads,
     _forward_batch,
+    _network,
     _sigmoid,
     backward,
-    flatten_parameters,
-    gru_cell,
     init_network,
-    lstm_cell,
     predict,
-    rnn_cell,
     train,
 )
+from test_neural import _one_step
 
 RTOL = 1e-12
 SEQ_LEN = 7
 HIDDEN = 5
 
 
-def _reference_init(config: NetworkConfig) -> dict[str, np.ndarray]:
+def _gate_shapes(kind: CellKind, h: int, d: int) -> dict[str, tuple[int, ...]]:
+    """One layer's per-gate parameters, in the order the former initialization drew them."""
+    if kind is CellKind.RNN:
+        return {"W_hh": (h, h), "W_xh": (h, d), "b_h": (h,)}
+    if kind is CellKind.GRU:
+        return {"W_z": (h, h + d), "W_r": (h, h + d), "W": (h, h + d)}
+    return {"W_f": (h, h + d), "b_f": (h,), "W_i": (h, h + d), "b_i": (h,),
+            "W_c": (h, h + d), "b_c": (h,), "W_o": (h, h + d), "b_o": (h,)}
+
+
+def _layer_gates(net) -> list[dict[str, np.ndarray]]:
+    """Per layer: name -> view of each gate block of the stacked (w, b), whose
+    memory-cell rows run f, i, o, c."""
+    h, layers = net.config.hidden, []
+    for w, b in net.stacked:
+        if net.config.cell is CellKind.RNN:
+            gates = {"W_hh": w[:, :h], "W_xh": w[:, h:], "b_h": b}
+        elif net.config.cell is CellKind.GRU:
+            gates = {"W_z": w[:h], "W_r": w[h:2 * h], "W": w[2 * h:]}
+        else:
+            gates = {}
+            for k, g in enumerate("fioc"):
+                gates[f"W_{g}"], gates[f"b_{g}"] = w[k * h:(k + 1) * h], b[k * h:(k + 1) * h]
+        layers.append(gates)
+    return layers
+
+
+def _named(net) -> dict[str, np.ndarray]:
+    """Name -> view of every parameter of `net`, layer by layer, then the head."""
+    named = {f"L{layer}.{key}": view for layer, gates in enumerate(_layer_gates(net))
+             for key, view in gates.items()}
+    named["head.w_hy"], named["head.b_y"] = net.head.w_hy, net.head.b_y
+    return named
+
+
+def _reference_init(config: NetworkConfig) -> np.ndarray:
+    """The flat vector of one array drawn per named parameter, in `_gate_shapes` order."""
     rng = np.random.default_rng(config.seed)
-    flat: dict[str, np.ndarray] = {}
+    vec = np.full(neural.parameter_count(config), np.nan)
+    views = _named(_network(config, vec))
     for layer in range(config.layers):
         d_in = config.input_features if layer == 0 else config.hidden
-        for key, shape in neural._layer_shapes(config.cell, config.hidden, d_in).items():
+        for key, shape in _gate_shapes(config.cell, config.hidden, d_in).items():
             fan_in = shape[-1] if len(shape) > 1 else config.hidden + d_in
             bound = 1.0 / math.sqrt(fan_in)
-            flat[f"L{layer}.{key}"] = rng.uniform(-bound, bound, size=shape)
+            views[f"L{layer}.{key}"][...] = rng.uniform(-bound, bound, size=shape)
     bound = 1.0 / math.sqrt(config.hidden)
-    flat["head.w_hy"] = rng.uniform(-bound, bound, size=config.hidden)
-    flat["head.b_y"] = np.asarray(float(rng.uniform(-bound, bound)))
-    return flat
+    views["head.w_hy"][...] = rng.uniform(-bound, bound, size=config.hidden)
+    views["head.b_y"][...] = float(rng.uniform(-bound, bound))
+    return vec
 
 
 def _reference_forward(net, batch, training, rng):
@@ -63,8 +97,7 @@ def _reference_forward(net, batch, training, rng):
     kind, h_dim = cfg.cell, cfg.hidden
     inputs, hidden, gates, masks = [], [], [], []
     current = batch
-    for layer in range(cfg.layers):
-        params = net.layer_params[layer]
+    for layer, params in enumerate(_layer_gates(net)):
         inputs.append(current)
         h = np.zeros((b, h_dim))
         c = np.zeros((b, h_dim))
@@ -114,12 +147,13 @@ def _reference_backward(net, cache, d_pred) -> dict[str, np.ndarray]:
     cfg = net.config
     kind, h_dim = cfg.cell, cfg.hidden
     b = d_pred.size
-    layer_grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in net.layer_params]
+    layers = _layer_gates(net)
+    layer_grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in layers]
     seq_len = cache["inputs"][0].shape[1]
     d_out = np.zeros((b, seq_len, h_dim))
     d_out[:, -1, :] = d_pred[:, None] * net.head.w_hy[None, :]
     for layer in range(cfg.layers - 1, -1, -1):
-        params, grads = net.layer_params[layer], layer_grads[layer]
+        params, grads = layers[layer], layer_grads[layer]
         x_seq, h_seq, gate = cache["inputs"][layer], cache["hidden"][layer], cache["gates"][layer]
         d_hidden = d_out * cache["masks"][layer]
         d_x = np.zeros_like(x_seq)
@@ -203,7 +237,7 @@ def test_fused_engine_matches_per_gate_loops(kind, layers, dropout, batch):
         got = cache.masks[layer] if cache.masks[layer] is not None else np.ones_like(want)
         assert np.array_equal(got, want)
     d_pred = np.random.default_rng(4).standard_normal(batch)
-    grads = _flatten_grads(net, backward(net, cache, d_pred))
+    grads = _named(_network(net.config, backward(net, cache, d_pred)))
     want = _reference_backward(net, ref, d_pred)
     assert list(grads) == list(want)
     for name, g in want.items():
@@ -213,54 +247,32 @@ def test_fused_engine_matches_per_gate_loops(kind, layers, dropout, batch):
 
 @pytest.mark.parametrize("kind,layers,dropout,batch", CASES, ids=IDS)
 def test_public_cells_equal_one_step_of_the_batched_forward(kind, layers, dropout, batch):
+    # the cells of the hand cases in test_neural (`_one_step`, one step of the
+    # layer loop on stacked (w, b)) equal each step of the batched forward pass
     net, data = _case(kind, layers, dropout, batch)
     cache = _forward_batch(net, data, training=True, rng=np.random.default_rng(9))
     zeros = np.zeros((batch, HIDDEN))
-    for layer, params in enumerate(net.layer_params):  # cache sequences are (L, units, B)
+    for layer, (w, b) in enumerate(net.stacked):  # cache sequences are (L, units, B)
         hs, x = cache.hidden[layer].transpose(0, 2, 1), cache.inputs[layer].transpose(0, 2, 1)
+        cs = None if cache.cells[layer] is None else cache.cells[layer].transpose(0, 2, 1)
         for t in range(SEQ_LEN):
-            h_prev = hs[t - 1] if t else zeros
-            if kind is CellKind.LSTM:
-                cs = cache.cells[layer].transpose(0, 2, 1)
-                h, c = lstm_cell(params, h_prev, cs[t - 1] if t else zeros, x[t])
-                assert np.array_equal(c, cs[t])
-            else:
-                h = (rnn_cell if kind is CellKind.RNN else gru_cell)(params, h_prev, x[t])
+            c_prev = None if cs is None else cs[t - 1] if t else zeros
+            h, c = _one_step(kind, w, b, hs[t - 1] if t else zeros, x[t], c_prev)
             assert np.array_equal(h, hs[t])
+            if cs is not None:
+                assert np.array_equal(c, cs[t])
         if batch == 1 and kind is CellKind.GRU:  # a single state vector takes the same path
-            assert np.array_equal(gru_cell(params, hs[0][0], x[1][0]), hs[1][0])
+            assert np.array_equal(_one_step(kind, w, b, hs[0][0], x[1][0])[0], hs[1][0])
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
-def test_public_cells_broadcast_a_single_state_over_a_batch(kind):
-    net, _ = _case(kind, 1, 0.0, 1)
-    params = net.layer_params[0]
-    rng = np.random.default_rng(5)
-    h, x = rng.standard_normal(HIDDEN), rng.standard_normal((4, 2))
-    if kind is CellKind.LSTM:
-        c = rng.standard_normal(HIDDEN)
-        got = lstm_cell(params, h, c, x)
-        want = lstm_cell(params, np.tile(h, (4, 1)), np.tile(c, (4, 1)), x)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert got[0].shape == (4, HIDDEN)
-        return
-    cell = rnn_cell if kind is CellKind.RNN else gru_cell
-    got = cell(params, h, x)
-    assert got.shape == (4, HIDDEN)
-    assert np.array_equal(got, cell(params, np.tile(h, (4, 1)), x))
-    assert np.array_equal(cell(params, got, x[0]), cell(params, got, np.tile(x[0], (4, 1))))
-    with pytest.raises(ShapeMismatch):
-        cell(params, np.zeros((3, HIDDEN)), x)
-
-
-@pytest.mark.parametrize("kind", list(CellKind))
-@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 def test_init_network_equals_per_key_draws(kind, layers):
-    cfg = NetworkConfig(cell=kind, layers=layers, hidden=6, input_features=2, seed=11)
-    got = flatten_parameters(init_network(cfg))
-    want = _reference_init(cfg)
-    assert list(got) == list(want)
-    assert all(np.array_equal(got[k], want[k]) for k in want)
+    for hidden in (1, 6):
+        for features in (1, 2, 3):
+            cfg = NetworkConfig(cell=kind, layers=layers, hidden=hidden,
+                                input_features=features, seed=11)
+            assert np.array_equal(init_network(cfg).flat, _reference_init(cfg))
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
