@@ -65,9 +65,13 @@ one at the start points; each round evaluates one trial point of every live
 search) and the longest search's BFGS iterations.  The filter floor is rows x
 the median time of a row's two filter calls over a segment (`garch._linear_filter`,
 the compiled routine `signal.lfilter` runs: one over the variance path, one
-over its 1+k+l derivative lanes), the cost no bookkeeping change can remove;
-the rest of `fit_many` is numpy and Python overhead per round, per call and
-per row.  Then it times one `garch.fit_many` of all ten segments at (10,10).
+backwards over the score's weights), the cost no bookkeeping change can
+remove; the rest of `fit_many` is numpy and Python overhead per round, per
+call and per row.  The round cost splits one value-and-score call
+(`garch._Batch.objective_and_score` on the normalized segments at the start
+points) into a fixed part and a part per row: the least-squares line through
+the median times of calls of ROUND_ROWS rows.  Then it times one
+`garch.fit_many` of all ten segments at (10,10) and prints its round cost.
 
 startup: it runs `python -c "import modecast.cli"` in a fresh interpreter
 STARTUP_RUNS times and prints the median wall time of the whole child
@@ -108,6 +112,8 @@ SIGMOID_REPEATS = 2000
 GARCH_ORDERS = ((1, 1), (2, 2))
 GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
+ROUND_ROWS = (1, 5, 10, 20, 30)  # rows per timed value-and-score call
+ROUND_REPEATS = 200
 STARTUP_RUNS = 7
 STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.special")
 SECTIONS = ("layers", "training", "memory", "inference", "vmd", "garch", "startup")
@@ -329,9 +335,9 @@ def _search_counts(garch, segments, spec) -> tuple[int, int, int]:
     return counts["calls"], counts["rows"], counts["iterations"]
 
 
-def _filter_call_s(length: int, k: int, l: int) -> float:
-    """Median time of one row's filter calls over `length` slots at GARCH
-    order (k, l): the variance path's and its 1+k+l derivative lanes'."""
+def _filter_call_s(length: int, l: int) -> float:
+    """Median time of one row's filter calls over `length` slots with l
+    lagged variances: the variance path's and the score's reversed weights'."""
     import numpy as np
 
     from modecast import garch
@@ -340,16 +346,40 @@ def _filter_call_s(length: int, k: int, l: int) -> float:
     zi = garch._filter_state(denom[None, :], 1.0)[0]
     rng = np.random.default_rng(0)
     base = rng.uniform(0.5, 1.5, length)
-    lanes = rng.uniform(0.5, 1.5, (1 + k + l, length))
-    zeros = np.zeros((1 + k + l, l))
+    weights = rng.uniform(-0.5, 0.5, length)
+    zeros = np.zeros(l)
     elapsed = []
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(FILTER_REPEATS):
             garch._linear_filter(garch._ONE, denom, base, -1, zi)
-            garch._linear_filter(garch._ONE, denom, lanes, -1, zeros)
+            garch._linear_filter(garch._ONE, denom, weights[::-1], -1, zeros)
         elapsed.append((time.perf_counter() - t0) / FILTER_REPEATS)
     return statistics.median(elapsed)
+
+
+def _round_cost_s(garch, segments, spec) -> tuple[float, float]:
+    """The fixed and per-row time of one value-and-score call over the
+    normalized segments at the start points: the least-squares line through
+    the median call times at ROUND_ROWS rows."""
+    import numpy as np
+
+    batch = garch._Batch([garch._prepare(s, spec, garch.FitOptions()).a_norm for s in segments],
+                         spec.k, spec.l)
+    starts = np.array(garch._start_points(spec))
+    medians = []
+    for n_rows in ROUND_ROWS:
+        rows = np.arange(n_rows) % len(segments)
+        thetas = starts[np.arange(n_rows) % len(starts)]
+        elapsed = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(ROUND_REPEATS):
+                batch.objective_and_score(rows, thetas)
+            elapsed.append((time.perf_counter() - t0) / ROUND_REPEATS)
+        medians.append(statistics.median(elapsed))
+    per_row, fixed = np.polyfit(ROUND_ROWS, medians, 1)
+    return float(fixed), float(per_row)
 
 
 def bench_garch() -> None:
@@ -372,18 +402,23 @@ def bench_garch() -> None:
                 ways[way](garch.GarchSpec(*order))
                 times[order, way].append(time.perf_counter() - t0)
     print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6} "
-          f"{'calls':>6} {'rows':>6} {'rounds':>6} {'iters':>6} {'floor s':>8} {'rest s':>7}")
+          f"{'calls':>6} {'rows':>6} {'rounds':>6} {'iters':>6} {'floor s':>8} {'rest s':>7} "
+          f"{'fixed us':>9} {'row us':>7}")
     for k, l in GARCH_ORDERS:
         one_by_one = statistics.median(times[(k, l), "fit"])
         together = statistics.median(times[(k, l), "fit_many"])
         calls, rows, iterations = _search_counts(garch, segments, garch.GarchSpec(k, l))
-        floor = rows * _filter_call_s(segments[0].size, k, l) if l else 0.0
+        floor = rows * _filter_call_s(segments[0].size, l) if l else 0.0
+        fixed, per_row = _round_cost_s(garch, segments, garch.GarchSpec(k, l))
         print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} "
               f"{together / one_by_one:6.2f} {calls:6d} {rows:6d} {calls - 1:6d} {iterations:6d} "
-              f"{floor:8.3f} {together - floor:7.3f}")
+              f"{floor:8.3f} {together - floor:7.3f} {fixed * 1e6:9.0f} {per_row * 1e6:7.1f}")
     t0 = time.perf_counter()
     garch.fit_many(segments, garch.GarchSpec(10, 10))
-    print(f"{'(10,10)':<7} {CPI_MODES} segments, one fit_many: {time.perf_counter() - t0:.2f} s")
+    elapsed = time.perf_counter() - t0
+    fixed, per_row = _round_cost_s(garch, segments, garch.GarchSpec(10, 10))
+    print(f"{'(10,10)':<7} {CPI_MODES} segments, one fit_many: {elapsed:.2f} s; "
+          f"round: {fixed * 1e6:.0f} us fixed + {per_row * 1e6:.1f} us per row")
 
 
 def bench_startup() -> None:

@@ -15,8 +15,8 @@ direct, ten per decomposition variant), so 100 epochs come to about
 21 x 100 x (0.067 + 0.214 + 0.268) s, roughly 20 minutes of training, and
 the default 20 epochs to about 4 minutes.  Measured: a default run's
 comparison took 299 s on one CPU of that VM (`OPENBLAS_NUM_THREADS=1`), of
-which the ten (10,10) volatility fits, one `garch.fit_many`, take about
-0.6 s.
+which the ten (10,10) volatility fits, one `garch.fit_many`, take 0.18 s
+(`scripts/bench_layers.py --only garch`, one pinned CPU of that VM).
 
 Usage:
     python scripts/run_cpi_reference.py [--epochs N] [--horizons 10,20]

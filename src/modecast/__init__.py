@@ -4,7 +4,7 @@ summed one-step-ahead forecasts."""
 
 __version__ = "0.1.0"
 
-from .garch import DiagnosticsReport, GarchFit, GarchParams, GarchSpec
+from .garch import GarchFit, GarchParams, GarchSpec
 from .neural import CellKind, NetworkConfig, RecurrentNetwork, TrainConfig
 from .pipeline import (
     EnsembleForecaster,
@@ -20,10 +20,10 @@ from .series import MinMaxScaler, SplitSpec, TimeSeries
 from .vmd import ModeSet, VmdConfig, vmd_decompose
 
 __all__ = [
-    "CellKind", "DiagnosticsReport", "EnsembleForecaster", "EvalReport",
-    "GarchFit", "GarchParams", "GarchSpec", "MinMaxScaler", "ModeSet",
-    "NetworkConfig", "PipelineConfig", "RecurrentNetwork", "SplitSpec",
-    "TimeSeries", "TrainConfig", "Variant", "VmdConfig",
+    "CellKind", "EnsembleForecaster", "EvalReport", "GarchFit",
+    "GarchParams", "GarchSpec", "MinMaxScaler", "ModeSet", "NetworkConfig",
+    "PipelineConfig", "RecurrentNetwork", "SplitSpec", "TimeSeries",
+    "TrainConfig", "Variant", "VmdConfig",
     "compare_models", "fit_forecaster", "metrics", "rolling_forecast",
     "vmd_decompose", "__version__",
 ]

@@ -16,7 +16,9 @@ scale-equivariant to rounding error.
 The search reads the likelihood's analytic score: the derivatives of the
 variance path in the coefficients follow the variance recursion itself
 (Fiorentini, Calzolari & Panattoni, J. Applied Econometrics 11(4), 1996),
-and the chain rule through the transform gives the gradient in theta.
+and the score takes them in reverse mode, as one backward run of that
+recursion over the likelihood's weights (the adjoint); the chain rule
+through the transform gives the gradient in theta.
 `_bfgs` runs three starts per series with a strong-Wolfe line search, in
 lockstep: all the searches of a `fit_many` call advance together, each
 round handing every search's pending trial point to one batched call for
@@ -34,12 +36,12 @@ zero-padded to the longest, and evaluates many rows at once, row r being one
 series under one set of coefficients.  Per row it runs only `math.exp`
 (alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
 (`_sigtools._linear_filter`, loaded from its extension file and called
-directly), once for the variance path and once more for its derivatives;
-the softmax, the filter states, the ARCH convolution (lags summed highest
-first, as `np.convolve` does), the likelihood terms and the per-row sums
-(one reduction per series length) run over all rows at once.  Every step is
-the plain per-series arithmetic in the same order, so each row gets the
-floats it would get alone.
+directly), once forwards for the variance path and once backwards for the
+score's adjoint; the softmax, the filter states, the ARCH convolution (lags
+summed highest first, as `np.convolve` does), the likelihood terms and the
+per-row sums (one reduction per series length) run over all rows at once.
+Every step is the plain per-series arithmetic in the same order, so each
+row gets the floats it would get alone.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
@@ -148,15 +150,6 @@ class GarchFit:
     converged: bool
     used_differencing: bool = False
     used_rolling_fallback: bool = False
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    adf_statistic: float
-    adf_reject_unit_root: bool
-    arch_lm_statistic: float
-    arch_effects_present: bool
-    lags_used: int
 
 
 @dataclass(frozen=True)
@@ -325,13 +318,20 @@ class _Batch:
         constraint set is not run and gets 1e300 and a zero gradient.
 
         The derivatives of s2_t in (alpha0, alphas, betas) obey the variance
-        recursion itself, over the regressors [1, a_{t-i}^2, s2_{t-j}]
-        (seeded before the sample as s2 is) from a zero state: one filter
-        call per row over all of them (Fiorentini, Calzolari & Panattoni,
-        J. Applied Econometrics 11(4), 1996).  Weighted by
-        df/ds2_t = (1 - a_t^2 / s2_t) / (2 s2_t) and summed over each row's
-        series length, they give df/dcoeffs, which the chain rule through
-        `_theta_to_coeffs` turns into df/dtheta.
+        recursion itself, run from a zero state over the regressors
+        [1, a_{t-i}^2, s2_{t-j}], seeded before the sample as s2 is
+        (Fiorentini, Calzolari & Panattoni, J. Applied Econometrics 11(4),
+        1996); the score weighs them by df/ds2_t = (1 - a_t^2/s2_t)/(2 s2_t).
+        That is a sum w'L^-1 x per coefficient, L the filter's lower
+        triangular matrix, so it is computed in reverse mode (Griewank &
+        Walther, Evaluating Derivatives, SIAM 2008): the adjoint L^-T w is
+        the same filter run once backwards over the weights, zeroed past the
+        row's series length, and each coefficient's derivative is the sum of
+        the adjoint times its regressor over that length.  One filter call
+        per row serves all 1+k+l coefficients; the chain rule through
+        `_theta_to_coeffs` turns df/dcoeffs into df/dtheta.  The reversed
+        row begins with its zeros, so a row's adjoint has the floats it
+        gets alone.
         """
         alpha0, coeffs = _theta_to_coeffs(thetas)
         k, l, m = self.k, self.l, self.m
@@ -348,22 +348,27 @@ class _Batch:
         a2 = a2x[:, m:]
         values = np.negative(self.log_likelihood(rows, s2, a2))
         width = s2.shape[1]
-        lanes = np.empty((rows.size, 1 + k + l, width))
-        lanes[:, 0] = 1.0
-        for i in range(k):  # a_{t-i-1}^2, seeds before the sample
-            lanes[:, 1 + i] = a2x[:, m - 1 - i:m - 1 - i + width]
+        adjoint = np.divide(a2, s2)  # df/ds2_t
+        np.subtract(1.0, adjoint, out=adjoint)
+        adjoint /= np.multiply(2.0, s2)
+        if l:  # the variance filter run backwards, from a zero state past each row's length
+            for n in self.distinct[:-1]:
+                adjoint[self.lengths[rows] == n, n:] = 0.0
+            zeros = np.zeros(l)
+            adjoint = np.array([_linear_filter(_ONE, d, w, -1, zeros)[0]
+                                for d, w in zip(_denominators(coeffs[:, k:]),
+                                                adjoint[:, ::-1])])[:, ::-1]
+        # the adjoint times each regressor [1, a_{t-i}^2, s2_{t-j}], seeded
+        # before the sample as s2 is
+        terms = np.empty((rows.size, 1 + k + l, width))
+        terms[:, 0] = adjoint
+        for i in range(k):
+            np.multiply(adjoint, a2x[:, m - 1 - i:m - 1 - i + width], out=terms[:, 1 + i])
         if l:
             s2x = np.concatenate([np.repeat(self.seeds[rows, None], m, axis=1), s2], axis=1)
-            for j in range(l):  # s2_{t-j-1}, seeds before the sample
-                lanes[:, 1 + k + j] = s2x[:, m - 1 - j:m - 1 - j + width]
-            zeros = np.zeros((1 + k + l, l))
-            lanes = np.array([_linear_filter(_ONE, d, x, -1, zeros)[0]
-                              for d, x in zip(_denominators(coeffs[:, k:]), lanes)])
-        weight = np.divide(a2, s2)
-        np.subtract(1.0, weight, out=weight)
-        weight /= np.multiply(2.0, s2)
-        lanes *= weight[:, None, :]
-        grad = self._row_sums(rows, lanes)  # df/d(alpha0, alphas, betas)
+            for j in range(l):
+                np.multiply(adjoint, s2x[:, m - 1 - j:m - 1 - j + width], out=terms[:, 1 + k + j])
+        grad = self._row_sums(rows, terms)  # df/d(alpha0, alphas, betas)
         sigmoid = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
         complement = np.array(list(map(_expit, (-thetas[:, 1]).tolist())), dtype=float)
         score = np.empty(thetas.shape)
@@ -952,15 +957,3 @@ def chi2_critical_95(lags: int) -> float:
 
     return float(2 * special.gammaincinv(lags / 2, 0.95))
 
-
-def diagnose(series: TimeSeries | np.ndarray, lags: int = 12) -> DiagnosticsReport:
-    """Run both stationarity diagnostics with a shared lag count."""
-    adf_stat, adf_reject = adf_test(series, lags=lags)
-    lm_stat, lm_present = arch_lm_test(series, lags=lags)
-    return DiagnosticsReport(
-        adf_statistic=adf_stat,
-        adf_reject_unit_root=adf_reject,
-        arch_lm_statistic=lm_stat,
-        arch_effects_present=lm_present,
-        lags_used=lags,
-    )

@@ -260,9 +260,3 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
         converged=delta < config.tol,
     )
 
-
-def reconstruct(mode_set: ModeSet) -> TimeSeries:
-    """Elementwise sum of the modes (residual excluded)."""
-    if mode_set.n_modes < 1:
-        raise TooShort("empty mode set")
-    return TimeSeries(mode_set.modes.sum(axis=0), name="reconstruction")

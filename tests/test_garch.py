@@ -16,7 +16,6 @@ from modecast.garch import (
     GarchSpec,
     adf_test,
     arch_lm_test,
-    diagnose,
     ROLLING_WINDOW,
     extend_sigma2,
     fit,
@@ -372,6 +371,67 @@ def test_score_matches_central_differences(k, l):
         assert alone[0][0] == values[r] and np.array_equal(alone[1][0], score[r])
 
 
+def _forward_lanes_score(a_norm, spec, theta):
+    """df/dtheta as first written: the derivatives of s2 in (alpha0, alphas,
+    betas) run forward through the variance filter, one lane per
+    coefficient over the regressors [1, a_{t-i}^2, s2_{t-j}] (Fiorentini,
+    Calzolari & Panattoni 1996), weighted by df/ds2_t and summed; then the
+    chain rule through the transform."""
+    a = np.asarray(a_norm, dtype=float)
+    n, k, l, seed = a.size, spec.k, spec.l, float(np.var(a))
+    m = max(k, l, 1)
+    alpha0, coeffs = _per_row_coeffs(theta)
+    s2 = sigma2_path(GarchParams(alpha0, coeffs[:k], coeffs[k:]), a)
+    a2x = np.concatenate([np.full(m, seed), a * a])
+    s2x = np.concatenate([np.full(m, seed), s2])
+    lanes = np.array([np.ones(n)]
+                     + [a2x[m - 1 - i:m - 1 - i + n] for i in range(k)]
+                     + [s2x[m - 1 - j:m - 1 - j + n] for j in range(l)])
+    if l:
+        lanes = signal.lfilter([1.0], np.concatenate([[1.0], -coeffs[k:]]), lanes, axis=-1)
+    grad = (lanes * ((1.0 - a * a / s2) / (2.0 * s2))).sum(axis=1)
+    sigmoid, complement = 1.0 / (1.0 + math.exp(-theta[1])), 1.0 / (1.0 + math.exp(theta[1]))
+    weighted = float((grad[1:] * coeffs).sum())
+    score = np.empty(theta.size)
+    score[0] = 0.0 if theta[0] > 50.0 else grad[0] * alpha0
+    score[1] = complement * weighted
+    score[2:] = coeffs * (grad[1:] - weighted / sigmoid)
+    return score
+
+
+@pytest.mark.parametrize("k,l", ORDERS)
+def test_adjoint_score_matches_forward_lanes(k, l):
+    rng = np.random.default_rng(400 + 10 * k + l)
+    a = _searched_series(k, l)
+    series = (a / np.std(a), rng.standard_normal(173), rng.standard_normal(60) * 3.0)
+    spec, dim = GarchSpec(k, l), 2 + k + l
+    thetas = rng.normal(0.0, 1.5, size=(40, dim))
+    rows = rng.integers(0, len(series), size=thetas.shape[0])
+    score = _Batch(series, k, l).objective_and_score(rows, thetas)[1]
+    for row, theta, got in zip(rows, thetas, score):
+        expected = _forward_lanes_score(series[row], spec, theta)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (2, 2), (10, 10), (0, 2), (3, 1)])
+def test_score_filters_two_samples_per_slot_of_a_valid_row(monkeypatch, k, l):
+    # the variance path and its adjoint, one pass each: no filter per coefficient
+    rng = np.random.default_rng(500 + 10 * k + l)
+    batch = _Batch((rng.standard_normal(150), rng.standard_normal(97)), k, l)
+    thetas = rng.normal(0.0, 1.5, size=(7, 2 + k + l))
+    thetas[3, 1] = -1000.0  # outside the constraint set: never filtered
+    samples, linear_filter = [], garch._linear_filter
+
+    def counting(b, a, x, axis, zi):
+        samples.append(np.asarray(x).size)
+        return linear_filter(b, a, x, axis, zi)
+
+    monkeypatch.setattr(garch, "_linear_filter", counting)
+    values, _ = batch.objective_and_score(np.array([0, 1, 1, 0, 1, 0, 0]), thetas)
+    assert values[3] == 1e300 and (values != 1e300).sum() == 6
+    assert sum(samples) == 2 * 150 * 6
+
+
 @pytest.mark.parametrize("k,l,params", [
     (1, 1, GarchParams(0.1, [0.1], [0.85])),
     (2, 2, GarchParams(0.1, [0.05, 0.05], [0.5, 0.35])),
@@ -707,10 +767,3 @@ def test_chi2_critical_95_equals_scipy_stats_bit_for_bit():
         want = float(stats.chi2.ppf(0.95, lags))
         assert garch.chi2_critical_95(lags).hex() == want.hex(), lags
 
-
-def test_diagnose_bundles_both_tests():
-    sim = simulate(GarchParams(0.1, [0.3], [0.6]), 1500, seed=6)
-    report = diagnose(sim, lags=12)
-    assert report.lags_used == 12
-    assert report.adf_reject_unit_root
-    assert report.arch_effects_present

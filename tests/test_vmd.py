@@ -16,7 +16,6 @@ from modecast.vmd import (
     _init_omegas,
     crop_center,
     mirror_extend,
-    reconstruct,
     vmd_decompose,
 )
 
@@ -368,21 +367,9 @@ def test_decomposition_equals_buffered_sweep_bit_for_bit(k_modes):
         (expected.iterations, expected.final_delta, expected.converged)
 
 
-def test_reconstruct_sums_modes():
-    ms = ModeSet(modes=np.array([[1.0, 1.0], [2.0, 3.0]]), omegas=np.array([0.1, 0.2]),
-                 residual=np.zeros(2), iterations=1, final_delta=0.0, converged=True)
-    assert np.array_equal(reconstruct(ms).values, [3.0, 4.0])
-
-
-def test_reconstruct_single_mode_identity():
-    ms = ModeSet(modes=np.array([[1.5, -2.0, 0.25]]), omegas=np.array([0.1]),
-                 residual=np.zeros(3), iterations=1, final_delta=0.0, converged=True)
-    assert np.array_equal(reconstruct(ms).values, [1.5, -2.0, 0.25])
-
-
 def test_reconstruct_plus_residual_reproduces_input():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(180)
     ms = vmd_decompose(TimeSeries(x), VmdConfig(n_modes=2))
-    rebuilt = reconstruct(ms).values + ms.residual
+    rebuilt = ms.modes.sum(axis=0) + ms.residual
     assert np.abs(rebuilt - x).max() <= 1e-10 * np.abs(x).max()
