@@ -343,7 +343,7 @@ def _filter_call_s(length: int, l: int) -> float:
     from modecast import garch
 
     denom = np.concatenate([[1.0], np.full(l, -0.8 / l)])
-    zi = garch._filter_state(denom[None, :], 1.0)[0]
+    zi = garch._filter_state(denom[None, :], np.ones((1, l)))[0]
     rng = np.random.default_rng(0)
     base = rng.uniform(0.5, 1.5, length)
     weights = rng.uniform(-0.5, 0.5, length)

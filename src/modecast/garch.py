@@ -26,22 +26,23 @@ the values and gradients.  A search's path depends on its own values only,
 so `fit`, which is `fit_many` of one series, gives each series the fit it
 gets in any batch.
 
-The variance recursion runs in three places.  The batched evaluator
-`_Batch` serves the search, `fit`'s final steps and the public
-`sigma2_path` and `log_likelihood`.  `step_sigma2` advances a path by one
-slot in scalar arithmetic; `extend_sigma2` runs it over the held-out shocks
-of every rolling forecast.  `simulate` draws shocks through its own scalar
-loop.  `_Batch` holds the squared shocks and seeds of many series,
-zero-padded to the longest, and evaluates many rows at once, row r being one
-series under one set of coefficients.  Per row it runs only `math.exp`
-(alpha0 and the sigmoid) and `signal.lfilter`'s IIR filter
-(`_sigtools._linear_filter`, loaded from its extension file and called
-directly), once forwards for the variance path and once backwards for the
-score's adjoint; the softmax, the filter states, the ARCH convolution (lags
-summed highest first, as `np.convolve` does), the likelihood terms and the
-per-row sums (one reduction per series length) run over all rows at once.
-Every step is the plain per-series arithmetic in the same order, so each
-row gets the floats it would get alone.
+The variance recursion runs in two places.  `_variance_paths` filters
+known shocks from given pre-sample slots: the batched evaluator `_Batch`
+(the search, `fit`'s final steps, `sigma2_path` and `log_likelihood`) runs
+it from the sample-variance seed, `extend_sigma2` over a rolling forecast's
+held-out shocks from the fit's last slots.  `simulate` keeps its own scalar
+loop, since it draws each shock at the variance just computed.  `_Batch`
+holds the squared shocks and seeds of many series, zero-padded to the
+longest, and evaluates many rows at once, row r being one series under one
+set of coefficients.  Per row it runs only `math.exp` (alpha0 and the
+sigmoid) and `signal.lfilter`'s IIR filter (`_sigtools._linear_filter`,
+loaded from its extension file and called directly), once forwards for the
+variance path and once backwards for the score's adjoint; the softmax, the
+filter states, the ARCH convolution (lags summed highest first, as
+`np.convolve` does), the likelihood terms and the per-row sums (one
+reduction per series length) run over all rows at once.  Every step is the
+plain per-series arithmetic in the same order, so each row gets the floats
+it would get alone.
 
 Diagnostics: an augmented Dickey-Fuller unit-root regression (constant term,
 fixed 5% asymptotic critical value -2.86) and the Lagrange-multiplier test
@@ -211,14 +212,14 @@ def _padded(arrays, fill: float) -> np.ndarray:
 class _Batch:
     """Residual series prepared for batched runs of the variance recursion at order (k, l).
 
-    Holds, per series, its length, the pre-sample seed (the sample variance
-    of the residuals), and the squared shocks behind m = max(k, l, 1) seed
-    slots, zero-padded to the longest series.  Each call evaluates many rows
-    at once: row r runs series `rows[r]` with its own coefficients, and gets
-    the same floats it would get alone.
+    Holds, per series, its length and the squared shocks behind m =
+    max(k, l, 1) pre-sample slots, which hold the series' seed (the sample
+    variance of its residuals), zero-padded to the longest series.  Each
+    call evaluates many rows at once: row r runs series `rows[r]` with its
+    own coefficients, and gets the same floats it would get alone.
     """
 
-    __slots__ = ("k", "l", "m", "lengths", "distinct", "seeds", "a2x")
+    __slots__ = ("k", "l", "m", "lengths", "distinct", "a2x")
 
     def __init__(self, residuals, k: int, l: int):
         series = [np.asarray(a, dtype=float).reshape(-1) for a in residuals]
@@ -231,44 +232,17 @@ class _Batch:
         self.m = m = max(k, l, 1)
         self.lengths = np.array([a.size for a in series])
         self.distinct = sorted(set(self.lengths.tolist()))
-        self.seeds = np.array([float(np.var(a)) for a in series])
+        seeds = np.array([float(np.var(a)) for a in series])
         a2 = _padded([a * a for a in series], 0.0)
-        self.a2x = np.concatenate([np.repeat(self.seeds[:, None], m, axis=1), a2], axis=1)
+        self.a2x = np.concatenate([np.repeat(seeds[:, None], m, axis=1), a2], axis=1)
 
-    def sigma2(self, rows: np.ndarray, alpha0: np.ndarray, coeffs: np.ndarray,
-               a2x: np.ndarray | None = None) -> np.ndarray:
-        """Variance paths of series `rows[r]` under alpha0[r] and the lag
-        coefficients coeffs[r] = [alphas, betas], one row each, every row
-        as wide as the longest series.  A row's slots past its series'
-        length continue the recursion over zero shocks: positive padding.
-        `a2x` may hold `self.a2x[rows]`, gathered by the caller.
-
-        The ARCH lags are summed highest first, over all rows at once, which
-        is `np.convolve`'s order (bit for bit up to 11 lags); the GARCH lags
-        run `signal.lfilter`'s filter row by row, from the `_filter_state` of
-        the row's denominator [1, -betas].  The filter is causal, so a row's
-        leading slots are those of its series filtered alone.
-        """
-        k, l = self.k, self.l
-        width = self.a2x.shape[1] - self.m
-        if k > 0:
-            if a2x is None:
-                a2x = self.a2x[rows]
-            lo = self.m - 1  # a2x[lo + t - i] is slot t's lag-(i+1) square
-            base = coeffs[:, k - 1:k] * a2x[:, lo - k + 1:lo - k + 1 + width]
-            for i in range(k - 2, -1, -1):
-                base += coeffs[:, i:i + 1] * a2x[:, lo - i:lo - i + width]
-            base += alpha0[:, None]
-        else:
-            base = np.repeat(alpha0[:, None], width, axis=1)
-        if l == 0:
-            return base
-        # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-        denom = _denominators(coeffs[:, k:])
-        zi = _filter_state(denom, self.seeds[rows, None])
-        # what `signal.lfilter(_ONE, denom[r], base[r], zi=zi[r])` runs for a
-        # denominator of two or more terms, without its argument handling
-        return np.array([_linear_filter(_ONE, d, b, -1, z)[0] for d, b, z in zip(denom, base, zi)])
+    def sigma2(self, rows: np.ndarray, alpha0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """`_variance_paths` of series `rows[r]` under alpha0[r] and
+        coeffs[r] = [alphas, betas], every pre-sample slot the seed, every
+        row as wide as the longest series: its slots past its series' length
+        run over zero shocks (positive padding)."""
+        a2x = self.a2x[rows]
+        return _variance_paths(alpha0, coeffs, self.k, a2x, a2x[:, :self.m])
 
     def log_likelihood(self, rows: np.ndarray, s2: np.ndarray,
                        a2: np.ndarray | None = None) -> np.ndarray:
@@ -344,8 +318,8 @@ class _Batch:
                 values[valid], score[valid] = self.objective_and_score(rows[valid], thetas[valid])
             return values, score
         a2x = self.a2x[rows]
-        s2 = self.sigma2(rows, alpha0, coeffs, a2x)
-        a2 = a2x[:, m:]
+        s2_before, a2 = a2x[:, :m], a2x[:, m:]  # the seed before slot 0, then the squares
+        s2 = _variance_paths(alpha0, coeffs, k, a2x, s2_before)
         values = np.negative(self.log_likelihood(rows, s2, a2))
         width = s2.shape[1]
         adjoint = np.divide(a2, s2)  # df/ds2_t
@@ -365,7 +339,7 @@ class _Batch:
         for i in range(k):
             np.multiply(adjoint, a2x[:, m - 1 - i:m - 1 - i + width], out=terms[:, 1 + i])
         if l:
-            s2x = np.concatenate([np.repeat(self.seeds[rows, None], m, axis=1), s2], axis=1)
+            s2x = np.concatenate([s2_before, s2], axis=1)
             for j in range(l):
                 np.multiply(adjoint, s2x[:, m - 1 - j:m - 1 - j + width], out=terms[:, 1 + k + j])
         grad = self._row_sums(rows, terms)  # df/d(alpha0, alphas, betas)
@@ -389,17 +363,49 @@ def _denominators(betas: np.ndarray) -> np.ndarray:
     return denom
 
 
-def _filter_state(denom: np.ndarray, seed) -> np.ndarray:
-    """`lfilter` state for pre-sample outputs all equal to `seed`, one row per
-    row of the (rows, l + 1) `denom`, with `seed` broadcast against it.
+def _variance_paths(alpha0: np.ndarray, coeffs: np.ndarray, k: int, a2x: np.ndarray,
+                    s2_before: np.ndarray) -> np.ndarray:
+    """Variance paths under alpha0[r] and coeffs[r] = [alphas, betas] (k
+    alphas), one row each, over the squared shocks a2x[r, m:], behind the m
+    before slot 0; s2_before[r] holds the m >= max(k, l) variances before
+    slot 0, oldest first.  The ARCH lags are summed highest first over all
+    rows at once, `np.convolve`'s order (bit for bit up to 11 lags); the
+    GARCH lags run `signal.lfilter`'s filter row by row from the
+    `_filter_state` of [1, -betas] and s2_before[r].  The filter is causal,
+    so a row's leading slots are those of its shocks filtered alone."""
+    m = s2_before.shape[1]
+    width = a2x.shape[1] - m
+    l = coeffs.shape[1] - k
+    if k > 0:
+        lo = m - 1  # a2x[lo + t - i] is slot t's lag-(i+1) square
+        base = coeffs[:, k - 1:k] * a2x[:, lo - k + 1:lo - k + 1 + width]
+        for i in range(k - 2, -1, -1):
+            base += coeffs[:, i:i + 1] * a2x[:, lo - i:lo - i + width]
+        base += alpha0[:, None]
+    else:
+        base = np.repeat(alpha0[:, None], width, axis=1)
+    if l == 0:
+        return base
+    # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
+    denom = _denominators(coeffs[:, k:])
+    zi = _filter_state(denom, s2_before)
+    # what `signal.lfilter(_ONE, denom[r], base[r], zi=zi[r])` runs for a
+    # denominator of two or more terms, without its argument handling
+    return np.array([_linear_filter(_ONE, d, b, -1, z)[0] for d, b, z in zip(denom, base, zi)])
 
-    The arithmetic of `signal.lfiltic([1.0], denom, y=np.full(l, seed))`,
-    written out without its argument handling, one state slot at a time.
-    """
-    scaled = denom * seed
-    zi = np.empty(scaled.shape[:-1] + (scaled.shape[-1] - 1,))
-    for j in range(zi.shape[-1]):
-        zi[..., j] = 0.0 - _sum(scaled[..., j + 1:], axis=-1)
+
+def _filter_state(denom: np.ndarray, history: np.ndarray) -> np.ndarray:
+    """`lfilter` state after the outputs history[r] (at least l, oldest
+    first), one row per row of the (rows, l + 1) `denom`: the arithmetic of
+    `signal.lfiltic([1.0], denom[r], y=history[r, ::-1])` without its
+    argument handling, over all rows at once.  Slot j is
+    0 - sum(denom[j + 1:] * y[:l - j]), read off a diagonal of the products."""
+    l = denom.shape[-1] - 1
+    latest_first = history[..., ::-1]  # lfiltic's y
+    products = denom[..., 1:, None] * latest_first[..., None, :l]  # [i, t]: denom[i + 1] * y[t]
+    zi = np.empty(denom.shape[:-1] + (l,))
+    for j in range(l):
+        zi[..., j] = 0.0 - _sum(products.diagonal(-j, -2, -1), axis=-1)
     return zi
 
 
@@ -424,34 +430,6 @@ def log_likelihood(params: GarchParams, residuals) -> float:
     """Gaussian log-likelihood sum_t [-ln(2*pi)/2 - ln(s2_t)/2 - a_t^2/(2*s2_t)]."""
     batch, rows = _Batch([residuals], params.k, params.l), np.zeros(1, dtype=np.intp)
     return float(batch.log_likelihood(rows, batch.sigma2(rows, *_coeff_rows([params])))[0])
-
-
-def forecast_sigma2(fit: GarchFit) -> float:
-    """One-step-ahead conditional variance from the fitted paths.
-
-    A rolling-fallback fit has no fitted coefficients (its `params` come from
-    a search that did not converge) and raises `InvalidParams`; its path
-    continues by `extend_sigma2`.
-    """
-    if fit.used_rolling_fallback:
-        raise InvalidParams("a rolling-variance fallback fit has no fitted coefficients; "
-                            "extend its path with extend_sigma2")
-    return step_sigma2(fit.params, fit.residuals, fit.sigma2_path)
-
-
-def step_sigma2(params: GarchParams, residuals, s2_path) -> float:
-    """Advance the recursion one slot past the end of the given paths."""
-    a = np.asarray(residuals, dtype=float).reshape(-1)
-    s2 = np.asarray(s2_path, dtype=float).reshape(-1)
-    k, l = params.k, params.l
-    if a.size < k or s2.size < l:
-        raise TooShort(f"need {k} residuals and {l} variances, got {a.size} and {s2.size}")
-    out = params.alpha0
-    for i in range(1, k + 1):
-        out += params.alphas[i - 1] * a[-i] ** 2
-    for j in range(1, l + 1):
-        out += params.betas[j - 1] * s2[-j]
-    return float(out)
 
 
 def simulate(params: GarchParams, n: int, seed: int) -> TimeSeries:
@@ -566,20 +544,21 @@ def rolling_sigma2(shocks, floor: float) -> np.ndarray:
 
 
 def extend_sigma2(fit: GarchFit, shocks) -> np.ndarray:
-    """The fit's variance path continued over `shocks` that follow its residuals.
-
-    The recursion advances one slot at a time by `step_sigma2` over the
-    shocks before that slot; a rolling-fallback fit extends its trailing
-    window instead.  The leading slots equal `fit.sigma2_path`.
-    """
-    a = np.concatenate([fit.residuals, np.asarray(shocks, dtype=float).reshape(-1)])
+    """The fit's variance path continued over `shocks` that follow its residuals:
+    the fit's own filter from its last m = max(k, l, 1) squared residuals and
+    variances (a rolling-fallback fit extends its trailing window instead).
+    The leading slots equal `fit.sigma2_path`."""
+    a = np.asarray(shocks, dtype=float).reshape(-1)
     if fit.used_rolling_fallback:
-        return rolling_sigma2(a, rolling_floor(fit.residuals))
-    n = fit.residuals.size
-    s2 = np.concatenate([fit.sigma2_path, np.empty(a.size - n)])
-    for t in range(n, a.size):
-        s2[t] = step_sigma2(fit.params, a[:t], s2[:t])
-    return s2
+        return rolling_sigma2(np.concatenate([fit.residuals, a]), rolling_floor(fit.residuals))
+    params = fit.params
+    m = max(params.k, params.l, 1)
+    if fit.residuals.size < m:
+        raise TooShort(f"need {m} residuals to extend the path, got {fit.residuals.size}")
+    a = np.concatenate([fit.residuals[-m:], a])
+    tail = _variance_paths(*_coeff_rows([params]), params.k, (a * a)[None],
+                           fit.sigma2_path[None, -m:])
+    return np.concatenate([fit.sigma2_path, tail[0]])
 
 
 GTOL = 1e-6  # a search converges when max |df/dtheta| reaches this

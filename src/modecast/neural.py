@@ -105,6 +105,8 @@ class NetworkConfig:
             raise ShapeMismatch("layers, hidden and input_features must all be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ShapeMismatch(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -720,6 +722,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 < self.clip_norm < math.inf:
             raise ConfigError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | None = None):

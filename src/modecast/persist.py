@@ -13,7 +13,9 @@ directory whose header exists has its arrays.
 
 A model directory is outside input.  The archive is read with
 `allow_pickle=False`; load checks each key set, dtype and number of
-dimensions, and the record's constructor every shape.  Any missing, extra,
+dimensions, each header scalar's type, and that a GARCH fit took the
+rolling fallback exactly when it did not converge, and the record's
+constructor checks every shape.  Any missing, extra,
 truncated, foreign, mistyped or misshapen entry raises `CorruptModel`, as
 does any other format (the v1, v2 and v3 layouts included).  Values come back
 bit for bit, so a reloaded forecaster forecasts identically.
@@ -38,9 +40,10 @@ FORMAT = "modecast-forecaster v4"
 HEADER = "forecaster.json"
 ARRAYS = "arrays.npz"
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
-_GARCH_SCALARS = ("mean", "log_likelihood", "converged", "used_differencing",
-                  "used_rolling_fallback")
-_MODE_SET_SCALARS = ("iterations", "final_delta", "converged")
+# the header's scalars and their types
+_GARCH_SCALARS = {"mean": float, "log_likelihood": float, "converged": bool,
+                  "used_differencing": bool, "used_rolling_fallback": bool}
+_MODE_SET_SCALARS = {"iterations": int, "final_delta": float, "converged": bool}
 
 
 def _fields(obj, names=None) -> dict:
@@ -53,6 +56,15 @@ def _exact(d: dict, names, what: str) -> dict:
     not load silently as a default, nor an extra one be dropped unread."""
     if set(d) != set(names):
         raise KeyError(f"{what} entries {sorted(set(d) ^ set(names))}")
+    return d
+
+
+def _typed(d: dict, types: dict, what: str) -> dict:
+    """`d`, which must hold exactly the entries of `types`, each of exactly
+    its type: JSON writes a float with a point, and a bool is no int."""
+    for name in _exact(d, types, what):
+        if type(d[name]) is not types[name]:
+            raise CorruptModel(f"{HEADER}: {what} {name} {d[name]!r} is no {types[name].__name__}")
     return d
 
 
@@ -180,9 +192,11 @@ def _forecaster_from(header: dict, arrays: dict[str, np.ndarray]) -> EnsembleFor
     if decomposes:
         modes = vmd.ModeSet(modes=mode_values, omegas=_array(arrays, "omegas", 1),
                             residual=_array(arrays, "residual", 1),
-                            **_exact(header["modes"], _MODE_SET_SCALARS, "modes"))
+                            **_typed(header["modes"], _MODE_SET_SCALARS, "modes"))
     if with_garch:  # one header entry per row of each GARCH array
-        entries = [_exact(e, ("alpha0", *_GARCH_SCALARS), "garch") for e in header["garch"]]
+        entries = [_typed(e, {"alpha0": float, **_GARCH_SCALARS}, "garch") for e in header["garch"]]
+        if any(e["used_rolling_fallback"] is e["converged"] for e in entries):  # as fit_many sets
+            raise CorruptModel(f"{HEADER}: garch used_rolling_fallback must be (not converged)")
         fits = tuple(
             garch.GarchFit(params=garch.GarchParams(entry["alpha0"], alphas, betas),
                            sigma2_path=sigma2, residuals=residuals,

@@ -115,6 +115,8 @@ class VmdConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.init_omega not in ("uniform", "zero", "random"):
             raise ConfigError(f"unknown init_omega '{self.init_omega}'")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,14 @@ class _ReferenceModeState:
                 shock = (self.raw[-1] - self.raw[-2]) - fit.mean
             else:
                 shock = value - fit.mean
-            if not fit.used_rolling_fallback:
-                s2_next = garch.step_sigma2(fit.params, np.asarray(self.a), np.asarray(self.s2))
+            if not fit.used_rolling_fallback:  # the recursion's per-slot sum
+                params = fit.params
+                s2_next = params.alpha0
+                for i in range(1, params.k + 1):
+                    s2_next += params.alphas[i - 1] * self.a[-i] ** 2
+                for j in range(1, params.l + 1):
+                    s2_next += params.betas[j - 1] * self.s2[-j]
+                s2_next = float(s2_next)
                 self.a.append(shock)
             else:
                 self.a.append(shock)

@@ -312,14 +312,35 @@ def test_unknown_config_key_exit_1(tmp_path, series_csv, capsys):
                  "--out-dir", str(tmp_path / "x")]) == 1
 
 
-@pytest.mark.parametrize("damage", ["format", "json", "checkpoint", "keys", "truncated"])
+# a header scalar of the wrong type, or a fallback flag that contradicts
+# the fit's convergence: (header block, entry, value)
+_MISTYPED_SCALARS = {
+    "garch-mean": ("garch", "mean", "x"),
+    "garch-alpha0": ("garch", "alpha0", True),
+    "garch-converged": ("garch", "converged", "no"),
+    "garch-fallback-of-a-converged-fit": ("garch", "used_rolling_fallback", True),
+    "modes-final-delta": ("modes", "final_delta", "x"),
+    "modes-iterations": ("modes", "iterations", 12.0),
+}
+
+
+@pytest.mark.parametrize("damage", ["format", "json", "checkpoint", "keys", "truncated",
+                                    *_MISTYPED_SCALARS])
 def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_file, capsys,
                                                 damage):
     model_dir = tmp_path / "model"
     assert main(["train", "--input", str(series_csv), "--config", str(config_file),
                  "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
     manifest = model_dir / "forecaster.json"
-    if damage == "format":
+    if damage in _MISTYPED_SCALARS:
+        block, name, value = _MISTYPED_SCALARS[damage]
+        payload = json.loads(manifest.read_text())
+        entry = payload["garch"][0] if block == "garch" else payload["modes"]
+        if name == "used_rolling_fallback":
+            assert entry["converged"] is True  # the flag now contradicts it
+        entry[name] = value
+        manifest.write_text(json.dumps(payload))
+    elif damage == "format":
         payload = json.loads(manifest.read_text())
         payload["format"] = "modecast-forecaster v0"
         manifest.write_text(json.dumps(payload))
@@ -489,7 +510,14 @@ def test_unusable_output_path_exit_2(tmp_path, series_csv, config_file, capsys, 
     ("forecast", ["--steps", "3"], "network.seq_len = 0", 1),
     ("forecast", ["--steps", "9999"], "", 2),
     ("compare", ["--cells", "rnn", "--horizons", "9999"], "", 2),
-], ids=["bad-setting", "steps-too-long", "horizon-too-long"])
+    ("forecast", ["--steps", "3", "--seed", "-1"], "", 1),
+    ("train", ["--seed", "-1"], "", 1),
+    ("compare", ["--cells", "rnn", "--horizons", "3", "--seed", "-1"], "", 1),
+    ("forecast", ["--steps", "3"], "train.seed = -5", 1),
+    ("forecast", ["--steps", "3"], "vmd.seed = -5\nvmd.init_omega = random", 1),
+], ids=["bad-setting", "steps-too-long", "horizon-too-long", "negative-seed-forecast",
+        "negative-seed-train", "negative-seed-compare", "negative-train-seed",
+        "negative-vmd-seed"])
 def test_refused_run_leaves_no_output_dir_and_fits_nothing(tmp_path, series_csv, config_file,
                                                            capsys, monkeypatch, command, extra,
                                                            setting, exit_code):

@@ -21,7 +21,7 @@ from modecast.errors import (
     ParseError,
     UnreadableFile,
 )
-from modecast.neural import CellKind
+from modecast.neural import CellKind, NetworkConfig, TrainConfig
 from modecast.pipeline import PipelineConfig
 from modecast.series import TimeSeries
 from modecast.vmd import VmdConfig
@@ -215,6 +215,16 @@ def test_to_pipeline_config_validates_through_modules():
         to_pipeline_config(parse_config_text("modes = 0\n"))
     with pytest.raises(ConfigError):
         to_pipeline_config(parse_config_text("modes = 3\nnetwork.dropout = 1.5\n"))
+
+
+@pytest.mark.parametrize("make", [lambda: TrainConfig(seed=-1),
+                                  lambda: NetworkConfig(CellKind.RNN, seed=-1),
+                                  lambda: VmdConfig(n_modes=2, seed=-1)],
+                         ids=["train", "network", "vmd"])
+def test_negative_seed_is_a_config_error(make):
+    # numpy's generators take no negative seed
+    with pytest.raises(ConfigError, match="seed"):
+        make()
 
 
 def test_committed_reference_config_parses():

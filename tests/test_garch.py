@@ -12,6 +12,7 @@ from modecast import garch
 from modecast.errors import DegenerateSeries, InvalidLags, InvalidParams, TooShort
 from modecast.garch import (
     FitOptions,
+    GarchFit,
     GarchParams,
     GarchSpec,
     adf_test,
@@ -20,13 +21,11 @@ from modecast.garch import (
     extend_sigma2,
     fit,
     fit_many,
-    forecast_sigma2,
     log_likelihood,
     rolling_floor,
     rolling_sigma2,
     sigma2_path,
     simulate,
-    step_sigma2,
     _Batch,
     _constraint_violation,
     _filter_state,
@@ -146,12 +145,26 @@ def test_sigma2_path_matches_lfiltic_reference_exactly(k, l):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 10])
 def test_filter_state_matches_lfiltic_exactly(l):
+    # constant histories (the fit's seed), varying ones (a fit's last
+    # variances) and histories longer than l, the extra oldest slots unread
     rng = np.random.default_rng(l)
-    for _ in range(200):
-        denom = np.concatenate([[1.0], -rng.dirichlet(np.ones(l)) * rng.uniform(0.0, 1.0)])
-        seed = float(rng.uniform(1e-3, 1e3))
-        expected = signal.lfiltic([1.0], denom, y=np.full(l, seed))
-        assert np.array_equal(_filter_state(denom[None, :], seed)[0], expected)
+    denoms, histories = [], []
+    for case in range(600):
+        denoms.append(np.concatenate([[1.0], -rng.dirichlet(np.ones(l)) * rng.uniform(0.0, 1.0)]))
+        if case < 200:
+            history = np.full(l, rng.uniform(1e-3, 1e3))
+        else:
+            history = rng.uniform(1e-3, 1e3, l + case % 3) * rng.uniform(1e-3, 1e3)
+        histories.append(history)
+        expected = signal.lfiltic([1.0], denoms[-1], y=history[::-1])
+        assert np.array_equal(_filter_state(denoms[-1][None, :], history[None, :])[0], expected)
+    for width in (l, l + 2):  # many rows at once: each row's floats as alone
+        rows = [i for i, h in enumerate(histories) if h.size == width]
+        together = _filter_state(np.array([denoms[i] for i in rows]),
+                                 np.array([histories[i] for i in rows]))
+        for state, i in zip(together, rows):
+            alone = _filter_state(denoms[i][None, :], histories[i][None, :])[0]
+            assert np.array_equal(state, alone)
 
 
 @pytest.mark.parametrize("k,l", ORDERS)
@@ -245,7 +258,8 @@ def _reference_objective(a_norm, spec):
                 s2 = np.full(n, alpha0)
             if betas.size > 0:
                 denom = np.concatenate([[1.0], -betas])
-                s2, _ = signal.lfilter([1.0], denom, s2, zi=_filter_state(denom[None, :], seed)[0])
+                zi = signal.lfiltic([1.0], denom, y=np.full(betas.size, seed))
+                s2, _ = signal.lfilter([1.0], denom, s2, zi=zi)
             return -float(np.sum(-0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(s2)
                                  - a2 / (2.0 * s2)))
         except (FloatingPointError, OverflowError):
@@ -444,7 +458,7 @@ def test_long_series_fit_converges(monkeypatch, k, l, params):
                                   FitOptions(allow_differencing=False))
     assert found.success.all()
     assert fitted.converged and not fitted.used_rolling_fallback
-    assert forecast_sigma2(fitted) > 0.0
+    assert extend_sigma2(fitted, [0.0])[-1] > 0.0
     assert max(found.fun) - min(found.fun) < 1e-6
 
 
@@ -476,32 +490,76 @@ def test_log_likelihood_rejects_nan():
 # Forecast
 # ---------------------------------------------------------------------------
 
+def _hand_fit(params, residuals, s2_path):
+    a = np.asarray(residuals, dtype=float)
+    return GarchFit(params=params, sigma2_path=np.asarray(s2_path, dtype=float), residuals=a,
+                    log_likelihood=0.0, mean=0.0, converged=True)
+
+
 def test_forecast_hand_case():
-    params = GarchParams(0.1, [0.2], [0.7])
-    assert step_sigma2(params, [2.0], [2.0]) == pytest.approx(2.3, abs=1e-15)
+    fitted = _hand_fit(GarchParams(0.1, [0.2], [0.7]), [2.0], [2.0])
+    # the next slot reads only the past: any shock gives it
+    for shock in (0.0, 5.0):
+        assert extend_sigma2(fitted, [shock])[-1] == pytest.approx(2.3, abs=1e-15)
 
 
 def test_forecast_without_arch_term():
-    params = GarchParams(0.4, [], [0.5])
-    assert step_sigma2(params, [], [2.0]) == pytest.approx(0.4 + 0.5 * 2.0)
+    fitted = _hand_fit(GarchParams(0.4, [], [0.5]), [3.0], [2.0])
+    assert extend_sigma2(fitted, [0.0])[-1] == pytest.approx(0.4 + 0.5 * 2.0)
 
 
 def test_forecast_positive_for_any_valid_fit():
     sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8)
     fitted = fit(sim, GarchSpec(1, 1), FitOptions(allow_differencing=False))
-    assert forecast_sigma2(fitted) > 0.0
+    assert extend_sigma2(fitted, [0.0])[-1] > 0.0
 
 
 def test_extend_sigma2_continues_the_recursion():
+    # at (1,1) the filter's two additions are the per-slot sum's, bit for bit
     sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8).values
     fitted = fit(sim[:250], GarchSpec(1, 1), FitOptions(allow_differencing=False))
     ext = extend_sigma2(fitted, sim[250:] - fitted.mean)
     assert ext.size == 300
     assert np.array_equal(ext[:250], fitted.sigma2_path)
-    assert ext[250] == forecast_sigma2(fitted)
+    assert ext[250] == extend_sigma2(fitted, [123.0])[-1]
+    (alpha,), (beta,) = fitted.params.alphas, fitted.params.betas
     a = np.concatenate([fitted.residuals, sim[250:] - fitted.mean])
     for t in range(250, 300):
-        assert ext[t] == step_sigma2(fitted.params, a[:t], ext[:t])
+        assert ext[t] == fitted.params.alpha0 + alpha * a[t - 1] ** 2 + beta * ext[t - 1]
+
+
+def _reference_extension(fitted, shocks):
+    """The fit's path continued by `signal.lfilter` from `signal.lfiltic`'s
+    state for the fit's last variances, after the ARCH terms of
+    `np.convolve` over its last squared residuals."""
+    params, a = fitted.params, np.asarray(shocks, dtype=float)
+    k, l, m = params.k, params.l, max(params.k, params.l, 1)
+    a2x = np.concatenate([fitted.residuals[-m:], a]) ** 2
+    base = np.full(a.size, params.alpha0)
+    if k > 0:
+        base = base + np.convolve(a2x, params.alphas)[m - 1:m - 1 + a.size]
+    if l > 0:
+        denom = np.concatenate([[1.0], -params.betas])
+        zi = signal.lfiltic([1.0], denom, y=fitted.sigma2_path[::-1][:l])
+        base = signal.lfilter([1.0], denom, base, zi=zi)[0]
+    return np.concatenate([fitted.sigma2_path, base])
+
+
+@pytest.mark.parametrize("k,l", ORDERS)
+@pytest.mark.parametrize("differencing", [False, True])
+def test_extend_sigma2_is_the_filter_from_the_fits_last_slots(k, l, differencing):
+    # a seed whose (2,2) and (10,10) fits weigh more than one lagged variance
+    sim = simulate(GarchParams(0.1, [0.15], [0.8]), 670, seed=5).values
+    series = np.cumsum(sim) if differencing else sim
+    fitted = fit(series[:600], GarchSpec(k, l))
+    assert fitted.used_differencing is differencing and not fitted.used_rolling_fallback
+    held = series[600:] - (series[599:-1] if differencing else 0.0)
+    shocks = held - fitted.mean
+    expected = _reference_extension(fitted, shocks)
+    assert np.array_equal(extend_sigma2(fitted, shocks), expected)
+    # a shorter extension is a prefix of a longer one, and an empty one is the path
+    assert np.array_equal(extend_sigma2(fitted, shocks[:5]), expected[:605])
+    assert np.array_equal(extend_sigma2(fitted, []), fitted.sigma2_path)
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +614,6 @@ def test_fit_fallback_is_trailing_and_extends_exactly():
     assert ext[260] == max(np.var(a[249:261]), floor)
     flat = extend_sigma2(fitted, np.full(20, 50.0))  # zero-variance windows take the floor
     assert flat[-1] == floor
-
-
-def test_forecast_sigma2_refuses_a_rolling_fallback_fit():
-    # the fallback's params are the unconverged search's point: stepping the
-    # recursion with them over the rolling path disagrees with extend_sigma2
-    sim = simulate(GarchParams(0.3, [0.2], [0.5]), 250, seed=8).values
-    fitted = fit(sim, GarchSpec(1, 1), FitOptions(max_iter=1))
-    assert fitted.used_rolling_fallback
-    with pytest.raises(InvalidParams):
-        forecast_sigma2(fitted)
-    assert extend_sigma2(fitted, np.zeros(1))[-1] > 0.0  # its path still extends
 
 
 @pytest.mark.parametrize("differencing", [False, True])

@@ -97,7 +97,7 @@ _FILTER_IDENTITY = """
             betas = rng.dirichlet(np.ones(l)) * rng.uniform(0.05, 0.95)
             denom = np.concatenate([[1.0], -betas])
             base = rng.uniform(0.01, 2.0, 120)
-            zi = garch._filter_state(denom[None, :], rng.uniform(0.1, 3.0, (1, 1)))[0]
+            zi = garch._filter_state(denom[None, :], rng.uniform(0.1, 3.0, (1, l)))[0]
             got = garch._linear_filter(garch._ONE, denom, base, -1, zi)
             want = signal.lfilter([1.0], denom, base, zi=zi)
             assert got[0].tobytes() == want[0].tobytes(), l
