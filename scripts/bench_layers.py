@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Layer-level timing of the recurrent engine (one forward step and one
 backpropagation-through-time step per cell kind), stage timing of mode-set
-training, of mode-set inference, of VMD and of the GARCH fit, and the
-package's start-up cost.
+training, of mode-set inference, of VMD and of the GARCH fit, of saving and
+loading a model directory, and the package's start-up cost.
 
-    python3 scripts/bench_layers.py [--only {layers,training,memory,inference,vmd,garch,startup}]
+    python3 scripts/bench_layers.py [--only {layers,training,memory,inference,vmd,garch,persist,startup}]
 
---only runs one section; by default all seven run, in that order.
+--only runs one section; by default all eight run, in that order.
 
 layers: for each cell kind at batch x hidden 32x16 and 32x64, it times a
 training forward pass (`neural._forward_batch`, dropout 0.2) and its
@@ -70,8 +70,24 @@ remove; the rest of `fit_many` is numpy and Python overhead per round, per
 call and per row.  The round cost splits one value-and-score call
 (`garch._Batch.objective_and_score` on the normalized segments at the start
 points) into a fixed part and a part per row: the least-squares line through
-the median times of calls of ROUND_ROWS rows.  Then it times one
-`garch.fit_many` of all ten segments at (10,10) and prints its round cost.
+the median times of calls of ROUND_ROWS rows, timed interleaved (each round
+times every row count once, alternating their order); the medians at 1 and
+30 rows are printed beside it, since a line through five medians is steered
+by the noise at few rows.  Then it times one `garch.fit_many` of all ten
+segments at (10,10) and prints its round cost.
+
+persist: it saves and loads two VMD-GARCH-LSTM records built from seeded
+random arrays of the right shapes (no fitting): the served model of
+`forecast-serve` (K=3, 2x64, T=240, GARCH(1,1)) and a reference-size one
+(K=10, 2x64, T=636, GARCH(10,10)).  For each it prints the bytes on disk,
+the median time of `persist.save_forecaster` and of
+`persist.load_forecaster`, interleaved over PERSIST_ROUNDS rounds of
+PERSIST_REPEATS calls, and the load split into its parts, each a median
+over the same rounds: the header's JSON parse, the read of the array file,
+its checksum and the record (a load whose array read is replaced by the
+arrays already read, less the header's parse).  A model directory that
+holds an `.npz` archive is read by `np.load`, whose member CRCs are part of
+the read, so it prints no separate checksum.
 
 startup: it runs `python -c "import modecast.cli"` in a fresh interpreter
 STARTUP_RUNS times and prints the median wall time of the whole child
@@ -114,9 +130,16 @@ GARCH_ROUNDS = 5
 FILTER_REPEATS = 2000
 ROUND_ROWS = (1, 5, 10, 20, 30)  # rows per timed value-and-score call
 ROUND_REPEATS = 200
+ROUND_ROUNDS = 7
+PERSIST_SHAPES = (  # name, modes, length, GARCH order
+    ("served", 3, 240, (1, 1)),
+    ("reference", 10, 636, (10, 10)),
+)
+PERSIST_ROUNDS = 7
+PERSIST_REPEATS = 20
 STARTUP_RUNS = 7
 STARTUP_WATCHED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.special")
-SECTIONS = ("layers", "training", "memory", "inference", "vmd", "garch", "startup")
+SECTIONS = ("layers", "training", "memory", "inference", "vmd", "garch", "persist", "startup")
 CPI_FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 CPI_MODES = 10
 
@@ -131,7 +154,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sections = {"layers": bench_layers, "training": bench_training, "memory": bench_memory,
                 "inference": bench_inference, "vmd": bench_vmd, "garch": bench_garch,
-                "startup": bench_startup}
+                "persist": bench_persist, "startup": bench_startup}
     for name in ([args.only] if args.only else SECTIONS):
         sections[name]()
     return 0
@@ -358,28 +381,26 @@ def _filter_call_s(length: int, l: int) -> float:
     return statistics.median(elapsed)
 
 
-def _round_cost_s(garch, segments, spec) -> tuple[float, float]:
+def _round_cost_s(garch, segments, spec) -> tuple[float, float, dict[int, float]]:
     """The fixed and per-row time of one value-and-score call over the
     normalized segments at the start points: the least-squares line through
-    the median call times at ROUND_ROWS rows."""
+    the median call times at ROUND_ROWS rows, and those medians by row count.
+    The row counts are timed interleaved, ROUND_ROUNDS rounds of each."""
     import numpy as np
 
     batch = garch._Batch([garch._prepare(s, spec, garch.FitOptions()).a_norm for s in segments],
                          spec.k, spec.l)
     starts = np.array(garch._start_points(spec))
-    medians = []
-    for n_rows in ROUND_ROWS:
-        rows = np.arange(n_rows) % len(segments)
-        thetas = starts[np.arange(n_rows) % len(starts)]
-        elapsed = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            for _ in range(ROUND_REPEATS):
-                batch.objective_and_score(rows, thetas)
-            elapsed.append((time.perf_counter() - t0) / ROUND_REPEATS)
-        medians.append(statistics.median(elapsed))
-    per_row, fixed = np.polyfit(ROUND_ROWS, medians, 1)
-    return float(fixed), float(per_row)
+    calls = {n_rows: (np.arange(n_rows) % len(segments), starts[np.arange(n_rows) % len(starts)])
+             for n_rows in ROUND_ROWS}
+    elapsed = {n_rows: [] for n_rows in ROUND_ROWS}
+    for r in range(ROUND_ROUNDS):
+        for n_rows in sorted(ROUND_ROWS, reverse=r % 2 == 1):
+            elapsed[n_rows].append(_per_call_s(lambda: batch.objective_and_score(*calls[n_rows]),
+                                               ROUND_REPEATS))
+    medians = {n_rows: statistics.median(times) for n_rows, times in elapsed.items()}
+    per_row, fixed = np.polyfit(ROUND_ROWS, list(medians.values()), 1)
+    return float(fixed), float(per_row), medians
 
 
 def bench_garch() -> None:
@@ -403,22 +424,120 @@ def bench_garch() -> None:
                 times[order, way].append(time.perf_counter() - t0)
     print(f"\n{'garch':<7} {f'{CPI_MODES} fits s':>10} {'fit_many s':>11} {'ratio':>6} "
           f"{'calls':>6} {'rows':>6} {'rounds':>6} {'iters':>6} {'floor s':>8} {'rest s':>7} "
-          f"{'fixed us':>9} {'row us':>7}")
+          f"{'fixed us':>9} {'row us':>7} {'1 row us':>9} {'30 rows us':>11}")
     for k, l in GARCH_ORDERS:
         one_by_one = statistics.median(times[(k, l), "fit"])
         together = statistics.median(times[(k, l), "fit_many"])
         calls, rows, iterations = _search_counts(garch, segments, garch.GarchSpec(k, l))
         floor = rows * _filter_call_s(segments[0].size, l) if l else 0.0
-        fixed, per_row = _round_cost_s(garch, segments, garch.GarchSpec(k, l))
+        fixed, per_row, medians = _round_cost_s(garch, segments, garch.GarchSpec(k, l))
         print(f"{f'({k},{l})':<7} {one_by_one:10.2f} {together:11.2f} "
               f"{together / one_by_one:6.2f} {calls:6d} {rows:6d} {calls - 1:6d} {iterations:6d} "
-              f"{floor:8.3f} {together - floor:7.3f} {fixed * 1e6:9.0f} {per_row * 1e6:7.1f}")
+              f"{floor:8.3f} {together - floor:7.3f} {fixed * 1e6:9.0f} {per_row * 1e6:7.1f} "
+              f"{medians[1] * 1e6:9.0f} {medians[30] * 1e6:11.0f}")
     t0 = time.perf_counter()
     garch.fit_many(segments, garch.GarchSpec(10, 10))
     elapsed = time.perf_counter() - t0
-    fixed, per_row = _round_cost_s(garch, segments, garch.GarchSpec(10, 10))
+    fixed, per_row, medians = _round_cost_s(garch, segments, garch.GarchSpec(10, 10))
     print(f"{'(10,10)':<7} {CPI_MODES} segments, one fit_many: {elapsed:.2f} s; "
-          f"round: {fixed * 1e6:.0f} us fixed + {per_row * 1e6:.1f} us per row")
+          f"round: {fixed * 1e6:.0f} us fixed + {per_row * 1e6:.1f} us per row; "
+          f"medians {medians[1] * 1e6:.0f} us at 1 row, {medians[30] * 1e6:.0f} us at 30")
+
+
+def _persist_record(n_modes: int, length: int, order: tuple[int, int]):
+    """A VMD-GARCH-LSTM record of seeded random arrays, shaped as one fitted
+    on `length` points with reference-size networks."""
+    import numpy as np
+
+    from modecast import garch, neural, pipeline, series, vmd
+
+    cfg = pipeline.PipelineConfig(
+        vmd=vmd.VmdConfig(n_modes=n_modes, alpha=2000.0, tol=1e-7),
+        garch=garch.GarchSpec(*order),
+        network=neural.NetworkConfig(cell=neural.CellKind.LSTM, layers=2, hidden=64,
+                                     input_features=2, dropout_rate=0.2, seed=0),
+        train=neural.TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=0),
+        split=series.SplitSpec(0.85), seq_len=50)
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((n_modes, length))
+    train = int(np.floor(0.85 * length))
+    k, l = order
+    fits = tuple(garch.GarchFit(params=garch.GarchParams(0.1, np.full(k, 0.4 / k), np.full(l, 0.5 / l)),
+                                sigma2_path=rng.uniform(0.5, 1.5, train),
+                                residuals=rng.standard_normal(train),
+                                log_likelihood=-float(train), mean=0.0, converged=True)
+                 for _ in range(n_modes))
+    size = neural.parameter_count(pipeline.mode_network_config(cfg, neural.CellKind.LSTM, 1))
+    return pipeline.EnsembleForecaster(
+        variant=pipeline.Variant.VMD_GARCH, cell=neural.CellKind.LSTM, config=cfg,
+        modes=vmd.ModeSet(values, rng.uniform(0.0, 0.5, n_modes), rng.standard_normal(length),
+                          iterations=500, final_delta=1e-5, converged=False),
+        mode_values=values, garch=fits, networks=0.1 * rng.standard_normal((n_modes, size)))
+
+
+def _raw_read(path):
+    """The array file in one buffer: the read `persist.load_forecaster` makes."""
+    import numpy as np
+
+    with open(path, "rb", buffering=0) as fh:
+        flat = np.empty(os.fstat(fh.fileno()).st_size // 8)
+        fh.readinto(flat)
+    return flat
+
+
+def bench_persist() -> None:
+    import json
+    import tempfile
+    import zlib
+
+    import numpy as np
+
+    from modecast import persist
+
+    archive = persist.ARRAYS.endswith(".npz")  # a tree of the earlier format
+
+    def read_archive(path):
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+
+    print(f"\n{'persist':<10} {'modes':>5} {'bytes':>9} {'save ms':>8} {'load ms':>8} "
+          f"{'header ms':>10} {'read ms':>8} {'crc ms':>7} {'record ms':>10}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, n_modes, length, order in PERSIST_SHAPES:
+            record = _persist_record(n_modes, length, order)
+            model_dir = Path(tmp) / name
+            persist.save_forecaster(record, model_dir)
+            header_path, arrays_path = model_dir / persist.HEADER, model_dir / persist.ARRAYS
+            header = json.loads(header_path.read_text(encoding="utf-8"))
+            arrays = (read_archive(arrays_path) if archive else
+                      persist._read_arrays(arrays_path, header["arrays"], header["crc32"]))
+            real_read = persist._read_arrays
+
+            def record_only():
+                persist._read_arrays = lambda *args: arrays
+                try:
+                    persist.load_forecaster(model_dir)
+                finally:
+                    persist._read_arrays = real_read
+
+            ways = {"save": lambda: persist.save_forecaster(record, model_dir),
+                    "load": lambda: persist.load_forecaster(model_dir),
+                    "header": lambda: json.loads(header_path.read_text(encoding="utf-8")),
+                    "read": lambda: (read_archive if archive else _raw_read)(arrays_path),
+                    "header+record": record_only}
+            if not archive:
+                flat = _raw_read(arrays_path)
+                ways["crc"] = lambda: zlib.crc32(flat)
+            times = {way: [] for way in ways}
+            for r in range(PERSIST_ROUNDS):
+                for way in sorted(ways, reverse=r % 2 == 1):
+                    times[way].append(_per_call_s(ways[way], PERSIST_REPEATS))
+            ms = {way: statistics.median(t) * 1e3 for way, t in times.items()}
+            size = sum(p.stat().st_size for p in model_dir.iterdir())
+            crc = f"{ms['crc']:7.3f}" if "crc" in ms else f"{'-':>7}"
+            print(f"{name:<10} {n_modes:5d} {size:9d} {ms['save']:8.3f} {ms['load']:8.3f} "
+                  f"{ms['header']:10.3f} {ms['read']:8.3f} {crc} "
+                  f"{ms['header+record'] - ms['header']:10.3f}")
 
 
 def bench_startup() -> None:

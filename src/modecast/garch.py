@@ -319,7 +319,8 @@ class _Batch:
             return values, score
         a2x = self.a2x[rows]
         s2_before, a2 = a2x[:, :m], a2x[:, m:]  # the seed before slot 0, then the squares
-        s2 = _variance_paths(alpha0, coeffs, k, a2x, s2_before)
+        denom = _denominators(coeffs[:, k:])  # the forward and the backward filter's
+        s2 = _variance_paths(alpha0, coeffs, k, a2x, s2_before, denom)
         values = np.negative(self.log_likelihood(rows, s2, a2))
         width = s2.shape[1]
         adjoint = np.divide(a2, s2)  # df/ds2_t
@@ -330,8 +331,7 @@ class _Batch:
                 adjoint[self.lengths[rows] == n, n:] = 0.0
             zeros = np.zeros(l)
             adjoint = np.array([_linear_filter(_ONE, d, w, -1, zeros)[0]
-                                for d, w in zip(_denominators(coeffs[:, k:]),
-                                                adjoint[:, ::-1])])[:, ::-1]
+                                for d, w in zip(denom, adjoint[:, ::-1])])[:, ::-1]
         # the adjoint times each regressor [1, a_{t-i}^2, s2_{t-j}], seeded
         # before the sample as s2 is
         terms = np.empty((rows.size, 1 + k + l, width))
@@ -364,15 +364,16 @@ def _denominators(betas: np.ndarray) -> np.ndarray:
 
 
 def _variance_paths(alpha0: np.ndarray, coeffs: np.ndarray, k: int, a2x: np.ndarray,
-                    s2_before: np.ndarray) -> np.ndarray:
+                    s2_before: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
     """Variance paths under alpha0[r] and coeffs[r] = [alphas, betas] (k
     alphas), one row each, over the squared shocks a2x[r, m:], behind the m
     before slot 0; s2_before[r] holds the m >= max(k, l) variances before
-    slot 0, oldest first.  The ARCH lags are summed highest first over all
-    rows at once, `np.convolve`'s order (bit for bit up to 11 lags); the
-    GARCH lags run `signal.lfilter`'s filter row by row from the
-    `_filter_state` of [1, -betas] and s2_before[r].  The filter is causal,
-    so a row's leading slots are those of its shocks filtered alone."""
+    slot 0, oldest first.  `denom` may hold `_denominators(coeffs[:, k:])`,
+    built by a caller that runs the filter again.  The ARCH lags are summed
+    highest first over all rows at once, `np.convolve`'s order (bit for bit
+    up to 11 lags); the GARCH lags run `signal.lfilter`'s filter row by row
+    from the `_filter_state` of [1, -betas] and s2_before[r].  The filter is
+    causal, so a row's leading slots are those of its shocks filtered alone."""
     m = s2_before.shape[1]
     width = a2x.shape[1] - m
     l = coeffs.shape[1] - k
@@ -387,7 +388,8 @@ def _variance_paths(alpha0: np.ndarray, coeffs: np.ndarray, k: int, a2x: np.ndar
     if l == 0:
         return base
     # s2_t - sum_j betas[j] * s2_{t-j} = base_t is an IIR filter over base
-    denom = _denominators(coeffs[:, k:])
+    if denom is None:
+        denom = _denominators(coeffs[:, k:])
     zi = _filter_state(denom, s2_before)
     # what `signal.lfilter(_ONE, denom[r], base[r], zi=zi[r])` runs for a
     # denominator of two or more terms, without its argument handling

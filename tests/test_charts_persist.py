@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pickle
 import xml.etree.ElementTree as ET
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -79,12 +81,35 @@ def _saved(tmp_path, variant=Variant.VMD_GARCH, cell=CellKind.RNN, cfg=None):
     return fc, save_forecaster(fc, tmp_path / "model")
 
 
+def _header(model_dir):
+    return json.loads((model_dir / "forecaster.json").read_text())
+
+
+def _write_header(model_dir, header):
+    (model_dir / "forecaster.json").write_text(json.dumps(header))
+
+
+def _read_arrays(model_dir):
+    """The saved arrays by the header's layout, read without the package."""
+    flat = np.fromfile(model_dir / "arrays.f64", dtype="<f8")
+    arrays, at = {}, 0
+    for name, shape in _header(model_dir)["arrays"]:
+        n = math.prod(shape)
+        arrays[name] = flat[at:at + n].reshape(shape)
+        at += n
+    assert at == flat.size
+    return arrays
+
+
 def _rewrite_arrays(model_dir, change):
-    """Apply `change` to the saved arrays and write them back, pickling allowed."""
-    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
+    """Apply `change` to the saved arrays and write them back, each as the raw
+    bytes of its own dtype, under a layout and CRC that describe them."""
+    arrays = _read_arrays(model_dir)
     change(arrays)
-    np.savez(model_dir / "arrays.npz", **arrays)
+    blob = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    (model_dir / "arrays.f64").write_bytes(blob)
+    _write_header(model_dir, {**_header(model_dir), "crc32": zlib.crc32(blob),
+                              "arrays": [[name, list(a.shape)] for name, a in arrays.items()]})
 
 
 def test_forecaster_save_load_round_trip(tmp_path):
@@ -114,7 +139,7 @@ def test_vmd_converged_flag_round_trips(tmp_path):
 
 def test_saved_directory_holds_header_and_arrays_only(tmp_path):
     _, model_dir = _saved(tmp_path)
-    assert sorted(p.name for p in model_dir.iterdir()) == ["arrays.npz", "forecaster.json"]
+    assert sorted(p.name for p in model_dir.iterdir()) == ["arrays.f64", "forecaster.json"]
 
 
 def test_forecaster_load_rejects_foreign_dir(tmp_path):
@@ -143,7 +168,7 @@ def test_save_touches_no_other_file(tmp_path):
         (model_dir / name).write_text("checkpoint\n")
     save_forecaster(fc, model_dir)
     assert sorted(p.name for p in model_dir.iterdir()) == sorted(
-        ["arrays.npz", "forecaster.json"] + others)
+        ["arrays.f64", "forecaster.json"] + others)
     _assert_identical(fc, load_forecaster(model_dir))
 
 
@@ -158,7 +183,7 @@ def test_resave_leaves_checkpoint_names_alone_without_a_v1_header(tmp_path, head
     (model_dir / "net_mode_1.txt").write_text("checkpoint\n")
     save_forecaster(fc, model_dir)
     assert sorted(p.name for p in model_dir.iterdir()) == [
-        "arrays.npz", "forecaster.json", "net_mode_1.txt"]
+        "arrays.f64", "forecaster.json", "net_mode_1.txt"]
     _assert_identical(fc, load_forecaster(model_dir))
 
 
@@ -185,11 +210,28 @@ def test_forecaster_load_rejects_v3_dir(tmp_path):
         load_forecaster(model_dir)
 
 
+def test_forecaster_load_rejects_v4_dir(tmp_path):
+    fc, model_dir = _saved(tmp_path)
+    header = _header(model_dir)
+    arrays = _read_arrays(model_dir)
+    # the v4 layout: the same header without the layout and CRC, the arrays in one .npz
+    del header["arrays"], header["crc32"]
+    _write_header(model_dir, {**header, "format": "modecast-forecaster v4"})
+    (model_dir / "arrays.f64").unlink()
+    np.savez(model_dir / "arrays.npz", **arrays)
+    with pytest.raises(CorruptModel, match="re-run `modecast train`"):
+        load_forecaster(model_dir)
+    save_forecaster(fc, model_dir)  # saved over, it loads; the stale archive stays
+    assert sorted(p.name for p in model_dir.iterdir()) == [
+        "arrays.f64", "arrays.npz", "forecaster.json"]
+    _assert_identical(fc, load_forecaster(model_dir))
+
+
 _FIXED_NAMES = {
-    Variant.DIRECT: {"mode_values", "networks"},
-    Variant.VMD: {"mode_values", "networks", "omegas", "residual"},
-    Variant.VMD_GARCH: {"mode_values", "networks", "omegas", "residual",
-                        "alphas", "betas", "sigma2_path", "residuals"},
+    Variant.DIRECT: ["mode_values", "networks"],
+    Variant.VMD: ["mode_values", "networks", "omegas", "residual"],
+    Variant.VMD_GARCH: ["mode_values", "networks", "omegas", "residual",
+                        "alphas", "betas", "sigma2_path", "residuals"],
 }
 
 
@@ -200,9 +242,9 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
     fc, model_dir = _saved(tmp_path, variant, cfg=cfg)
     k = 1 if variant is Variant.DIRECT else n_modes
     assert len(fc.mode_values) == k
-    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
-        shapes = {name: npz[name].shape for name in npz.files}
-    assert set(shapes) == _FIXED_NAMES[variant]
+    shapes = {name: a.shape for name, a in _read_arrays(model_dir).items()}
+    assert list(shapes) == _FIXED_NAMES[variant]  # in file order
+    assert (model_dir / "arrays.f64").stat().st_size == 8 * sum(map(math.prod, shapes.values()))
     assert shapes["mode_values"] == (k, 220)
     assert shapes["networks"] == (k, fc.networks[0].size)
     if variant is not Variant.DIRECT:
@@ -210,8 +252,9 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
     if variant is Variant.VMD_GARCH:
         assert shapes["alphas"] == shapes["betas"] == (k, 1)
         assert shapes["sigma2_path"] == shapes["residuals"] == (k, 176)
-    header = json.loads((model_dir / "forecaster.json").read_text())
-    assert set(header) == {"format", "variant", "cell", "config",
+    header = _header(model_dir)
+    assert header["crc32"] == zlib.crc32((model_dir / "arrays.f64").read_bytes())
+    assert set(header) == {"format", "variant", "cell", "config", "arrays", "crc32",
                            *(("modes",) if variant is not Variant.DIRECT else ()),
                            *(("garch",) if variant is Variant.VMD_GARCH else ())}
     if variant is Variant.VMD_GARCH:
@@ -237,8 +280,8 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
 def test_garch_order_with_an_empty_lag_set_round_trips(tmp_path, order):
     cfg = dataclasses.replace(small_config(epochs=1), garch=GarchSpec(*order))
     fc, model_dir = _saved(tmp_path, cfg=cfg)
-    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
-        assert npz["alphas"].shape == (2, order[0]) and npz["betas"].shape == (2, order[1])
+    arrays = _read_arrays(model_dir)
+    assert arrays["alphas"].shape == (2, order[0]) and arrays["betas"].shape == (2, order[1])
     loaded = load_forecaster(model_dir)
     _assert_identical(fc, loaded)
     series = wavy_series()
@@ -260,39 +303,73 @@ def test_mode_count_other_than_configured_is_rejected(tmp_path):
 
 def test_forecaster_load_rejects_foreign_arrays_file(tmp_path):
     _, model_dir = _saved(tmp_path)
-    arrays = model_dir / "arrays.npz"
-    arrays.write_text("not an archive\n")
-    with pytest.raises(CorruptModel):
+    arrays = model_dir / "arrays.f64"
+    size, flat = arrays.stat().st_size, np.fromfile(arrays, dtype="<f8")
+    arrays.write_text("not an array file\n")
+    with pytest.raises(CorruptModel, match="not the layout's"):
         load_forecaster(model_dir)
-    np.save(arrays, np.zeros(3))  # a bare array, not an archive
-    with pytest.raises(CorruptModel):
+    with open(arrays, "wb") as fh:  # a bare .npy of the file's arrays
+        np.save(fh, flat)
+    with pytest.raises(CorruptModel, match="not the layout's"):
         load_forecaster(model_dir)
     with zipfile.ZipFile(arrays, "w") as zf:  # an archive of something else
         zf.writestr("mode_values.npy", "not an array")
-    with pytest.raises(CorruptModel):
+    with pytest.raises(CorruptModel, match="not the layout's"):
+        load_forecaster(model_dir)
+    arrays.write_bytes(np.random.default_rng(0).bytes(size))  # the right size, other bytes
+    with pytest.raises(CorruptModel, match="CRC"):
         load_forecaster(model_dir)
     arrays.unlink()
-    with pytest.raises(CorruptModel):
+    with pytest.raises(CorruptModel, match="unreadable"):
+        load_forecaster(model_dir)
+    arrays.mkdir()
+    with pytest.raises(CorruptModel, match="unreadable"):
         load_forecaster(model_dir)
 
 
 def test_truncated_arrays_file_is_typed(tmp_path):
     _, model_dir = _saved(tmp_path)
-    arrays = model_dir / "arrays.npz"
+    arrays = model_dir / "arrays.f64"
     data = arrays.read_bytes()
-    for cut in sorted({0, 1, *range(64, len(data) - 1, 64), len(data) - 1}):
+    for cut in sorted({0, 1, 7, 8, *range(64, len(data) - 1, 64), len(data) - 8, len(data) - 1}):
         arrays.write_bytes(data[:cut])
-        with pytest.raises(CorruptModel):
+        with pytest.raises(CorruptModel, match="not the layout's"):
             load_forecaster(model_dir)
+
+
+def test_extra_trailing_bytes_are_refused(tmp_path):
+    # np.fromfile would read a file with a trailing partial item and drop it
+    _, model_dir = _saved(tmp_path)
+    arrays = model_dir / "arrays.f64"
+    data = arrays.read_bytes()
+    for extra in (b"\0", bytes(7), bytes(8), data[:8]):
+        arrays.write_bytes(data + extra)
+        with pytest.raises(CorruptModel, match="not the layout's"):
+            load_forecaster(model_dir)
+
+
+def test_flipped_byte_is_refused(tmp_path):
+    _, model_dir = _saved(tmp_path)
+    arrays = model_dir / "arrays.f64"
+    data = arrays.read_bytes()
+    offsets = {0, 1, 7, 8, len(data) // 2, len(data) - 1,
+               *np.random.default_rng(0).integers(0, len(data), 24).tolist()}
+    for offset in sorted(offsets):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(data)
+            flipped[offset] ^= mask
+            arrays.write_bytes(flipped)
+            with pytest.raises(CorruptModel, match="CRC"):
+                load_forecaster(model_dir)
+    arrays.write_bytes(data)
+    load_forecaster(model_dir)
 
 
 def test_object_array_is_rejected_without_unpickling(tmp_path, monkeypatch):
     _, model_dir = _saved(tmp_path)
-
-    def as_objects(arrays):
-        arrays["residual"] = arrays["residual"].astype(object)
-
-    _rewrite_arrays(model_dir, as_objects)
+    residual = _read_arrays(model_dir)["residual"]
+    with open(model_dir / "arrays.f64", "wb") as fh:  # a pickled object array in its place
+        np.save(fh, residual.astype(object), allow_pickle=True)
     calls = []
     for name in ("load", "loads"):
         original = getattr(pickle, name)
@@ -310,7 +387,7 @@ def test_float32_network_vector_is_rejected(tmp_path):
         arrays["networks"] = arrays["networks"].astype(np.float32)
 
     _rewrite_arrays(model_dir, as_float32)
-    with pytest.raises(CorruptModel, match="networks"):
+    with pytest.raises(CorruptModel, match="not the layout's"):
         load_forecaster(model_dir)
 
 
@@ -407,17 +484,65 @@ def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
             holder[key] = value
     manifest.write_text(json.dumps(full))
     save_forecaster(fc, model_dir)
-    with np.load(model_dir / "arrays.npz", allow_pickle=False) as npz:
-        names = list(npz.files)
+    names = list(_read_arrays(model_dir))
     assert len(names) == 8
     for name in names:
         _rewrite_arrays(model_dir, lambda arrays: arrays.pop(name))
-        with pytest.raises(CorruptModel, match=name):
+        assert name not in _read_arrays(model_dir)
+        with pytest.raises(CorruptModel, match="do not list"):
             load_forecaster(model_dir)
         save_forecaster(fc, model_dir)
-    _rewrite_arrays(model_dir, lambda arrays: arrays.update(extra=np.zeros(2)))
-    with pytest.raises(CorruptModel, match="extra"):
-        load_forecaster(model_dir)
+    for change in (lambda arrays: arrays.update(extra=np.zeros(2)),
+                   lambda arrays: arrays.update(omega=arrays.pop("omegas"))):
+        _rewrite_arrays(model_dir, change)
+        with pytest.raises(CorruptModel, match="do not list"):
+            load_forecaster(model_dir)
+        save_forecaster(fc, model_dir)
     manifest.write_text(json.dumps({"format": "modecast-forecaster v2"}))
     with pytest.raises(CorruptModel):
         load_forecaster(model_dir)
+
+
+def _shapes(**shapes):
+    """A header change that gives each named array its shape, a list or a
+    function of the saved one."""
+    return lambda header: header.update(arrays=[
+        [n, (shapes[n](s) if callable(shapes[n]) else shapes[n]) if n in shapes else s]
+        for n, s in header["arrays"]])
+
+
+@pytest.mark.parametrize("change", [
+    # sizes that sum to the file, with the CRC intact, against the record's shapes
+    _shapes(mode_values=[4, 110]),
+    _shapes(sigma2_path=[1, 352]),
+    _shapes(networks=lambda shape: shape[::-1]),
+    _shapes(omegas=[3], residual=[219]),
+    lambda h: h.update(arrays=h["arrays"][:6] + h["arrays"][7:5:-1]),  # names swapped
+    # mistyped entries
+    _shapes(omegas=[True]),
+    _shapes(omegas=[2.0]),
+    _shapes(alphas=[-2, -1]),
+    _shapes(residual=220),
+    _shapes(residual=[220, 1]),
+    lambda h: h.update(arrays={n: s for n, s in h["arrays"]}),
+    lambda h: h.update(arrays=[{"name": n, "shape": s} for n, s in h["arrays"]]),
+    lambda h: h.update(arrays=[[n, s, "<f8"] for n, s in h["arrays"]]),
+    lambda h: h.update(arrays=None),
+    lambda h: h.update(crc32=float(h["crc32"])),
+    lambda h: h.update(crc32=str(h["crc32"])),
+    lambda h: h.update(crc32=True),
+    lambda h: h.update(crc32=None),
+    lambda h: h.update(crc32=h["crc32"] ^ 1),
+], ids=["mode-values-sum", "sigma2-path-sum", "networks-sum", "omegas-residual-sum",
+        "names-swapped", "bool-size", "float-size", "negative-sizes", "shape-no-list",
+        "extra-dimension", "layout-dict", "entry-dict", "entry-triple", "layout-null",
+        "crc-float", "crc-str", "crc-bool", "crc-null", "crc-other"])
+def test_contradicting_or_mistyped_layout_is_refused(tmp_path, change):
+    _, model_dir = _saved(tmp_path)
+    data = (model_dir / "arrays.f64").read_bytes()
+    header = _header(model_dir)
+    change(header)
+    _write_header(model_dir, header)
+    with pytest.raises(CorruptModel):
+        load_forecaster(model_dir)
+    assert (model_dir / "arrays.f64").read_bytes() == data

@@ -323,15 +323,30 @@ _MISTYPED_SCALARS = {
     "modes-iterations": ("modes", "iterations", 12.0),
 }
 
+# a layout or CRC in the header that is mistyped or contradicts the record
+_LAYOUT_DAMAGE = {
+    "layout-sum": lambda h: h["arrays"][0].__setitem__(1, [h["arrays"][0][1][0] * 2,
+                                                           h["arrays"][0][1][1] // 2]),
+    "layout-bool-size": lambda h: h["arrays"][2].__setitem__(1, [True]),
+    "layout-negative-size": lambda h: h["arrays"][2].__setitem__(1, [-1]),
+    "layout-renamed": lambda h: h["arrays"][2].__setitem__(0, "omega"),
+    "layout-missing": lambda h: h["arrays"].pop(),
+    "crc-float": lambda h: h.update(crc32=float(h["crc32"])),
+    "crc-bool": lambda h: h.update(crc32=True),
+}
+
 
 @pytest.mark.parametrize("damage", ["format", "json", "checkpoint", "keys", "truncated",
-                                    *_MISTYPED_SCALARS])
+                                    "trailing-byte", "flipped-byte", "npz", "v4",
+                                    *_MISTYPED_SCALARS, *_LAYOUT_DAMAGE])
 def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_file, capsys,
                                                 damage):
     model_dir = tmp_path / "model"
     assert main(["train", "--input", str(series_csv), "--config", str(config_file),
                  "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
     manifest = model_dir / "forecaster.json"
+    arrays = model_dir / "arrays.f64"
+    data = arrays.read_bytes()
     if damage in _MISTYPED_SCALARS:
         block, name, value = _MISTYPED_SCALARS[damage]
         payload = json.loads(manifest.read_text())
@@ -339,6 +354,10 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
         if name == "used_rolling_fallback":
             assert entry["converged"] is True  # the flag now contradicts it
         entry[name] = value
+        manifest.write_text(json.dumps(payload))
+    elif damage in _LAYOUT_DAMAGE:
+        payload = json.loads(manifest.read_text())
+        _LAYOUT_DAMAGE[damage](payload)
         manifest.write_text(json.dumps(payload))
     elif damage == "format":
         payload = json.loads(manifest.read_text())
@@ -349,10 +368,23 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
     elif damage == "keys":
         manifest.write_text(json.dumps({"format": "modecast-forecaster v2"}))
     elif damage == "truncated":
-        arrays = model_dir / "arrays.npz"
-        arrays.write_bytes(arrays.read_bytes()[:300])
+        arrays.write_bytes(data[:300])
+    elif damage == "trailing-byte":
+        arrays.write_bytes(data + b"\0")
+    elif damage == "flipped-byte":  # the last bit of a network weight: only the CRC tells
+        layout = json.loads(manifest.read_text())["arrays"]
+        at = 8 * layout[0][1][0] * layout[0][1][1] + 8
+        arrays.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+    elif damage in ("npz", "v4"):  # the v4 array archive, with its header or the v5 one
+        with open(arrays, "wb") as fh:
+            np.savez(fh, flat=np.frombuffer(data, dtype="<f8"))
+        if damage == "v4":
+            payload = json.loads(manifest.read_text())
+            del payload["arrays"], payload["crc32"]
+            manifest.write_text(json.dumps({**payload, "format": "modecast-forecaster v4"}))
+            arrays.rename(model_dir / "arrays.npz")
     else:
-        (model_dir / "arrays.npz").write_text("not an archive\n")
+        arrays.write_text("not an array file\n")
     capsys.readouterr()
     code = main(["forecast", "--input", str(series_csv), "--config", str(config_file),
                  "--model-dir", str(model_dir), "--steps", "6",
@@ -360,6 +392,7 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert ("re-run `modecast train`" in err) == (damage in ("format", "keys", "v4"))
 
 
 def test_missing_input_exit_2(tmp_path, config_file, capsys):

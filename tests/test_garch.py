@@ -446,6 +446,20 @@ def test_score_filters_two_samples_per_slot_of_a_valid_row(monkeypatch, k, l):
     assert sum(samples) == 2 * 150 * 6
 
 
+@pytest.mark.parametrize("k,l", [(1, 1), (2, 2), (10, 10), (0, 2), (3, 1)])
+def test_score_builds_the_denominators_once_per_call(monkeypatch, k, l):
+    # the variance path's filter and its adjoint's share one [1, -betas] per row
+    rng = np.random.default_rng(600 + 10 * k + l)
+    batch = _Batch((rng.standard_normal(150), rng.standard_normal(97)), k, l)
+    thetas = rng.normal(0.0, 1.5, size=(5, 2 + k + l))
+    thetas[2, 1] = -1000.0  # outside the constraint set: the call runs the other rows again
+    built, denominators = [], garch._denominators
+    monkeypatch.setattr(garch, "_denominators", lambda betas: built.append(1) or denominators(betas))
+    for rows in ([0, 1, 1, 0, 1], [1, 0, 0, 1, 0]):
+        batch.objective_and_score(np.array(rows), thetas)
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("k,l,params", [
     (1, 1, GarchParams(0.1, [0.1], [0.85])),
     (2, 2, GarchParams(0.1, [0.05, 0.05], [0.5, 0.35])),

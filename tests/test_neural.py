@@ -476,16 +476,17 @@ def test_train_rejects_empty_dataset():
 
 def test_checkpoint_round_trip_exact(tmp_path):
     # a network is saved as its config entry in forecaster.json plus its
-    # parameter vector in arrays.npz; both must come back bit for bit
+    # parameter vector in arrays.f64; both must come back bit for bit
     cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=5, input_features=2,
                         dropout_rate=0.2, seed=17)
     net = init_network(cfg)
-    path = tmp_path / "net.npz"
-    np.savez(path, flat=net.flat)
-    header = json.loads(json.dumps(persist._network_to_dict(cfg)))
-    with np.load(path, allow_pickle=False) as npz:
-        loaded_cfg = persist._network_from_dict(header)
-        loaded = _network(loaded_cfg, persist._array(dict(npz), "flat", 1))
+    path = tmp_path / "net.f64"
+    layout, crc = persist._write_arrays(path, {"flat": net.flat})
+    header = json.loads(json.dumps({"network": persist._network_to_dict(cfg),
+                                    "arrays": layout, "crc32": crc}))
+    loaded_cfg = persist._network_from_dict(header["network"])
+    flat = persist._read_arrays(path, header["arrays"], header["crc32"])["flat"]
+    loaded = _network(loaded_cfg, flat)
     assert loaded.config == cfg
     assert np.array_equal(net.flat, loaded.flat)
     seq = np.random.default_rng(3).standard_normal((6, 2))
