@@ -216,7 +216,7 @@ def bench_training() -> None:
         seq_len = shape[2]
         ways = {
             "per-net": lambda: [neural.train(*args) for args in zip(xs, ys, configs, train_cfgs)],
-            "lockstep": lambda: neural._train_group(xs, ys, configs, train_cfgs),
+            "lockstep": lambda: neural._train_group(xs, ys, configs, train_cfgs, neural._Workspace()),
         }
         times = {way: [] for way in ways}
         for r in range(TRAIN_ROUNDS):

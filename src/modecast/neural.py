@@ -61,14 +61,22 @@ hidden sequences, so each net's predictions equal `predict` of that net
 alone, bit for bit; `PREDICT_BYTES` caps its groups.
 
 Memory.  A training step's sequences are views of one workspace
-(`_Workspace`) that a lockstep group allocates in its first mini-batch and
-reuses for every later batch.  `backward` consumes the cache: arrays it no
+(`_Workspace`) that `train_many` allocates in its first mini-batch and
+reuses for every later batch of each of its lockstep groups.  Each net's
+dropout generator fills its own (B, L, H) block of the gradient buffer,
+idle until `backward`; one compare and one scale over the group's draws,
+and one transposed copy, form a lower layer's mask.  The head reads only
+the top layer's last step, so that layer's mask is formed at that step
+alone, from the same draws.  `backward` consumes the cache: arrays it no
 longer needs become its working arrays, and each layer's entries are
-released once that layer's gradients are formed.
+released once that layer's gradients are formed.  `adam_step` updates the
+parameters and moments in place.
 
-All functions but `backward`, which consumes its cache, are pure:
-`adam_step` and `train` return new parameter containers and never mutate
-their inputs, so fixed seeds give bit-identical results across runs.
+Two functions mutate their inputs: `backward` consumes its cache, and
+`adam_step` overwrites the network's flat vector and Adam's moments.  Every
+other function is pure: `train` and `train_many` start from fresh
+parameters and return them, so fixed seeds give bit-identical results
+across runs.
 """
 
 from __future__ import annotations
@@ -312,14 +320,15 @@ def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarra
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Named buffers that the training steps of one lockstep group share.
+    """Named buffers that the training steps of one `train_many` call share,
+    its lockstep groups in turn.
 
     Every mini-batch's forward cache and backward's working arrays are views
     of them, so after the first step a step allocates no sequence-sized array
     and the process faults no page in again.  A buffer is allocated on its
     first request; a later request of at most as many entries (the partial
-    last batch of an epoch) takes its leading part, so a view is always
-    contiguous."""
+    last batch of an epoch, or a smaller group) takes its leading part, so a
+    view is always contiguous."""
 
     def __init__(self):
         self._buffers: dict = {}
@@ -346,7 +355,8 @@ class ForwardCache:
     hidden: list[np.ndarray]            # per layer: (L, H, B) pre-dropout hidden
     gates: list[np.ndarray | None]      # per layer: (L, G*H, B) gate activations
     cells: list[np.ndarray | None]      # per layer: (L, H, B) memory cells (LSTM only)
-    masks: list[np.ndarray | None]      # per layer: (L, H, B) inverted-dropout masks
+    masks: list[np.ndarray | None]      # per layer: (L, H, B) inverted-dropout masks; the
+    # top layer's holds its last step only, the one the head reads (the rest is unset)
     dropped_last: np.ndarray            # (H, B) head input; a group's (nets, H, B)
     predictions: np.ndarray             # (B,); a group's (nets, B)
     workspace: _Workspace = field(repr=False)
@@ -394,12 +404,15 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
             # draws wait in the pre-activation gradient buffer, idle until backward
             idle = ws.take("d_act", (seq_len, _GATES[cfg.cell] * h, *nets, b))
             draws = idle.reshape(-1)[:mask.size].reshape(*nets, b, seq_len, h)
-            views = [mask[:, :, j] for j in range(nets[0])] if nets else [mask]
-            for r, draw, view in zip(rngs, draws if nets else [draws], views):
+            for r, draw in zip(rngs, draws if nets else [draws]):
                 r.random(out=draw)
-                np.less(draw, keep_prob, out=draw)
-                np.divide(draw, keep_prob, out=view.transpose(2, 0, 1))
-            if layer < cfg.layers - 1:
+            top = layer == cfg.layers - 1
+            if top:  # the head reads the top layer's last step alone
+                draws = draws[..., -1:, :]
+            np.less(draws, keep_prob, out=draws)
+            np.divide(draws, keep_prob, out=draws)
+            np.copyto(mask[-1:] if top else mask, np.moveaxis(draws, (-2, -1), (0, 1)))
+            if not top:
                 current = np.multiply(hs, mask, out=ws.take(("input", layer + 1), hs.shape))
         masks.append(mask)
     last = hidden[-1][-1] if masks[-1] is None else hidden[-1][-1] * masks[-1][-1]
@@ -682,18 +695,34 @@ def init_adam(net: RecurrentNetwork, lr: float = 1e-3) -> AdamState:
 
 def adam_step(net: RecurrentNetwork, grads, state: AdamState) -> tuple[RecurrentNetwork, AdamState]:
     """Bias-corrected Adam update from a flat gradient of `net.flat`'s shape (as
-    `backward` returns); returns (new network, new state)."""
+    `backward` returns), in place: it overwrites `net.flat`, which the stacked
+    views follow, and the state's moments, and returns (net, the state with its
+    step count advanced).  A forward cache of `net` must go through `backward`
+    before the step: `backward` checks the vector's identity, which the step
+    keeps.  The operands combine in the order of b1*m + (1-b1)*g,
+    b2*v + ((1-b2)*g)*g and lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
     g = np.asarray(grads, dtype=float)
     if g.shape != net.flat.shape:
         raise ShapeMismatch(f"gradient has shape {g.shape}, expected {net.flat.shape}")
     t = state.step_count + 1
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
-    m = _BETA1 * state.first_moment + (1.0 - _BETA1) * g
-    v = _BETA2 * state.second_moment + (1.0 - _BETA2) * g * g
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-    new_state = AdamState(first_moment=m, second_moment=v, step_count=t, lr=state.lr)
-    return _network(net.config, net.flat - step), new_state
+    m, v = state.first_moment, state.second_moment
+    scratch = np.multiply(1.0 - _BETA1, g)
+    m *= _BETA1
+    m += scratch
+    np.multiply(1.0 - _BETA2, g, out=scratch)
+    scratch *= g
+    v *= _BETA2
+    v += scratch
+    denom = np.divide(v, bc2)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    np.divide(m, bc1, out=scratch)
+    scratch *= state.lr
+    scratch /= denom
+    np.subtract(net.flat, scratch, out=net.flat)
+    return net, replace(state, step_count=t)
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> np.ndarray:
@@ -738,9 +767,9 @@ def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | 
 # counts it.  The group's workspace also holds backward's pre-activation
 # gradients (G*H units per step), [h_prev, x] rows (H+D) and gradient
 # vector, so a step has 1.4x the count live for a 2-layer LSTM with dropout;
-# the parameters, Adam moments and each Adam step's new arrays come on top
-# (a 2x64 LSTM epoch peaks at 1.7x in `tracemalloc`).  Lockstep saves numpy's
-# per-call cost, which dominates small networks; once a net's products
+# the parameters, Adam moments and the Adam step's two temporaries come on
+# top (a 2x64 LSTM epoch peaks at 1.6x in `tracemalloc`).  Lockstep saves
+# numpy's per-call cost, which dominates small networks; once a net's products
 # outweigh it, the group's larger working set costs more than it saves.
 # Measured one epoch at batch 32 on one CPU with a 2 MiB L2 cache, lockstep
 # against one by one: 10 LSTM nets of 1x4, seq 12 (0.8 MB as a group)
@@ -807,7 +836,8 @@ def train_many(inputs, targets, configs,
     stacked (nets, P) parameters, each product one batched `np.matmul` that
     makes every net's BLAS call of `train`.  Each net keeps its own shuffle
     and dropout generators and its own clipping norm, so every result equals
-    `train` of that net alone, bit for bit.  Results come in input order.
+    `train` of that net alone, bit for bit.  The groups train one after
+    another in one workspace.  Results come in input order.
     """
     xs = [np.asarray(x, dtype=float) for x in inputs]
     ys = [np.asarray(y, dtype=float).reshape(-1) for y in targets]
@@ -823,21 +853,24 @@ def train_many(inputs, targets, configs,
             raise ShapeMismatch(f"{x.shape[0]} inputs vs {y.size} targets")
         groups.setdefault(_lockstep_key(configs[i], x.shape, train_configs[i]), []).append(i)
     results: list = [None] * len(xs)
+    workspace = _Workspace()
     for (config, train_cfg, (n, seq_len, _)), members in groups.items():
         size = _group_size(config, seq_len, max(1, min(train_cfg.batch_size, n)))
         for start in range(0, len(members), size):
             group = members[start:start + size]
             trained = _train_group([xs[i] for i in group], [ys[i] for i in group],
-                                   [configs[i] for i in group], [train_configs[i] for i in group])
+                                   [configs[i] for i in group], [train_configs[i] for i in group],
+                                   workspace)
             for i, result in zip(group, trained):
                 results[i] = result
     return results
 
 
-def _train_group(xs, ys, configs, train_configs) -> list[tuple[RecurrentNetwork, list[float]]]:
+def _train_group(xs, ys, configs, train_configs,
+                 workspace: _Workspace) -> list[tuple[RecurrentNetwork, list[float]]]:
     """`train_many` of one lockstep group; a group of one runs without a net axis.
     Every mini-batch's forward cache and backward's working arrays are views of
-    one workspace, allocated in the first step."""
+    `workspace`, which the groups of one `train_many` call share in turn."""
     one = len(xs) == 1
     stack = (lambda arrays: arrays[0]) if one else np.stack
     net = _network(configs[0], stack([init_network(c).flat for c in configs]))
@@ -845,7 +878,6 @@ def _train_group(xs, ys, configs, train_configs) -> list[tuple[RecurrentNetwork,
     state = init_adam(net, lr=train_cfg.lr)
     shuffle_rngs = [np.random.default_rng([t.seed, 1]) for t in train_configs]
     dropout_rngs = [np.random.default_rng([t.seed, 2]) for t in train_configs]
-    workspace = _Workspace()
     n = xs[0].shape[0]
     batch = max(1, min(train_cfg.batch_size, n))
     history = []

@@ -16,12 +16,13 @@ directory whose header exists has its arrays.
 A model directory is outside input, and nothing in it is unpickled.  Load
 checks the header's entries and each scalar's type, that a GARCH fit took
 the rolling fallback exactly when it did not converge, the layout's names
-(the variant's, in order) and each shape's number of dimensions; then that
-the file holds exactly the layout's bytes, and their CRC.  It reads the file
-in one call, hands each array to the record as a view of that one buffer,
-and the record's constructor checks every shape.  Any missing, extra,
-truncated, foreign, altered, mistyped or misshapen entry raises
-`CorruptModel`, as does any other format (the v1 to v4 layouts included).
+(the variant's, in order), each shape's number of dimensions, and that each
+GARCH array has one row per GARCH entry; then that the file holds exactly
+the layout's bytes, and their CRC.  It reads the file in one call, hands
+each array to the record as a view of that one buffer, and the record's
+constructor checks every shape.  Any missing, extra, truncated, foreign,
+altered, mistyped or misshapen entry raises `CorruptModel`, as does any
+other format (the v1 to v4 layouts included).
 Values come back bit for bit, so a reloaded forecaster forecasts identically.
 """
 
@@ -242,6 +243,10 @@ def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
         entries = [_typed(e, {"alpha0": float, **_GARCH_SCALARS}, "garch") for e in header["garch"]]
         if any(e["used_rolling_fallback"] is e["converged"] for e in entries):  # as fit_many sets
             raise CorruptModel(f"{HEADER}: garch used_rolling_fallback must be (not converged)")
+        for name, shape in header["arrays"][-len(_GARCH_ARRAYS):]:
+            if shape[0] != len(entries):
+                raise CorruptModel(f"{HEADER}: array {name} shape {shape} has {shape[0]} rows "
+                                   f"for {len(entries)} garch entries")
     arrays = _read_arrays(path, header["arrays"], header["crc32"])
     mode_values = arrays["mode_values"]
     modes = fits = None

@@ -183,12 +183,14 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
     # The sweep writes into these buffers: `u` the modes being updated, `u_prev`
     # the previous sweep's (the two swap each sweep), `total` the running sum
     # of the modes, `others` the sum of all but mode k, `lam` the multiplier,
-    # `wiener` the K filter denominators, `power` the modes' |u_hat_k|^2.
+    # `wiener` the K filter denominators and `inv` their reciprocals, `power`
+    # the modes' |u_hat_k|^2.
     u = np.zeros((k_modes, f_plus.size), dtype=complex)
     u_prev = np.zeros_like(u)
     total, others = np.empty_like(f_plus), np.empty_like(f_plus)
     lam, lam_half = np.zeros_like(f_plus), np.empty_like(f_plus)
     wiener, power = np.empty(u.shape), np.empty(u.shape)
+    inv = np.empty_like(u)
     change = np.empty_like(u)
     sq_change = np.empty(u.shape)
     # |u_prev[k]|^2 summed over the grid: the convergence measure's
@@ -211,6 +213,9 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
         np.square(wiener, out=wiener)
         np.multiply(two_alpha, wiener, out=wiener)
         np.add(1.0, wiener, out=wiener)
+        # numpy divides a complex u by the real w + 0j as u * (1 / w), bit for
+        # bit, so the sweep multiplies by the reciprocals
+        np.divide(1.0, wiener, out=inv)
         for k in range(k_modes):
             uk = u[k]
             # u_k = (f_plus - others + lam / 2) / wiener_k
@@ -218,7 +223,7 @@ def vmd_decompose(signal: TimeSeries | np.ndarray, config: VmdConfig) -> ModeSet
             np.subtract(f_plus, others, out=uk)
             if config.tau > 0.0:
                 np.add(uk, lam_half, out=uk)
-            np.divide(uk, wiener[k], out=uk)
+            np.multiply(uk, inv[k], out=uk)
             np.add(others, uk, out=total)
         # spectral centroids of the updated modes
         np.absolute(u, out=power)

@@ -546,3 +546,17 @@ def test_contradicting_or_mistyped_layout_is_refused(tmp_path, change):
     with pytest.raises(CorruptModel):
         load_forecaster(model_dir)
     assert (model_dir / "arrays.f64").read_bytes() == data
+
+
+@pytest.mark.parametrize("name", ["alphas", "sigma2_path"])
+def test_garch_array_rows_must_match_the_garch_entries(tmp_path, name):
+    # one row fewer than the K = 2 header entries, the sizes still summing to the
+    # file with the CRC intact: refused by name before the file is read
+    _, model_dir = _saved(tmp_path)
+    header = _header(model_dir)
+    shape = dict(header["arrays"])[name]
+    _shapes(**{name: [1, shape[0] * shape[1]]})(header)
+    _write_header(model_dir, header)
+    with pytest.raises(CorruptModel, match=rf"array {name} shape \[1, {shape[0] * shape[1]}\] "
+                                           r"has 1 rows for 2 garch entries"):
+        load_forecaster(model_dir)

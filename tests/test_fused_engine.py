@@ -12,6 +12,7 @@ run on the same parameter values.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,8 @@ def test_fused_engine_matches_per_gate_loops(kind, layers, dropout, batch):
     for layer in range(layers):  # same dropout draws, stored as (L, H, B)
         want = ref["masks"][layer].transpose(1, 2, 0)
         got = cache.masks[layer] if cache.masks[layer] is not None else np.ones_like(want)
+        if layer == layers - 1:  # the top layer's mask holds the step the head reads
+            got, want = got[-1], want[-1]
         assert np.array_equal(got, want)
     d_pred = np.random.default_rng(4).standard_normal(batch)
     grads = _named(_network(net.config, backward(net, cache, d_pred)))
@@ -243,6 +246,32 @@ def test_fused_engine_matches_per_gate_loops(kind, layers, dropout, batch):
     for name, g in want.items():
         assert grads[name].shape == g.shape, name
         assert _close(grads[name], g), name
+
+
+def test_group_dropout_masks_keep_each_stream_in_draw_order():
+    # each net's generator draws a (B, L, H) block per layer, layer by layer,
+    # the top layer's block whole though only its last step is kept: two
+    # consecutive forward passes see the masks of that reference, so the
+    # streams stand where `train` of each net alone leaves them
+    cfg = NetworkConfig(cell=CellKind.GRU, layers=2, hidden=HIDDEN, input_features=2,
+                        dropout_rate=0.3)
+    seeds = (5, 11, 2)
+    net = _network(cfg, np.stack([init_network(replace(cfg, seed=s)).flat for s in seeds]))
+    data = np.random.default_rng(8).standard_normal((len(seeds), 4, SEQ_LEN, 2))
+    rngs = [np.random.default_rng([s, 2]) for s in seeds]
+    refs = [np.random.default_rng([s, 2]) for s in seeds]
+    workspace = neural._Workspace()
+    for _ in range(2):
+        cache = _forward_batch(net, data, training=True, rng=rngs, workspace=workspace)
+        keep = 1.0 - cfg.dropout_rate
+        want = [[(r.random((4, SEQ_LEN, HIDDEN)) < keep) / keep for _ in range(2)] for r in refs]
+        for layer, mask in enumerate(cache.masks):  # (L, H, nets, B)
+            for j in range(len(seeds)):
+                got, expected = mask[:, :, j].transpose(2, 0, 1), want[j][layer]
+                if layer == 1:
+                    got, expected = got[:, -1], expected[:, -1]
+                assert np.array_equal(got, expected)
+        backward(net, cache, np.ones((len(seeds), 4)))
 
 
 @pytest.mark.parametrize("kind,layers,dropout,batch", CASES, ids=IDS)

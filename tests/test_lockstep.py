@@ -66,8 +66,9 @@ def test_train_many_equals_train_of_each_net_alone(kind, layers, dropout, n, mon
     _assert_equal_to_alone(xs, ys, configs, train_cfgs, got)
 
 
-@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
-def test_training_allocates_its_workspace_in_the_first_step(kind, monkeypatch):
+def _count_growth(monkeypatch):
+    """Count the training steps (`backward` calls) and record, per workspace
+    buffer allocated, the number of steps completed before it."""
     steps, grown = [], []
     take, original_backward = neural._Workspace.take, neural.backward
 
@@ -85,12 +86,32 @@ def test_training_allocates_its_workspace_in_the_first_step(kind, monkeypatch):
 
     monkeypatch.setattr(neural._Workspace, "take", counted_take)
     monkeypatch.setattr(neural, "backward", counted_backward)
+    return steps, grown
+
+
+@pytest.mark.parametrize("kind", list(CellKind), ids=lambda k: k.value)
+def test_training_allocates_its_workspace_in_the_first_step(kind, monkeypatch):
+    steps, grown = _count_growth(monkeypatch)
     xs, ys = _data(70, len(SEEDS))  # two full batches and one of 6, three epochs
     configs, train_cfgs = _configs(kind, 2, 0.2)
     train_cfgs = [replace(t, epochs=3) for t in train_cfgs]
     train_many(xs, ys, configs, train_cfgs)
     assert len(steps) == 9
     assert grown and all(step == 0 for step, _ in grown)
+
+
+def test_groups_of_one_call_share_its_workspace(monkeypatch):
+    # three groups of one net, one after another: every buffer is allocated in
+    # the call's first step, and the later groups take views of the same ones
+    steps, grown = _count_growth(monkeypatch)
+    monkeypatch.setattr(neural, "_group_size", lambda *args: 1)
+    xs, ys = _data(40, len(SEEDS))
+    configs, train_cfgs = _configs(CellKind.LSTM, 2, 0.2)
+    got = train_many(xs, ys, configs, train_cfgs)
+    assert len(steps) == 3 * 2 * 2
+    assert grown and all(step == 0 for step, _ in grown)
+    monkeypatch.undo()
+    _assert_equal_to_alone(xs, ys, configs, train_cfgs, got)
 
 
 def test_train_many_groups_by_shape_and_keeps_input_order():

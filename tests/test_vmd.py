@@ -367,6 +367,22 @@ def test_decomposition_equals_buffered_sweep_bit_for_bit(k_modes):
         (expected.iterations, expected.final_delta, expected.converged)
 
 
+def test_complex_by_real_division_equals_product_with_the_reciprocal():
+    # the sweep divides each mode by its real filter denominator w as
+    # u * (1 / w): numpy divides by w + 0j with rat = 0 / w and scl = 1 / w, so
+    # the two agree bit for bit over spectra of every scale, and on the +0.0
+    # imaginary parts of a real signal's DC and Nyquist bins
+    rng = np.random.default_rng(3)
+    n = 20_000
+    magnitude = 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    u = (rng.choice([-1.0, 1.0], (2, n)) * magnitude).view(complex).reshape(-1)
+    u.imag[rng.random(n) < 0.1] = 0.0
+    w = rng.uniform(1.0, 1e6, n)
+    inv = np.empty_like(u)
+    np.divide(1.0, w, out=inv)
+    assert np.divide(u, w).view(float).tobytes() == np.multiply(u, inv).view(float).tobytes()
+
+
 def test_reconstruct_plus_residual_reproduces_input():
     rng = np.random.default_rng(21)
     x = rng.standard_normal(180)
