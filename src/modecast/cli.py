@@ -40,7 +40,7 @@ from .config import (
     load_config,
     parse_setting,
     render_config,
-    setting_value,
+    settings_of,
     to_pipeline_config,
 )
 from .errors import ConfigError, ModecastError, UnreadableFile
@@ -127,12 +127,13 @@ def _check_model_settings(args, settings: dict, forecaster, cfg: PipelineConfig)
                           f"{args.model_dir}, fitted as {forecaster.variant.value}")
     flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
              if getattr(args, flag, None) is not None}
+    fitted = settings_of(cfg)
     for key, value in settings.items():
-        fitted = setting_value(cfg, key)
-        if fitted is not None and value != fitted:
+        if key in fitted and value != fitted[key]:
             name = flags.get(key, f"{key!r} of --config")
+            shown = "unset" if fitted[key] is None else f"= {format_value(fitted[key])}"
             raise ConfigError(f"{name} differs from the model in {args.model_dir}, "
-                              f"fitted with {key} = {format_value(fitted)}")
+                              f"fitted with {key} {shown}")
 
 
 def _write_manifest(out_dir: Path, cfg: PipelineConfig, settings: dict, args) -> None:
@@ -185,7 +186,8 @@ def _cmd_garch_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
     _write_modes_csv(mode_set, out_dir)
-    fits = garch_mod.fit_many(mode_set.modes, cfg.garch, cfg.garch_options)
+    fits = garch_mod.fit_many(mode_set.modes, cfg.garch,
+                              garch_mod.FitOptions(max_iter=cfg.garch_max_iter))
     for i, fit in enumerate(fits):
         fitted = not fit.used_rolling_fallback  # a fallback's search point is no fit
         payload = {

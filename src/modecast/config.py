@@ -10,19 +10,21 @@ Unknown keys are errors, so a typo never silently falls back to a default.
 Booleans are `true`/`false`, lists are comma-separated (`horizons = 10,20`).
 
 One table, `_KEYS`, gives each key its parser and the `PipelineConfig`
-fields it sets.  A config file and the CLI flags both give a dict of the
-keys they set (the settings); `to_pipeline_config` applies it over the
-dataclasses' own defaults, the only defaults there are, and `render_config`
-reads every key back from the configuration that ran.  `modes` has no
-default: it must come from a CLI flag or the config file.  `horizons` is no
-pipeline field, so its default, `DEFAULT_HORIZONS`, is kept here.
+field it sets; every value a `PipelineConfig` holds is one key's.  A config
+file and the CLI flags both give a dict of the keys they set (the
+settings); `to_pipeline_config` applies it over the dataclasses' own
+defaults, the only defaults there are, and `settings_of` reads every key
+back from a configuration.  That pair is the one encoding of a run's
+settings: `render_config` writes the manifest from it, and a model
+directory's header stores it (`persist`).  `modes` has no default: it must
+come from a CLI flag or the config file.  `horizons` is no pipeline field,
+so its default, `DEFAULT_HORIZONS`, is kept here.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import Enum
-from functools import reduce
 
 from . import neural, vmd
 from .data import read_text
@@ -55,8 +57,9 @@ def cell_kind(name: str) -> neural.CellKind:
                           f"{sorted(k.value for k in neural.CellKind)}") from None
 
 
-# config-file key -> (parser, the dotted `PipelineConfig` fields it sets);
-# the manifest lists the keys in this order
+# config-file key -> (parser, the `PipelineConfig` field it sets: a section's
+# "section.field" or a field of its own; None for `horizons`); the manifest
+# lists the keys in this order
 _KEYS = {
     "modes": (int, "vmd.n_modes"),
     "split.fraction": (float, "split.train_fraction"),
@@ -70,7 +73,7 @@ _KEYS = {
     "vmd.seed": (int, "vmd.seed"),
     "garch.k": (int, "garch.k"),
     "garch.l": (int, "garch.l"),
-    "garch.max_iter": (int, "garch_options.max_iter"),
+    "garch.max_iter": (int, "garch_max_iter"),
     "network.cell": (cell_kind, "network.cell"),
     "network.layers": (int, "network.layers"),
     "network.hidden": (int, "network.hidden"),
@@ -79,10 +82,15 @@ _KEYS = {
     "train.epochs": (int, "train.epochs"),
     "train.batch": (int, "train.batch_size"),
     "train.lr": (float, "train.lr"),
-    "train.seed": (int, "train.seed", "network.seed"),
-    "horizons": (_parse_int_list,),  # no pipeline field
+    "train.seed": (int, "train.seed"),
+    "horizons": (_parse_int_list, None),
     "retrain_every": (int, "retrain_every"),
 }
+# every key that sets a field, in table order -> (section, field name); the
+# section is "" for a field of `PipelineConfig` itself
+_FIELDS = {key: tuple(path.rpartition(".")[::2]) for key, (_, path) in _KEYS.items() if path}
+PIPELINE_KEYS = tuple(_FIELDS)  # every key but `horizons`
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 def parse_setting(key: str, raw: str, name: str | None = None):
@@ -118,11 +126,6 @@ def load_config(path) -> dict[str, object]:
     return parse_config_text(read_text(path))
 
 
-def _set(obj, path: str, value):
-    head, _, rest = path.partition(".")
-    return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
-
-
 def format_value(value) -> str:
     """A setting's value as the config grammar writes it."""
     if isinstance(value, bool):
@@ -138,34 +141,37 @@ def format_value(value) -> str:
 
 def render_config(cfg: PipelineConfig, horizons: tuple[int, ...],
                   header_comments: list[str] | None = None) -> str:
-    """Every key's value in `cfg` (and `horizons`), in table order; for a
-    `cfg` that `to_pipeline_config` made, text that it reads back to `cfg`."""
+    """Every key's value in `cfg` (`settings_of`) and `horizons`, in table
+    order; text that `to_pipeline_config` reads back to `cfg`."""
+    values = {**settings_of(cfg), "horizons": horizons}
     lines = [f"# {comment}" for comment in (header_comments or [])]
-    for key in _KEYS:
-        value = horizons if key == "horizons" else setting_value(cfg, key)
-        if value is not None:
-            lines.append(f"{key} = {format_value(value)}")
+    lines += [f"{key} = {format_value(values[key])}" for key in _KEYS if values[key] is not None]
     return "\n".join(lines) + "\n"
 
 
-def setting_value(cfg: PipelineConfig, key: str):
-    """The value `cfg` holds for `key`; None for `horizons`, no pipeline field."""
-    paths = _KEYS[key][1:]
-    return reduce(getattr, paths[0].split("."), cfg) if paths else None
+def settings_of(cfg: PipelineConfig) -> dict[str, object]:
+    """The value `cfg` holds for every key but `horizons`, in table order;
+    None only for an unset `garch.max_iter`."""
+    return {key: getattr(getattr(cfg, section), name) if section else getattr(cfg, name)
+            for key, (section, name) in _FIELDS.items()}
 
 
 def to_pipeline_config(settings: dict[str, object]) -> PipelineConfig:
-    """The dataclasses' defaults with every setting applied; the owning
-    modules' validators check each value."""
+    """The dataclasses' defaults with every setting applied, one `replace`
+    per section; the owning modules' validators check each value."""
     if "modes" not in settings:
         raise ConfigError("the number of modes is required: pass --modes or set 'modes' in the config")
+    sections: dict[str, dict] = {}
+    for key, value in settings.items():
+        if key in _FIELDS:
+            section, name = _FIELDS[key]
+            sections.setdefault(section, {})[name] = value
+    own = sections.pop("", {})
     try:
-        cfg = PipelineConfig(vmd=vmd.VmdConfig(n_modes=settings["modes"]))
-        for key, value in settings.items():
-            for path in _KEYS[key][1:]:
-                cfg = _set(cfg, path, value)
+        return PipelineConfig(vmd=vmd.VmdConfig(**sections.pop("vmd")), **own,
+                              **{section: replace(_DEFAULTS[section], **values)
+                                 for section, values in sections.items()})
     except ConfigError:
         raise
     except (ValueError, ModecastError) as exc:  # invariant violations from the owning modules
         raise ConfigError(str(exc)) from exc
-    return cfg

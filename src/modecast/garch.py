@@ -75,6 +75,7 @@ from .errors import (
 from .series import TimeSeries
 
 ADF_CRITICAL_5PCT = -2.86  # asymptotic, constant-only regression
+ADF_LAGS = 12  # the fit's unit-root test lags; a series of n < 240 gets max(1, n // 20)
 ROLLING_WINDOW = 12  # slots in the fallback's trailing variance window
 
 
@@ -136,9 +137,10 @@ class GarchFit:
 
     `used_differencing` marks volatility extracted from the first-differenced
     series (taken when the level series fails the unit-root rejection);
-    `used_rolling_fallback` marks the trailing rolling-variance path
-    (`rolling_sigma2`) substituted after an optimizer failure; `params` then
-    hold the unconverged search's point, not fitted coefficients.
+    `used_rolling_fallback`, which is `not converged`, marks the trailing
+    rolling-variance path (`rolling_sigma2`) substituted after an optimizer
+    failure; `params` then hold the unconverged search's point, not fitted
+    coefficients.
     `log_likelihood` is always the Gaussian likelihood of `residuals` under
     `sigma2_path`, and `sigma2_path` always has the length of `residuals`.
     """
@@ -150,7 +152,10 @@ class GarchFit:
     mean: float
     converged: bool
     used_differencing: bool = False
-    used_rolling_fallback: bool = False
+
+    @property
+    def used_rolling_fallback(self) -> bool:
+        return not self.converged
 
 
 @dataclass(frozen=True)
@@ -159,12 +164,11 @@ class FitOptions:
 
     `max_iter` caps each start's BFGS iterations (None: 200 per search
     dimension, 500 per dimension above 8); a search that reaches it without
-    converging counts as unconverged.  `adf_lags` and `allow_differencing`
-    govern the unit-root test that decides whether the series is differenced.
+    converging counts as unconverged.  `allow_differencing` lets the
+    unit-root test (`ADF_LAGS`) decide whether the series is differenced.
     """
 
     max_iter: int | None = None
-    adf_lags: int = 12
     allow_differencing: bool = True
 
     def __post_init__(self):
@@ -746,7 +750,7 @@ def _prepare(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
     used_differencing = False
     work = x
     if options.allow_differencing and n >= 40:
-        lags = min(options.adf_lags, max(1, n // 20))
+        lags = min(ADF_LAGS, max(1, n // 20))
         try:
             _, reject = adf_test(work - work.mean(), lags=lags)
         except (TooShort, SingularRegression):
@@ -832,8 +836,7 @@ def fit_many(residual_sources, spec: GarchSpec,
     lls = _Batch(residuals, 0, 0).log_likelihood(everyone, _padded(s2s, 1.0))
     return [GarchFit(params=chosen[i], sigma2_path=s2s[i], residuals=residuals[i],
                      log_likelihood=float(lls[i]), mean=p.mean, converged=converged[i],
-                     used_differencing=p.used_differencing,
-                     used_rolling_fallback=not converged[i])
+                     used_differencing=p.used_differencing)
             for i, p in enumerate(prepared)]
 
 

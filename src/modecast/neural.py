@@ -51,7 +51,7 @@ gate block of a step stays contiguous across the nets and the cell and BPTT
 code above serves both.  Every product is one batched `np.matmul` over
 per-net strided views (`_matmul`), which BLAS runs as the call that net
 alone makes; a batch of one copies its vectors contiguous first.  Each net
-keeps its own shuffle and dropout generators and clipping norm, so each
+keeps its own shuffle and dropout generators and gradient norm, so each
 result equals `train` of that net alone, bit for bit.  A single network
 keeps 2-d operands.  `GROUP_BYTES` caps a group's activations, since
 lockstep only pays while numpy's per-call cost outweighs the products.
@@ -424,28 +424,13 @@ def _forward_batch(net: RecurrentNetwork, batch: np.ndarray, training: bool,
     )
 
 
-def forward(net: RecurrentNetwork, sequence, training: bool = False,
-            seed: int = 0) -> tuple[float, ForwardCache]:
-    """Run one (seq_len, input_features) sequence; returns (prediction, cache).
-
-    With training=False the result is deterministic and independent of `seed`
-    (dropout is inverted-scaled, so inference needs no rescaling).
-    """
-    seq = np.asarray(sequence, dtype=float)
-    if seq.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d sequence, got shape {seq.shape}")
-    rng = np.random.default_rng(seed) if training else None
-    cache = _forward_batch(net, seq[None, :, :], training, rng)
-    return float(cache.predictions[0]), cache
-
-
 def predict(net: RecurrentNetwork, sequences) -> np.ndarray:
     """Inference over a (N, seq_len, input_features) batch; returns (N,) predictions.
 
-    Row i equals `forward(net, sequences[i])` up to rounding: the batched
-    matrix products may sum in another order, and a row's result can depend
-    on the batch it runs in.  Reruns on the same batch are bit-identical.
-    `predict_many` of one network.
+    Row i equals `predict(net, sequences[i:i + 1])` up to rounding: the
+    batched matrix products may sum in another order, and a row's result
+    can depend on the batch it runs in.  Reruns on the same batch are
+    bit-identical.  `predict_many` of one network.
     """
     return predict_many([net], [sequences])[0]
 
@@ -734,13 +719,15 @@ def clip_gradients(grads: np.ndarray, max_norm: float) -> np.ndarray:
     return grads * (max_norm / total)
 
 
+CLIP_NORM = 5.0  # each net's gradient is clipped to this global norm
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    clip_norm: float = 5.0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -749,8 +736,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr < math.inf:  # NaN included
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 < self.clip_norm < math.inf:
-            raise ConfigError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -771,22 +756,24 @@ def _lockstep_key(config: NetworkConfig, shape: tuple, train_cfg: TrainConfig | 
 # top (a 2x64 LSTM epoch peaks at 1.6x in `tracemalloc`).  Lockstep saves
 # numpy's per-call cost, which dominates small networks; once a net's products
 # outweigh it, the group's larger working set costs more than it saves.
-# Measured one epoch at batch 32 on one CPU with a 2 MiB L2 cache, lockstep
-# against one by one: 10 LSTM nets of 1x4, seq 12 (0.8 MB as a group)
-# 2.7-3.1x faster; 3 LSTM 2x16, seq 25, dropout (4.6 MB) 1.1-1.3x; 3 LSTM
-# 2x24 (6.9 MB) 0.96x; 3 RNN 2x64, seq 50 (4.1 MB each) 0.73x; 3 LSTM 2x64,
-# seq 50 (12.3 MB each) 0.88-1.02x.
+# Measured one epoch at batch 32 on one CPU with a 2 MiB L2 cache, as the
+# speedup of lockstep (one-by-one time / lockstep time; below 1x lockstep
+# is slower): 10 LSTM nets of 1x4, seq 12 (0.8 MB as a group) 2.7-3.1x;
+# 3 LSTM 2x16, seq 25, dropout (4.6 MB) 1.1-1.3x; 3 LSTM 2x24 (6.9 MB)
+# 0.96x; 3 RNN 2x64, seq 50 (4.1 MB each) 0.73x; 3 LSTM 2x64, seq 50
+# (12.3 MB each) 0.88-1.02x.
 GROUP_BYTES = 5 << 20
 
 # `predict_many`'s cap on a group, in the bytes `_step_bytes` counts for
 # training without dropout.  Inference keeps less: every layer's hidden
 # sequence, and one layer at a time its gate buffer (which first holds the
 # input projection) and two memory-cell slots.  Measured LSTM inference
-# on one CPU, lockstep against one by one, by the group's counted bytes:
-# 3 nets of 2x64, seq 50: 6 windows (5.7 MB) 0.87x, 20 (19 MB) 0.97x, 70
-# (67 MB) 1.26x; 3 of 2x16, seq 25: 70 windows (8.4 MB) 0.85x, 200 (24 MB)
-# 0.95x, 500 (60 MB) 1.34x; 10 of 1x4, seq 12: 200 windows (4.8 MB) 0.69x,
-# 1000 (24 MB) 1.03x; 10 of 2x64, seq 50, 70 windows (223 MB) 1.53x.
+# on one CPU by the group's counted bytes, as the speedup of lockstep
+# (one-by-one time / lockstep time; below 1x lockstep is slower): 3 nets of
+# 2x64, seq 50: 6 windows (5.7 MB) 1.15x, 20 (19 MB) 1.03x, 70 (67 MB)
+# 0.79x; 3 of 2x16, seq 25: 70 windows (8.4 MB) 1.18x, 200 (24 MB) 1.05x,
+# 500 (60 MB) 0.75x; 10 of 1x4, seq 12: 200 windows (4.8 MB) 1.45x, 1000
+# (24 MB) 0.97x; 10 of 2x64, seq 50, 70 windows (223 MB) 0.65x.
 PREDICT_BYTES = 16 << 20
 
 
@@ -835,7 +822,7 @@ def train_many(inputs, targets, configs,
     forward pass, one `backward` and one `adam_step` over the group's
     stacked (nets, P) parameters, each product one batched `np.matmul` that
     makes every net's BLAS call of `train`.  Each net keeps its own shuffle
-    and dropout generators and its own clipping norm, so every result equals
+    and dropout generators and clips its own gradient, so every result equals
     `train` of that net alone, bit for bit.  The groups train one after
     another in one workspace.  Results come in input order.
     """
@@ -893,7 +880,7 @@ def _train_group(xs, ys, configs, train_configs,
             d_pred = 2.0 * err / sels[0].size
             grads = backward(net, cache, d_pred)
             for g in grads.reshape(-1, grads.shape[-1]):  # each net's own norm
-                clipped = clip_gradients(g, train_cfg.clip_norm)
+                clipped = clip_gradients(g, CLIP_NORM)
                 if clipped is not g:
                     g[...] = clipped
             net, state = adam_step(net, grads, state)

@@ -2,10 +2,13 @@
 
 The directory holds the fields of `pipeline.EnsembleForecaster`.
 `forecaster.json` is the header: the format tag, variant, cell and run
-configuration, the mode set's scalars (`modes`) when the variant decomposes,
-per mode the GARCH fit's scalars (`garch`) for VMD-GARCH, and the layout
-(`arrays`, a list of [name, shape] pairs in file order) and `zlib.crc32`
-(`crc32`) of the array file.  `arrays.f64` is raw little-endian float64, a
+configuration (`config`), the mode set's scalars (`modes`) when the variant
+decomposes, per mode the GARCH fit's scalars (`garch`) for VMD-GARCH, and
+the layout (`arrays`, a list of [name, shape] pairs in file order) and
+`zlib.crc32` (`crc32`) of the array file.  `config` is the run settings in
+the config grammar (`config.settings_of`): every key but `horizons`, each
+mapped to its value as a config file writes it, or to null where the
+configuration holds None.  `arrays.f64` is raw little-endian float64, a
 fixed set of stacked arrays back to back in C order with no padding,
 whatever the mode count K: `mode_values` (K, T), `networks` (K, P), then
 `omegas` and `residual` when the variant decomposes, and the GARCH
@@ -14,21 +17,20 @@ VMD-GARCH.  The arrays are written first and the header last, so a
 directory whose header exists has its arrays.
 
 A model directory is outside input, and nothing in it is unpickled.  Load
-checks the header's entries and each scalar's type, that a GARCH fit took
-the rolling fallback exactly when it did not converge, the layout's names
-(the variant's, in order), each shape's number of dimensions, and that each
-GARCH array has one row per GARCH entry; then that the file holds exactly
-the layout's bytes, and their CRC.  It reads the file in one call, hands
-each array to the record as a view of that one buffer, and the record's
-constructor checks every shape.  Any missing, extra, truncated, foreign,
-altered, mistyped or misshapen entry raises `CorruptModel`, as does any
-other format (the v1 to v4 layouts included).
+checks the header's entries and each scalar's type; reads `config` with the
+grammar's parsers and validators; checks the layout's names (the variant's,
+in order), each shape's number of dimensions, and that each GARCH array has
+one row per GARCH entry; then that the file holds exactly the layout's
+bytes, and their CRC.  It reads the file in one call, hands each array to
+the record as a view of that one buffer, and the record's constructor
+checks every shape.  Any missing, extra, truncated, foreign, altered,
+mistyped or misshapen entry raises `CorruptModel`, as does any other format
+(the v1 to v5 layouts included).
 Values come back bit for bit, so a reloaded forecaster forecasts identically.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -38,11 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from . import garch, neural, vmd
+from .config import PIPELINE_KEYS, format_value, parse_setting, settings_of, to_pipeline_config
 from .errors import CorruptModel, ModecastError, ShapeMismatch
 from .pipeline import EnsembleForecaster, PipelineConfig, Variant
-from .series import SplitSpec
 
-FORMAT = "modecast-forecaster v5"
+FORMAT = "modecast-forecaster v6"
 HEADER = "forecaster.json"
 ARRAYS = "arrays.f64"
 _FLOAT = np.dtype("<f8")
@@ -53,13 +55,13 @@ _NDIM = {"mode_values": 2, "networks": 2, "omegas": 1, "residual": 1,
 _GARCH_ARRAYS = ("alphas", "betas", "sigma2_path", "residuals")
 # the header's scalars and their types
 _GARCH_SCALARS = {"mean": float, "log_likelihood": float, "converged": bool,
-                  "used_differencing": bool, "used_rolling_fallback": bool}
+                  "used_differencing": bool}
 _MODE_SET_SCALARS = {"iterations": int, "final_delta": float, "converged": bool}
 
 
-def _fields(obj, names=None) -> dict:
-    """The named attributes of `obj` (default: every dataclass field)."""
-    return {n: getattr(obj, n) for n in names or (f.name for f in dataclasses.fields(obj))}
+def _fields(obj, names) -> dict:
+    """The named attributes of `obj`."""
+    return {n: getattr(obj, n) for n in names}
 
 
 def _exact(d: dict, names, what: str) -> dict:
@@ -79,45 +81,20 @@ def _typed(d: dict, types: dict, what: str) -> dict:
     return d
 
 
-def _settings(cls, d: dict):
-    """`cls(**d)`, where `d` must name every field and nothing else."""
-    return cls(**_exact(d, [f.name for f in dataclasses.fields(cls)], cls.__name__))
-
-
-def _network_to_dict(cfg: neural.NetworkConfig) -> dict:
-    return {**_fields(cfg), "cell": cfg.cell.value}
-
-
-def _network_from_dict(d: dict) -> neural.NetworkConfig:
-    return _settings(neural.NetworkConfig, {**d, "cell": neural.CellKind(d["cell"])})
-
-
-def _config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "vmd": _fields(cfg.vmd),
-        "garch": _fields(cfg.garch),
-        "garch_options": _fields(cfg.garch_options),
-        "network": _network_to_dict(cfg.network),
-        "train": _fields(cfg.train),
-        "split_fraction": cfg.split.train_fraction,
-        "seq_len": cfg.seq_len,
-        "retrain_every": cfg.retrain_every,
-    }
-
-
-def _config_from_dict(d: dict) -> PipelineConfig:
-    _exact(d, ("vmd", "garch", "garch_options", "network", "train", "split_fraction",
-               "seq_len", "retrain_every"), "config")
-    return PipelineConfig(
-        vmd=_settings(vmd.VmdConfig, d["vmd"]),
-        garch=_settings(garch.GarchSpec, d["garch"]),
-        garch_options=_settings(garch.FitOptions, d["garch_options"]),
-        network=_network_from_dict(d["network"]),
-        train=_settings(neural.TrainConfig, d["train"]),
-        split=SplitSpec(train_fraction=d["split_fraction"]),
-        seq_len=d["seq_len"],
-        retrain_every=d["retrain_every"],
-    )
+def _config_from(d: dict) -> PipelineConfig:
+    """The configuration of a header's `config`: exactly the keys that
+    `settings_of` gives, each a string the grammar parses, or null where
+    the configuration holds None."""
+    for key, raw in _exact(d, PIPELINE_KEYS, "config").items():
+        if raw is not None and type(raw) is not str:
+            raise CorruptModel(f"{HEADER}: config {key} {raw!r} is no string")
+    cfg = to_pipeline_config({key: parse_setting(key, raw) for key, raw in d.items()
+                              if raw is not None})
+    values = settings_of(cfg)
+    for key, raw in d.items():
+        if raw is None and values[key] is not None:
+            raise CorruptModel(f"{HEADER}: config {key} is null, but the setting has a value")
+    return cfg
 
 
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
@@ -131,7 +108,8 @@ def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
         "format": FORMAT,
         "variant": forecaster.variant.value,
         "cell": forecaster.cell.value,
-        "config": _config_to_dict(forecaster.config),
+        "config": {key: None if value is None else format_value(value)
+                   for key, value in settings_of(forecaster.config).items()},
     }
     if forecaster.variant is not Variant.DIRECT:
         arrays.update(omegas=forecaster.modes.omegas, residual=forecaster.modes.residual)
@@ -224,7 +202,7 @@ def _check_layout(layout, names: tuple[str, ...]) -> None:
 
 
 def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
-    """The forecaster of a v5 header and its array file at `path`; every
+    """The forecaster of a v6 header and its array file at `path`; every
     header entry is checked before the file is read, and the record checks
     every shape."""
     variant = Variant(header["variant"])
@@ -232,7 +210,7 @@ def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
     with_garch = variant is Variant.VMD_GARCH
     _exact(header, ("format", "variant", "cell", "config", *("modes",) * decomposes,
                     *("garch",) * with_garch, "arrays", "crc32"), "header")
-    cfg = _config_from_dict(header["config"])
+    cfg = _config_from(header["config"])
     cell = neural.CellKind(header["cell"])
     _check_layout(header["arrays"], tuple(_NDIM)[:2 + 2 * decomposes + 4 * with_garch])
     if type(header["crc32"]) is not int:
@@ -241,8 +219,6 @@ def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
         mode_set = _typed(header["modes"], _MODE_SET_SCALARS, "modes")
     if with_garch:  # one header entry per row of each GARCH array
         entries = [_typed(e, {"alpha0": float, **_GARCH_SCALARS}, "garch") for e in header["garch"]]
-        if any(e["used_rolling_fallback"] is e["converged"] for e in entries):  # as fit_many sets
-            raise CorruptModel(f"{HEADER}: garch used_rolling_fallback must be (not converged)")
         for name, shape in header["arrays"][-len(_GARCH_ARRAYS):]:
             if shape[0] != len(entries):
                 raise CorruptModel(f"{HEADER}: array {name} shape {shape} has {shape[0]} rows "

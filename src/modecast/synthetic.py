@@ -11,7 +11,7 @@ from datetime import date
 
 import numpy as np
 
-from .garch import FitOptions, GarchParams, GarchSpec, simulate
+from .garch import GarchParams, GarchSpec, simulate
 from .neural import CellKind, NetworkConfig, TrainConfig
 from .series import SplitSpec, TimeSeries
 from .vmd import VmdConfig
@@ -59,7 +59,6 @@ def benchmark_config() -> "PipelineConfig":
         train=TrainConfig(epochs=30, batch_size=32, lr=3e-3, seed=BENCHMARK_TRAIN_SEED),
         split=SplitSpec(0.85),
         seq_len=25,
-        garch_options=FitOptions(),
     )
 
 

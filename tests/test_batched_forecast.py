@@ -102,7 +102,7 @@ def _reference_forecast(forecaster, steps):
     for s in range(steps):
         for i, state in enumerate(states):
             windows[i][s] = state.window(cfg.seq_len)
-            pred_scaled, _ = neural.forward(networks[i], windows[i][s], training=False)
+            pred_scaled = neural.predict(networks[i], windows[i][s][None])[0]
             per_mode[s, i] = float(state.scaler.invert(pred_scaled))
         predictions[s] = aggregate(per_mode[s])
         for i, state in enumerate(states):
@@ -122,7 +122,7 @@ def _reference_forecast(forecaster, steps):
 def _fit(cell, variant, fallback):
     cfg = small_config(n_modes=2, epochs=1)
     if fallback:  # one simplex iteration never converges: every mode falls back
-        cfg = dataclasses.replace(cfg, garch_options=garch.FitOptions(max_iter=1))
+        cfg = dataclasses.replace(cfg, garch_max_iter=1)
     return fit_forecaster(wavy_series(), variant, cell, cfg)
 
 
@@ -145,13 +145,11 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
     ref_pred, ref_per_mode, ref_windows = _reference_forecast(fc, STEPS)
 
     calls, single_calls = [], []
-    predict_many, predict, forward = neural.predict_many, neural.predict, neural.forward
+    predict_many, predict = neural.predict_many, neural.predict
     monkeypatch.setattr(neural, "predict_many", lambda nets, seqs: calls.append(
         (list(nets), [np.array(s) for s in seqs])) or predict_many(nets, seqs))
     monkeypatch.setattr(neural, "predict",
                         lambda *a, **kw: single_calls.append(1) or predict(*a, **kw))
-    monkeypatch.setattr(neural, "forward",
-                        lambda *a, **kw: single_calls.append(1) or forward(*a, **kw))
     res = rolling_forecast(fc, wavy_series(), STEPS)
     monkeypatch.undo()
 

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from modecast.charts import line_chart, panel_chart
+from modecast.config import PIPELINE_KEYS, format_value, render_config, settings_of
 from modecast.errors import CorruptModel
-from modecast.garch import FitOptions, GarchSpec
+from modecast.garch import GarchSpec
 from modecast.neural import CellKind
 from modecast.persist import load_forecaster, save_forecaster
 from modecast.pipeline import Variant, fit_forecaster, rolling_forecast
 
-from conftest import small_config, wavy_series
+from conftest import named_configs, small_config, wavy_series
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -128,6 +129,31 @@ def test_forecaster_save_load_round_trip(tmp_path):
         assert np.array_equal(res_a.per_mode, res_b.per_mode)
 
 
+@pytest.mark.parametrize("name", list(named_configs()))
+def test_saved_config_is_the_grammar_and_loads_back_whole(tmp_path, name):
+    cfg = named_configs()[name]
+    # one training epoch keeps this affordable; the epoch count changes no
+    # shape, so the record takes the configuration as it is
+    quick = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=1))
+    fitted = fit_forecaster(wavy_series(), Variant.VMD_GARCH, cfg.network.cell, quick)
+    fc = dataclasses.replace(fitted, config=cfg)
+    model_dir = save_forecaster(fc, tmp_path / "model")
+    config = _header(model_dir)["config"]
+    assert list(config) == list(PIPELINE_KEYS)
+    assert config == {key: None if value is None else format_value(value)
+                      for key, value in settings_of(cfg).items()}
+    manifest = [line for line in render_config(cfg, (1,)).splitlines()
+                if not line.startswith("horizons = ")]
+    assert [f"{key} = {raw}" for key, raw in config.items() if raw is not None] == manifest
+    loaded = load_forecaster(model_dir)
+    assert loaded.config == cfg
+    _assert_identical(fc, loaded)
+    series = wavy_series()
+    expected, got = rolling_forecast(fc, series, 6), rolling_forecast(loaded, series, 6)
+    assert expected.predictions.tobytes() == got.predictions.tobytes()
+    assert expected.per_mode.tobytes() == got.per_mode.tobytes()
+
+
 def test_vmd_converged_flag_round_trips(tmp_path):
     cfg = small_config(epochs=1)
     cfg = dataclasses.replace(cfg, vmd=dataclasses.replace(cfg.vmd, max_iter=2))
@@ -203,11 +229,29 @@ def test_forecaster_load_rejects_v3_dir(tmp_path):
     manifest = model_dir / "forecaster.json"
     header = json.loads(manifest.read_text())
     # the v3 layout: the same arrays, and the Nelder-Mead tolerances among the GARCH options
-    options = {**header["config"]["garch_options"], "xatol": 1e-5, "fatol": 1e-8}
+    options = {"max_iter": None, "xatol": 1e-5, "fatol": 1e-8}
     manifest.write_text(json.dumps({**header, "format": "modecast-forecaster v3",
                                     "config": {**header["config"], "garch_options": options}}))
     with pytest.raises(CorruptModel, match="re-run `modecast train`"):
         load_forecaster(model_dir)
+
+
+def test_forecaster_load_rejects_v5_dir(tmp_path):
+    fc, model_dir = _saved(tmp_path)
+    header = _header(model_dir)
+    # the v5 layout: the same arrays, the config as nested dataclass fields, and
+    # each GARCH entry's rolling-fallback flag
+    nested = {"vmd": {"n_modes": 2, "alpha": 500.0}, "garch": {"k": 1, "l": 1},
+              "garch_options": {"max_iter": None, "adf_lags": 12, "allow_differencing": True},
+              "network": {"cell": "rnn", "seed": 5}, "train": {"clip_norm": 5.0},
+              "split_fraction": 0.8, "seq_len": 10, "retrain_every": 0}
+    garch_entries = [{**e, "used_rolling_fallback": not e["converged"]} for e in header["garch"]]
+    _write_header(model_dir, {**header, "format": "modecast-forecaster v5", "config": nested,
+                              "garch": garch_entries})
+    with pytest.raises(CorruptModel, match="re-run `modecast train`"):
+        load_forecaster(model_dir)
+    save_forecaster(fc, model_dir)
+    _assert_identical(fc, load_forecaster(model_dir))
 
 
 def test_forecaster_load_rejects_v4_dir(tmp_path):
@@ -295,7 +339,7 @@ def test_mode_count_other_than_configured_is_rejected(tmp_path):
     _, model_dir = _saved(tmp_path, Variant.VMD, cfg=small_config(epochs=1, n_modes=3))
     manifest = model_dir / "forecaster.json"
     header = json.loads(manifest.read_text())
-    header["config"]["vmd"]["n_modes"] = 2
+    header["config"]["modes"] = "2"
     manifest.write_text(json.dumps(header))
     with pytest.raises(CorruptModel, match="mode_values"):
         load_forecaster(model_dir)
@@ -409,14 +453,17 @@ def test_out_of_range_header_values_are_typed(tmp_path):
     _, model_dir = _saved(tmp_path)
     manifest = model_dir / "forecaster.json"
     full = json.loads(manifest.read_text())
+    config = full["config"]
     for holder, key, bad in [(full["garch"][0], "alpha0", -1.0),
-                             (full["config"]["network"], "layers", 0),
-                             (full["config"], "seq_len", 0),
-                             (full["config"]["train"], "batch_size", 0),
-                             (full["config"]["vmd"], "max_iter", 0),
-                             (full["config"]["vmd"], "alpha", float("nan")),
-                             (full["config"]["garch_options"], "max_iter", 0),
-                             (full["config"], "vmd", None)]:
+                             (config, "network.layers", "0"),
+                             (config, "network.seq_len", "0"),
+                             (config, "train.batch", "0"),
+                             (config, "vmd.max_iter", "0"),
+                             (config, "vmd.alpha", "nan"),
+                             (config, "garch.max_iter", "0"),
+                             (config, "network.cell", "transformer"),
+                             (config, "vmd.mirror", "yes"),
+                             (full, "config", None)]:
         value, holder[key] = holder[key], bad
         manifest.write_text(json.dumps(full))
         with pytest.raises(CorruptModel):
@@ -425,14 +472,14 @@ def test_out_of_range_header_values_are_typed(tmp_path):
 
 
 _GARCH_ENTRY = {"alpha0": 0.1, "mean": 0.0, "log_likelihood": -1.0, "converged": True,
-                "used_differencing": False, "used_rolling_fallback": False}
+                "used_differencing": False}
 
 
 @pytest.mark.parametrize("variant,path,key,value", [
     (Variant.VMD_GARCH, (), "extra", 1),
     (Variant.VMD_GARCH, ("config",), "extra", 1),
     (Variant.VMD_GARCH, ("modes",), "extra", 1),
-    (Variant.VMD_GARCH, ("config", "network"), "extra", 1),
+    (Variant.VMD_GARCH, ("config",), "network.extra", "1"),
     (Variant.VMD_GARCH, ("garch", 0), "extra", 1),
     (Variant.VMD_GARCH, (), "garch", None),
     (Variant.VMD, (), "garch", [_GARCH_ENTRY, _GARCH_ENTRY]),
@@ -462,7 +509,7 @@ def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
 
 
 def test_rolling_fallback_round_trips_and_keeps_its_kind(tmp_path):
-    cfg = dataclasses.replace(small_config(epochs=1), garch_options=FitOptions(max_iter=1))
+    cfg = dataclasses.replace(small_config(epochs=1), garch_max_iter=1)
     fc, model_dir = _saved(tmp_path, cfg=cfg)
     assert [fit.used_rolling_fallback for fit in fc.garch] == [True, True]
     _assert_identical(fc, load_forecaster(model_dir))
@@ -473,8 +520,7 @@ def test_forecaster_load_with_missing_keys_is_typed(tmp_path):
     manifest = model_dir / "forecaster.json"
     full = json.loads(manifest.read_text())
     config = full["config"]
-    holders = [full, config, config["network"], config["vmd"], config["garch"],
-               config["garch_options"], config["train"], full["modes"], full["garch"][0]]
+    holders = [full, config, full["modes"], full["garch"][0]]
     for holder in holders:
         for key in [k for k in holder if k != "format"]:
             value = holder.pop(key)

@@ -312,8 +312,9 @@ def test_unknown_config_key_exit_1(tmp_path, series_csv, capsys):
                  "--out-dir", str(tmp_path / "x")]) == 1
 
 
-# a header scalar of the wrong type, or a fallback flag that contradicts
-# the fit's convergence: (header block, entry, value)
+# a header scalar of the wrong type, or a rolling-fallback flag, which a
+# GARCH entry no longer holds (it is `not converged`), here contradicting the
+# fit's convergence: (header block, entry, value)
 _MISTYPED_SCALARS = {
     "garch-mean": ("garch", "mean", "x"),
     "garch-alpha0": ("garch", "alpha0", True),
@@ -393,6 +394,51 @@ def test_forecast_from_corrupt_model_dir_exit_2(tmp_path, series_csv, config_fil
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert ("re-run `modecast train`" in err) == (damage in ("format", "keys", "v4"))
+
+
+# a header `config` that is not the grammar's settings
+_BAD_CONFIG = {
+    "missing-key": lambda c: c.pop("vmd.tau"),
+    "extra-key": lambda c: c.update({"train.clip_norm": "5"}),
+    "int-not-string": lambda c: c.update({"network.hidden": 6}),
+    "null-alpha": lambda c: c.update({"vmd.alpha": None}),
+    "zero-modes": lambda c: c.update({"modes": "0"}),
+}
+
+
+@pytest.mark.parametrize("damage", list(_BAD_CONFIG))
+def test_forecast_from_model_dir_with_a_bad_config_exit_2(tmp_path, series_csv, config_file,
+                                                          capsys, damage):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
+    manifest = model_dir / "forecaster.json"
+    payload = json.loads(manifest.read_text())
+    _BAD_CONFIG[damage](payload["config"])
+    manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
+                 "--steps", "6", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "forecaster.json" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_forecast_from_model_dir_refuses_a_cap_the_model_left_unset(tmp_path, series_csv,
+                                                                   config_file, capsys):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--input", str(series_csv), "--config", str(config_file),
+                 "--out-dir", str(model_dir), "--variant", "vmd-garch"]) == 0
+    capped = tmp_path / "capped.cfg"
+    capped.write_text(config_file.read_text() + "garch.max_iter = 9\n")
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(series_csv), "--config", str(capped),
+                 "--model-dir", str(model_dir), "--steps", "6",
+                 "--out-dir", str(tmp_path / "fc")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: 'garch.max_iter' of --config differs from the model in "
+        f"{model_dir}, fitted with garch.max_iter unset")
 
 
 def test_missing_input_exit_2(tmp_path, config_file, capsys):

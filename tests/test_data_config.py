@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modecast import config
 from modecast.config import (
+    PIPELINE_KEYS,
     cell_kind,
     load_config,
     parse_config_text,
     render_config,
+    settings_of,
     to_pipeline_config,
 )
 from modecast.data import load_csv, parse_csv_text, write_csv
@@ -25,6 +29,8 @@ from modecast.neural import CellKind, NetworkConfig, TrainConfig
 from modecast.pipeline import PipelineConfig
 from modecast.series import TimeSeries
 from modecast.vmd import VmdConfig
+
+from conftest import named_configs
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "cpi_germany_synthetic.csv"
 
@@ -163,10 +169,43 @@ def test_defaults_are_the_dataclasses_own():
 def test_render_parse_round_trip():
     cfg = to_pipeline_config(parse_config_text(
         "modes = 4\nvmd.alpha = 750\nnetwork.cell = GRU\ntrain.seed = 3\ngarch.max_iter = 9\n"))
-    assert (cfg.network.cell, cfg.network.seed, cfg.garch_options.max_iter) == (CellKind.GRU, 3, 9)
+    assert (cfg.network.cell, cfg.train.seed, cfg.garch_max_iter) == (CellKind.GRU, 3, 9)
     back = parse_config_text(render_config(cfg, (5, 7), header_comments=["frozen run"]))
     assert to_pipeline_config(back) == cfg
     assert back["horizons"] == (5, 7)
+
+
+@pytest.mark.parametrize("name", list(named_configs()))
+def test_every_shipped_config_survives_the_grammar(name):
+    cfg = named_configs()[name]
+    settings = settings_of(cfg)
+    assert tuple(settings) == PIPELINE_KEYS
+    assert to_pipeline_config(settings) == cfg
+    assert to_pipeline_config(parse_config_text(render_config(cfg, (3,)))) == cfg
+
+
+def test_every_pipeline_value_is_one_key():
+    def leaves(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from leaves(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+    derived = {"network.seed", "network.input_features"}  # per mode, `mode_network_config`
+    settable = sorted(set(leaves(to_pipeline_config({"modes": 2}))) - derived)
+    assert settable == sorted(path for _, path in config._KEYS.values() if path)
+    assert len(settable) == len(PIPELINE_KEYS) == 23
+
+
+def test_the_network_seed_and_width_are_derived_not_set():
+    # `mode_network_config` derives both per mode, so the configuration keeps
+    # neither: no key sets them, and the grammar reads back every value it holds
+    cfg = PipelineConfig(vmd=VmdConfig(n_modes=2),
+                         network=NetworkConfig(CellKind.GRU, hidden=5, input_features=3, seed=9))
+    assert cfg.network == NetworkConfig(CellKind.GRU, hidden=5)
+    assert to_pipeline_config(settings_of(cfg)) == cfg
 
 
 def test_rendered_text_lists_every_key_in_table_order():

@@ -20,7 +20,6 @@ from modecast.neural import (
     adam_step,
     backward,
     clip_gradients,
-    forward,
     init_adam,
     init_network,
     parameter_count,
@@ -176,13 +175,21 @@ def test_state_stays_bounded_from_bounded_state():
 # Forward
 # ---------------------------------------------------------------------------
 
+def _forward(net, seq, training=False, seed=0):
+    """One (seq_len, features) sequence through the forward pass: (prediction, cache).
+    Inference reads no generator, so its `seed` must not matter."""
+    cache = neural._forward_batch(net, np.asarray(seq, dtype=float)[None], training,
+                                  np.random.default_rng(seed))
+    return float(cache.predictions[0]), cache
+
+
 def test_forward_no_dropout_training_equals_inference():
     cfg = NetworkConfig(cell=CellKind.GRU, layers=2, hidden=6, input_features=2,
                         dropout_rate=0.0, seed=1)
     net = init_network(cfg)
     seq = np.random.default_rng(2).standard_normal((7, 2))
-    p_train, _ = forward(net, seq, training=True, seed=5)
-    p_infer, _ = forward(net, seq, training=False)
+    p_train, _ = _forward(net, seq, training=True, seed=5)
+    p_infer, _ = _forward(net, seq, training=False)
     assert p_train == p_infer
 
 
@@ -191,8 +198,8 @@ def test_forward_inference_independent_of_seed():
                         dropout_rate=0.5, seed=3)
     net = init_network(cfg)
     seq = np.random.default_rng(4).standard_normal((6, 2))
-    a, _ = forward(net, seq, training=False, seed=1)
-    b, _ = forward(net, seq, training=False, seed=999)
+    a, _ = _forward(net, seq, training=False, seed=1)
+    b, _ = _forward(net, seq, training=False, seed=999)
     assert a == b
 
 
@@ -208,14 +215,14 @@ def test_forward_matches_hand_unrolled_rnn():
     for x in seq:
         h = math.tanh(w_hh * h + float(w_xh @ x) + b_h)
     expected = float(net.head.w_hy[0]) * h + net.head.b_y
-    pred, _ = forward(net, seq)
+    pred, _ = _forward(net, seq)
     assert pred == pytest.approx(expected, abs=1e-12)
 
 
 def test_forward_rejects_wrong_feature_count():
     net = init_network(NetworkConfig(cell=CellKind.RNN, layers=1, hidden=2, input_features=2))
     with pytest.raises(ShapeMismatch):
-        forward(net, np.zeros((5, 3)))
+        _forward(net, np.zeros((5, 3)))
 
 
 def test_dropout_expectation_matches_identity():
@@ -251,10 +258,10 @@ def _numeric_vs_analytic(kind: CellKind, seed: int = 3, dropout: float = 0.0) ->
     training = dropout > 0.0
 
     def loss_at(vec):  # squared error of the network whose parameters are `vec`
-        pred, _ = forward(_network(cfg, vec), seq, training=training, seed=777)
+        pred, _ = _forward(_network(cfg, vec), seq, training=training, seed=777)
         return (pred - target) ** 2
 
-    pred, cache = forward(net, seq, training=training, seed=777)
+    pred, cache = _forward(net, seq, training=training, seed=777)
     grads = backward(net, cache, 2.0 * (pred - target))
     worst = 0.0
     eps = 1e-5
@@ -283,7 +290,7 @@ def test_zero_loss_gradient_gives_zero_parameter_gradients():
     net = init_network(NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=3, input_features=2,
                                      dropout_rate=0.0, seed=1))
     seq = np.random.default_rng(0).standard_normal((4, 2))
-    _, cache = forward(net, seq)
+    _, cache = _forward(net, seq)
     assert np.all(backward(net, cache, 0.0) == 0.0)
 
 
@@ -291,9 +298,9 @@ def test_backward_deterministic():
     net = init_network(NetworkConfig(cell=CellKind.GRU, layers=2, hidden=3, input_features=2,
                                      dropout_rate=0.0, seed=2))
     seq = np.random.default_rng(1).standard_normal((4, 2))
-    pred, cache = forward(net, seq)
+    pred, cache = _forward(net, seq)
     g1 = backward(net, cache, 1.0)
-    pred2, cache2 = forward(net, seq)
+    pred2, cache2 = _forward(net, seq)
     g2 = backward(net, cache2, 1.0)
     assert pred == pred2
     assert np.array_equal(g1, g2)
@@ -304,7 +311,7 @@ def test_backward_rejects_stale_cache():
                         dropout_rate=0.0, seed=0)
     net = init_network(cfg)
     seq = np.zeros((3, 2))
-    _, cache = forward(net, seq)
+    _, cache = _forward(net, seq)
     other = init_network(cfg)
     with pytest.raises(StaleCache):
         backward(other, cache, 1.0)
@@ -350,7 +357,7 @@ def test_gradient_flows_through_dropout_masks():
                         dropout_rate=0.5, seed=9)
     net = init_network(cfg)
     seq = np.random.default_rng(7).standard_normal((5, 2))
-    pred, cache = forward(net, seq, training=True, seed=11)
+    pred, cache = _forward(net, seq, training=True, seed=11)
     assert np.any(backward(net, cache, 1.0) != 0.0)
 
 
@@ -500,19 +507,15 @@ def test_train_rejects_empty_dataset():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_exact(tmp_path):
-    # a network is saved as its config entry in forecaster.json plus its
-    # parameter vector in arrays.f64; both must come back bit for bit
+    # a network is saved as its parameter vector in arrays.f64 (its config is
+    # derived from the header's settings); the vector must come back bit for bit
     cfg = NetworkConfig(cell=CellKind.LSTM, layers=2, hidden=5, input_features=2,
                         dropout_rate=0.2, seed=17)
     net = init_network(cfg)
     path = tmp_path / "net.f64"
     layout, crc = persist._write_arrays(path, {"flat": net.flat})
-    header = json.loads(json.dumps({"network": persist._network_to_dict(cfg),
-                                    "arrays": layout, "crc32": crc}))
-    loaded_cfg = persist._network_from_dict(header["network"])
-    flat = persist._read_arrays(path, header["arrays"], header["crc32"])["flat"]
-    loaded = _network(loaded_cfg, flat)
-    assert loaded.config == cfg
+    header = json.loads(json.dumps({"arrays": layout, "crc32": crc}))
+    loaded = _network(cfg, persist._read_arrays(path, header["arrays"], header["crc32"])["flat"])
     assert np.array_equal(net.flat, loaded.flat)
     seq = np.random.default_rng(3).standard_normal((6, 2))
-    assert forward(net, seq)[0] == forward(loaded, seq)[0]
+    assert _forward(net, seq)[0] == _forward(loaded, seq)[0]

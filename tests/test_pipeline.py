@@ -451,7 +451,7 @@ def test_reference_shape_ten_modes_tenth_order(tmp_path):
     from pathlib import Path
 
     from modecast.data import load_csv
-    from modecast.garch import FitOptions, GarchSpec
+    from modecast.garch import GarchSpec
     from modecast.neural import NetworkConfig, TrainConfig
     from modecast.pipeline import PipelineConfig
     from modecast.series import SplitSpec
@@ -467,7 +467,6 @@ def test_reference_shape_ten_modes_tenth_order(tmp_path):
         train=TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=0),
         split=SplitSpec(0.85),
         seq_len=50,
-        garch_options=FitOptions(),
     )
     fc = fit_forecaster(series, Variant.VMD_GARCH, CellKind.LSTM, cfg)
     assert len(fc.mode_values) == 10

@@ -71,7 +71,7 @@ def test_no_path_but_the_lm_test_loads_scipy_special(tmp_path):
             network=neural.NetworkConfig(cell=neural.CellKind.GRU, layers=1, hidden=4,
                                          input_features=2, seed=0),
             train=neural.TrainConfig(epochs=1, batch_size=32, lr=3e-3, seed=5),
-            split=SplitSpec(0.8), seq_len=8, garch_options=garch.FitOptions())
+            split=SplitSpec(0.8), seq_len=8)
         fc = pipeline.fit_forecaster(series, pipeline.Variant.VMD_GARCH,
                                      neural.CellKind.GRU, cfg)
         persist.save_forecaster(fc, {str(tmp_path / "model")!r})
