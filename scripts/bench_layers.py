@@ -41,10 +41,14 @@ nets, 2x64, seq 50, 70 windows).  Each set predicts two ways, one
 `neural.predict` per net and one `neural.predict_many` over all of them,
 interleaved over INFER_ROUNDS rounds of INFER_REPEATS calls (alternating which
 way goes first); it prints the median time per call of each way, their ratio
-and how many `_forward_batch` passes `predict_many` ran.  Then it times one
-call of the engine's sigmoid (`neural._sigmoid`) against `scipy.special.expit`
-over the stacked sigmoid gates of one LSTM step of each set as a lockstep
-group, (3H, nets, windows).  This part needs an engine with `predict_many`.
+and how many `_forward_batch` passes `predict_many` ran.  Then it times the
+sigmoid over the stacked sigmoid gates of one LSTM step of each set as a
+lockstep group, (3H, nets, windows), three ways: `scipy.special.expit`, the
+four-pass formula 1 / (1 + exp(-x)) (negate, `exp`, add one,
+`np.reciprocal`) and the three passes the engine's steps run over the sums
+they hold negated (`exp`, add one, `np.reciprocal`); it prints each median
+and the ratio of three passes to four.  This part needs an engine with
+`predict_many`.
 
 vmd: it times `vmd.vmd_decompose` of the committed CPI fixture at K=10 (tol
 1e-7, which runs all 500 sweeps) and of `synthetic.benchmark_series()` under
@@ -297,20 +301,32 @@ def bench_inference() -> None:
         print(f"{name:<10} {nets:4d} {per_net * 1e3:11.2f} {together * 1e3:16.2f} "
               f"{together / per_net:6.2f} {len(passes):6d}")
         gates.append((name, (3 * hidden, nets, windows)))
-    print(f"\n{'sigmoid':<10} {'shape':>14} {'expit us':>9} {'_sigmoid us':>12} {'ratio':>6}")
+    print(f"\n{'sigmoid':<10} {'shape':>14} {'expit us':>9} {'4-pass us':>10} {'3-pass us':>10} "
+          f"{'ratio':>6}")
     for name, shape in gates:
         x = np.random.default_rng(1).standard_normal(shape) * 5.0
-        out = np.empty(shape)
-        ways = {"expit": lambda: special.expit(x, out=out),
-                "_sigmoid": lambda: neural._sigmoid(x, out=out)}
+        negated, out = -x, np.empty(shape)
+
+        def four_pass():
+            np.negative(x, out=out)
+            np.exp(out, out=out)
+            np.add(out, 1.0, out=out)
+            np.reciprocal(out, out=out)
+
+        def three_pass():  # the same floats, from the sums held negated
+            np.exp(negated, out=out)
+            np.add(out, 1.0, out=out)
+            np.reciprocal(out, out=out)
+
+        ways = {"expit": lambda: special.expit(x, out=out), "4-pass": four_pass,
+                "3-pass": three_pass}
         times = {way: [] for way in ways}
         for r in range(INFER_ROUNDS):
             for way in sorted(ways, reverse=r % 2 == 1):
                 times[way].append(_per_call_s(ways[way], SIGMOID_REPEATS))
-        expit = statistics.median(times["expit"])
-        own = statistics.median(times["_sigmoid"])
-        print(f"{name:<10} {'x'.join(map(str, shape)):>14} {expit * 1e6:9.2f} {own * 1e6:12.2f} "
-              f"{own / expit:6.2f}")
+        expit, four, three = (statistics.median(times[way]) for way in ways)
+        print(f"{name:<10} {'x'.join(map(str, shape)):>14} {expit * 1e6:9.2f} {four * 1e6:10.2f} "
+              f"{three * 1e6:10.2f} {three / four:6.2f}")
 
 
 def bench_vmd() -> None:

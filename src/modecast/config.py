@@ -23,7 +23,7 @@ so its default, `DEFAULT_HORIZONS`, is kept here.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass
 from enum import Enum
 
 from . import neural, vmd
@@ -90,7 +90,12 @@ _KEYS = {
 # section is "" for a field of `PipelineConfig` itself
 _FIELDS = {key: tuple(path.rpartition(".")[::2]) for key, (_, path) in _KEYS.items() if path}
 PIPELINE_KEYS = tuple(_FIELDS)  # every key but `horizons`
-_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+# each section -> (its dataclass, the default of each of its fields); `vmd`
+# has no default (`modes` is required), so its class's own defaults apply
+_SECTIONS = {"vmd": (vmd.VmdConfig, {})}
+_SECTIONS.update({f.name: (type(f.default), {g.name: getattr(f.default, g.name)
+                                             for g in fields(f.default)})
+                  for f in fields(PipelineConfig) if is_dataclass(f.default)})
 
 
 def parse_setting(key: str, raw: str, name: str | None = None):
@@ -156,9 +161,16 @@ def settings_of(cfg: PipelineConfig) -> dict[str, object]:
             for key, (section, name) in _FIELDS.items()}
 
 
+# the keys a configuration may leave unset (None, a model header's null): those
+# whose default is None; `modes` has no default, so it is never unset
+UNSET_KEYS = frozenset(key for key, value in settings_of(
+    PipelineConfig(vmd=vmd.VmdConfig(n_modes=1))).items() if value is None)
+
+
 def to_pipeline_config(settings: dict[str, object]) -> PipelineConfig:
-    """The dataclasses' defaults with every setting applied, one `replace`
-    per section; the owning modules' validators check each value."""
+    """The dataclasses' defaults with every setting applied, each section a
+    set builds in one call from its defaults and its settings; the owning
+    modules' validators check each value."""
     if "modes" not in settings:
         raise ConfigError("the number of modes is required: pass --modes or set 'modes' in the config")
     sections: dict[str, dict] = {}
@@ -168,9 +180,9 @@ def to_pipeline_config(settings: dict[str, object]) -> PipelineConfig:
             sections.setdefault(section, {})[name] = value
     own = sections.pop("", {})
     try:
-        return PipelineConfig(vmd=vmd.VmdConfig(**sections.pop("vmd")), **own,
-                              **{section: replace(_DEFAULTS[section], **values)
-                                 for section, values in sections.items()})
+        return PipelineConfig(**own, **{section: cls(**{**defaults, **sections[section]})
+                                        for section, (cls, defaults) in _SECTIONS.items()
+                                        if section in sections})
     except ConfigError:
         raise
     except (ValueError, ModecastError) as exc:  # invariant violations from the owning modules

@@ -31,16 +31,24 @@ Initialization draws one uniform block per gate (`_init_blocks`).
 Activations are stored time-major and unit-major, (L, units, B): a step's
 slice is contiguous, and so is each gate's block of rows within it.  The
 forward pass computes the input projection W[:, H:] @ x + b of all L steps
-in one call before the time loop; each step then adds W[:, :H] @ h_prev and
-applies one sigmoid over the stacked sigmoid gates.  The sigmoid is
-1 / (1 + exp(-x)) computed in place on numpy's vectorized `exp`, like the
-cells' `np.tanh`; the time loop silences the overflow of exp(-x) to inf, so
-a saturated gate reads exactly 0.0 or 1.0 without a warning.  One step
-function per kind serves the forward pass, and its stored activations are
-all that backpropagation reads.  Backpropagation carries only the recurrent
-gradient through the time loop and writes each step's pre-activation
-gradients into one (L, G*H, B) buffer; the weight, bias and input gradients
-then take one product or sum each after the loop.
+in one call before the time loop, the bias repeated per window so that its
+sum runs whole steps at a time; each step then adds W[:, :H] @ h_prev and
+applies one sigmoid over the stacked sigmoid gates.  Those gates' rows are
+held negated: the projection's as (-b) - W[:, H:] @ x, and the recurrent
+block's in the copy the time loop reads (`_recurrent_weights`).  So a
+step's sums hold -x there, and the sigmoid 1 / (1 + exp(-x)) takes three
+in-place passes on numpy's vectorized `exp`: `exp`, add one,
+`np.reciprocal`.  Negation is exact and round-to-nearest is symmetric, so
+these are the floats of the four-pass formula on the unsigned sums; the
+parameters and the stored activations stay unsigned.  The time loop
+silences the overflow of exp(-x) to inf, so a saturated gate reads exactly
+0.0 or 1.0 without a warning.  One step function per kind serves the
+forward pass, and its stored activations are all that backpropagation
+reads.  Backpropagation carries only the recurrent gradient through the
+time loop and writes each step's pre-activation gradients into one
+(L, G*H, B) buffer; the weight, bias and input gradients then take one
+product or sum each after the loop.  Both time loops write every
+intermediate into buffers made once per layer, so no step allocates.
 
 Lockstep groups.  `train_many` trains networks that differ only in seed and
 data (a mode set) together: every mini-batch of every net of a group runs
@@ -134,16 +142,6 @@ class RecurrentNetwork:
     # per layer: the (G*H, H+D) gate matrix and its bias (None for the gated cell)
 
 
-def _sigmoid(x, out=None):
-    """1 / (1 + exp(-x)) in place on numpy's vectorized `exp`; IEEE saturation
-    reaches 0.0 and 1.0.  exp(-x) overflows to inf for x below about -709.78,
-    which numpy reports as an overflow: `_run_layer` silences it."""
-    out = np.negative(x, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
-
-
 def parameter_count(config: NetworkConfig) -> int:
     """Closed-form count over all layers plus the output head: per layer
     G*H*(H+D) weights and, but for the gated cell, G*H biases."""
@@ -188,7 +186,7 @@ def _init_blocks(rng, kind: CellKind, w: np.ndarray, b: np.ndarray | None, h: in
         fill(b, cols)
         return
     # the memory cell draws its gates f, i, c, o; they are stored f, i, o, c,
-    # sigmoid gates first, so one `_sigmoid` covers them
+    # sigmoid gates first, so one sigmoid covers them
     for k in (0, 1, 3, 2) if kind is CellKind.LSTM else (0, 1, 2):
         fill(w[k * h:(k + 1) * h], cols)
         if b is not None:
@@ -218,7 +216,9 @@ def init_network(config: NetworkConfig) -> RecurrentNetwork:
 # projection in `act` (G*H, B), adds the recurrent product W[:, :H] @ h_prev,
 # which it forms in `mm`, overwrites `act` with the gate activations and
 # writes the new state to `h_out` (and `c_out`).  `w_h` is what
-# `_recurrent_weights` returns.
+# `_recurrent_weights` returns, and the sigmoid gates' rows of `act` and
+# `w_h` are negated, so those rows' sums are the pre-activations negated.
+# Once read, `mm`'s rows are the step's scratch, so a step allocates nothing.
 # ---------------------------------------------------------------------------
 
 def _matmul(w, x, out=None):
@@ -247,33 +247,49 @@ def _rnn_step(h, c, w_h, act, h_out, c_out, mm):
 def _gru_step(h, c, w_h, act, h_out, c_out, mm):
     n = h.shape[0]
     w_zr, w_cand = w_h
-    zr, hc = act[:2 * n], act[2 * n:]
+    zr, hc, spare = act[:2 * n], act[2 * n:], mm[:n]
     np.add(_matmul(w_zr, h, out=mm[:2 * n]), zr, out=zr)
-    _sigmoid(zr, out=zr)
+    np.exp(zr, out=zr)  # zr held -x: the sigmoid is 1 / (1 + exp(-x))
+    zr += 1.0
+    np.reciprocal(zr, out=zr)
     z, r = act[:n], act[n:2 * n]
-    np.add(_matmul(w_cand, r * h, out=mm[2 * n:]), hc, out=hc)
+    np.add(_matmul(w_cand, np.multiply(r, h, out=spare), out=mm[2 * n:]), hc, out=hc)
     np.tanh(hc, out=hc)
-    np.add((1.0 - z) * h, z * hc, out=h_out)
+    np.multiply(z, hc, out=h_out)
+    np.subtract(1.0, z, out=spare)
+    spare *= h
+    h_out += spare  # (1 - z) * h + z * hc
 
 
 def _lstm_step(h, c, w_h, act, h_out, c_out, mm):
     n = h.shape[0]
     np.add(_matmul(w_h, h, out=mm), act, out=act)
-    _sigmoid(act[:3 * n], out=act[:3 * n])
+    fio = act[:3 * n]
+    np.exp(fio, out=fio)  # fio held -x: the sigmoid is 1 / (1 + exp(-x))
+    fio += 1.0
+    np.reciprocal(fio, out=fio)
     np.tanh(act[3 * n:], out=act[3 * n:])
-    np.add(act[:n] * c, act[n:2 * n] * act[3 * n:], out=c_out)
-    np.multiply(act[2 * n:3 * n], np.tanh(c_out), out=h_out)
+    np.multiply(act[:n], c, out=c_out)
+    c_out += np.multiply(act[n:2 * n], act[3 * n:], out=mm[:n])
+    np.tanh(c_out, out=h_out)
+    h_out *= act[2 * n:3 * n]
 
 
 _STEPS = {CellKind.RNN: _rnn_step, CellKind.GRU: _gru_step, CellKind.LSTM: _lstm_step}
+_SIGMOID_GATES = {CellKind.RNN: 0, CellKind.GRU: 2, CellKind.LSTM: 3}  # leading each kind's rows
 
 
 def _recurrent_weights(kind: CellKind, w: np.ndarray, n: int):
-    """The recurrent block W[:, :H], contiguous, as `_STEPS[kind]` reads it."""
+    """The recurrent block W[:, :H] as `_STEPS[kind]` reads it: a contiguous
+    copy, the gated cell's split into (W_zr, W_cand), whose sigmoid gates'
+    rows are negated.  Its products are those of W[:, :H] negated in those
+    rows, bit for bit: negation is exact and round-to-nearest symmetric."""
+    rows = _SIGMOID_GATES[kind] * n
+    w_h = np.array(w[..., :n])
+    np.negative(w_h[..., :rows, :], out=w_h[..., :rows, :])
     if kind is CellKind.GRU:
-        return (np.ascontiguousarray(w[..., :2 * n, :n]),
-                np.ascontiguousarray(w[..., 2 * n:, :n]))
-    return np.ascontiguousarray(w[..., :n])
+        return np.ascontiguousarray(w_h[..., :2 * n, :]), np.ascontiguousarray(w_h[..., 2 * n:, :])
+    return w_h
 
 
 def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
@@ -286,10 +302,11 @@ def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarra
     `layer`.  Returns (hidden (L, H, B), gate activations (L, G*H, B), memory
     cells (L, H, B) or None), with a group's net axis before B; for the plain
     cell the activations are the hidden.  The input projection of every step
-    is computed into the gate buffer, whose slot each step then overwrites
-    with its activations.  With `keep` false (inference) the memory cells take
-    two slots, a step reading one and writing the other, and only the hidden
-    sequence is returned, with None for the other two.
+    is computed into the gate buffer, its sigmoid gates' rows negated, and
+    each step then overwrites its slot with the activations.  With `keep`
+    false (inference) the memory cells take two slots, a step reading one and
+    writing the other, and only the hidden sequence is returned, with None
+    for the other two.
     """
     steps, n = x.shape[0], h0.shape[0]
     hs = workspace.take(("hidden", layer), (steps,) + h0.shape)
@@ -300,8 +317,15 @@ def _run_layer(kind: CellKind, w: np.ndarray, b: np.ndarray | None, x: np.ndarra
     if kind is CellKind.LSTM:
         cs = workspace.take(("cells", layer), (steps if keep else 2,) + h0.shape)
     _matmul(w[..., n:], x, out=act)  # every step's input projection in one call
-    if b is not None:
-        act += b.T[..., None]
+    rows = _SIGMOID_GATES[kind] * n
+    sig = act[:, :rows]
+    if b is None:
+        np.negative(sig, out=sig)
+    else:  # the bias repeated per window, so each sum runs whole steps at a time
+        bias = np.repeat(b.T[..., None], act.shape[-1], axis=-1)
+        np.negative(bias[:rows], out=bias[:rows])
+        np.subtract(bias[:rows], sig, out=sig)  # (-b) - p is -(p + b), bit for bit
+        act[:, rows:] += bias[rows:]
     mm = workspace.take("step", act.shape[1:])
     step, w_h = _STEPS[kind], _recurrent_weights(kind, w, n)
     h, c = h0, c0
@@ -478,19 +502,21 @@ def predict_many(networks, sequences) -> list[np.ndarray]:
 # (L, H, B) and `w_h` the recurrent block W[:, :H].  `d_act` first receives,
 # per gate, the factor from the gate's pre-activation to dh (or to dc, or to
 # d(r * h_prev)) at every step, formed with `out=` so that no sequence-sized
-# temporary is made; the loop scales step t's factors in place.  The
-# activations and memory cells are consumed: the gated cell's update gate
-# becomes 1 - z, and the memory cell's cells become o * (1 - tanh(c)^2).
+# temporary is made; the loop scales step t's factors in place and writes
+# every other intermediate into state-sized buffers made before it, so no
+# step allocates.  The activations and memory cells are consumed: the gated
+# cell's update gate becomes 1 - z, and the memory cell's cells become
+# o * (1 - tanh(c)^2).
 # ---------------------------------------------------------------------------
 
 def _rnn_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     w_ht = np.ascontiguousarray(np.swapaxes(w_h, -1, -2))
     np.multiply(hs, hs, out=d_act)
     np.subtract(1.0, d_act, out=d_act)
-    dh_next = np.zeros_like(hs[0])
+    dh, dh_next = np.empty_like(hs[0]), np.zeros_like(hs[0])
     for t in range(hs.shape[0] - 1, -1, -1):
-        d_act[t] *= d_hidden[t] + dh_next
-        dh_next = _matmul(w_ht, d_act[t])
+        d_act[t] *= np.add(d_hidden[t], dh_next, out=dh)
+        _matmul(w_ht, d_act[t], out=dh_next)
 
 
 def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
@@ -511,15 +537,18 @@ def _gru_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     w_t = np.swapaxes(w_h, -1, -2)
     w_zr_t = np.ascontiguousarray(w_t[..., :2 * n])
     w_cand_t = np.ascontiguousarray(w_t[..., 2 * n:])
-    dh_next = np.zeros_like(hs[0])
+    dh, d_rh, dh_next = np.empty_like(hs[0]), np.empty_like(hs[0]), np.zeros_like(hs[0])
     for t in range(hs.shape[0] - 1, -1, -1):
-        dh = d_hidden[t] + dh_next
+        np.add(d_hidden[t], dh_next, out=dh)
         da = d_act[t]
         da[2 * n:] *= dh
-        d_rh = _matmul(w_cand_t, da[2 * n:])
+        _matmul(w_cand_t, da[2 * n:], out=d_rh)
         da[:n] *= dh
         da[n:2 * n] *= d_rh
-        dh_next = dh * carry[t] + d_rh * r[t] + _matmul(w_zr_t, da[:2 * n])
+        # dh * (1 - z) + d_rh * r + W_zr^T @ da_zr, summed in that order
+        np.multiply(dh, carry[t], out=dh_next)
+        dh_next += np.multiply(d_rh, r[t], out=d_rh)
+        dh_next += _matmul(w_zr_t, da[:2 * n], out=d_rh)
 
 
 def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
@@ -544,18 +573,19 @@ def _lstm_bptt(d_hidden, hs, act, cs, h_prev, w_h, d_act):
     np.subtract(1.0, g_c, out=g_c)
     g_c *= o
     w_ht = np.ascontiguousarray(np.swapaxes(w_h, -1, -2))
-    dh_next = np.zeros_like(hs[0])
-    dc_next = np.zeros_like(hs[0])
+    dh, d_cell = np.empty_like(hs[0]), np.empty_like(hs[0])
+    dh_next, dc_next = np.zeros_like(hs[0]), np.zeros_like(hs[0])
     for t in range(hs.shape[0] - 1, -1, -1):
-        dh = d_hidden[t] + dh_next
-        d_c = dc_next + dh * g_c[t]
+        np.add(d_hidden[t], dh_next, out=dh)
+        np.multiply(dh, g_c[t], out=d_cell)
+        d_cell += dc_next
         da = d_act[t]
-        gates_fi = da[:2 * n].reshape((2,) + d_c.shape)  # forget and input gates
-        gates_fi *= d_c
+        gates_fi = da[:2 * n].reshape((2,) + d_cell.shape)  # forget and input gates
+        gates_fi *= d_cell
         da[2 * n:3 * n] *= dh
-        da[3 * n:] *= d_c
-        dc_next = d_c * f[t]
-        dh_next = _matmul(w_ht, da)
+        da[3 * n:] *= d_cell
+        np.multiply(d_cell, f[t], out=dc_next)
+        _matmul(w_ht, da, out=dh_next)
 
 
 _BPTT = {CellKind.RNN: _rnn_bptt, CellKind.GRU: _gru_bptt, CellKind.LSTM: _lstm_bptt}

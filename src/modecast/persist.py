@@ -40,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import garch, neural, vmd
-from .config import PIPELINE_KEYS, format_value, parse_setting, settings_of, to_pipeline_config
+from .config import (PIPELINE_KEYS, UNSET_KEYS, format_value, parse_setting, settings_of,
+                     to_pipeline_config)
 from .errors import CorruptModel, ModecastError, ShapeMismatch
 from .pipeline import EnsembleForecaster, PipelineConfig, Variant
 
@@ -83,18 +84,15 @@ def _typed(d: dict, types: dict, what: str) -> dict:
 
 def _config_from(d: dict) -> PipelineConfig:
     """The configuration of a header's `config`: exactly the keys that
-    `settings_of` gives, each a string the grammar parses, or null where
-    the configuration holds None."""
+    `settings_of` gives, each a string the grammar parses, or null for a
+    setting left unset (`UNSET_KEYS`)."""
     for key, raw in _exact(d, PIPELINE_KEYS, "config").items():
+        if raw is None and key not in UNSET_KEYS:
+            raise CorruptModel(f"{HEADER}: config {key} is null, but the setting has a value")
         if raw is not None and type(raw) is not str:
             raise CorruptModel(f"{HEADER}: config {key} {raw!r} is no string")
-    cfg = to_pipeline_config({key: parse_setting(key, raw) for key, raw in d.items()
-                              if raw is not None})
-    values = settings_of(cfg)
-    for key, raw in d.items():
-        if raw is None and values[key] is not None:
-            raise CorruptModel(f"{HEADER}: config {key} is null, but the setting has a value")
-    return cfg
+    return to_pipeline_config({key: parse_setting(key, raw) for key, raw in d.items()
+                               if raw is not None})
 
 
 def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:

@@ -236,6 +236,19 @@ def test_forecaster_load_rejects_v3_dir(tmp_path):
         load_forecaster(model_dir)
 
 
+@pytest.mark.parametrize("key", ["modes", "vmd.alpha"])
+def test_header_null_for_a_setting_that_cannot_be_unset_names_the_key(tmp_path, key):
+    # the message names the header and the key: the hint to pass --modes that a
+    # run without `modes` gets does not apply to a model directory
+    fc, model_dir = _saved(tmp_path)
+    header = _header(model_dir)
+    header["config"][key] = None
+    _write_header(model_dir, header)
+    with pytest.raises(CorruptModel) as err:
+        load_forecaster(model_dir)
+    assert str(err.value) == f"forecaster.json: config {key} is null, but the setting has a value"
+
+
 def test_forecaster_load_rejects_v5_dir(tmp_path):
     fc, model_dir = _saved(tmp_path)
     header = _header(model_dir)

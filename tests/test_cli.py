@@ -402,6 +402,7 @@ _BAD_CONFIG = {
     "extra-key": lambda c: c.update({"train.clip_norm": "5"}),
     "int-not-string": lambda c: c.update({"network.hidden": 6}),
     "null-alpha": lambda c: c.update({"vmd.alpha": None}),
+    "null-modes": lambda c: c.update({"modes": None}),
     "zero-modes": lambda c: c.update({"modes": "0"}),
 }
 
@@ -422,6 +423,7 @@ def test_forecast_from_model_dir_with_a_bad_config_exit_2(tmp_path, series_csv, 
                  "--steps", "6", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "forecaster.json" in err and "Traceback" not in err
+    assert "--modes" not in err  # a flag's hint does not apply to a model directory
     assert not out.exists()
 
 

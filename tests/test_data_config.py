@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modecast import config
+from modecast import config, persist
 from modecast.config import (
     PIPELINE_KEYS,
     cell_kind,
@@ -182,6 +182,39 @@ def test_every_shipped_config_survives_the_grammar(name):
     assert tuple(settings) == PIPELINE_KEYS
     assert to_pipeline_config(settings) == cfg
     assert to_pipeline_config(parse_config_text(render_config(cfg, (3,)))) == cfg
+
+
+# a value of every key other than its default
+_OTHER_VALUES = {
+    "modes": 4, "split.fraction": 0.7, "vmd.alpha": 750.0, "vmd.tau": 0.1, "vmd.tol": 1e-6,
+    "vmd.max_iter": 20, "vmd.init_omega": "zero", "vmd.mirror": False, "vmd.dc_mode": True,
+    "vmd.seed": 3, "garch.k": 2, "garch.l": 3, "garch.max_iter": 9,
+    "network.cell": CellKind.GRU, "network.layers": 1, "network.hidden": 8,
+    "network.dropout": 0.0, "network.seq_len": 12, "train.epochs": 3, "train.batch": 16,
+    "train.lr": 0.01, "train.seed": 4, "retrain_every": 5,
+}
+
+
+def _header_config(cfg) -> dict:
+    """`cfg` as a model header's `config` holds it."""
+    return {key: None if value is None else config.format_value(value)
+            for key, value in settings_of(cfg).items()}
+
+
+def test_each_setting_decodes_to_its_key_alone_and_through_a_header():
+    # each section is built in one call from its defaults and the settings:
+    # every key changes its own value and no other, as the text and as a header
+    assert set(_OTHER_VALUES) == set(PIPELINE_KEYS)
+    defaults = settings_of(to_pipeline_config({"modes": 3}))
+    assert all(defaults[key] != value for key, value in _OTHER_VALUES.items())
+    cases = [{"modes": 3, key: value} for key, value in _OTHER_VALUES.items()]
+    for settings in cases + [_OTHER_VALUES, {"modes": 3}]:
+        cfg = to_pipeline_config(settings)
+        assert settings_of(cfg) == {**defaults, **settings}
+        assert to_pipeline_config(parse_config_text(render_config(cfg, (3,)))) == cfg
+        assert persist._config_from(_header_config(cfg)) == cfg
+    for cfg in named_configs().values():
+        assert persist._config_from(_header_config(cfg)) == cfg
 
 
 def test_every_pipeline_value_is_one_key():

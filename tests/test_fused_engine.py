@@ -27,7 +27,6 @@ from modecast.neural import (
     TrainConfig,
     _forward_batch,
     _network,
-    _sigmoid,
     backward,
     init_network,
     predict,
@@ -38,6 +37,16 @@ from test_neural import _one_step
 RTOL = 1e-12
 SEQ_LEN = 7
 HIDDEN = 5
+
+
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in four passes, in place on numpy's vectorized `exp`:
+    the plain formula, whose floats the engine's steps reproduce in three
+    passes over sums they hold negated."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _gate_shapes(kind: CellKind, h: int, d: int) -> dict[str, tuple[int, ...]]:
@@ -272,6 +281,70 @@ def test_group_dropout_masks_keep_each_stream_in_draw_order():
                     got, expected = got[:, -1], expected[:, -1]
                 assert np.array_equal(got, expected)
         backward(net, cache, np.ones((len(seeds), 4)))
+
+
+def _recorded_steps(monkeypatch, kind) -> list:
+    """Patch `kind`'s step to record each call: (h_prev, its gate buffer
+    before the step, after it), copied."""
+    calls, step = [], neural._STEPS[kind]
+
+    def recorded(h, c, w_h, act, h_out, c_out, mm):
+        before = act.copy()
+        step(h, c, w_h, act, h_out, c_out, mm)
+        calls.append((h.copy(), before, act.copy()))
+
+    monkeypatch.setitem(neural._STEPS, kind, recorded)
+    return calls
+
+
+def _plain_gates(kind, w_h, pre_x, h):
+    """A step's gate activations by the four-pass sigmoid and `np.tanh` of the
+    unsigned sums, added in the engine's order: W[:, :H] @ h_prev + (W[:, H:]
+    @ x + b), each product the call the engine makes."""
+    n = h.shape[0]
+    if kind is CellKind.GRU:
+        zr = _sigmoid(neural._matmul(np.ascontiguousarray(w_h[..., :2 * n, :]), h) + pre_x[:2 * n])
+        cand = neural._matmul(np.ascontiguousarray(w_h[..., 2 * n:, :]), zr[n:] * h)
+        return np.concatenate([zr, np.tanh(cand + pre_x[2 * n:])])
+    pre = neural._matmul(w_h, h) + pre_x
+    if kind is CellKind.LSTM:
+        return np.concatenate([_sigmoid(pre[:3 * n]), np.tanh(pre[3 * n:])])
+    return np.tanh(pre)
+
+
+SIGMOID_ROWS = {CellKind.RNN: 0, CellKind.GRU: 2 * HIDDEN, CellKind.LSTM: 3 * HIDDEN}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+@pytest.mark.parametrize("batch", [1, 4], ids=["B1", "B4"])
+@pytest.mark.parametrize("nets", [1, 3], ids=["one-net", "group"])
+@pytest.mark.parametrize("kind", list(CellKind), ids=[k.value for k in CellKind])
+def test_sign_fold_never_reaches_the_parameters(monkeypatch, kind, nets, batch, training):
+    # the engine holds the sigmoid gates' sums negated; the parameters stay
+    # unsigned, and every step's gates are the plain formulas' floats
+    cfg = NetworkConfig(cell=kind, layers=2, hidden=HIDDEN, input_features=2, dropout_rate=0.2)
+    seeds = (5, 11, 2)[:nets]
+    flats = [init_network(replace(cfg, seed=s)).flat for s in seeds]
+    net = _network(cfg, flats[0] if nets == 1 else np.stack(flats))
+    data = np.random.default_rng(8).standard_normal((nets, batch, SEQ_LEN, 2))
+    rngs = [np.random.default_rng([s, 2]) for s in seeds]
+    before = net.flat.tobytes()
+    calls = _recorded_steps(monkeypatch, kind)
+    cache = _forward_batch(net, data[0] if nets == 1 else data, training=training,
+                           rng=rngs[0] if nets == 1 else rngs, keep=training)
+    assert net.flat.tobytes() == before
+    assert len(calls) == cfg.layers * SEQ_LEN
+    sign = np.ones(neural._GATES[kind] * HIDDEN)
+    sign[:SIGMOID_ROWS[kind]] = -1.0
+    for layer, (w, b) in enumerate(net.stacked):
+        pre_x = neural._matmul(w[..., HIDDEN:], cache.inputs[layer])
+        if b is not None:
+            pre_x += b.T[..., None]
+        w_h = np.ascontiguousarray(w[..., :HIDDEN])
+        for t in range(SEQ_LEN):
+            h, held, gates = calls[layer * SEQ_LEN + t]
+            assert np.array_equal(held, pre_x[t] * sign.reshape(-1, *[1] * (h.ndim - 1)))
+            assert gates.tobytes() == _plain_gates(kind, w_h, pre_x[t], h).tobytes()
 
 
 @pytest.mark.parametrize("kind,layers,dropout,batch", CASES, ids=IDS)
