@@ -483,9 +483,9 @@ def _persist_record(n_modes: int, length: int, order: tuple[int, int]):
                                 residuals=rng.standard_normal(train),
                                 log_likelihood=-float(train), mean=0.0, converged=True)
                  for _ in range(n_modes))
-    size = neural.parameter_count(pipeline.mode_network_config(cfg, neural.CellKind.LSTM, 1))
+    size = neural.parameter_count(pipeline.mode_network_config(cfg, 1))
     return pipeline.EnsembleForecaster(
-        variant=pipeline.Variant.VMD_GARCH, cell=neural.CellKind.LSTM, config=cfg,
+        variant=pipeline.Variant.VMD_GARCH, config=cfg,
         modes=vmd.ModeSet(values, rng.uniform(0.0, 0.5, n_modes), rng.standard_normal(length),
                           iterations=500, final_delta=1e-5, converged=False),
         mode_values=values, garch=fits, networks=0.1 * rng.standard_normal((n_modes, size)))

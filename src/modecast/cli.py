@@ -2,9 +2,12 @@
 
 Settings come from the `--config` file, outranked by `--modes`, `--seed`,
 `--cell` and `--horizons`, which go through the same parsers (`config`).
-Every run writes its outputs plus a `run_manifest.txt`: the configuration
-that ran, in the config-file grammar (for `forecast --model-dir`, the loaded
-model's), with the command line given to `main` recorded in comments.
+The five data commands share one first step (`_run`): the settings, then
+the configuration that runs (for `forecast --model-dir`, the loaded model's,
+which the settings must not contradict), then the `--input` series.  Every
+run writes its outputs plus a `run_manifest.txt`: that configuration, in the
+config-file grammar, with the command line given to `main` recorded in
+comments.
 Rerunning the same command with `--config run_manifest.txt` reproduces the
 outputs bit-for-bit.  `forecast --model-dir` runs the model as saved: a
 fitting flag or config setting that asks for another value than the model's
@@ -12,11 +15,11 @@ is refused.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
 a missing or unreadable file, or an output path that cannot be written, is a
-data error whichever flag names it.  A command checks its settings, input,
-model and horizons before it creates its output directory, and creates that
-directory before it fits a forecaster, so an unwritable one fits nothing;
-a run that fails removes the output directory it created if it is still
-empty.
+data error whichever flag names it.  A command checks its settings,
+configuration, input and horizons, in that order, before it creates its
+output directory, and creates that directory before it fits a forecaster, so
+an unwritable one fits nothing; a run that fails removes the output
+directory it created if it is still empty.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,15 +121,15 @@ def _settings(args) -> dict[str, object]:
     return settings
 
 
-def _check_model_settings(args, settings: dict, forecaster, cfg: PipelineConfig) -> None:
-    """`--model-dir` runs the model as saved (`cfg`): a setting given by a flag or
-    by `--config` that differs from the model's raises `ConfigError` naming it."""
+def _check_model_settings(args, settings: dict, forecaster) -> None:
+    """`--model-dir` runs the model as saved: a setting given by a flag or by
+    `--config` that differs from the model's raises `ConfigError` naming it."""
     if args.variant is not None and Variant(args.variant) is not forecaster.variant:
         raise ConfigError(f"--variant {args.variant} differs from the model in "
                           f"{args.model_dir}, fitted as {forecaster.variant.value}")
     flags = {key: f"--{flag}" for flag, key in _FLAG_KEYS.items()
              if getattr(args, flag, None) is not None}
-    fitted = settings_of(cfg)
+    fitted = settings_of(forecaster.config)
     for key, value in settings.items():
         if key in fitted and value != fitted[key]:
             name = flags.get(key, f"{key!r} of --config")
@@ -164,24 +166,16 @@ def _write_modes_csv(mode_set: vmd.ModeSet, out_dir: Path) -> Path:
     return path
 
 
-def _cmd_decompose(args) -> int:
-    settings = _settings(args)
-    cfg = to_pipeline_config(settings)
-    series = data.load_csv(args.input)
+def _cmd_decompose(args, settings, cfg, series, model) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
     path = _write_modes_csv(mode_set, out_dir)
-    _write_manifest(out_dir, cfg, settings, args)
     print(f"wrote {path} ({mode_set.n_modes} modes, {mode_set.iterations} iterations, "
           f"final delta {mode_set.final_delta:.3e}, converged={mode_set.converged})")
-    return 0
 
 
-def _cmd_garch_fit(args) -> int:
-    settings = _settings(args)
-    cfg = to_pipeline_config(settings)
-    series = data.load_csv(args.input)
+def _cmd_garch_fit(args, settings, cfg, series, model) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
@@ -211,22 +205,15 @@ def _cmd_garch_fit(args) -> int:
                       else "rolling-variance fallback")
         print(f"mode {i + 1}: {volatility} "
               f"converged={fit.converged} differenced={fit.used_differencing}")
-    _write_manifest(out_dir, cfg, settings, args)
-    return 0
 
 
-def _cmd_train(args) -> int:
-    settings = _settings(args)
-    cfg = to_pipeline_config(settings)
-    series = data.load_csv(args.input)
+def _cmd_train(args, settings, cfg, series, model) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     forecaster = fit_forecaster(series, Variant(args.variant), cfg.network.cell, cfg)
     persist.save_forecaster(forecaster, out_dir)
-    _write_manifest(out_dir, cfg, settings, args)
     print(f"saved {args.variant}/{cfg.network.cell.value} forecaster "
           f"({len(forecaster.mode_values)} mode models) to {out_dir}")
-    return 0
 
 
 def _write_predictions_csv(result: ForecastResult, path: Path) -> None:
@@ -239,19 +226,12 @@ def _write_predictions_csv(result: ForecastResult, path: Path) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _cmd_forecast(args) -> int:
-    settings = _settings(args)
-    series = data.load_csv(args.input)
+def _cmd_forecast(args, settings, cfg, series, model) -> None:
     out_dir = Path(args.out_dir)
-    if args.model_dir:  # nothing to fit: every check runs in the forecast itself
-        forecaster = persist.load_forecaster(args.model_dir)
-        cfg = replace(forecaster.config,
-                      network=replace(forecaster.config.network, cell=forecaster.cell))
-        _check_model_settings(args, settings, forecaster, cfg)
-        result = rolling_forecast(forecaster, series, args.steps)
+    if model is not None:  # nothing to fit: every check runs in the forecast itself
+        result = rolling_forecast(model, series, args.steps)
         out_dir.mkdir(parents=True, exist_ok=True)
     else:
-        cfg = to_pipeline_config(settings)
         check_horizons([args.steps], held_out_span(series, cfg), least=0)
         out_dir.mkdir(parents=True, exist_ok=True)
         variant = Variant(args.variant or Variant.VMD_GARCH.value)
@@ -259,13 +239,11 @@ def _cmd_forecast(args) -> int:
         result = rolling_forecast(forecaster, series, args.steps)
     path = out_dir / "predictions.csv"
     _write_predictions_csv(result, path)
-    _write_manifest(out_dir, cfg, settings, args)
     if result.predictions.size:
         report = metrics(result.actuals, result.predictions, horizon=args.steps)
         mape = "n/a" if report.mape is None else f"{report.mape:.4f}%"
         print(f"{args.steps} steps: rmse={report.rmse:.6g} mae={report.mae:.6g} mape={mape}")
     print(f"wrote {path}")
-    return 0
 
 
 def _format_rows(rows) -> tuple[str, str]:
@@ -285,10 +263,7 @@ def _format_rows(rows) -> tuple[str, str]:
     return "\n".join(structured_lines) + "\n", "\n".join(pretty) + "\n"
 
 
-def _cmd_compare(args) -> int:
-    settings = _settings(args)
-    cfg = to_pipeline_config(settings)
-    series = data.load_csv(args.input)
+def _cmd_compare(args, settings, cfg, series, model) -> None:
     cells = [cell_kind(c) for c in args.cells.split(",")]
     check_horizons(settings["horizons"], held_out_span(series, cfg))
     out_dir = Path(args.out_dir)
@@ -297,10 +272,8 @@ def _cmd_compare(args) -> int:
     structured, pretty = _format_rows(rows)
     (out_dir / "metrics.txt").write_text(structured, encoding="utf-8")
     (out_dir / "metrics_table.txt").write_text(pretty, encoding="utf-8")
-    _write_manifest(out_dir, cfg, settings, args)
     print(pretty, end="")
     print(f"wrote {out_dir / 'metrics.txt'}")
-    return 0
 
 
 def _read_table(path, columns=()) -> np.ndarray:
@@ -320,7 +293,7 @@ def _read_table(path, columns=()) -> np.ndarray:
     return table
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> None:
     out = Path(args.out)
     if args.predictions is not None:
         rows = _read_table(args.predictions, ("step", "actual", "predicted"))
@@ -338,9 +311,9 @@ def _cmd_plot(args) -> int:
         f"# modecast {__version__} plot manifest\n# command: " + " ".join(args.argv)
         + f"\n# source: {source}\n", encoding="utf-8")
     print(f"wrote {out}")
-    return 0
 
 
+# a data command takes (args, settings, cfg, series, model) from `_run`; plot, (args)
 _COMMANDS = {
     "decompose": _cmd_decompose,
     "garch-fit": _cmd_garch_fit,
@@ -351,12 +324,27 @@ _COMMANDS = {
 }
 
 
-def _run(args) -> int:
-    """Run the command; if it fails, remove an `--out-dir` it created and left empty."""
-    out_dir = Path(args.out_dir) if getattr(args, "out_dir", None) else None
-    fresh = out_dir is not None and not out_dir.exists()
+def _run(args) -> None:
+    """Run the command.  A data command is handed the settings, the
+    configuration that runs (`forecast --model-dir`: the saved model's, checked
+    against the settings) and the `--input` series, read in that order, and
+    its `run_manifest.txt` is written once it is done; if it fails, an
+    `--out-dir` it created and left empty is removed."""
+    if args.command == "plot":
+        _COMMANDS["plot"](args)
+        return
+    out_dir = Path(args.out_dir)
+    fresh = not out_dir.exists()
     try:
-        return _COMMANDS[args.command](args)
+        settings = _settings(args)
+        model = None
+        if getattr(args, "model_dir", None):
+            model = persist.load_forecaster(args.model_dir)
+            _check_model_settings(args, settings, model)
+        cfg = to_pipeline_config(settings) if model is None else model.config
+        series = data.load_csv(args.input)
+        _COMMANDS[args.command](args, settings, cfg, series, model)
+        _write_manifest(out_dir, cfg, settings, args)
     except BaseException:
         if fresh and out_dir.is_dir() and not any(out_dir.iterdir()):
             out_dir.rmdir()
@@ -369,7 +357,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.argv = argv  # what the manifests record as the command
-        return _run(args)
+        _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -741,12 +741,13 @@ def adam_step(net: RecurrentNetwork, grads, state: AdamState) -> tuple[Recurrent
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> np.ndarray:
-    """Global-norm clipping of a flat gradient vector; returns it scaled
-    down to `max_norm`, or unchanged when its norm is within it."""
+    """Global-norm clipping of a flat gradient vector in place: scales it
+    down to `max_norm` when its norm exceeds it, and returns it."""
     total = math.sqrt(float(np.vdot(grads, grads)))
     if total <= max_norm or total == 0.0:
         return grads
-    return grads * (max_norm / total)
+    grads *= max_norm / total
+    return grads
 
 
 CLIP_NORM = 5.0  # each net's gradient is clipped to this global norm
@@ -910,9 +911,7 @@ def _train_group(xs, ys, configs, train_configs,
             d_pred = 2.0 * err / sels[0].size
             grads = backward(net, cache, d_pred)
             for g in grads.reshape(-1, grads.shape[-1]):  # each net's own norm
-                clipped = clip_gradients(g, CLIP_NORM)
-                if clipped is not g:
-                    g[...] = clipped
+                clip_gradients(g, CLIP_NORM)
             net, state = adam_step(net, grads, state)
         history.append(sq_err / n)
     if one:

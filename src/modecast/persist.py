@@ -1,20 +1,20 @@
 """Save/load a fitted forecaster as a directory of two files.
 
 The directory holds the fields of `pipeline.EnsembleForecaster`.
-`forecaster.json` is the header: the format tag, variant, cell and run
-configuration (`config`), the mode set's scalars (`modes`) when the variant
-decomposes, per mode the GARCH fit's scalars (`garch`) for VMD-GARCH, and
-the layout (`arrays`, a list of [name, shape] pairs in file order) and
-`zlib.crc32` (`crc32`) of the array file.  `config` is the run settings in
-the config grammar (`config.settings_of`): every key but `horizons`, each
-mapped to its value as a config file writes it, or to null where the
-configuration holds None.  `arrays.f64` is raw little-endian float64, a
-fixed set of stacked arrays back to back in C order with no padding,
-whatever the mode count K: `mode_values` (K, T), `networks` (K, P), then
-`omegas` and `residual` when the variant decomposes, and the GARCH
-`alphas`, `betas`, `sigma2_path` and `residuals` (one row per mode) for
-VMD-GARCH.  The arrays are written first and the header last, so a
-directory whose header exists has its arrays.
+`forecaster.json` is the header: the format tag, variant and run
+configuration (`config`, which names the cell), the mode set's scalars
+(`modes`) when the variant decomposes, per mode the GARCH fit's scalars
+(`garch`) for VMD-GARCH, and the layout (`arrays`, a list of [name, shape]
+pairs in file order) and `zlib.crc32` (`crc32`) of the array file.
+`config` is the run settings in the config grammar (`config.settings_of`):
+every key but `horizons`, each mapped to its value as a config file writes
+it, or to null where the configuration holds None.  `arrays.f64` is raw
+little-endian float64, a fixed set of stacked arrays back to back in C
+order with no padding, whatever the mode count K: `mode_values` (K, T),
+`networks` (K, P), then `omegas` and `residual` when the variant
+decomposes, and the GARCH `alphas`, `betas`, `sigma2_path` and `residuals`
+(one row per mode) for VMD-GARCH.  The arrays are written first and the
+header last, so a directory whose header exists has its arrays.
 
 A model directory is outside input, and nothing in it is unpickled.  Load
 checks the header's entries and each scalar's type; reads `config` with the
@@ -24,8 +24,7 @@ one row per GARCH entry; then that the file holds exactly the layout's
 bytes, and their CRC.  It reads the file in one call, hands each array to
 the record as a view of that one buffer, and the record's constructor
 checks every shape.  Any missing, extra, truncated, foreign, altered,
-mistyped or misshapen entry raises `CorruptModel`, as does any other format
-(the v1 to v5 layouts included).
+mistyped or misshapen entry raises `CorruptModel`, as does any other format.
 Values come back bit for bit, so a reloaded forecaster forecasts identically.
 """
 
@@ -39,13 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import garch, neural, vmd
+from . import garch, vmd
 from .config import (PIPELINE_KEYS, UNSET_KEYS, format_value, parse_setting, settings_of,
                      to_pipeline_config)
 from .errors import CorruptModel, ModecastError, ShapeMismatch
 from .pipeline import EnsembleForecaster, PipelineConfig, Variant
 
-FORMAT = "modecast-forecaster v6"
+FORMAT = "modecast-forecaster v7"
 HEADER = "forecaster.json"
 ARRAYS = "arrays.f64"
 _FLOAT = np.dtype("<f8")
@@ -105,7 +104,6 @@ def save_forecaster(forecaster: EnsembleForecaster, out_dir) -> Path:
     header = {
         "format": FORMAT,
         "variant": forecaster.variant.value,
-        "cell": forecaster.cell.value,
         "config": {key: None if value is None else format_value(value)
                    for key, value in settings_of(forecaster.config).items()},
     }
@@ -200,16 +198,15 @@ def _check_layout(layout, names: tuple[str, ...]) -> None:
 
 
 def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
-    """The forecaster of a v6 header and its array file at `path`; every
+    """The forecaster of a v7 header and its array file at `path`; every
     header entry is checked before the file is read, and the record checks
     every shape."""
     variant = Variant(header["variant"])
     decomposes = variant is not Variant.DIRECT
     with_garch = variant is Variant.VMD_GARCH
-    _exact(header, ("format", "variant", "cell", "config", *("modes",) * decomposes,
+    _exact(header, ("format", "variant", "config", *("modes",) * decomposes,
                     *("garch",) * with_garch, "arrays", "crc32"), "header")
     cfg = _config_from(header["config"])
-    cell = neural.CellKind(header["cell"])
     _check_layout(header["arrays"], tuple(_NDIM)[:2 + 2 * decomposes + 4 * with_garch])
     if type(header["crc32"]) is not int:
         raise CorruptModel(f"{HEADER}: crc32 {header['crc32']!r} is no int")
@@ -235,7 +232,7 @@ def _forecaster_from(header: dict, path: Path) -> EnsembleForecaster:
             for entry, alphas, betas, sigma2, residuals in zip(
                 entries, *(arrays[name] for name in _GARCH_ARRAYS), strict=True))
     try:
-        return EnsembleForecaster(variant=variant, cell=cell, config=cfg, modes=modes,
-                                  mode_values=mode_values, garch=fits, networks=arrays["networks"])
+        return EnsembleForecaster(variant=variant, config=cfg, modes=modes, mode_values=mode_values,
+                                  garch=fits, networks=arrays["networks"])
     except ShapeMismatch as exc:
         raise CorruptModel(f"{ARRAYS}: {exc}") from exc

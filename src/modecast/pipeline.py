@@ -32,9 +32,11 @@ Protocol notes baked in here rather than in the submodules:
   one-network-code-path baselines keep the tensor shape: the direct variant
   duplicates the value channel, the decomposition-only variant feeds zeros.
 * A forecaster (`EnsembleForecaster`) holds only what fitting produced, as a
-  model directory does, and refuses parts that disagree.  The training size,
-  scalers, volatility channel (`_channels`) and network configurations
-  (`mode_network_config`) are derived from it here only.
+  model directory does, and refuses parts that disagree.  Its `config` is the
+  configuration it was trained with, the cell of its networks included
+  (`network.cell`).  The training size, scalers, volatility channel
+  (`_channels`) and network configurations (`mode_network_config`) are
+  derived from it here only.
 * Final predictions are correctly rounded sums (`math.fsum`) of the per-mode
   predictions, since mode magnitudes can span many orders.
 """
@@ -79,8 +81,8 @@ class Variant(Enum):
 class PipelineConfig:
     """The settings of a run, each value one key of the config grammar
     (`config`).  The network's seed and input width are no setting:
-    `mode_network_config` derives them per mode, so `network` is kept at
-    seed 0 and 2 input features, whatever was given."""
+    `mode_network_config` derives the seed per mode, and `network` is kept
+    at seed 0 and 2 input features, whatever was given."""
 
     vmd: vmd.VmdConfig
     garch: garch_mod.GarchSpec = garch_mod.GarchSpec(k=10, l=10)
@@ -125,8 +127,7 @@ class EnsembleForecaster:
     (`TooShort` unless the T slots split), so every record saves and loads back."""
 
     variant: Variant
-    cell: neural.CellKind
-    config: PipelineConfig
+    config: PipelineConfig                        # as trained; network.cell is the cell
     modes: vmd.ModeSet | None                     # None for the direct variant
     mode_values: np.ndarray                       # (K, T) series each net is trained/evaluated on
     garch: tuple[garch_mod.GarchFit, ...] | None  # one fit per mode, VMD-GARCH only
@@ -147,7 +148,7 @@ class EnsembleForecaster:
             _check_array("omegas", self.modes.omegas, (k,))
             _check_array("residual", self.modes.residual, (t_len,))
         _check_array("networks", self.networks,
-                     (k, neural.parameter_count(mode_network_config(self.config, self.cell, 1))))
+                     (k, neural.parameter_count(mode_network_config(self.config, 1))))
         if self.garch is not None and len(self.garch) != k:
             raise ShapeMismatch(f"garch holds {len(self.garch)} fits, not {k}")
         for i, fit in enumerate(self.garch or ()):
@@ -294,21 +295,19 @@ def check_horizons(horizons: Sequence[int], held_out: int, least: int = 1) -> No
         raise HorizonTooLong(f"horizons {bad} outside {least}..{held_out}, the held-out span")
 
 
-def mode_network_config(cfg: PipelineConfig, cell: neural.CellKind,
-                        mode_index: int) -> neural.NetworkConfig:
+def mode_network_config(cfg: PipelineConfig, mode_index: int) -> neural.NetworkConfig:
     """The configuration of mode `mode_index`'s network (1-based), seeded by
     `_mode_seed` so mode i of every variant starts alike."""
-    return replace(cfg.network, cell=cell, input_features=2,
-                   seed=_mode_seed(cfg.train.seed, mode_index))
+    return replace(cfg.network, seed=_mode_seed(cfg.train.seed, mode_index))
 
 
-def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellKind,
+def _train_networks(window_sets: list[list[WindowedDataset]],
                     cfg: PipelineConfig) -> list[list[neural.RecurrentNetwork]]:
     """One network per mode of each mode set in `window_sets`, configured by
     `mode_network_config`, all trained together by one `neural.train_many`
     call."""
     windows = [w for mode_set in window_sets for w in mode_set]
-    net_cfgs = [mode_network_config(cfg, cell, i + 1) for mode_set in window_sets
+    net_cfgs = [mode_network_config(cfg, i + 1) for mode_set in window_sets
                 for i in range(len(mode_set))]
     trained = iter(neural.train_many(
         [w.inputs for w in windows], [w.targets for w in windows], net_cfgs,
@@ -319,7 +318,8 @@ def _train_networks(window_sets: list[list[WindowedDataset]], cell: neural.CellK
 def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
                      cells: Sequence[neural.CellKind],
                      cfg: PipelineConfig) -> Iterator[EnsembleForecaster]:
-    """Yield the forecaster of every (cell, variant) pair, cell by cell.
+    """Yield the forecaster of every (cell, variant) pair, cell by cell, each
+    with `cfg` at its cell as its configuration.
 
     The series is decomposed once if a variant reads the modes, and each
     mode's volatility fitted once (one `garch_mod.fit_many` call) if
@@ -346,17 +346,19 @@ def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
                    for mode_series, fit in zip(values, fits or (None,) * len(values))]
         plans.append((variant, values, fits, windows))
     for cell in cells:
-        networks = _train_networks([windows for *_, windows in plans], cell, cfg)
+        cell_cfg = replace(cfg, network=replace(cfg.network, cell=cell))
+        networks = _train_networks([windows for *_, windows in plans], cell_cfg)
         for (variant, values, fits, _), nets in zip(plans, networks):
             yield EnsembleForecaster(
-                variant=variant, cell=cell, config=cfg,
+                variant=variant, config=cell_cfg,
                 modes=None if variant is Variant.DIRECT else mode_set, mode_values=values,
                 garch=fits, networks=np.stack([net.flat for net in nets]))
 
 
 def fit_forecaster(series: TimeSeries, variant: Variant, cell: neural.CellKind,
                    cfg: PipelineConfig) -> EnsembleForecaster:
-    """Build the full per-mode model bundle for one (variant, cell) pair."""
+    """Build the full per-mode model bundle for one (variant, cell) pair; its
+    configuration is `cfg` with `cell` as `network.cell`."""
     return next(_fit_forecasters(series, (variant,), (cell,), cfg))
 
 
@@ -410,14 +412,14 @@ def rolling_forecast(forecaster: EnsembleForecaster, series: TimeSeries,
                 in zip(scalers, forecaster.garch or (None,) * k, forecaster.mode_values)]
     windows = [build_windows(values[first:], vol[first:], cfg.seq_len).inputs
                for values, vol in channels]
-    networks = [neural._network(mode_network_config(cfg, forecaster.cell, i + 1), flat)
+    networks = [neural._network(mode_network_config(cfg, i + 1), flat)
                 for i, flat in enumerate(forecaster.networks)]
     segment = cfg.retrain_every if cfg.retrain_every > 0 else steps
     for start in range(0, steps, segment):
         if start > 0:
             (networks,) = _train_networks([[build_windows(values[:t0 + start], vol[:t0 + start],
                                                           cfg.seq_len)
-                                            for values, vol in channels]], forecaster.cell, cfg)
+                                            for values, vol in channels]], cfg)
         stop = min(start + segment, steps)
         preds = neural.predict_many(networks, [w[start:] for w in windows])
         for i, (scaler, pred_scaled) in enumerate(zip(scalers, preds)):
@@ -454,9 +456,10 @@ def compare_models(series: TimeSeries, steps_list: list[int],
     rows: list[ComparisonRow] = []
     for fc in _fit_forecasters(series, variants, cells, cfg):
         result = rolling_forecast(fc, series, max_steps)
-        label = f"{fc.variant.label_prefix}{fc.cell.name}"
+        cell = fc.config.network.cell
+        label = f"{fc.variant.label_prefix}{cell.name}"
         for h in steps_list:
             rows.append(ComparisonRow(
-                model=label, variant=fc.variant, cell=fc.cell, horizon=h,
+                model=label, variant=fc.variant, cell=cell, horizon=h,
                 report=metrics(result.actuals[:h], result.predictions[:h], horizon=h)))
     return rows

@@ -1,4 +1,4 @@
-"""Time-series containers, validation, ordered train/test splits, min-max scaling.
+"""Time-series containers, validation, the split fraction, min-max scaling.
 
 All types are immutable after construction (frozen dataclasses over read-only
 arrays) and safe to share across workers; operations are pure functions.
@@ -39,7 +39,8 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Index-based ordered split; the training side is the leading fraction."""
+    """Index-based ordered split: the training side is the leading
+    floor(train_fraction * T) slots, never shuffled (`pipeline._train_size`)."""
 
     train_fraction: float = 0.85
 
@@ -81,21 +82,6 @@ def validate(series: TimeSeries) -> TimeSeries:
             if cur <= prev:
                 raise NonMonotonicTimestamps(f"timestamps not strictly increasing at {cur}")
     return series
-
-
-def split(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:
-    """Partition into (train, test) at floor(train_fraction * T), never shuffled.
-
-    Concatenating the two sides reproduces the input element-exactly.
-    """
-    n = len(series)
-    n_train = int(np.floor(spec.train_fraction * n))
-    if n_train < 1 or n_train >= n:
-        raise TooShort(f"split of {n} points at fraction {spec.train_fraction} leaves an empty side")
-    ts = series.timestamps
-    train = TimeSeries(series.values[:n_train], None if ts is None else ts[:n_train], series.name)
-    test = TimeSeries(series.values[n_train:], None if ts is None else ts[n_train:], series.name)
-    return train, test
 
 
 def fit_scaler(train: TimeSeries | np.ndarray) -> MinMaxScaler:

@@ -94,8 +94,7 @@ def _reference_forecast(forecaster, steps):
     states = [_ReferenceModeState(forecaster.variant, fit_scaler(forecaster.mode_values[i, :t0]),
                                   fits[i], forecaster.mode_values[i], t0)
               for i in range(k)]
-    networks = [neural._network(dataclasses.replace(cfg.network, cell=forecaster.cell,
-                                                    input_features=2,
+    networks = [neural._network(dataclasses.replace(cfg.network, input_features=2,
                                                     seed=pipeline._mode_seed(cfg.train.seed, i + 1)),
                                 forecaster.networks[i])
                 for i in range(k)]
@@ -112,8 +111,7 @@ def _reference_forecast(forecaster, steps):
                 ds = build_windows(np.asarray(state.scaled_values),
                                    np.asarray(state.scaled_vol), cfg.seq_len)
                 seed = pipeline._mode_seed(cfg.train.seed, i + 1)
-                net_cfg = dataclasses.replace(cfg.network, cell=forecaster.cell,
-                                              input_features=2, seed=seed)
+                net_cfg = dataclasses.replace(cfg.network, input_features=2, seed=seed)
                 networks[i], _ = neural.train(ds.inputs, ds.targets, net_cfg,
                                               dataclasses.replace(cfg.train, seed=seed))
     return predictions, per_mode, windows
@@ -158,7 +156,7 @@ def test_batched_forecast_matches_step_loop(monkeypatch, cell, variant, fallback
     assert len(calls) == len(starts) and not single_calls
     for i, net in enumerate(calls[0][0]):  # the fitted networks, as the record derives them
         assert np.array_equal(net.flat, fc.networks[i])
-        assert net.config == pipeline.mode_network_config(fc.config, fc.cell, i + 1)
+        assert net.config == pipeline.mode_network_config(fc.config, i + 1)
     for (nets, batches), start in zip(calls, starts):
         assert len(nets) == len(batches) == k
         for i in range(k):

@@ -123,6 +123,7 @@ def test_forecaster_save_load_round_trip(tmp_path):
         # every field: config, scalers, network configs and flat vectors, the
         # GARCH scalars and arrays, the mode set and its converged flag
         _assert_identical(fc, loaded)
+        assert loaded.config.network.cell is cell  # not the RNN of the fitting config
         res_a = rolling_forecast(fc, series, 6)
         res_b = rolling_forecast(loaded, series, 6)
         assert np.array_equal(res_a.predictions, res_b.predictions)
@@ -267,6 +268,17 @@ def test_forecaster_load_rejects_v5_dir(tmp_path):
     _assert_identical(fc, load_forecaster(model_dir))
 
 
+def test_forecaster_load_rejects_v6_dir(tmp_path):
+    fc, model_dir = _saved(tmp_path, cell=CellKind.GRU)
+    # the v6 layout: the same header and arrays, and the cell as an entry of its own
+    _write_header(model_dir, {**_header(model_dir), "format": "modecast-forecaster v6",
+                              "cell": "gru"})
+    with pytest.raises(CorruptModel, match="re-run `modecast train`"):
+        load_forecaster(model_dir)
+    save_forecaster(fc, model_dir)
+    _assert_identical(fc, load_forecaster(model_dir))
+
+
 def test_forecaster_load_rejects_v4_dir(tmp_path):
     fc, model_dir = _saved(tmp_path)
     header = _header(model_dir)
@@ -311,7 +323,7 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
         assert shapes["sigma2_path"] == shapes["residuals"] == (k, 176)
     header = _header(model_dir)
     assert header["crc32"] == zlib.crc32((model_dir / "arrays.f64").read_bytes())
-    assert set(header) == {"format", "variant", "cell", "config", "arrays", "crc32",
+    assert set(header) == {"format", "variant", "config", "arrays", "crc32",
                            *(("modes",) if variant is not Variant.DIRECT else ()),
                            *(("garch",) if variant is Variant.VMD_GARCH else ())}
     if variant is Variant.VMD_GARCH:
@@ -319,7 +331,7 @@ def test_archive_holds_the_fixed_name_set(tmp_path, variant, n_modes):
     # the record is the directory: every field comes back bit for bit
     loaded = load_forecaster(model_dir)
     assert [f.name for f in dataclasses.fields(loaded)] == [
-        "variant", "cell", "config", "modes", "mode_values", "garch", "networks"]
+        "variant", "config", "modes", "mode_values", "garch", "networks"]
     _assert_identical(fc, loaded)
     for name in ("mode_values", "networks"):
         assert getattr(fc, name).tobytes() == getattr(loaded, name).tobytes()

@@ -179,16 +179,16 @@ def test_manifest_rerun_is_bit_identical(tmp_path, series_csv, config_file):
 
 
 def test_forecast_from_model_dir_records_the_model_settings(tmp_path, series_csv, config_file):
-    model_dir = tmp_path / "model"
+    model_dir = tmp_path / "model"  # a GRU, trained over a config that names the RNN
     assert main(["train", "--input", str(series_csv), "--config", str(config_file),
-                 "--out-dir", str(model_dir), "--variant", "vmd"]) == 0
+                 "--cell", "gru", "--out-dir", str(model_dir), "--variant", "vmd"]) == 0
     out = tmp_path / "fc"  # flags equal to the model's settings pass
     assert main(["forecast", "--input", str(series_csv), "--model-dir", str(model_dir),
-                 "--modes", "2", "--seed", "5", "--cell", "RNN", "--variant", "vmd",
+                 "--modes", "2", "--seed", "5", "--cell", "GRU", "--variant", "vmd",
                  "--steps", "4", "--out-dir", str(out)]) == 0
     manifest = out / "run_manifest.txt"
     lines = manifest.read_text().splitlines()
-    for line in ("modes = 2", "network.cell = rnn", "network.hidden = 6", "network.seq_len = 10",
+    for line in ("modes = 2", "network.cell = gru", "network.hidden = 6", "network.seq_len = 10",
                  "train.epochs = 2", "train.seed = 5"):
         assert line in lines
     assert to_pipeline_config(load_config(manifest)) == load_forecaster(model_dir).config
@@ -458,6 +458,15 @@ def test_data_error_exit_2(tmp_path, config_file, capsys):
 def test_modes_required_without_config(tmp_path, series_csv, capsys):
     assert main(["decompose", "--input", str(series_csv),
                  "--out-dir", str(tmp_path / "w")]) == 1
+    # the settings are checked before the input: with no modes and no input
+    # file, every command refuses the settings
+    for command, extra in [("decompose", []), ("garch-fit", []), ("train", []),
+                           ("forecast", ["--steps", "3"]), ("compare", [])]:
+        out = tmp_path / command
+        assert main([command, "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out),
+                     *extra]) == 1, command
+        assert "the number of modes is required" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numerical_failure_exit_3(monkeypatch, capsys):

@@ -387,14 +387,14 @@ def test_reloaded_network_predicts_bit_identically(kind, tmp_path):
     x, y = rng.standard_normal((40, SEQ_LEN, 2)), rng.standard_normal(40)
     net, _ = train(x, y, cfg, train_cfg)
     forecaster = EnsembleForecaster(
-        variant=Variant.DIRECT, cell=kind,
+        variant=Variant.DIRECT,
         config=PipelineConfig(vmd=VmdConfig(n_modes=1), network=cfg, train=train_cfg,
                               seq_len=SEQ_LEN),
         modes=None, mode_values=rng.standard_normal((1, 60)), garch=None,
         networks=net.flat[None])
     save_forecaster(forecaster, tmp_path / "model")
     fc = load_forecaster(tmp_path / "model")
-    loaded = neural._network(mode_network_config(fc.config, fc.cell, 1), fc.networks[0])
+    loaded = neural._network(mode_network_config(fc.config, 1), fc.networks[0])
     assert loaded.config == cfg
     assert np.array_equal(loaded.flat, net.flat)
     for batch in (x[:1], x):

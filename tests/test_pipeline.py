@@ -186,7 +186,8 @@ def test_mode_networks_equal_nets_trained_one_by_one(variant, cell, monkeypatch)
         lockstep([x], [y], [net], [tr])[0] for x, y, net, tr in zip(xs, ys, nets, trains)])
     one_by_one = fit_forecaster(series, variant, cell, cfg)
     # the network configurations derive from these
-    assert (together.config, together.cell) == (one_by_one.config, one_by_one.cell)
+    assert together.config == one_by_one.config
+    assert together.config.network.cell is cell  # the record's cell, not the RNN of `cfg`
     for got, want in zip(together.networks, one_by_one.networks, strict=True):
         assert np.array_equal(got, want)
 
@@ -223,7 +224,7 @@ def test_direct_record_with_a_network_of_another_width_cannot_be_built():
     net = neural.init_network(neural.NetworkConfig(cell=CellKind.LSTM, hidden=4, seed=5))
     values = wavy_series(n=60).values[None, :].copy()
     with pytest.raises(ShapeMismatch, match="networks"):
-        EnsembleForecaster(variant=Variant.DIRECT, cell=CellKind.LSTM,
+        EnsembleForecaster(variant=Variant.DIRECT,
                            config=PipelineConfig(vmd=VmdConfig(n_modes=1)), modes=None,
                            mode_values=values, garch=None, networks=net.flat[None])
 
@@ -412,12 +413,18 @@ def test_compare_models_fits_each_mode_garch_once(monkeypatch):
 def test_compare_models_trains_each_cell_in_one_call(monkeypatch):
     series, cfg = wavy_series(), small_config(n_modes=3, epochs=1)
     cells = [CellKind.RNN, CellKind.LSTM]
-    calls = []
-    lockstep = neural.train_many
+    calls, records = [], []
+    lockstep, forecast = neural.train_many, pipeline.rolling_forecast
     monkeypatch.setattr(neural, "train_many", lambda *a: calls.append(len(a[0])) or lockstep(*a))
+    monkeypatch.setattr(pipeline, "rolling_forecast",
+                        lambda fc, *a: records.append(fc) or forecast(fc, *a))
     rows = compare_models(series, [6], cells, cfg)
     monkeypatch.undo()
     assert calls == [1 + 2 * cfg.vmd.n_modes] * len(cells)  # direct, VMD and VMD-GARCH nets
+    # each record's configuration is `cfg` at the record's cell
+    assert [fc.config for fc in records] == [
+        dataclasses.replace(cfg, network=dataclasses.replace(cfg.network, cell=cell))
+        for cell in cells for _ in Variant]
     for row in rows:
         alone = rolling_forecast(fit_forecaster(series, row.variant, row.cell, cfg), series, 6)
         assert np.array_equal(row.report.predictions, alone.predictions), row.model

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modecast.errors import ConstantSeries, NonFinite, NonMonotonicTimestamps, TooShort
-from modecast.series import MinMaxScaler, SplitSpec, TimeSeries, fit_scaler, split, validate
+from modecast.series import MinMaxScaler, TimeSeries, fit_scaler, validate
 
 
 def test_validate_returns_series_unchanged():
@@ -42,44 +42,6 @@ def test_values_are_immutable():
     s = TimeSeries([1.0, 2.0])
     with pytest.raises(ValueError):
         s.values[0] = 9.0
-
-
-def test_split_monthly_series_85_15():
-    # 636 monthly points at the default fraction land on 540/96
-    s = TimeSeries(np.arange(636, dtype=float))
-    train, test = split(s, SplitSpec(0.85))
-    assert len(train) == 540
-    assert len(test) == 96
-
-
-def test_split_even():
-    train, test = split(TimeSeries(np.arange(10.0)), SplitSpec(0.5))
-    assert len(train) == 5 and len(test) == 5
-
-
-def test_split_empty_side_rejected():
-    with pytest.raises(TooShort):
-        split(TimeSeries([1.0, 2.0, 3.0]), SplitSpec(0.1))
-
-
-def test_split_carries_timestamps():
-    stamps = tuple(date(2020, m, 1) for m in range(1, 11))
-    s = TimeSeries(np.arange(10.0), timestamps=stamps)
-    train, test = split(s, SplitSpec(0.5))
-    assert train.timestamps == stamps[:5]
-    assert test.timestamps == stamps[5:]
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=200),
-       st.floats(0.05, 0.95))
-def test_split_is_a_partition(values, fraction):
-    s = TimeSeries(values)
-    try:
-        train, test = split(s, SplitSpec(fraction))
-    except TooShort:
-        return
-    rejoined = np.concatenate([train.values, test.values])
-    assert np.array_equal(rejoined, s.values)
 
 
 def test_scaler_midpoint():
