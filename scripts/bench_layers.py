@@ -89,9 +89,7 @@ the median time of `persist.save_forecaster` and of
 PERSIST_REPEATS calls, and the load split into its parts, each a median
 over the same rounds: the header's JSON parse, the read of the array file,
 its checksum and the record (a load whose array read is replaced by the
-arrays already read, less the header's parse).  A model directory that
-holds an `.npz` archive is read by `np.load`, whose member CRCs are part of
-the read, so it prints no separate checksum.
+arrays already read, less the header's parse).
 
 startup: it runs `python -c "import modecast.cli"` in a fresh interpreter
 STARTUP_RUNS times and prints the median wall time of the whole child
@@ -506,15 +504,7 @@ def bench_persist() -> None:
     import tempfile
     import zlib
 
-    import numpy as np
-
     from modecast import persist
-
-    archive = persist.ARRAYS.endswith(".npz")  # a tree of the earlier format
-
-    def read_archive(path):
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return {name: npz[name] for name in npz.files}
 
     print(f"\n{'persist':<10} {'modes':>5} {'bytes':>9} {'save ms':>8} {'load ms':>8} "
           f"{'header ms':>10} {'read ms':>8} {'crc ms':>7} {'record ms':>10}")
@@ -525,8 +515,8 @@ def bench_persist() -> None:
             persist.save_forecaster(record, model_dir)
             header_path, arrays_path = model_dir / persist.HEADER, model_dir / persist.ARRAYS
             header = json.loads(header_path.read_text(encoding="utf-8"))
-            arrays = (read_archive(arrays_path) if archive else
-                      persist._read_arrays(arrays_path, header["arrays"], header["crc32"]))
+            arrays = persist._read_arrays(arrays_path, header["arrays"], header["crc32"])
+            flat = _raw_read(arrays_path)
             real_read = persist._read_arrays
 
             def record_only():
@@ -539,20 +529,17 @@ def bench_persist() -> None:
             ways = {"save": lambda: persist.save_forecaster(record, model_dir),
                     "load": lambda: persist.load_forecaster(model_dir),
                     "header": lambda: json.loads(header_path.read_text(encoding="utf-8")),
-                    "read": lambda: (read_archive if archive else _raw_read)(arrays_path),
+                    "read": lambda: _raw_read(arrays_path),
+                    "crc": lambda: zlib.crc32(flat),
                     "header+record": record_only}
-            if not archive:
-                flat = _raw_read(arrays_path)
-                ways["crc"] = lambda: zlib.crc32(flat)
             times = {way: [] for way in ways}
             for r in range(PERSIST_ROUNDS):
                 for way in sorted(ways, reverse=r % 2 == 1):
                     times[way].append(_per_call_s(ways[way], PERSIST_REPEATS))
             ms = {way: statistics.median(t) * 1e3 for way, t in times.items()}
             size = sum(p.stat().st_size for p in model_dir.iterdir())
-            crc = f"{ms['crc']:7.3f}" if "crc" in ms else f"{'-':>7}"
             print(f"{name:<10} {n_modes:5d} {size:9d} {ms['save']:8.3f} {ms['load']:8.3f} "
-                  f"{ms['header']:10.3f} {ms['read']:8.3f} {crc} "
+                  f"{ms['header']:10.3f} {ms['read']:8.3f} {ms['crc']:7.3f} "
                   f"{ms['header+record'] - ms['header']:10.3f}")
 
 

@@ -27,6 +27,18 @@ from modecast.vmd import vmd_decompose
 OUT = Path(__file__).resolve().parents[1] / "out" / "benchmark"
 
 
+def write_comparison(rows, path: Path) -> None:
+    """Write the comparison rows to `path` as a fixed-width table, and print it."""
+    lines = [f"{'model':<16} {'horizon':>7} {'rmse':>10} {'mae':>10} {'mape%':>8}"]
+    for row in rows:
+        mape = "n/a" if row.report.mape is None else f"{row.report.mape:.4f}"
+        lines.append(f"{row.model:<16} {row.horizon:>7} {row.report.rmse:>10.4f} "
+                     f"{row.report.mae:>10.4f} {mape:>8}")
+    report = "\n".join(lines) + "\n"
+    path.write_text(report)
+    print(report)
+
+
 def main() -> None:
     argparse.ArgumentParser(description=__doc__).parse_args()
     OUT.mkdir(parents=True, exist_ok=True)
@@ -47,14 +59,7 @@ def main() -> None:
                           [CellKind.RNN, CellKind.GRU, CellKind.LSTM], cfg)
     print(f"nine-model matrix finished in {time.time() - t0:.0f} s")
 
-    lines = [f"{'model':<16} {'horizon':>7} {'rmse':>10} {'mae':>10} {'mape%':>8}"]
-    for row in rows:
-        mape = "n/a" if row.report.mape is None else f"{row.report.mape:.4f}"
-        lines.append(f"{row.model:<16} {row.horizon:>7} {row.report.rmse:>10.4f} "
-                     f"{row.report.mae:>10.4f} {mape:>8}")
-    report = "\n".join(lines) + "\n"
-    (OUT / "comparison.txt").write_text(report)
-    print(report)
+    write_comparison(rows, OUT / "comparison.txt")
 
     forecaster = fit_forecaster(series, Variant.VMD_GARCH, CellKind.LSTM, cfg)
     result = rolling_forecast(forecaster, series, 70)

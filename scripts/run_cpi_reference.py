@@ -36,8 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from modecast.config import cell_kind, load_config, parse_setting, to_pipeline_config
 from modecast.data import load_csv
 from modecast.errors import ConfigError
-from modecast.garch import GarchSpec
 from modecast.pipeline import compare_models
+from run_benchmark import write_comparison  # this script's directory is on sys.path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "data" / "cpi_germany_synthetic.csv"
@@ -65,21 +65,14 @@ def main() -> None:
     cfg = to_pipeline_config(settings)
     cfg = replace(cfg, train=replace(cfg.train, epochs=args.epochs))
     if args.quick:
-        cfg = replace(cfg, vmd=replace(cfg.vmd, n_modes=2), garch=GarchSpec(1, 1),
+        cfg = replace(cfg, vmd=replace(cfg.vmd, n_modes=2), garch=replace(cfg.garch, k=1, l=1),
                       seq_len=20, train=replace(cfg.train, epochs=3))
 
     OUT.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     rows = compare_models(series, list(settings["horizons"]), cells, cfg)
     print(f"finished in {time.time() - t0:.0f} s")
-    lines = [f"{'model':<16} {'horizon':>7} {'rmse':>10} {'mae':>10} {'mape%':>8}"]
-    for row in rows:
-        mape = "n/a" if row.report.mape is None else f"{row.report.mape:.4f}"
-        lines.append(f"{row.model:<16} {row.horizon:>7} {row.report.rmse:>10.4f} "
-                     f"{row.report.mae:>10.4f} {mape:>8}")
-    report = "\n".join(lines) + "\n"
-    (OUT / "comparison.txt").write_text(report)
-    print(report)
+    write_comparison(rows, OUT / "comparison.txt")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ is refused.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure;
 a missing or unreadable file, or an output path that cannot be written, is a
-data error whichever flag names it.  A command checks its settings,
-configuration, input and horizons, in that order, before it creates its
-output directory, and creates that directory before it fits a forecaster, so
-an unwritable one fits nothing; a run that fails removes the output
-directory it created if it is still empty.
+data error whichever flag names it.  A command checks its command line
+(`--cells` included), settings, configuration, input and horizons, in that
+order, before it creates its output directory, and creates that directory
+before it fits a forecaster, so an unwritable one fits nothing; a run that
+fails removes the output directory it created if it is still empty.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the 3 variants x 3 cells matrix")
     common(p)
     p.add_argument("--horizons", help="comma-separated step counts (default from config)")
-    p.add_argument("--cells", default="rnn,gru,lstm")
+    p.add_argument("--cells", default="rnn,gru,lstm",
+                   type=lambda raw: [cell_kind(c) for c in raw.split(",")])
 
     p = sub.add_parser("plot", help="render SVG charts from result CSVs")
     source = p.add_mutually_exclusive_group(required=True)
@@ -180,8 +181,7 @@ def _cmd_garch_fit(args, settings, cfg, series, model) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode_set = vmd.vmd_decompose(series, cfg.vmd)
     _write_modes_csv(mode_set, out_dir)
-    fits = garch_mod.fit_many(mode_set.modes, cfg.garch,
-                              garch_mod.FitOptions(max_iter=cfg.garch_max_iter))
+    fits = garch_mod.fit_many(mode_set.modes, cfg.garch)
     for i, fit in enumerate(fits):
         fitted = not fit.used_rolling_fallback  # a fallback's search point is no fit
         payload = {
@@ -264,11 +264,10 @@ def _format_rows(rows) -> tuple[str, str]:
 
 
 def _cmd_compare(args, settings, cfg, series, model) -> None:
-    cells = [cell_kind(c) for c in args.cells.split(",")]
     check_horizons(settings["horizons"], held_out_span(series, cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = compare_models(series, list(settings["horizons"]), cells, cfg)
+    rows = compare_models(series, list(settings["horizons"]), args.cells, cfg)
     structured, pretty = _format_rows(rows)
     (out_dir / "metrics.txt").write_text(structured, encoding="utf-8")
     (out_dir / "metrics_table.txt").write_text(pretty, encoding="utf-8")

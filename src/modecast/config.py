@@ -73,7 +73,7 @@ _KEYS = {
     "vmd.seed": (int, "vmd.seed"),
     "garch.k": (int, "garch.k"),
     "garch.l": (int, "garch.l"),
-    "garch.max_iter": (int, "garch_max_iter"),
+    "garch.max_iter": (int, "garch.max_iter"),
     "network.cell": (cell_kind, "network.cell"),
     "network.layers": (int, "network.layers"),
     "network.hidden": (int, "network.hidden"),

@@ -81,14 +81,25 @@ ROLLING_WINDOW = 12  # slots in the fallback's trailing variance window
 
 @dataclass(frozen=True)
 class GarchSpec:
-    """Model order: k lagged squared shocks, l lagged variances."""
+    """Model order, k lagged squared shocks and l lagged variances, and the
+    fit's iteration cap per BFGS search (`max_iter`; None: the default)."""
 
     k: int
     l: int
+    max_iter: int | None = None
 
     def __post_init__(self):
         if self.k < 0 or self.l < 0 or self.k + self.l < 1:
             raise InvalidParams(f"need k >= 0, l >= 0, k + l >= 1, got k={self.k}, l={self.l}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+
+    @property
+    def search_cap(self) -> int:
+        """The iterations after which a search ends unconverged: `max_iter`, by
+        default 200 per search dimension 2+k+l (500 per dimension above 8)."""
+        dim = 2 + self.k + self.l
+        return self.max_iter or (200 * dim if dim <= 8 else 500 * dim)
 
 
 def _constraint_violation(alpha0: float, alphas: np.ndarray, betas: np.ndarray) -> str | None:
@@ -160,20 +171,10 @@ class GarchFit:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Deterministic fit settings; identical options give identical fits.
+    """`allow_differencing` lets the unit-root test (`ADF_LAGS`) decide whether
+    the series is differenced; only direct `fit`/`fit_many` callers unset it."""
 
-    `max_iter` caps each start's BFGS iterations (None: 200 per search
-    dimension, 500 per dimension above 8); a search that reaches it without
-    converging counts as unconverged.  `allow_differencing` lets the
-    unit-root test (`ADF_LAGS`) decide whether the series is differenced.
-    """
-
-    max_iter: int | None = None
     allow_differencing: bool = True
-
-    def __post_init__(self):
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 _NEG_HALF_LOG_2PI = -0.5 * math.log(2.0 * math.pi)
@@ -311,7 +312,7 @@ class _Batch:
         row begins with its zeros, so a row's adjoint has the floats it
         gets alone.
         """
-        alpha0, coeffs = _theta_to_coeffs(thetas)
+        alpha0, coeffs, sigmoid = _theta_to_coeffs(thetas)
         k, l, m = self.k, self.l, self.m
         total = _sum(coeffs[:, :k], axis=1) + _sum(coeffs[:, k:], axis=1)
         valid = (alpha0 > 0) & (0.0 < total) & (total <= 1.0)  # NaN fails too
@@ -347,7 +348,6 @@ class _Batch:
             for j in range(l):
                 np.multiply(adjoint, s2x[:, m - 1 - j:m - 1 - j + width], out=terms[:, 1 + k + j])
         grad = self._row_sums(rows, terms)  # df/d(alpha0, alphas, betas)
-        sigmoid = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
         complement = np.array(list(map(_expit, (-thetas[:, 1]).tolist())), dtype=float)
         score = np.empty(thetas.shape)
         # alpha0 = exp(theta0) below the clamp at 50, constant above it
@@ -483,25 +483,25 @@ def _expit(t: float) -> float:
         return 0.0
 
 
-def _theta_to_coeffs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alpha0 and the lag coefficients [alphas, betas] of search points, one row each.
+def _theta_to_coeffs(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha0, the lag coefficients [alphas, betas] and their sum sigmoid(theta1), one row each.
 
     alpha0 = exp(min(theta0, 50)) and the sigmoid of theta1 are taken row by
     row with `math.exp` (see `_expit`).  The lag coefficients, that sigmoid
     times the softmax of theta[2:], are computed over all rows at once.
     """
     alpha0 = np.array(list(map(math.exp, np.minimum(thetas[:, 0], 50.0).tolist())), dtype=float)
-    total = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
+    sigmoid = np.array(list(map(_expit, thetas[:, 1].tolist())), dtype=float)
     logits = thetas[:, 2:]
     coeffs = logits - _max(logits, axis=1, keepdims=True)  # softmax, shifted by the max
     np.exp(coeffs, out=coeffs)
     coeffs /= _sum(coeffs, axis=1, keepdims=True)
-    coeffs *= total[:, None]
-    return alpha0, coeffs
+    coeffs *= sigmoid[:, None]
+    return alpha0, coeffs, sigmoid
 
 
 def _theta_to_params(theta: np.ndarray, spec: GarchSpec) -> GarchParams:
-    alpha0, coeffs = _theta_to_coeffs(theta[None])
+    alpha0, coeffs, _ = _theta_to_coeffs(theta[None])
     return GarchParams(float(alpha0[0]), coeffs[0, :spec.k], coeffs[0, spec.k:])
 
 
@@ -773,28 +773,23 @@ def fit_many(residual_sources, spec: GarchSpec,
     """`fit` of every series in `residual_sources`, with all their searches run together.
 
     Each series is prepared as `fit` describes; then the three searches of
-    every series advance in lockstep through `_bfgs`, each round's trial
-    points of all of them evaluated in one batched call; then each series is
-    finished on its own searches' results.  Each fit equals `fit` of that
-    series alone, bit for bit, whatever else is in the batch.
+    every series advance in lockstep through `_bfgs`, each capped at
+    `spec.search_cap` iterations and each round's trial points of all of
+    them evaluated in one batched call; then each series is finished on its
+    own searches' results.  Each fit equals `fit` of that series alone, bit
+    for bit, whatever else is in the batch.
     """
     prepared = [_prepare(source, spec, options) for source in residual_sources]
     if not prepared:
         return []
     k, l = spec.k, spec.l
-    dim = 2 + k + l
-    if options.max_iter is not None:
-        max_iter = options.max_iter
-    else:
-        max_iter = 200 * dim if dim <= 8 else 500 * dim
-
     starts = np.array(_start_points(spec))
     per_series = starts.shape[0]
     normalized = _Batch([p.a_norm for p in prepared], k, l)
     series_of = np.repeat(np.arange(len(prepared)), per_series)
     found = _bfgs(lambda searches, points: normalized.objective_and_score(series_of[searches],
                                                                           points),
-                  np.tile(starts, (len(prepared), 1)), max_iter)
+                  np.tile(starts, (len(prepared), 1)), spec.search_cap)
 
     # The likelihood is flat in the lag coefficients along alpha ~ 0 (any
     # persistence reproduces a near-constant variance path), so dynamics are
@@ -846,10 +841,11 @@ def fit(residual_source: TimeSeries | np.ndarray, spec: GarchSpec,
 
     If the demeaned series does not reject a unit root at 5%, volatility is
     extracted from the first-differenced series instead (path length is
-    re-aligned by repeating its first value).  If no restart converges, the
-    trailing rolling-variance path (`rolling_sigma2`) is substituted.
+    re-aligned by repeating its first value).  If no restart converges within
+    `spec.search_cap` iterations, the trailing rolling-variance path
+    (`rolling_sigma2`) is substituted.
     `log_likelihood` is that of the returned residuals under the returned path.
-    Deterministic for fixed options; `fit_many` of the one series.
+    Deterministic for a fixed spec and options; `fit_many` of the one series.
     """
     return fit_many([residual_source], spec, options)[0]
 

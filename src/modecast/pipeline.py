@@ -80,9 +80,11 @@ class Variant(Enum):
 @dataclass(frozen=True)
 class PipelineConfig:
     """The settings of a run, each value one key of the config grammar
-    (`config`).  The network's seed and input width are no setting:
-    `mode_network_config` derives the seed per mode, and `network` is kept
-    at seed 0 and 2 input features, whatever was given."""
+    (`config`); a fitted stage's settings are its section's (`vmd`, `garch`
+    with its search cap, `network`, `train`).  The network's seed and input
+    width are no setting: `mode_network_config` derives the seed per mode,
+    and `network` is kept at seed 0 and 2 input features, whatever was
+    given."""
 
     vmd: vmd.VmdConfig
     garch: garch_mod.GarchSpec = garch_mod.GarchSpec(k=10, l=10)
@@ -90,14 +92,12 @@ class PipelineConfig:
     train: neural.TrainConfig = neural.TrainConfig()
     split: SplitSpec = SplitSpec()
     seq_len: int = 50
-    garch_max_iter: int | None = None  # each GARCH search's cap (`garch_mod.FitOptions`)
     retrain_every: int = 0  # 0: never retrain during the rolling forecast
 
     def __post_init__(self):
         if (self.network.seed, self.network.input_features) != (0, 2):
             object.__setattr__(self, "network",
                                replace(self.network, seed=0, input_features=2))
-        garch_mod.FitOptions(max_iter=self.garch_max_iter)  # checks the cap
         if self.seq_len < 1:
             raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.retrain_every < 0:
@@ -335,8 +335,7 @@ def _fit_forecasters(series: TimeSeries, variants: Sequence[Variant],
     if any(v is not Variant.DIRECT for v in variants):
         mode_set = vmd.vmd_decompose(series, cfg.vmd)
     if Variant.VMD_GARCH in variants:
-        garch_fits = tuple(garch_mod.fit_many(mode_set.modes[:, :n_train], cfg.garch,
-                                              garch_mod.FitOptions(max_iter=cfg.garch_max_iter)))
+        garch_fits = tuple(garch_mod.fit_many(mode_set.modes[:, :n_train], cfg.garch))
     plans = []  # (variant, values, fits, windows)
     for variant in variants:
         values = series.values[None, :].copy() if variant is Variant.DIRECT else mode_set.modes

@@ -120,7 +120,7 @@ def _reference_forecast(forecaster, steps):
 def _fit(cell, variant, fallback):
     cfg = small_config(n_modes=2, epochs=1)
     if fallback:  # one simplex iteration never converges: every mode falls back
-        cfg = dataclasses.replace(cfg, garch_max_iter=1)
+        cfg = dataclasses.replace(cfg, garch=dataclasses.replace(cfg.garch, max_iter=1))
     return fit_forecaster(wavy_series(), variant, cell, cfg)
 
 

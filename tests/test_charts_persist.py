@@ -534,7 +534,8 @@ def test_tampered_header_is_rejected(tmp_path, variant, path, key, value):
 
 
 def test_rolling_fallback_round_trips_and_keeps_its_kind(tmp_path):
-    cfg = dataclasses.replace(small_config(epochs=1), garch_max_iter=1)
+    cfg = small_config(epochs=1)
+    cfg = dataclasses.replace(cfg, garch=dataclasses.replace(cfg.garch, max_iter=1))
     fc, model_dir = _saved(tmp_path, cfg=cfg)
     assert [fit.used_rolling_fallback for fit in fc.garch] == [True, True]
     _assert_identical(fc, load_forecaster(model_dir))

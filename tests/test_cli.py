@@ -108,8 +108,8 @@ def test_garch_fit_files_equal_per_mode_fits_byte_for_byte(tmp_path, series_csv,
     assert main(args + ["--out-dir", str(tmp_path / "batched")]) == 0
     # the same command with each mode fitted on its own, as `garch.fit` does
     batched = garch_mod.fit_many
-    monkeypatch.setattr(garch_mod, "fit_many", lambda sources, spec, options:
-                        [batched([x], spec, options)[0] for x in sources])
+    monkeypatch.setattr(garch_mod, "fit_many", lambda sources, spec:
+                        [batched([x], spec)[0] for x in sources])
     assert main(args + ["--out-dir", str(tmp_path / "alone")]) == 0
     names = sorted(p.name for p in (tmp_path / "alone").glob("*_mode_*"))
     assert names == sorted(p.name for p in (tmp_path / "batched").glob("*_mode_*"))
@@ -467,6 +467,15 @@ def test_modes_required_without_config(tmp_path, series_csv, capsys):
                      *extra]) == 1, command
         assert "the number of modes is required" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_compare_checks_cells_before_the_input(tmp_path, capsys):
+    # `--cells` is refused as a usage error even when the input is missing
+    out = tmp_path / "cmp"
+    assert main(["compare", "--modes", "2", "--cells", "rnn,transformer",
+                 "--input", str(tmp_path / "absent.csv"), "--out-dir", str(out)]) == 1
+    assert "unknown cell 'transformer'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_3(monkeypatch, capsys):

@@ -169,7 +169,7 @@ def test_defaults_are_the_dataclasses_own():
 def test_render_parse_round_trip():
     cfg = to_pipeline_config(parse_config_text(
         "modes = 4\nvmd.alpha = 750\nnetwork.cell = GRU\ntrain.seed = 3\ngarch.max_iter = 9\n"))
-    assert (cfg.network.cell, cfg.train.seed, cfg.garch_max_iter) == (CellKind.GRU, 3, 9)
+    assert (cfg.network.cell, cfg.train.seed, cfg.garch.max_iter) == (CellKind.GRU, 3, 9)
     back = parse_config_text(render_config(cfg, (5, 7), header_comments=["frozen run"]))
     assert to_pipeline_config(back) == cfg
     assert back["horizons"] == (5, 7)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import optimize, signal, stats
 
 from modecast import garch
-from modecast.errors import DegenerateSeries, InvalidLags, InvalidParams, TooShort
+from modecast.errors import ConfigError, DegenerateSeries, InvalidLags, InvalidParams, TooShort
 from modecast.garch import (
     FitOptions,
     GarchFit,
@@ -203,7 +203,8 @@ def test_search_objective_equals_negative_log_likelihood_exactly(k, l):
 
 
 def _per_row_coeffs(theta):
-    """alpha0 and the lag coefficients of one search point, with `math.exp`."""
+    """alpha0, the lag coefficients and the sigmoid of theta1 of one search
+    point, with `math.exp`."""
     alpha0 = math.exp(min(theta[0], 50.0))
     try:
         sigmoid = 1.0 / (1.0 + math.exp(-theta[1]))
@@ -212,7 +213,7 @@ def _per_row_coeffs(theta):
     w = theta[2:] - theta[2:].max()
     p = np.exp(w)
     p /= p.sum()
-    return alpha0, sigmoid * p
+    return alpha0, sigmoid * p, sigmoid
 
 
 @pytest.mark.parametrize("dim", [3, 4, 6, 22])
@@ -226,11 +227,12 @@ def test_theta_to_coeffs_equals_per_row_math_exp(dim):
     for i, edge in enumerate(edges):
         thetas[1000 + i, 0] = edge  # theta0 above 50 is clamped; -inf gives alpha0 = 0
         thetas[1100 + i, 1] = edge  # theta1 below about -709 overflows exp(-theta1)
-    alpha0, coeffs = _theta_to_coeffs(thetas)
+    alpha0, coeffs, sigmoid = _theta_to_coeffs(thetas)
     expected = [_per_row_coeffs(theta) for theta in thetas]
     bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)  # noqa: E731
-    assert np.array_equal(bits(alpha0), bits([a for a, _ in expected]))
-    assert np.array_equal(bits(coeffs), bits([c for _, c in expected]))
+    assert np.array_equal(bits(alpha0), bits([a for a, _, _ in expected]))
+    assert np.array_equal(bits(coeffs), bits([c for _, c, _ in expected]))
+    assert np.array_equal(bits(sigmoid), bits([s for _, _, s in expected]))
 
 
 def _reference_objective(a_norm, spec):
@@ -394,7 +396,7 @@ def _forward_lanes_score(a_norm, spec, theta):
     a = np.asarray(a_norm, dtype=float)
     n, k, l, seed = a.size, spec.k, spec.l, float(np.var(a))
     m = max(k, l, 1)
-    alpha0, coeffs = _per_row_coeffs(theta)
+    alpha0, coeffs, _ = _per_row_coeffs(theta)
     s2 = sigma2_path(GarchParams(alpha0, coeffs[:k], coeffs[k:]), a)
     a2x = np.concatenate([np.full(m, seed), a * a])
     s2x = np.concatenate([np.full(m, seed), s2])
@@ -483,16 +485,25 @@ def test_fit_many_equals_fit_on_each_series_alone(k, l, max_iter):
     series = [sim,
               np.cumsum(sim),  # a random walk: differenced, so one slot shorter
               simulate(GarchParams(0.1, [0.1], [0.8]), 150, seed=9).values]
-    spec, options = GarchSpec(k, l), FitOptions(max_iter=max_iter)
-    alone = [fit(x, spec, options) for x in series]
+    spec = GarchSpec(k, l, max_iter=max_iter)
+    alone = [fit(x, spec) for x in series]
     assert [f.used_differencing for f in alone] == [False, True, False]
     assert all(f.used_rolling_fallback is (max_iter == 1) for f in alone)
     for chosen in ([0, 1, 2], [2, 0, 1], [1, 2], [1], [0, 0]):
-        fitted = fit_many([series[i] for i in chosen], spec, options)
+        fitted = fit_many([series[i] for i in chosen], spec)
         assert len(fitted) == len(chosen)
         for f, i in zip(fitted, chosen):
             _assert_same_fit(f, alone[i])
-    assert fit_many([], spec, options) == []
+    assert fit_many([], spec) == []
+
+
+def test_spec_holds_the_search_cap():
+    # unset: 200 per search dimension 2+k+l, 500 per dimension above 8
+    assert [GarchSpec(k, l).search_cap for k, l in [(1, 1), (3, 3), (3, 4), (10, 10)]] == \
+        [800, 1600, 4500, 11000]
+    assert GarchSpec(10, 10, max_iter=7).search_cap == 7
+    with pytest.raises(ConfigError, match="max_iter must be >= 1, got 0"):
+        GarchSpec(1, 1, max_iter=0)
 
 
 def test_log_likelihood_rejects_nan():
@@ -618,7 +629,7 @@ def test_rolling_sigma2_equals_the_per_slot_loop():
 
 def test_fit_fallback_is_trailing_and_extends_exactly():
     sim = simulate(GarchParams(0.3, [0.2], [0.5]), 300, seed=8).values
-    fitted = fit(sim[:250], GarchSpec(1, 1), FitOptions(max_iter=1))
+    fitted = fit(sim[:250], GarchSpec(1, 1, max_iter=1))
     assert fitted.used_rolling_fallback and not fitted.converged
     floor = rolling_floor(fitted.residuals)
     assert np.array_equal(fitted.sigma2_path, rolling_sigma2(fitted.residuals, floor))
@@ -636,7 +647,7 @@ def test_fit_fallback_reports_the_likelihood_of_its_path(differencing):
     # fails the unit-root rejection
     sim = simulate(GarchParams(0.3, [0.2], [0.5]), 250, seed=8).values
     series = np.cumsum(sim) if differencing else sim
-    fitted = fit(series, GarchSpec(1, 1), FitOptions(max_iter=1))
+    fitted = fit(series, GarchSpec(1, 1, max_iter=1))
     assert fitted.used_rolling_fallback and fitted.used_differencing is differencing
     a, s2 = fitted.residuals, fitted.sigma2_path
     assert a.size == s2.size == series.size
